@@ -151,7 +151,7 @@ def write_run_outputs(run_dir: Path, manifest_doc: dict, result: RunResult,
                [(h.gen, h.fes, h.mean_f1, h.mean_f2, h.hv, h.igd)
                 for h in result.history])
     configs = [{"f1": ind.f1, "f2": ind.f2, "canonical_key": ind.key,
-                "config": _jsonable(ind.decoded.as_dict(space))}
+                "config": _jsonable(ind.evaluated.as_dict(space))}
                for ind in result.pareto]
     (run_dir / "pareto_configs.json").write_text(
         json.dumps(configs, indent=2) + "\n")

@@ -25,7 +25,7 @@ from . import metrics
 from .evaluators import Evaluation
 from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                     PLACEHOLDER, RefinementState, canonical_key, decode,
-                    fresh_genotype, repair, sample_random)
+                    fresh_genotype, repair, sample_random, split_renumbering)
 
 NORM_EPS = 1e-12
 
@@ -107,6 +107,12 @@ class Individual:
     crowding_norm: float = 0.0
     score: float = 0.0
     weight: float = 0.0
+    # the configuration f1/f2 were measured on; refinement re-decodes
+    # ``decoded`` onto new bins but leaves this one alone
+    evaluated: DecodedConfig = field(init=False)
+
+    def __post_init__(self):
+        self.evaluated = self.decoded
 
 
 @dataclass
@@ -272,29 +278,21 @@ class PlayerArchives:
                     self.heat[player] += ind.weight
                     self.count[player] += 1
 
-    def split_bin(self, dim: int, k: int) -> None:
-        """Remap archive keys after bin ``k`` of ``dim`` splits in two.
+    def split_bin(self, dim: int, new: list[int], split: frozenset[int]) -> None:
+        """Move the players of ``dim`` to its bins after a refinement.
 
-        The split interval's mass is divided between its children; higher
-        bins shift up by one.
+        ``new`` and ``split`` come from ``space.split_renumbering``. A split
+        bin's heat is halved onto both children and its count divided
+        between them.
         """
-        keys = sorted({j for (d, j) in self.heat if d == dim}
-                      | {j for (d, j) in self.count if d == dim})
-        heat = {j: self.heat.pop((dim, j), 0.0) for j in keys}
-        count = {j: self.count.pop((dim, j), 0) for j in keys}
-        for j in keys:
-            if j < k:
-                new = {j: (heat[j], count[j])}
-            elif j == k:
-                h, c = heat[j], count[j]
-                new = {k: (h / 2.0, c // 2), k + 1: (h / 2.0, c - c // 2)}
-            else:
-                new = {j + 1: (heat[j], count[j])}
-            for jj, (h, c) in new.items():
-                if h:
-                    self.heat[(dim, jj)] += h
-                if c:
-                    self.count[(dim, jj)] += c
+        for table, halves in ((self.heat, lambda h: (h / 2.0, h / 2.0)),
+                              (self.count, lambda c: (c // 2, c - c // 2))):
+            old = {j: table.pop((d, j)) for d, j in list(table) if d == dim}
+            for j, value in old.items():
+                if j in split:
+                    table[(dim, new[j])], table[(dim, new[j] + 1)] = halves(value)
+                else:
+                    table[(dim, new[j])] = value
 
 
 @dataclass(frozen=True)
@@ -441,7 +439,7 @@ class _Run:
         self.state = RefinementState(self.space, initial_bins=params.initial_bins,
                                      mass_threshold=params.refine_mass,
                                      persistence=params.refine_persistence)
-        self.registry = DedupRegistry(n_trial=params.n_trial)
+        self.registry = DedupRegistry()
         self.archives = PlayerArchives()
         self.monitor = EarlyStopMonitor(params)
         self.dims = len(self.space)
@@ -497,7 +495,7 @@ class _Run:
             if not crossed:
                 continue
             if var.is_continuous and g1 != PLACEHOLDER and g2 != PLACEHOLDER:
-                lo, hi, reps = self._scale_grid(var.index)
+                lo, hi, reps = self.state.scale_grid(var.index)
                 v1, v2 = reps[g1], reps[g2]
                 u = self.rng.random()
                 if u <= 0.5:
@@ -515,9 +513,6 @@ class _Run:
                     child_genes[i] = g2
                     child_frozen[i] = frozen2[i]
         return Genotype(genes=tuple(child_genes), frozen=tuple(child_frozen))
-
-    def _scale_grid(self, index: int):
-        return self.state.scale_grid(index)
 
     def _mutate(self, genotype: Genotype) -> Genotype:
         params = self.params
@@ -544,7 +539,7 @@ class _Run:
 
     def _polynomial_step(self, index: int, gene: int) -> int:
         eta = self.params.mutation_eta
-        lo, hi, reps = self._scale_grid(index)
+        lo, hi, reps = self.state.scale_grid(index)
         span = hi - lo
         if span <= 0:
             return gene
@@ -629,59 +624,39 @@ class _Run:
 
     # -- refinement ---------------------------------------------------------
 
-    def _snap_after_split(self, dim: int, scale_value: float,
-                          parity: dict[tuple[int, int], int]) -> int:
-        """Nearest new bin after splits.
-
-        Every member of a split interval sits exactly on the split point, so
-        ties are systematic; alternating tied members between the two children
-        keeps both sub-intervals populated instead of emptying one side.
-        """
-        _, _, reps = self._scale_grid(dim)
-        dist = np.abs(reps - scale_value)
-        best = dist.min()
-        ties = np.nonzero(dist <= best * (1.0 + 1e-9) + 1e-18)[0]
-        if len(ties) == 1:
-            return int(ties[0])
-        key = (dim, int(ties[0]))
-        turn = parity.get(key, 0)
-        parity[key] = turn + 1
-        return int(ties[turn % len(ties)])
-
     def _refine(self, front: list[Individual]) -> None:
         self.state.update([ind.decoded for ind in front])
-        continuous = self.space.continuous_indices()
-        old_grids = {d: self._scale_grid(d)[2].copy() for d in continuous}
         splits = self.state.refine()
         if not splits:
             return
-        offsets: dict[int, int] = defaultdict(int)
-        for dim, k in splits:
+        genes = [list(ind.genotype.genes) for ind in self.population]
+        frozen = [list(ind.genotype.frozen) for ind in self.population]
+        for dim in sorted({d for d, _ in splits}):
+            new, split = split_renumbering(splits, dim, self.state.bin_count(dim))
             if self.use_archives:
-                self.archives.split_bin(dim, k + offsets[dim])
-            offsets[dim] += 1
-        split_dims = sorted({d for d, _ in splits})
-        gene_parity: dict[tuple[int, int], int] = {}
-        frozen_parity: dict[tuple[int, int], int] = {}
-        for ind in self.population:
-            genes = list(ind.genotype.genes)
-            frozen = list(ind.genotype.frozen)
-            for dim in split_dims:
-                pos = dim - 1
-                reps = old_grids[dim]
-                if genes[pos] != PLACEHOLDER:
-                    value = reps[min(genes[pos], len(reps) - 1)]
-                    genes[pos] = self._snap_after_split(dim, value, gene_parity)
-                value = reps[min(frozen[pos], len(reps) - 1)]
-                frozen[pos] = self._snap_after_split(dim, value, frozen_parity)
-            ind.genotype = Genotype(genes=tuple(genes), frozen=tuple(frozen))
+                self.archives.split_bin(dim, new, split)
+            pos = dim - 1
+            for rows in (genes, frozen):
+                turns = dict.fromkeys(split, 0)
+                for row in rows:
+                    j = row[pos]
+                    if j == PLACEHOLDER:
+                        continue
+                    row[pos] = new[j]
+                    if j in split:
+                        # Members of a split bin sat on its split point;
+                        # alternating them keeps both children populated.
+                        row[pos] += turns[j] % 2
+                        turns[j] += 1
+        for ind, g, f in zip(self.population, genes, frozen):
+            ind.genotype = Genotype(genes=tuple(g), frozen=tuple(f))
             ind.decoded = decode(ind.genotype, self.space, self.state)
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _record(self, gen: int) -> None:
-        fronts = nd_sort_and_crowd(self.population)
-        front = fronts[0]
+    def _record(self, gen: int) -> list[Individual]:
+        """Rank the population, log the generation and return its first front."""
+        front = nd_sort_and_crowd(self.population)[0]
         self.monitor.record(front)
         pts = [(ind.f1, ind.f2) for ind in front]
         reference = self.problem.hv_reference or self.monitor.reference
@@ -696,6 +671,7 @@ class _Run:
             hv=hv_value, igd=igd_value,
             min_f1=min(ind.f1 for ind in self.population),
             min_f2=min(ind.f2 for ind in self.population)))
+        return front
 
     # -- main loop ------------------------------------------------------------
 
@@ -706,7 +682,7 @@ class _Run:
         if len(self.population) < 2:
             raise RuntimeError("initial population collapsed; evaluator keeps failing")
         self.monitor.set_reference(self.population)
-        self._record(gen=1)
+        front = self._record(gen=1)
 
         stopped_early = False
         gen = 1
@@ -716,16 +692,14 @@ class _Run:
                 stopped_early = True
                 gen -= 1
                 break
-            fronts = nd_sort_and_crowd(self.population)
-            self._refine(fronts[0])
+            self._refine(front)
             offspring = self._generate_offspring(phi)
             children = self._evaluate(offspring)
             self.population = environmental_select(self.population + children,
                                                    self.pop_size)
-            self._record(gen=gen)
+            front = self._record(gen=gen)
 
-        fronts = nd_sort_and_crowd(self.population)
-        pareto = sorted(fronts[0], key=lambda ind: (ind.f1, ind.f2, ind.key))
+        pareto = sorted(front, key=lambda ind: (ind.f1, ind.f2, ind.key))
         assert len(set(self.evaluated_keys)) == len(self.evaluated_keys), \
             "duplicate candidate admitted to evaluation"
         return RunResult(pareto=pareto, population=self.population,

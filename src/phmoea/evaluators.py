@@ -261,10 +261,6 @@ class WorkerPool:
         self.clients = clients
         self.calls = 0
 
-    def __call__(self, decoded: DecodedConfig) -> Evaluation:
-        self.calls += 1
-        return self.clients[0](decoded)
-
     def evaluate_many(self, batch: list[DecodedConfig]) -> list[Evaluation]:
         self.calls += len(batch)
         results: list[Evaluation | None] = [None] * len(batch)

@@ -15,6 +15,7 @@ splits intervals where non-dominated solutions persistently concentrate.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -284,29 +285,33 @@ class RefinementState:
         splits = []
         for idx in sorted(self._pts):
             counters = self.counters[idx]
-            triggered = {k for k, c in enumerate(counters) if c >= self.persistence}
-            if not triggered:
+            triggered = [c >= self.persistence for c in counters]
+            if not any(triggered):
                 continue
-            pts = list(self._pts[idx])
-            new_counters = []
-            offset = 0
-            for k in range(len(counters)):
-                if k in triggered:
-                    lo, hi = pts[k + offset], pts[k + offset + 1]
-                    mid = 0.5 * (lo + hi)
-                    if lo < mid < hi:
-                        pts.insert(k + offset + 1, mid)
-                        offset += 1
-                        new_counters.extend([0, 0])
-                        splits.append((idx, k))
-                        continue
-                    new_counters.append(0)
-                else:
-                    new_counters.append(counters[k])
-            self._pts[idx] = np.asarray(pts)
-            self._rep_cache.pop(idx, None)
-            self.counters[idx] = new_counters
+            pts = self._pts[idx]
+            _, _, mids = self.scale_grid(idx)
+            split = [k for k, t in enumerate(triggered)
+                     if t and pts[k] < mids[k] < pts[k + 1]]
+            self._pts[idx] = np.insert(pts, [k + 1 for k in split], mids[split])
+            counters = [0 if t else c for t, c in zip(triggered, counters)]
+            for k in reversed(split):
+                counters.insert(k + 1, 0)
+            self.counters[idx] = counters
+            splits += [(idx, k) for k in split]
         return splits
+
+
+def split_renumbering(splits: list[tuple[int, int]], dim: int,
+                      n_bins: int) -> tuple[list[int], frozenset[int]]:
+    """Where the old bins of ``dim`` went after ``RefinementState.refine``.
+
+    ``splits`` is what ``refine`` returned and ``n_bins`` the dimension's bin
+    count after it. Old bin j is now bin ``new[j]``; when j is in ``split``
+    its two children are ``new[j]`` and ``new[j] + 1``.
+    """
+    split = sorted(k for d, k in splits if d == dim)
+    new = [j + bisect.bisect_left(split, j) for j in range(n_bins - len(split))]
+    return new, frozenset(split)
 
 
 def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:
@@ -410,8 +415,7 @@ def canonical_key(decoded: DecodedConfig) -> int:
 class DedupRegistry:
     """Run-scoped set of canonical keys admitted to evaluation."""
 
-    def __init__(self, n_trial: int = 50):
-        self.n_trial = n_trial
+    def __init__(self):
         self._seen: set[int] = set()
 
     def __len__(self) -> int:

@@ -7,11 +7,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phmoea.cli import RunManifest, cmd_search, main
+from phmoea.cli import RunManifest, cmd_search, main, write_run_outputs
+from phmoea.engine import SearchParams, SearchProblem, run_phmoea
+from phmoea.evaluators import SurrogateEvaluator
+from phmoea.space import PLACEHOLDER, DecodedConfig, builtin_space, canonical_key
 
 
 def run_cli(argv):
     return main(argv)
+
+
+def decoded_from_config(space, config):
+    """DecodedConfig of a written name -> value config (continuous ids unused)."""
+    values, active, ids = [], [], []
+    for var in space.variables:
+        if var.name not in config:
+            values.append(None)
+            active.append(False)
+            ids.append(PLACEHOLDER)
+            continue
+        value = config[var.name]
+        value = tuple(value) if isinstance(value, list) else value
+        values.append(value)
+        active.append(True)
+        ids.append(0 if var.is_continuous else var.candidates.index(value))
+    return DecodedConfig(values=tuple(values), active=tuple(active), ids=tuple(ids))
 
 
 def read_lines(path: Path) -> bytes:
@@ -101,6 +121,31 @@ class TestSearch:
         for entry in doc:
             assert {"f1", "f2", "canonical_key", "config"} <= set(entry)
             assert "z1" in entry["config"]
+
+    def test_pareto_configs_are_the_evaluated_configs(self, tmp_path):
+        # Aggressive refinement splits bins every generation, so survivors'
+        # bins are renumbered after they were evaluated.
+        space = builtin_space()
+        surrogate = SurrogateEvaluator(space)
+        evaluated = {}
+
+        def recording(decoded):
+            evaluated[canonical_key(decoded)] = json.loads(
+                json.dumps(decoded.as_dict(space)))
+            return surrogate(decoded)
+
+        params = SearchParams.real_task()
+        params.refine_mass, params.refine_persistence = 0.01, 1
+        result = run_phmoea(SearchProblem(space=space, evaluator=recording),
+                            20, 10, params=params, seed=0)
+        write_run_outputs(tmp_path, {}, result, space)
+        doc = json.loads((tmp_path / "pareto_configs.json").read_text())
+        assert len(doc) == len(result.pareto)
+        for entry in doc:
+            config = entry["config"]
+            assert config == evaluated[entry["canonical_key"]]
+            again = surrogate(decoded_from_config(space, config))
+            assert (again.f1, again.f2) == (entry["f1"], entry["f2"])
 
     def test_indicators_on_emitted_front(self, tmp_path, capsys):
         assert run_cli(small_search_args(tmp_path / "ind")) == 0

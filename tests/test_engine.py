@@ -13,8 +13,10 @@ from phmoea.engine import (EarlyStopMonitor, Individual, PlayerArchives,
                            run_nsga2, run_phmoea, sample_candidate,
                            stage_ratios)
 from phmoea.evaluators import BenchmarkEvaluator, Evaluation
-from phmoea.space import (DecodedConfig, Genotype, RefinementState,
-                          builtin_space, canonical_key, decode, sample_random)
+from phmoea.space import (CONTINUOUS, ConfigSpace, DecodedConfig, Genotype,
+                          RefinementState, VariableSpec, builtin_space,
+                          canonical_key, decode, sample_random,
+                          split_renumbering)
 
 
 def individuals(points):
@@ -197,7 +199,7 @@ class TestArchives:
         arch.heat[(13, 0)], arch.count[(13, 0)] = 1.0, 4
         arch.heat[(13, 1)], arch.count[(13, 1)] = 2.0, 5
         arch.heat[(13, 2)], arch.count[(13, 2)] = 0.5, 1
-        arch.split_bin(13, 1)
+        arch.split_bin(13, *split_renumbering([(13, 1)], 13, 4))
         assert arch.heat[(13, 0)] == 1.0
         assert arch.heat[(13, 1)] == pytest.approx(1.0)
         assert arch.heat[(13, 2)] == pytest.approx(1.0)
@@ -355,6 +357,47 @@ class TestVariation:
         monkeypatch.setattr(run, "_fill_slots", spy)
         run._generate_offspring(phi=0.3)   # middle stage: (0.6, 0.2, 0.2)
         assert requested == [30, 10, 10]
+
+
+# ---------------------------------------------------------------------------
+# Refinement re-snap
+# ---------------------------------------------------------------------------
+
+class TestRefinementResnap:
+    def test_narrow_bins_keep_their_members(self):
+        from phmoea.engine import _Run
+        space = ConfigSpace((VariableSpec(1, "x", CONTINUOUS, bounds=(0.0, 1.0)),))
+        run = _Run(SearchProblem(space=space, evaluator=None), 6, 1,
+                   SearchParams.benchmark(), 0, use_archives=True)
+        state = run.state
+        for _ in range(60):                 # halve bin 0 sixty times
+            state.counters[1][0] = state.persistence
+            state.refine()
+        assert np.diff(state.breakpoints(1))[:4].max() < 1e-18
+        genes = [2, 0, 2, 3, 2, 9]
+        frozen = [2, 2, 1, 2, 4, 0]
+        run.population = []
+        for i, (g, f) in enumerate(zip(genes, frozen)):
+            genotype = Genotype((g,), (f,))
+            run.population.append(Individual(
+                genotype=genotype, decoded=decode(genotype, space, state),
+                key=i, f1=0.0, f2=0.0))
+        before = {j: state.representative(1, j) for j in set(genes + frozen)}
+        state.counters[1] = [0] * state.bin_count(1)
+        state.counters[1][2] = state.persistence
+        run._refine([])
+        new_genes = [ind.genotype.genes[0] for ind in run.population]
+        new_frozen = [ind.genotype.frozen[0] for ind in run.population]
+        # bin 2 split into bins 2 and 3; its members alternate left, right, left
+        assert [g for old, g in zip(genes, new_genes) if old == 2] == [2, 3, 2]
+        assert [f for old, f in zip(frozen, new_frozen) if old == 2] == [2, 3, 2]
+        for ind, old_g, g, old_f, f in zip(run.population, genes, new_genes,
+                                           frozen, new_frozen):
+            if old_g != 2:
+                assert ind.decoded.values[0] == before[old_g]
+                assert state.representative(1, g) == before[old_g]
+            if old_f != 2:
+                assert state.representative(1, f) == before[old_f]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,46 @@
+"""Golden pin: seeded short CLI runs must reproduce recorded digests.
+
+Each digest is the SHA-256 of ``pareto_front.csv`` followed by
+``history.csv`` of one seed's run directory at pop 20 x 10 generations.
+A change that moves a seeded trajectory fails here; re-pin only on purpose,
+with the reason and the acceptance-protocol IGD/HV recorded in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from phmoea.cli import main
+
+GOLDEN = {
+    ("hdtlz2", "phmoea"): (
+        "5e3091a5acbde96e08326f7700b39ecdc7023e97dc6be343a154d8877d8fb731",
+        "30af39ceb338277e656ee7c7682d72177e2d42040947461094dcd4e993393a9c"),
+    ("hdtlz2", "nsga2"): (
+        "993891cc59289a0998620a1e71b523bd0eb9b401f20e48646a7c5e204661c48c",
+        "1add5a24b0839e3b5da31665d28f75b1f1ddabb288f5f49bd2c3745b529bcacd"),
+    ("hdtlz7", "phmoea"): (
+        "1b348d81f7fe3763f2dbeb5f62a1d7bf074f80217e90457df4c862243aa5876d",
+        "2fa9949dbe96554ffe67065289bcdde9f45438a4cbe2d5873c0eb106ce3c263c"),
+    ("hdtlz7", "nsga2"): (
+        "384e534bd874839693e42a9630a7cd2b88bedc7b7613391e2c6da8ae5817dee3",
+        "6839857c198df9c90cb12f978e6fe4418f41916f57c397aa8f980fb004c8867d"),
+    ("surrogate", "phmoea"): (
+        "1259cd4bb013944e4ec145d8cf415c1aa7d93cdae82feefc9efc173426b95e81",
+        "18d2d65df948bc76b2c2aa3f24526595d3024e866a7b64853b09d0e686469fc6"),
+}
+
+
+def run_digest(run_dir) -> str:
+    sha = hashlib.sha256()
+    for name in ("pareto_front.csv", "history.csv"):
+        sha.update((run_dir / name).read_bytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("problem,algo", sorted(GOLDEN))
+def test_seeded_runs_match_golden_digests(tmp_path, problem, algo):
+    assert main(["search", "--problem", problem, "--algo", algo, "--pop", "20",
+                 "--gens", "10", "--seeds", "2", "--out", str(tmp_path)]) == 0
+    digests = tuple(run_digest(tmp_path / f"seed_{seed:03d}") for seed in (0, 1))
+    assert digests == GOLDEN[(problem, algo)]

@@ -8,7 +8,7 @@ from phmoea.space import (COND_DISCRETE, CONTINUOUS, DISCRETE, ConfigSpace,
                           RefinementState, VariableSpec, bin_value,
                           builtin_space, canonical_key, decode, dump_space,
                           fresh_genotype, load_space, repair, sample_random,
-                          space_from_json, space_to_json)
+                          space_from_json, space_to_json, split_renumbering)
 
 
 @pytest.fixture(scope="module")
@@ -246,9 +246,6 @@ class TestDedupRegistry:
         assert not reg.admit(42)
         assert len(reg) == 1
 
-    def test_default_retry_budget(self):
-        assert DedupRegistry().n_trial == 50
-
 
 # ---------------------------------------------------------------------------
 # Refinement
@@ -353,6 +350,21 @@ class TestRefinement:
         pts = state.breakpoints(14)
         # the inserted point is the geometric midpoint of the old first interval
         assert pts[1] == pytest.approx(np.sqrt(pts[0] * pts[2]), rel=1e-12)
+
+    def test_split_renumbering(self, space):
+        state = make_state(space, persistence=1)
+        state.counters[13][1] = state.counters[13][4] = 1
+        state.counters[14][0] = 1
+        old = state.representatives(13)
+        splits = state.refine()
+        new, split = split_renumbering(splits, 13, state.bin_count(13))
+        assert (new, split) == ([0, 1, 3, 4, 5, 7], frozenset({1, 4}))
+        reps = state.representatives(13)
+        for j in range(6):
+            if j in split:
+                assert reps[new[j]] < old[j] < reps[new[j] + 1]
+            else:
+                assert reps[new[j]] == old[j]
 
 
 # ---------------------------------------------------------------------------
