@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,8 @@ class SearchParams:
 
 @dataclass
 class Individual:
+    """An evaluated candidate; ``decoded`` is the configuration f1/f2 were measured on."""
+
     genotype: Genotype
     decoded: DecodedConfig
     key: int
@@ -107,12 +110,6 @@ class Individual:
     crowding_norm: float = 0.0
     score: float = 0.0
     weight: float = 0.0
-    # the configuration f1/f2 were measured on; refinement re-decodes
-    # ``decoded`` onto new bins but leaves this one alone
-    evaluated: DecodedConfig = field(init=False)
-
-    def __post_init__(self):
-        self.evaluated = self.decoded
 
 
 @dataclass
@@ -269,12 +266,11 @@ class PlayerArchives:
         self.count: dict[tuple[int, int], int] = defaultdict(int)
 
     def update(self, pop: list[Individual]) -> None:
-        """Accumulate each individual's weight onto its active players."""
+        """Accumulate each individual's weight onto its repaired genes."""
         for ind in pop:
-            dec = ind.decoded
-            for i, on in enumerate(dec.active):
-                if on:
-                    player = (i + 1, dec.ids[i])
+            for i, gene in enumerate(ind.genotype.genes):
+                if gene != PLACEHOLDER:
+                    player = (i + 1, gene)
                     self.heat[player] += ind.weight
                     self.count[player] += 1
 
@@ -301,9 +297,13 @@ class Partition:
     normal: tuple[int, ...]
     cold: tuple[int, ...]
 
-    @property
+    @cached_property
     def non_hot(self) -> tuple[int, ...]:
         return tuple(sorted(self.normal + self.cold))
+
+    @cached_property
+    def non_hot_is_cold(self) -> np.ndarray:
+        return np.isin(self.non_hot, self.cold)
 
 
 def partition_players(archives: PlayerArchives, dim: int, n_candidates: int,
@@ -341,7 +341,7 @@ def sample_candidate(partition: Partition, pool: str, n_candidates: int,
     members = partition.non_hot
     if not members:
         return int(rng.integers(n_candidates))
-    weights = np.array([cold_bonus if a in partition.cold else 1.0 for a in members])
+    weights = np.where(partition.non_hot_is_cold, cold_bonus, 1.0)
     weights /= weights.sum()
     return int(members[rng.choice(len(members), p=weights)])
 
@@ -625,7 +625,7 @@ class _Run:
     # -- refinement ---------------------------------------------------------
 
     def _refine(self, front: list[Individual]) -> None:
-        self.state.update([ind.decoded for ind in front])
+        self.state.update([ind.genotype.genes for ind in front])
         splits = self.state.refine()
         if not splits:
             return
@@ -650,7 +650,6 @@ class _Run:
                         turns[j] += 1
         for ind, g, f in zip(self.population, genes, frozen):
             ind.genotype = Genotype(genes=tuple(g), frozen=tuple(f))
-            ind.decoded = decode(ind.genotype, self.space, self.state)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -659,8 +658,9 @@ class _Run:
         front = nd_sort_and_crowd(self.population)[0]
         self.monitor.record(front)
         pts = [(ind.f1, ind.f2) for ind in front]
-        reference = self.problem.hv_reference or self.monitor.reference
-        hv_value = metrics.hv(pts, reference)
+        reference = self.problem.hv_reference
+        hv_value = (self.monitor.hv_values[-1] if reference is None   # same points
+                    else metrics.hv(pts, reference))
         igd_value = None
         if self.problem.reference_front is not None:
             igd_value = metrics.igd(pts, self.problem.reference_front)

@@ -166,7 +166,8 @@ class WorkerClient:
                "status": "ok"|"error", "msg": optional}
     A timeout, malformed reply, mismatched id or worker-reported error yields
     an error Evaluation; the engine discards the candidate but the dispatch
-    still consumed budget.
+    still consumed budget. A late reply to an earlier, timed-out request is
+    read and discarded, so one timeout fails only its own request.
     """
 
     def __init__(self, argv, space: ConfigSpace, targets: int = 5,
@@ -180,9 +181,8 @@ class WorkerClient:
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
 
-    def _read_line(self) -> str | None:
-        """Next response line within the timeout, bypassing stream buffering."""
-        deadline = time.monotonic() + self.timeout
+    def _read_line(self, deadline: float) -> str | None:
+        """Next response line before ``deadline``, bypassing stream buffering."""
         fd = self._proc.stdout.fileno()
         while b"\n" not in self._buffer:
             remaining = deadline - time.monotonic()
@@ -217,13 +217,17 @@ class WorkerClient:
         except (BrokenPipeError, OSError) as exc:
             return fail(f"worker unreachable: {exc}")
 
-        line = self._read_line()
-        if line is None:
-            return fail("timeout or closed stream")
-        try:
-            reply = json.loads(line)
-        except json.JSONDecodeError:
-            return fail("malformed response")
+        deadline = time.monotonic() + self.timeout
+        while True:
+            line = self._read_line(deadline)
+            if line is None:
+                return fail("timeout or closed stream")
+            try:
+                reply = json.loads(line)
+            except json.JSONDecodeError:
+                return fail("malformed response")
+            if not (isinstance(reply.get("id"), int) and reply["id"] < req_id):
+                break       # not a late reply to an earlier, timed-out request
         if reply.get("id") != req_id:
             return fail(f"response id {reply.get('id')} does not match {req_id}")
         if reply.get("status") != OK:

@@ -197,16 +197,20 @@ class RefinementState:
         self.space = space
         self.mass_threshold = mass_threshold
         self.persistence = persistence
-        # breakpoints are held in scale space; endpoints pin the declared range
+        # breakpoints and midpoints are in scale space; endpoints pin the range
         self._pts: dict[int, np.ndarray] = {}
-        self._rep_cache: dict[int, np.ndarray] = {}
+        self._mids: dict[int, np.ndarray] = {}
         self.counters: dict[int, list[int]] = {}
         for idx in space.continuous_indices():
             var = space.variable(idx)
             a, b = var.bounds
-            self._pts[idx] = np.linspace(_to_scale(a, var.scale),
-                                         _to_scale(b, var.scale), initial_bins + 1)
+            self._set_points(idx, np.linspace(_to_scale(a, var.scale),
+                                              _to_scale(b, var.scale), initial_bins + 1))
             self.counters[idx] = [0] * initial_bins
+
+    def _set_points(self, index: int, pts: np.ndarray) -> None:
+        self._pts[index] = pts
+        self._mids[index] = 0.5 * (pts[:-1] + pts[1:])
 
     def breakpoints(self, index: int) -> np.ndarray:
         """Breakpoints of a dimension in its raw units."""
@@ -224,11 +228,7 @@ class RefinementState:
     def scale_grid(self, index: int) -> tuple[float, float, np.ndarray]:
         """Scale-space bounds and interval midpoints of a dimension."""
         pts = self._pts[index]
-        reps = self._rep_cache.get(index)
-        if reps is None or len(reps) != len(pts) - 1:
-            reps = 0.5 * (pts[:-1] + pts[1:])
-            self._rep_cache[index] = reps
-        return float(pts[0]), float(pts[-1]), reps
+        return float(pts[0]), float(pts[-1]), self._mids[index]
 
     def representatives(self, index: int) -> np.ndarray:
         """Midpoint value of every interval, in the dimension's raw units."""
@@ -241,23 +241,16 @@ class RefinementState:
         _, _, reps = self.scale_grid(index)
         return float(_from_scale(reps[k], var.scale))
 
-    def interval_of(self, index: int, value: float) -> int:
-        """Interval containing ``value``; the last interval is right-closed."""
-        var = self.space.variable(index)
-        pts = self._pts[index]
-        k = int(np.searchsorted(pts, _to_scale(value, var.scale), side="right")) - 1
-        return min(max(k, 0), len(pts) - 2)
-
     def nearest_bin(self, index: int, value: float) -> int:
         """Bin whose representative is closest in scale space."""
         var = self.space.variable(index)
         _, _, reps = self.scale_grid(index)
         return int(np.argmin(np.abs(reps - _to_scale(value, var.scale))))
 
-    def update(self, front: list[DecodedConfig]) -> None:
-        """Accumulate interval masses of a non-dominated front.
+    def update(self, front: list[tuple[int, ...]]) -> None:
+        """Accumulate the bin masses of a non-dominated front's repaired genes.
 
-        Counters increment where the interval mass exceeds the threshold and
+        Counters increment where the bin mass exceeds the threshold and
         reset everywhere else. An empty front leaves the state unchanged.
         """
         if not front:
@@ -266,9 +259,9 @@ class RefinementState:
         for idx in self._pts:
             pos = idx - 1
             hits = [0] * self.bin_count(idx)
-            for cfg in front:
-                if cfg.active[pos] and cfg.values[pos] is not None:
-                    hits[self.interval_of(idx, cfg.values[pos])] += 1
+            for genes in front:
+                if genes[pos] != PLACEHOLDER:
+                    hits[genes[pos]] += 1
             counters = self.counters[idx]
             for k, h in enumerate(hits):
                 if h / total > self.mass_threshold:
@@ -288,11 +281,10 @@ class RefinementState:
             triggered = [c >= self.persistence for c in counters]
             if not any(triggered):
                 continue
-            pts = self._pts[idx]
-            _, _, mids = self.scale_grid(idx)
+            pts, mids = self._pts[idx], self._mids[idx]
             split = [k for k, t in enumerate(triggered)
                      if t and pts[k] < mids[k] < pts[k + 1]]
-            self._pts[idx] = np.insert(pts, [k + 1 for k in split], mids[split])
+            self._set_points(idx, np.insert(pts, [k + 1 for k in split], mids[split]))
             counters = [0 if t else c for t, c in zip(triggered, counters)]
             for k in reversed(split):
                 counters.insert(k + 1, 0)
@@ -362,7 +354,8 @@ def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Ge
     Out-of-range indices are clipped into the current candidate/bin counts.
     Dimensions deactivated by their parent cache their last valid gene and
     take the placeholder; re-activated dimensions restore the cached gene.
-    Repair is total and idempotent.
+    Repair is total and idempotent; the placeholder marks exactly the
+    inactive dimensions.
     """
     genes = list(genotype.genes)
     frozen = list(genotype.frozen)
@@ -371,7 +364,9 @@ def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Ge
         if genes[i] != PLACEHOLDER:
             genes[i] = min(max(genes[i], 0), hi)
         frozen[i] = min(max(frozen[i], 0), hi)
-    mask = activity(genes, space)
+    # children of a re-activated parent see the gene it restores
+    mask = activity([f if g == PLACEHOLDER else g
+                     for g, f in zip(genes, frozen)], space)
     for i, on in enumerate(mask):
         if on:
             if genes[i] == PLACEHOLDER:

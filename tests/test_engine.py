@@ -13,9 +13,9 @@ from phmoea.engine import (EarlyStopMonitor, Individual, PlayerArchives,
                            run_nsga2, run_phmoea, sample_candidate,
                            stage_ratios)
 from phmoea.evaluators import BenchmarkEvaluator, Evaluation
-from phmoea.space import (CONTINUOUS, ConfigSpace, DecodedConfig, Genotype,
-                          RefinementState, VariableSpec, builtin_space,
-                          canonical_key, decode, sample_random,
+from phmoea.space import (CONTINUOUS, PLACEHOLDER, ConfigSpace, DecodedConfig,
+                          Genotype, RefinementState, VariableSpec,
+                          builtin_space, canonical_key, decode, sample_random,
                           split_renumbering)
 
 
@@ -174,14 +174,15 @@ class TestArchives:
     def test_single_individual_accumulation(self):
         arch = PlayerArchives()
         dec = DecodedConfig(values=("a", None, 1.5), active=(True, False, True),
-                            ids=(2, -1, 4))
-        ind = Individual(genotype=Genotype((2, 0, 4), (2, 0, 4)), decoded=dec,
-                         key=1, f1=0.0, f2=0.0)
+                            ids=(2, PLACEHOLDER, 4))
+        ind = Individual(genotype=Genotype((2, PLACEHOLDER, 4), (2, 0, 4)),
+                         decoded=dec, key=1, f1=0.0, f2=0.0)
         ind.weight = 1.0
         arch.update([ind])
         assert arch.heat[(1, 2)] == 1.0 and arch.count[(1, 2)] == 1
         assert arch.heat[(3, 4)] == 1.0 and arch.count[(3, 4)] == 1
-        assert (2, -1) not in arch.heat  # inactive dim contributes nothing
+        # the inactive dim contributes nothing, not even its frozen gene
+        assert not any(d == 2 for d, _ in list(arch.heat) + list(arch.count))
 
     def test_shared_player_counts(self):
         arch = PlayerArchives()
@@ -275,6 +276,17 @@ class TestSampling:
         rng = np.random.default_rng(3)
         draws = {sample_candidate(part, "nh", 2, 0.15, rng) for _ in range(50)}
         assert draws == {0, 1}
+
+    def test_non_hot_draws_match_the_loop_reference(self):
+        from phmoea.engine import Partition
+        part = Partition(hot=(4,), normal=(0, 5, 2), cold=(6, 1, 3))
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        members = sorted(part.normal + part.cold)
+        weights = np.array([0.15 if a in part.cold else 1.0 for a in members])
+        weights /= weights.sum()
+        for _ in range(200):
+            expected = members[ref_rng.choice(len(members), p=weights)]
+            assert sample_candidate(part, "nh", 7, 0.15, rng) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +410,38 @@ class TestRefinementResnap:
                 assert state.representative(1, g) == before[old_g]
             if old_f != 2:
                 assert state.representative(1, f) == before[old_f]
+
+    def test_front_mass_counts_the_occupied_bin(self):
+        # Splitting the bin that holds 0.6 until refine() refuses leaves bin
+        # 29 one ulp wide, so its midpoint rounds onto its right breakpoint.
+        # Refinement must credit a member to the bin it occupies (29), not to
+        # the bin that contains its decoded value (30).
+        from phmoea.engine import _Run
+        space = ConfigSpace((VariableSpec(1, "x", CONTINUOUS, bounds=(0.0, 1.0)),))
+        params = SearchParams.benchmark()
+        params.refine_persistence = 2
+        run = _Run(SearchProblem(space=space, evaluator=None), 6, 1, params, 0,
+                   use_archives=True)
+        state = run.state
+        splits = 0
+        while True:
+            k = int(np.searchsorted(state.breakpoints(1), 0.6, side="right")) - 1
+            state.counters[1][k] = state.persistence
+            if not state.refine():
+                break
+            splits += 1
+        assert splits == 51
+        pts = state.breakpoints(1)
+        assert np.nextafter(pts[29], 1.0) == pts[30]
+        assert state.representative(1, 29) == pts[30]
+        state.counters[1] = [0] * state.bin_count(1)
+        member = Genotype((29,), (29,))
+        run.population = [Individual(genotype=member,
+                                     decoded=decode(member, space, state),
+                                     key=0, f1=0.0, f2=0.0)]
+        run._refine(run.population)
+        assert state.counters[1][29] == 1
+        assert state.counters[1][30] == 0
 
 
 # ---------------------------------------------------------------------------

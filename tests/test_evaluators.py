@@ -157,6 +157,20 @@ class TestWorkerProtocol:
             assert not ev.ok
             assert "timeout" in ev.message
 
+    def test_late_reply_does_not_desync_later_calls(self):
+        # the first request outlives its timeout; its reply arrives while the
+        # second request waits and must be discarded, not taken as the answer
+        with make_client("slow_first", timeout=0.3) as client:
+            decoded = worked_decoded()
+            assert "timeout" in client(decoded).message
+            client.timeout = 10.0
+            cfg = decoded.as_dict(SPACE)
+            for _ in range(3):
+                ev = client(decoded)
+                assert ev.ok, ev.message
+                assert (ev.f1, ev.f2) == (round(cfg["dropout"] * 2.0, 6),
+                                          cfg["conv3_channels"] * 1000.0)
+
     def test_pool_preserves_input_order(self):
         clients = [make_client("ok"), make_client("ok")]
         pool = WorkerPool(clients)

@@ -182,6 +182,20 @@ class TestRepair:
             once = repair(raw, space, state)
             assert repair(once, space, state) == once
 
+    def test_restored_parent_reactivates_its_children(self):
+        space = ConfigSpace(variables=(
+            VariableSpec(1, "a", DISCRETE, candidates=("x", "y")),
+            VariableSpec(2, "b", COND_DISCRETE, candidates=("p", "q"),
+                         parent=(1, ("y",))),
+            VariableSpec(3, "c", COND_DISCRETE, candidates=("u", "v"),
+                         parent=(2, ("q",))),
+        ))
+        state = make_state(space)
+        g = repair(Genotype((1, PLACEHOLDER, PLACEHOLDER), (1, 1, 1)), space, state)
+        assert g.genes == (1, 1, 1)
+        assert repair(g, space, state) == g
+        assert decode(g, space, state).ids == g.genes
+
     def test_decoded_continuous_within_bounds(self, space):
         state = make_state(space)
         rng = np.random.default_rng(11)
@@ -252,13 +266,12 @@ class TestDedupRegistry:
 # ---------------------------------------------------------------------------
 
 def front_of(space, state, values, dim=13):
-    """Decoded configs whose continuous dim takes the given values."""
+    """Repaired genes of members whose continuous dim takes the given values."""
     out = []
     for v in values:
         genes = [0] * len(space)
         genes[dim - 1] = state.nearest_bin(dim, v)
-        g = repair(fresh_genotype(space, genes), space, state)
-        out.append(decode(g, space, state))
+        out.append(repair(fresh_genotype(space, genes), space, state).genes)
     return out
 
 
@@ -281,10 +294,18 @@ class TestRefinement:
         # pool_type inactive in every member: its counters go to zero
         state = make_state(space, mass_threshold=0.5)
         bench_like = front_of(space, state, [0.05, 0.06])
-        assert all(not cfg.active[1] for cfg in bench_like)
+        assert all(genes[1] == PLACEHOLDER for genes in bench_like)
         state.counters[13] = [1] * 6
         state.update(bench_like)
         assert state.counters[13][0] == 2  # the active dim keeps accumulating
+
+    def test_placeholder_gene_counts_nowhere(self, space):
+        state = make_state(space, mass_threshold=0.5)
+        active = front_of(space, state, [0.05])[0]
+        inactive = active[:12] + (PLACEHOLDER,) + active[13:]
+        state.counters[13] = [1] * 6
+        state.update([active, inactive, inactive])
+        assert state.counters[13] == [0] * 6
 
     def test_empty_front_is_noop(self, space):
         state = make_state(space)
@@ -322,26 +343,6 @@ class TestRefinement:
             assert pts[0] == pytest.approx(var.bounds[0])
             assert pts[-1] == pytest.approx(var.bounds[1])
             assert np.all(np.diff(pts) > 0)
-
-    def test_mass_sums_to_one_when_dim_always_active(self, space):
-        state = make_state(space)
-        rng = np.random.default_rng(9)
-        front = front_of(space, state, rng.uniform(0, 0.5, size=40))
-        total = len(front)
-        hits = np.zeros(state.bin_count(13))
-        for cfg in front:
-            hits[state.interval_of(13, cfg.values[12])] += 1
-        assert hits.sum() / total == pytest.approx(1.0)
-
-    def test_interval_assignment_boundaries(self, space):
-        state = make_state(space)
-        pts = state.breakpoints(13)
-        # interior breakpoints belong to the interval on their right
-        for k in range(1, state.bin_count(13)):
-            assert state.interval_of(13, float(pts[k])) == k
-        # the upper range endpoint stays in the last (right-closed) interval
-        assert state.interval_of(13, float(pts[-1])) == state.bin_count(13) - 1
-        assert state.interval_of(13, float(pts[0])) == 0
 
     def test_log_dim_splits_geometrically(self, space):
         state = make_state(space, persistence=1)

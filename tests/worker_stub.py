@@ -1,7 +1,8 @@
 """Minimal line-delimited JSON evaluation worker for protocol tests.
 
 Reads one request per line and answers one line. The first CLI argument
-selects a behavior: ok, bad_id, report_error, garbage, slow.
+selects a behavior: ok, bad_id, report_error, garbage, slow, slow_first
+(slow on the first request only), jitter.
 """
 
 import json
@@ -23,8 +24,8 @@ def main() -> None:
         if not line:
             continue
         request = json.loads(line)
-        if MODE == "slow":
-            time.sleep(5.0)
+        if MODE == "slow" or (MODE == "slow_first" and request["id"] == 0):
+            time.sleep(5.0 if MODE == "slow" else 1.0)
         if MODE == "jitter":
             time.sleep((request["id"] % 3) * 0.04)
         if MODE == "garbage":
