@@ -16,7 +16,6 @@ index.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -156,10 +155,7 @@ def nd_sort_and_crowd(pop: list[Individual]) -> list[list[Individual]]:
     """Assign 0-based non-domination ranks and per-front crowding distances."""
     if not pop:
         return []
-    f = np.array([[ind.f1, ind.f2] for ind in pop])
-    leq = (f[:, None, :] <= f[None, :, :]).all(axis=2)
-    lt = (f[:, None, :] < f[None, :, :]).any(axis=2)
-    dominates = leq & lt
+    dominates = metrics.dominance_matrix([[ind.f1, ind.f2] for ind in pop])
     unassigned = np.ones(len(pop), dtype=bool)
     fronts: list[list[Individual]] = []
     rank = 0
@@ -259,36 +255,43 @@ def stage_ratios(phi: float, params: SearchParams) -> tuple[float, float, float]
 # ---------------------------------------------------------------------------
 
 class PlayerArchives:
-    """Cumulative heat and occurrence count per (dimension, candidate)."""
+    """Cumulative heat and occurrence count per (dimension, candidate).
 
-    def __init__(self):
-        self.heat: dict[tuple[int, int], float] = defaultdict(float)
-        self.count: dict[tuple[int, int], int] = defaultdict(int)
+    ``heat[pos]`` and ``count[pos]`` are arrays over the candidates or bins
+    of dimension ``pos + 1``; ``sizes`` gives their initial lengths.
+    """
+
+    def __init__(self, sizes: list[int]):
+        self.heat = [np.zeros(n) for n in sizes]
+        self.count = [np.zeros(n, dtype=np.int64) for n in sizes]
 
     def update(self, pop: list[Individual]) -> None:
-        """Accumulate each individual's weight onto its repaired genes."""
-        for ind in pop:
-            for i, gene in enumerate(ind.genotype.genes):
-                if gene != PLACEHOLDER:
-                    player = (i + 1, gene)
-                    self.heat[player] += ind.weight
-                    self.count[player] += 1
+        """Accumulate each individual's weight onto its repaired genes.
 
-    def split_bin(self, dim: int, new: list[int], split: frozenset[int]) -> None:
-        """Move the players of ``dim`` to its bins after a refinement.
-
-        ``new`` and ``split`` come from ``space.split_renumbering``. A split
-        bin's heat is halved onto both children and its count divided
-        between them.
+        ``np.add.at`` adds in population order, so every player's heat is
+        the same float sum as one-by-one accumulation.
         """
-        for table, halves in ((self.heat, lambda h: (h / 2.0, h / 2.0)),
-                              (self.count, lambda c: (c // 2, c - c // 2))):
-            old = {j: table.pop((d, j)) for d, j in list(table) if d == dim}
-            for j, value in old.items():
-                if j in split:
-                    table[(dim, new[j])], table[(dim, new[j] + 1)] = halves(value)
-                else:
-                    table[(dim, new[j])] = value
+        genes = np.array([ind.genotype.genes for ind in pop])
+        weights = np.array([ind.weight for ind in pop])
+        for pos, column in enumerate(genes.T):
+            on = column != PLACEHOLDER
+            np.add.at(self.heat[pos], column[on], weights[on])
+            np.add.at(self.count[pos], column[on], 1)
+
+    def split_bin(self, dim: int, split: np.ndarray) -> None:
+        """Split the old bins ``split`` (sorted) of ``dim`` after a refinement.
+
+        A split bin's heat is halved onto both children; its left child keeps
+        ``c // 2`` of the count and the right child, inserted after it, the
+        rest.
+        """
+        pos = dim - 1
+        heat, count = self.heat[pos], self.count[pos]
+        heat[split] /= 2.0
+        right = count[split] - count[split] // 2
+        count[split] //= 2
+        self.heat[pos] = np.insert(heat, split + 1, heat[split])
+        self.count[pos] = np.insert(count, split + 1, right)
 
 
 @dataclass(frozen=True)
@@ -306,24 +309,22 @@ class Partition:
         return np.isin(self.non_hot, self.cold)
 
 
-def partition_players(archives: PlayerArchives, dim: int, n_candidates: int,
+def partition_players(archives: PlayerArchives, dim: int,
                       hot_fraction: float, cold_fraction: float) -> Partition:
     """Split a dimension's candidates into hot / normal / cold pools.
 
     Hot is the top share by heat, cold the bottom share by count among the
     remainder; ties always break toward the lower candidate index.
     """
-    heat = [archives.heat.get((dim, a), 0.0) for a in range(n_candidates)]
-    count = [archives.count.get((dim, a), 0) for a in range(n_candidates)]
-    n_hot = min(n_candidates, math.ceil(hot_fraction * n_candidates))
-    by_heat = sorted(range(n_candidates), key=lambda a: (-heat[a], a))
-    hot = tuple(sorted(by_heat[:n_hot]))
-    rest = [a for a in range(n_candidates) if a not in hot]
-    n_cold = min(len(rest), math.ceil(cold_fraction * n_candidates))
-    by_count = sorted(rest, key=lambda a: (count[a], a))
-    cold = tuple(sorted(by_count[:n_cold]))
-    normal = tuple(a for a in rest if a not in cold)
-    return Partition(hot=hot, normal=normal, cold=cold)
+    heat, count = archives.heat[dim - 1], archives.count[dim - 1]
+    n = len(heat)
+    n_hot, n_cold = math.ceil(hot_fraction * n), math.ceil(cold_fraction * n)
+    by_heat = np.argsort(-heat, kind="stable")
+    rest = np.sort(by_heat[n_hot:])
+    by_count = rest[np.argsort(count[rest], kind="stable")]
+    return Partition(hot=tuple(sorted(by_heat[:n_hot].tolist())),
+                     normal=tuple(sorted(by_count[n_cold:].tolist())),
+                     cold=tuple(sorted(by_count[:n_cold].tolist())))
 
 
 def sample_candidate(partition: Partition, pool: str, n_candidates: int,
@@ -440,7 +441,8 @@ class _Run:
                                      mass_threshold=params.refine_mass,
                                      persistence=params.refine_persistence)
         self.registry = DedupRegistry()
-        self.archives = PlayerArchives()
+        self.archives = PlayerArchives([self.state.choice_count(var)
+                                        for var in self.space.variables])
         self.monitor = EarlyStopMonitor(params)
         self.dims = len(self.space)
         self.max_mutated = min(params.max_mutated, self.dims)
@@ -608,7 +610,6 @@ class _Run:
         self.archives.update(self.population)
         partitions = {
             var.index: partition_players(self.archives, var.index,
-                                         self.state.choice_count(var),
                                          self.params.hot_fraction,
                                          self.params.cold_fraction)
             for var in self.space.variables
@@ -629,26 +630,15 @@ class _Run:
         splits = self.state.refine()
         if not splits:
             return
-        genes = [list(ind.genotype.genes) for ind in self.population]
-        frozen = [list(ind.genotype.frozen) for ind in self.population]
+        genes = np.array([ind.genotype.genes for ind in self.population])
+        frozen = np.array([ind.genotype.frozen for ind in self.population])
         for dim in sorted({d for d, _ in splits}):
-            new, split = split_renumbering(splits, dim, self.state.bin_count(dim))
+            split = np.array([k for d, k in splits if d == dim])
             if self.use_archives:
-                self.archives.split_bin(dim, new, split)
-            pos = dim - 1
+                self.archives.split_bin(dim, split)
             for rows in (genes, frozen):
-                turns = dict.fromkeys(split, 0)
-                for row in rows:
-                    j = row[pos]
-                    if j == PLACEHOLDER:
-                        continue
-                    row[pos] = new[j]
-                    if j in split:
-                        # Members of a split bin sat on its split point;
-                        # alternating them keeps both children populated.
-                        row[pos] += turns[j] % 2
-                        turns[j] += 1
-        for ind, g, f in zip(self.population, genes, frozen):
+                rows[:, dim - 1] = split_renumbering(rows[:, dim - 1], split)
+        for ind, g, f in zip(self.population, genes.tolist(), frozen.tolist()):
             ind.genotype = Genotype(genes=tuple(g), frozen=tuple(f))
 
     # -- bookkeeping ---------------------------------------------------------

@@ -225,6 +225,8 @@ class WorkerClient:
             try:
                 reply = json.loads(line)
             except json.JSONDecodeError:
+                reply = None
+            if not isinstance(reply, dict):
                 return fail("malformed response")
             if not (isinstance(reply.get("id"), int) and reply["id"] < req_id):
                 break       # not a late reply to an earlier, timed-out request

@@ -19,14 +19,17 @@ def _points(a) -> np.ndarray:
     return arr
 
 
-def nondominated_mask(points: np.ndarray) -> np.ndarray:
-    """Boolean mask of points not strictly dominated by any other point."""
+def dominance_matrix(points) -> np.ndarray:
+    """Boolean matrix whose ``[i, j]`` is True when point i dominates point j."""
     pts = _points(points)
-    n = len(pts)
     leq = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
     lt = (pts[:, None, :] < pts[None, :, :]).any(axis=2)
-    dominated = (leq & lt).any(axis=0)
-    return ~dominated
+    return leq & lt
+
+
+def nondominated_mask(points) -> np.ndarray:
+    """Boolean mask of points not strictly dominated by any other point."""
+    return ~dominance_matrix(points).any(axis=0)
 
 
 def igd(obtained, reference) -> float:

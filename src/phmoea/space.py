@@ -15,7 +15,6 @@ splits intervals where non-dominated solutions persistently concentrate.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
@@ -200,13 +199,13 @@ class RefinementState:
         # breakpoints and midpoints are in scale space; endpoints pin the range
         self._pts: dict[int, np.ndarray] = {}
         self._mids: dict[int, np.ndarray] = {}
-        self.counters: dict[int, list[int]] = {}
+        self.counters: dict[int, np.ndarray] = {}
         for idx in space.continuous_indices():
             var = space.variable(idx)
             a, b = var.bounds
             self._set_points(idx, np.linspace(_to_scale(a, var.scale),
                                               _to_scale(b, var.scale), initial_bins + 1))
-            self.counters[idx] = [0] * initial_bins
+            self.counters[idx] = np.zeros(initial_bins, dtype=np.int64)
 
     def _set_points(self, index: int, pts: np.ndarray) -> None:
         self._pts[index] = pts
@@ -255,19 +254,13 @@ class RefinementState:
         """
         if not front:
             return
-        total = len(front)
+        genes = np.array(front)
         for idx in self._pts:
-            pos = idx - 1
-            hits = [0] * self.bin_count(idx)
-            for genes in front:
-                if genes[pos] != PLACEHOLDER:
-                    hits[genes[pos]] += 1
-            counters = self.counters[idx]
-            for k, h in enumerate(hits):
-                if h / total > self.mass_threshold:
-                    counters[k] += 1
-                else:
-                    counters[k] = 0
+            column = genes[:, idx - 1]
+            hits = np.bincount(column[column != PLACEHOLDER],
+                               minlength=self.bin_count(idx))
+            self.counters[idx] = np.where(hits / len(front) > self.mass_threshold,
+                                          self.counters[idx] + 1, 0)
 
     def refine(self) -> list[tuple[int, int]]:
         """Split every interval whose counter reached the persistence bar.
@@ -277,33 +270,31 @@ class RefinementState:
         """
         splits = []
         for idx in sorted(self._pts):
-            counters = self.counters[idx]
-            triggered = [c >= self.persistence for c in counters]
-            if not any(triggered):
+            triggered = self.counters[idx] >= self.persistence
+            if not triggered.any():
                 continue
             pts, mids = self._pts[idx], self._mids[idx]
-            split = [k for k, t in enumerate(triggered)
-                     if t and pts[k] < mids[k] < pts[k + 1]]
-            self._set_points(idx, np.insert(pts, [k + 1 for k in split], mids[split]))
-            counters = [0 if t else c for t, c in zip(triggered, counters)]
-            for k in reversed(split):
-                counters.insert(k + 1, 0)
-            self.counters[idx] = counters
-            splits += [(idx, k) for k in split]
+            split = np.flatnonzero(triggered & (pts[:-1] < mids) & (mids < pts[1:]))
+            self._set_points(idx, np.insert(pts, split + 1, mids[split]))
+            self.counters[idx] = np.insert(np.where(triggered, 0, self.counters[idx]),
+                                           split + 1, 0)
+            splits += [(idx, int(k)) for k in split]
         return splits
 
 
-def split_renumbering(splits: list[tuple[int, int]], dim: int,
-                      n_bins: int) -> tuple[list[int], frozenset[int]]:
-    """Where the old bins of ``dim`` went after ``RefinementState.refine``.
+def split_renumbering(genes: np.ndarray, split: np.ndarray) -> np.ndarray:
+    """One dimension's gene column renumbered after ``RefinementState.refine``.
 
-    ``splits`` is what ``refine`` returned and ``n_bins`` the dimension's bin
-    count after it. Old bin j is now bin ``new[j]``; when j is in ``split``
-    its two children are ``new[j]`` and ``new[j] + 1``.
+    ``split`` holds the dimension's split bins, sorted, in old numbering.
+    Every gene moves up by the number of split bins below it, so
+    ``PLACEHOLDER`` stays put. Members of a split bin sat on its split point;
+    they alternate left and right child in population order, which keeps both
+    children populated.
     """
-    split = sorted(k for d, k in splits if d == dim)
-    new = [j + bisect.bisect_left(split, j) for j in range(n_bins - len(split))]
-    return new, frozenset(split)
+    new = genes + np.searchsorted(split, genes)
+    for k in split:
+        new[np.flatnonzero(genes == k)[1::2]] += 1
+    return new
 
 
 def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:

@@ -15,8 +15,7 @@ from phmoea.engine import (EarlyStopMonitor, Individual, PlayerArchives,
 from phmoea.evaluators import BenchmarkEvaluator, Evaluation
 from phmoea.space import (CONTINUOUS, PLACEHOLDER, ConfigSpace, DecodedConfig,
                           Genotype, RefinementState, VariableSpec,
-                          builtin_space, canonical_key, decode, sample_random,
-                          split_renumbering)
+                          builtin_space, canonical_key, decode, sample_random)
 
 
 def individuals(points):
@@ -172,80 +171,106 @@ class TestScores:
 
 class TestArchives:
     def test_single_individual_accumulation(self):
-        arch = PlayerArchives()
+        arch = PlayerArchives([3, 4, 6])
         dec = DecodedConfig(values=("a", None, 1.5), active=(True, False, True),
                             ids=(2, PLACEHOLDER, 4))
         ind = Individual(genotype=Genotype((2, PLACEHOLDER, 4), (2, 0, 4)),
                          decoded=dec, key=1, f1=0.0, f2=0.0)
         ind.weight = 1.0
         arch.update([ind])
-        assert arch.heat[(1, 2)] == 1.0 and arch.count[(1, 2)] == 1
-        assert arch.heat[(3, 4)] == 1.0 and arch.count[(3, 4)] == 1
+        assert arch.heat[0].tolist() == [0.0, 0.0, 1.0]
+        assert arch.count[0].tolist() == [0, 0, 1]
+        assert arch.heat[2][4] == 1.0 and arch.count[2][4] == 1
+        assert arch.heat[2].sum() == 1.0 and arch.count[2].sum() == 1
         # the inactive dim contributes nothing, not even its frozen gene
-        assert not any(d == 2 for d, _ in list(arch.heat) + list(arch.count))
+        assert not arch.heat[1].any() and not arch.count[1].any()
 
     def test_shared_player_counts(self):
-        arch = PlayerArchives()
+        arch = PlayerArchives([2])
         dec = DecodedConfig(values=("a",), active=(True,), ids=(0,))
         inds = [Individual(genotype=Genotype((0,), (0,)), decoded=dec, key=i,
                            f1=0.0, f2=0.0) for i in range(2)]
         for ind in inds:
             ind.weight = 0.5
         arch.update(inds)
-        assert arch.count[(1, 0)] == 2
-        assert arch.heat[(1, 0)] == pytest.approx(1.0)
+        assert arch.count[0].tolist() == [2, 0]
+        assert arch.heat[0][0] == pytest.approx(1.0)
 
     def test_split_bin_remaps_and_conserves(self):
-        arch = PlayerArchives()
-        arch.heat[(13, 0)], arch.count[(13, 0)] = 1.0, 4
-        arch.heat[(13, 1)], arch.count[(13, 1)] = 2.0, 5
-        arch.heat[(13, 2)], arch.count[(13, 2)] = 0.5, 1
-        arch.split_bin(13, *split_renumbering([(13, 1)], 13, 4))
-        assert arch.heat[(13, 0)] == 1.0
-        assert arch.heat[(13, 1)] == pytest.approx(1.0)
-        assert arch.heat[(13, 2)] == pytest.approx(1.0)
-        assert arch.heat[(13, 3)] == 0.5
-        assert arch.count[(13, 1)] + arch.count[(13, 2)] == 5
-        assert arch.count[(13, 3)] == 1
+        arch = PlayerArchives([1] * 12 + [4])
+        arch.heat[12][:] = [1.0, 2.0, 0.5, 3.0]
+        arch.count[12][:] = [4, 5, 1, 7]
+        arch.split_bin(13, np.array([1, 3]))
+        assert arch.heat[12].tolist() == [1.0, 1.0, 1.0, 0.5, 1.5, 1.5]
+        assert arch.count[12].tolist() == [4, 2, 3, 1, 3, 4]
+        assert arch.heat[0].tolist() == [0.0]    # other dimensions untouched
+
+    def test_arrays_track_bins_through_a_run(self):
+        from phmoea.engine import _Run
+        run = _Run(bench_problem("hdtlz2"), 20, 10, SearchParams.benchmark(), 0,
+                   use_archives=True)
+        accumulated = np.zeros(len(run.space), dtype=np.int64)
+        update = run.archives.update
+
+        def counting_update(pop):
+            genes = np.array([ind.genotype.genes for ind in pop])
+            accumulated[:] += (genes != PLACEHOLDER).sum(axis=0)
+            update(pop)
+
+        run.archives.update = counting_update
+        run.run()
+        state, arch = run.state, run.archives
+        assert any(state.bin_count(idx) > run.params.initial_bins
+                   for idx in run.space.continuous_indices())
+        for pos, var in enumerate(run.space.variables):
+            assert len(arch.heat[pos]) == len(arch.count[pos]) == state.choice_count(var)
+            if var.is_continuous:
+                assert len(state.counters[var.index]) == state.bin_count(var.index)
+            # a split divides its bin's count between the two children
+            assert arch.count[pos].sum() == accumulated[pos]
 
 
 class TestPartition:
     def test_six_candidates_hot_size(self):
-        arch = PlayerArchives()
-        for a in range(6):
-            arch.heat[(1, a)] = float(a)
-        part = partition_players(arch, 1, 6, hot_fraction=0.3, cold_fraction=0.2)
+        arch = PlayerArchives([6])
+        arch.heat[0][:] = range(6)
+        part = partition_players(arch, 1, hot_fraction=0.3, cold_fraction=0.2)
         assert len(part.hot) == 2
         assert part.hot == (4, 5)
 
     def test_two_candidates(self):
-        arch = PlayerArchives()
-        part = partition_players(arch, 1, 2, hot_fraction=0.3, cold_fraction=0.2)
+        arch = PlayerArchives([2])
+        part = partition_players(arch, 1, hot_fraction=0.3, cold_fraction=0.2)
         assert len(part.hot) == 1 and len(part.cold) == 1 and not part.normal
 
     def test_zero_archives_tie_break_by_index(self):
-        arch = PlayerArchives()
-        part = partition_players(arch, 7, 6, hot_fraction=0.3, cold_fraction=0.2)
+        arch = PlayerArchives([1] * 6 + [6])
+        part = partition_players(arch, 7, hot_fraction=0.3, cold_fraction=0.2)
         assert part.hot == (0, 1)
         assert part.cold == (2, 3)
         assert part.normal == (4, 5)
 
     def test_cold_selected_by_count_among_non_hot(self):
-        arch = PlayerArchives()
-        heats = [5.0, 4.0, 1.0, 1.0, 1.0, 1.0]
-        counts = [9, 9, 7, 2, 5, 1]
-        for a in range(6):
-            arch.heat[(1, a)] = heats[a]
-            arch.count[(1, a)] = counts[a]
-        part = partition_players(arch, 1, 6, 0.3, 0.2)
+        arch = PlayerArchives([6])
+        arch.heat[0][:] = [5.0, 4.0, 1.0, 1.0, 1.0, 1.0]
+        arch.count[0][:] = [9, 9, 7, 2, 5, 1]
+        part = partition_players(arch, 1, 0.3, 0.2)
         assert part.hot == (0, 1)
-        assert part.cold == (5, 3)[::-1] or part.cold == (3, 5)
+        assert part.cold == (3, 5)
+        assert part.normal == (2, 4)
+
+    def test_ties_break_toward_lower_index(self):
+        arch = PlayerArchives([6])
+        arch.heat[0][:] = [1.0, 2.0, 2.0, 0.0, 2.0, 1.0]
+        arch.count[0][:] = [3, 0, 0, 3, 5, 3]
+        part = partition_players(arch, 1, 0.3, 0.2)
+        assert part.hot == (1, 2)
+        assert part.cold == (0, 3)
+        assert part.normal == (4, 5)
 
 
 class TestSampling:
     def test_cold_bonus_probability(self):
-        arch = PlayerArchives()
-        part = partition_players(arch, 1, 3, hot_fraction=0.0, cold_fraction=0.0)
         # force a known partition: one cold, two normal
         from phmoea.engine import Partition
         part = Partition(hot=(), normal=(1, 2), cold=(0,))
@@ -343,8 +368,7 @@ class TestVariation:
         run = engine_for(bench_problem(n=5), params=params)
         run.archives.update(run.population)
         partitions = {
-            var.index: partition_players(run.archives, var.index,
-                                         run.state.choice_count(var), 0.3, 0.2)
+            var.index: partition_players(run.archives, var.index, 0.3, 0.2)
             for var in run.space.variables
         }
         for pool in ("hot", "nh"):
@@ -395,7 +419,7 @@ class TestRefinementResnap:
                 genotype=genotype, decoded=decode(genotype, space, state),
                 key=i, f1=0.0, f2=0.0))
         before = {j: state.representative(1, j) for j in set(genes + frozen)}
-        state.counters[1] = [0] * state.bin_count(1)
+        state.counters[1] = np.zeros(state.bin_count(1), dtype=np.int64)
         state.counters[1][2] = state.persistence
         run._refine([])
         new_genes = [ind.genotype.genes[0] for ind in run.population]
@@ -434,7 +458,7 @@ class TestRefinementResnap:
         pts = state.breakpoints(1)
         assert np.nextafter(pts[29], 1.0) == pts[30]
         assert state.representative(1, 29) == pts[30]
-        state.counters[1] = [0] * state.bin_count(1)
+        state.counters[1] = np.zeros(state.bin_count(1), dtype=np.int64)
         member = Genotype((29,), (29,))
         run.population = [Individual(genotype=member,
                                      decoded=decode(member, space, state),

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from phmoea.benchmarks import HBenchProblem
-from phmoea.evaluators import (BenchmarkEvaluator, SurrogateEvaluator,
-                               WorkerClient, WorkerPool)
+from phmoea.evaluators import (BenchmarkEvaluator, Evaluation,
+                               SurrogateEvaluator, WorkerClient, WorkerPool)
 from phmoea.metrics import nondominated_mask
 from phmoea.network import build_graph, count_params
 from phmoea.space import (RefinementState, builtin_space, decode,
@@ -145,8 +145,9 @@ class TestWorkerProtocol:
             assert "diverged" in ev.message
             assert client.calls == 1  # the dispatch still consumed budget
 
-    def test_malformed_response(self):
-        with make_client("garbage") as client:
+    @pytest.mark.parametrize("mode", ["garbage", "not_object"])
+    def test_malformed_response(self, mode):
+        with make_client(mode) as client:
             ev = client(worked_decoded())
             assert not ev.ok
             assert "malformed" in ev.message
@@ -183,6 +184,21 @@ class TestWorkerProtocol:
             singles = [clients[0](dec) for dec in batch]
             assert [(r.f1, r.f2) for r in results] == \
                 [(s.f1, s.f2) for s in singles]
+        finally:
+            pool.close()
+
+    def test_pool_non_object_replies_are_error_evaluations(self):
+        # a reply that parses but is not an object must fail its own call,
+        # not kill the worker's thread and leave the stripe without results
+        pool = WorkerPool([make_client("not_object"), make_client("not_object")])
+        try:
+            state = RefinementState(SPACE)
+            rng = np.random.default_rng(3)
+            batch = [decode(sample_random(SPACE, state, rng), SPACE, state)
+                     for _ in range(6)]
+            results = pool.evaluate_many(batch)
+            assert all(isinstance(r, Evaluation) and not r.ok
+                       and "malformed" in r.message for r in results)
         finally:
             pool.close()
 

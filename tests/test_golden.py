@@ -1,7 +1,8 @@
 """Golden pin: seeded short CLI runs must reproduce recorded digests.
 
-Each digest is the SHA-256 of ``pareto_front.csv`` followed by
-``history.csv`` of one seed's run directory at pop 20 x 10 generations.
+Each ``GOLDEN`` digest is the SHA-256 of ``pareto_front.csv`` followed by
+``history.csv`` of one seed's run directory at pop 20 x 10 generations;
+``GOLDEN_CONFIGS`` pins that run directory's ``pareto_configs.json``.
 A change that moves a seeded trajectory fails here; re-pin only on purpose,
 with the reason and the acceptance-protocol IGD/HV recorded in CHANGES.md.
 """
@@ -30,10 +31,28 @@ GOLDEN = {
         "18d2d65df948bc76b2c2aa3f24526595d3024e866a7b64853b09d0e686469fc6"),
 }
 
+GOLDEN_CONFIGS = {
+    ("hdtlz2", "phmoea"): (
+        "34a17e4ea85bb110998007a06a012228926640dcb023a32e3884cc0dc95f3660",
+        "d42db88fa42154e2c0e1cc0da187e87b80b480ce1f7d0f58ee7219558b71f99e"),
+    ("hdtlz2", "nsga2"): (
+        "1ed292b32c9926303854701a47c15369f2f521c9b122bfb40a8771e57630c223",
+        "ff376cb7de6244ebbff5a1575f67670b449c006b9c532d66028a85662dbf1f4f"),
+    ("hdtlz7", "phmoea"): (
+        "6668f4b61b5c92a119620e7344235c2c544b5652196c599c97fcb01c93cbf8a1",
+        "4c321aa14cb8fb638c62fe60890f7f9793cfaf0c4b8a76803c9b6592b1eb2802"),
+    ("hdtlz7", "nsga2"): (
+        "634351c82799c2fa9d3c97fec7291bb5eaadf59e09b0eb6dd5ded28026f66027",
+        "b7a5881bc0591f44971b3e8d0dfeeb7ba00eb4a457313379938c5e06988f2780"),
+    ("surrogate", "phmoea"): (
+        "430b178ce01d24602a688e99824c0f9791979230181f025b2ba6cdc2a05b9464",
+        "90894af49d37cae74682c554b87789d99d5d68ca69a4a98f9d071d5eec7f1e47"),
+}
 
-def run_digest(run_dir) -> str:
+
+def run_digest(run_dir, names=("pareto_front.csv", "history.csv")) -> str:
     sha = hashlib.sha256()
-    for name in ("pareto_front.csv", "history.csv"):
+    for name in names:
         sha.update((run_dir / name).read_bytes())
     return sha.hexdigest()
 
@@ -42,5 +61,7 @@ def run_digest(run_dir) -> str:
 def test_seeded_runs_match_golden_digests(tmp_path, problem, algo):
     assert main(["search", "--problem", problem, "--algo", algo, "--pop", "20",
                  "--gens", "10", "--seeds", "2", "--out", str(tmp_path)]) == 0
-    digests = tuple(run_digest(tmp_path / f"seed_{seed:03d}") for seed in (0, 1))
-    assert digests == GOLDEN[(problem, algo)]
+    run_dirs = [tmp_path / f"seed_{seed:03d}" for seed in (0, 1)]
+    assert tuple(map(run_digest, run_dirs)) == GOLDEN[(problem, algo)]
+    assert tuple(run_digest(d, ("pareto_configs.json",)) for d in run_dirs) == \
+        GOLDEN_CONFIGS[(problem, algo)]

@@ -280,22 +280,21 @@ class TestRefinement:
         state = make_state(space, mass_threshold=0.5)
         front = front_of(space, state, [0.05, 0.06, 0.07])
         state.update(front)
-        assert state.counters[13][0] == 1
-        assert all(c == 0 for c in state.counters[13][1:])
+        assert state.counters[13].tolist() == [1, 0, 0, 0, 0, 0]
 
     def test_uniform_mass_resets(self, space):
         state = make_state(space, mass_threshold=0.5)
         front = front_of(space, state, [0.03, 0.11, 0.2, 0.28, 0.36, 0.45])
-        state.counters[13] = [2] * 6
+        state.counters[13][:] = 2
         state.update(front)
-        assert state.counters[13] == [0] * 6
+        assert not state.counters[13].any()
 
     def test_inactive_dim_resets(self, space):
         # pool_type inactive in every member: its counters go to zero
         state = make_state(space, mass_threshold=0.5)
         bench_like = front_of(space, state, [0.05, 0.06])
         assert all(genes[1] == PLACEHOLDER for genes in bench_like)
-        state.counters[13] = [1] * 6
+        state.counters[13][:] = 1
         state.update(bench_like)
         assert state.counters[13][0] == 2  # the active dim keeps accumulating
 
@@ -303,15 +302,15 @@ class TestRefinement:
         state = make_state(space, mass_threshold=0.5)
         active = front_of(space, state, [0.05])[0]
         inactive = active[:12] + (PLACEHOLDER,) + active[13:]
-        state.counters[13] = [1] * 6
+        state.counters[13][:] = 1
         state.update([active, inactive, inactive])
-        assert state.counters[13] == [0] * 6
+        assert not state.counters[13].any()
 
     def test_empty_front_is_noop(self, space):
         state = make_state(space)
-        state.counters[13] = [1] * 6
+        state.counters[13][:] = 1
         state.update([])
-        assert state.counters[13] == [1] * 6
+        assert state.counters[13].tolist() == [1] * 6
 
     def test_split_at_midpoint(self, space):
         state = make_state(space, persistence=3)
@@ -358,14 +357,21 @@ class TestRefinement:
         state.counters[14][0] = 1
         old = state.representatives(13)
         splits = state.refine()
-        new, split = split_renumbering(splits, 13, state.bin_count(13))
-        assert (new, split) == ([0, 1, 3, 4, 5, 7], frozenset({1, 4}))
+        split = np.array([k for d, k in splits if d == 13])
+        assert split.tolist() == [1, 4]
+        assert state.counters[13].tolist() == [0] * 8
+        new = split_renumbering(np.arange(6), split)
+        assert new.tolist() == [0, 1, 3, 4, 5, 7]
         reps = state.representatives(13)
         for j in range(6):
             if j in split:
                 assert reps[new[j]] < old[j] < reps[new[j] + 1]
             else:
                 assert reps[new[j]] == old[j]
+        # a placeholder stays put; members of a split bin alternate children
+        genes = np.array([4, PLACEHOLDER, 2, 4, 5, 4])
+        assert split_renumbering(genes, split).tolist() == \
+            [5, PLACEHOLDER, 3, 6, 7, 5]
 
 
 # ---------------------------------------------------------------------------

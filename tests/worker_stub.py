@@ -1,8 +1,9 @@
 """Minimal line-delimited JSON evaluation worker for protocol tests.
 
 Reads one request per line and answers one line. The first CLI argument
-selects a behavior: ok, bad_id, report_error, garbage, slow, slow_first
-(slow on the first request only), jitter.
+selects a behavior: ok, bad_id, report_error, garbage, not_object (valid
+JSON that is not an object), slow, slow_first (slow on the first request
+only), jitter.
 """
 
 import json
@@ -30,6 +31,9 @@ def main() -> None:
             time.sleep((request["id"] % 3) * 0.04)
         if MODE == "garbage":
             print("not json at all", flush=True)
+            continue
+        if MODE == "not_object":
+            print("5", flush=True)
             continue
         reply = {"id": request["id"], "status": "ok"}
         if MODE == "bad_id":
