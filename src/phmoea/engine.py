@@ -403,7 +403,10 @@ class EarlyStopMonitor:
 # ---------------------------------------------------------------------------
 
 def environmental_select(union: list[Individual], n: int) -> list[Individual]:
-    """Elitist truncation: fill by rank, split the last front by crowding."""
+    """Elitist truncation: fill by rank, split the last front by crowding.
+
+    Rank and crowding are final: a split front's survivors are crowded anew.
+    """
     fronts = nd_sort_and_crowd(union)
     selected: list[Individual] = []
     for front in fronts:
@@ -413,7 +416,9 @@ def environmental_select(union: list[Individual], n: int) -> list[Individual]:
             room = n - len(selected)
             order = sorted(range(len(front)),
                            key=lambda i: (-front[i].crowding, i))
-            selected.extend(front[i] for i in sorted(order[:room]))
+            kept = [front[i] for i in sorted(order[:room])]
+            _crowding(kept)
+            selected.extend(kept)
             break
     return selected
 
@@ -487,15 +492,12 @@ class _Run:
     def _sbx_child(self, p1: Genotype, p2: Genotype) -> Genotype:
         """One child from SBX on continuous dims plus uniform discrete swaps."""
         params = self.params
-        genes1, genes2 = list(p1.genes), list(p2.genes)
-        frozen1, frozen2 = list(p1.frozen), list(p2.frozen)
-        child_genes = list(genes1)
-        child_frozen = list(frozen1)
-        crossed = self.rng.random() < params.crossover_prob
+        if self.rng.random() >= params.crossover_prob:
+            return p1
+        child_genes = list(p1.genes)
+        child_frozen = list(p1.frozen)
         for i, var in enumerate(self.space.variables):
-            g1, g2 = genes1[i], genes2[i]
-            if not crossed:
-                continue
+            g1, g2 = p1.genes[i], p2.genes[i]
             if var.is_continuous and g1 != PLACEHOLDER and g2 != PLACEHOLDER:
                 lo, hi, reps = self.state.scale_grid(var.index)
                 v1, v2 = reps[g1], reps[g2]
@@ -513,7 +515,7 @@ class _Run:
             else:
                 if self.rng.random() < 0.5:
                     child_genes[i] = g2
-                    child_frozen[i] = frozen2[i]
+                    child_frozen[i] = p2.frozen[i]
         return Genotype(genes=tuple(child_genes), frozen=tuple(child_frozen))
 
     def _mutate(self, genotype: Genotype) -> Genotype:
@@ -644,8 +646,8 @@ class _Run:
     # -- bookkeeping ---------------------------------------------------------
 
     def _record(self, gen: int) -> list[Individual]:
-        """Rank the population, log the generation and return its first front."""
-        front = nd_sort_and_crowd(self.population)[0]
+        """Log the ranked population's generation and return its first front."""
+        front = [ind for ind in self.population if ind.rank == 0]
         self.monitor.record(front)
         pts = [(ind.f1, ind.f2) for ind in front]
         reference = self.problem.hv_reference
@@ -672,6 +674,7 @@ class _Run:
         if len(self.population) < 2:
             raise RuntimeError("initial population collapsed; evaluator keeps failing")
         self.monitor.set_reference(self.population)
+        nd_sort_and_crowd(self.population)
         front = self._record(gen=1)
 
         stopped_early = False

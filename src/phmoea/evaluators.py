@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import queue
 import select
 import subprocess
-import threading
 import time
 from dataclasses import dataclass
 
@@ -181,7 +181,7 @@ class WorkerClient:
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
 
-    def _read_line(self, deadline: float) -> str | None:
+    def _read_line(self, deadline: float) -> bytes | None:
         """Next response line before ``deadline``, bypassing stream buffering."""
         fd = self._proc.stdout.fileno()
         while b"\n" not in self._buffer:
@@ -196,7 +196,7 @@ class WorkerClient:
                 return None
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
-        return line.decode("utf-8")
+        return line
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
         self.calls += 1
@@ -223,8 +223,8 @@ class WorkerClient:
             if line is None:
                 return fail("timeout or closed stream")
             try:
-                reply = json.loads(line)
-            except json.JSONDecodeError:
+                reply = json.loads(line.decode("utf-8"))
+            except ValueError:      # not UTF-8 or not JSON
                 reply = None
             if not isinstance(reply, dict):
                 return fail("malformed response")
@@ -259,7 +259,7 @@ class WorkerClient:
 
 
 class WorkerPool:
-    """Round-robin dispatch over several workers, results in input order."""
+    """Each candidate goes to the first free worker; results in input order."""
 
     def __init__(self, clients: list[WorkerClient]):
         if not clients:
@@ -268,20 +268,21 @@ class WorkerPool:
         self.calls = 0
 
     def evaluate_many(self, batch: list[DecodedConfig]) -> list[Evaluation]:
+        from concurrent.futures import ThreadPoolExecutor  # imports logging: pool runs only
         self.calls += len(batch)
-        results: list[Evaluation | None] = [None] * len(batch)
+        idle: queue.SimpleQueue[WorkerClient] = queue.SimpleQueue()
+        for client in self.clients:
+            idle.put(client)
 
-        def drain(worker_pos: int):
-            for i in range(worker_pos, len(batch), len(self.clients)):
-                results[i] = self.clients[worker_pos](batch[i])
+        def dispatch(decoded: DecodedConfig) -> Evaluation:
+            client = idle.get()
+            try:
+                return client(decoded)
+            finally:
+                idle.put(client)
 
-        threads = [threading.Thread(target=drain, args=(w,))
-                   for w in range(len(self.clients))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return results  # type: ignore[return-value]
+        with ThreadPoolExecutor(max_workers=len(self.clients)) as executor:
+            return list(executor.map(dispatch, batch))
 
     def close(self):
         for c in self.clients:

@@ -314,29 +314,24 @@ def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:
 
 
 def decode(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> DecodedConfig:
-    """Map a genotype to its executable configuration.
+    """Map a repaired genotype to its executable configuration.
 
-    Inactive dimensions are masked to None; active continuous dimensions map
-    their bin index to the current partition's representative value.
+    The genotype must come from ``repair`` or ``sample_random``, so its genes
+    are in range and ``PLACEHOLDER`` marks exactly the inactive dimensions.
+    Those decode to None; active continuous dimensions map their bin index to
+    the current partition's representative value.
     """
-    mask = activity(genotype.genes, space)
     values = []
-    ids = []
-    for i, var in enumerate(space.variables):
-        if not mask[i]:
+    for var, gene in zip(space.variables, genotype.genes):
+        if gene == PLACEHOLDER:
             values.append(None)
-            ids.append(PLACEHOLDER)
-            continue
-        gene = genotype.genes[i]
-        if gene < 0:
-            gene = genotype.frozen[i]
-        gene = min(max(gene, 0), state.choice_count(var) - 1)
-        ids.append(gene)
-        if var.is_continuous:
+        elif var.is_continuous:
             values.append(state.representative(var.index, gene))
         else:
             values.append(var.candidates[gene])
-    return DecodedConfig(values=tuple(values), active=mask, ids=tuple(ids))
+    return DecodedConfig(values=tuple(values),
+                         active=tuple(g != PLACEHOLDER for g in genotype.genes),
+                         ids=genotype.genes)
 
 
 def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Genotype:

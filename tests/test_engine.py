@@ -491,6 +491,17 @@ class TestEnvironmentalSelect:
         pts = {(ind.f1, ind.f2) for ind in chosen}
         assert (0.0, 1.0) in pts and (1.0, 0.0) in pts
 
+    def test_split_front_survivors_are_ranked_and_crowded_as_survivors(self):
+        # front 0 fits whole; front 1 (five points) is split to three, whose
+        # crowding among themselves differs from that in the full front
+        pop = individuals([(0.0, 0.5), (0.5, 0.0), (0.1, 2.0), (0.3, 1.2),
+                           (0.9, 0.9), (1.1, 0.5), (2.0, 0.1)])
+        chosen = environmental_select(pop, 5)
+        assert len(chosen) == 5 and {ind.rank for ind in chosen} == {0, 1}
+        got = [(ind.key, ind.rank, ind.crowding) for ind in chosen]
+        nd_sort_and_crowd(chosen)
+        assert got == [(ind.key, ind.rank, ind.crowding) for ind in chosen]
+
     def test_elitism_across_generations(self):
         problem = bench_problem(n=4)
         res = run_phmoea(problem, 16, 12, params=SearchParams.benchmark(), seed=3)

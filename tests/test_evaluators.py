@@ -145,7 +145,7 @@ class TestWorkerProtocol:
             assert "diverged" in ev.message
             assert client.calls == 1  # the dispatch still consumed budget
 
-    @pytest.mark.parametrize("mode", ["garbage", "not_object"])
+    @pytest.mark.parametrize("mode", ["garbage", "not_object", "not_utf8"])
     def test_malformed_response(self, mode):
         with make_client(mode) as client:
             ev = client(worked_decoded())
@@ -187,10 +187,11 @@ class TestWorkerProtocol:
         finally:
             pool.close()
 
-    def test_pool_non_object_replies_are_error_evaluations(self):
-        # a reply that parses but is not an object must fail its own call,
-        # not kill the worker's thread and leave the stripe without results
-        pool = WorkerPool([make_client("not_object"), make_client("not_object")])
+    @pytest.mark.parametrize("mode", ["not_object", "not_utf8"])
+    def test_pool_non_object_replies_are_error_evaluations(self, mode):
+        # a reply that is not a JSON object must fail its own call, not kill
+        # the worker's thread and leave the pool without results
+        pool = WorkerPool([make_client(mode), make_client(mode)])
         try:
             state = RefinementState(SPACE)
             rng = np.random.default_rng(3)
@@ -199,6 +200,26 @@ class TestWorkerProtocol:
             results = pool.evaluate_many(batch)
             assert all(isinstance(r, Evaluation) and not r.ok
                        and "malformed" in r.message for r in results)
+        finally:
+            pool.close()
+
+    def test_pool_hands_each_candidate_to_a_free_worker(self):
+        # the slow worker is busy with its first request while the fast one
+        # serves the rest; static striping would give each worker three
+        clients = [make_client("slow_first"), make_client("ok")]
+        pool = WorkerPool(clients)
+        try:
+            state = RefinementState(SPACE)
+            rng = np.random.default_rng(23)
+            batch = [decode(sample_random(SPACE, state, rng), SPACE, state)
+                     for _ in range(6)]
+            results = pool.evaluate_many(batch)
+            expected = [(round(d.as_dict(SPACE)["dropout"] * 2.0, 6),
+                         d.as_dict(SPACE)["conv3_channels"] * 1000.0)
+                        for d in batch]
+            assert all(r.ok for r in results)
+            assert [(r.f1, r.f2) for r in results] == expected
+            assert [c.calls for c in clients] == [1, 5]
         finally:
             pool.close()
 

@@ -5,7 +5,7 @@ import pytest
 
 from phmoea.space import (COND_DISCRETE, CONTINUOUS, DISCRETE, ConfigSpace,
                           DedupRegistry, Genotype, PLACEHOLDER,
-                          RefinementState, VariableSpec, bin_value,
+                          RefinementState, VariableSpec, activity, bin_value,
                           builtin_space, canonical_key, decode, dump_space,
                           fresh_genotype, load_space, repair, sample_random,
                           space_from_json, space_to_json, split_renumbering)
@@ -135,7 +135,7 @@ class TestDecode:
         g1 = genotype_with(space, state, resample_op="linear")
         genes = list(g1.genes)
         genes[1] = 2  # perturb the masked pool type
-        g2 = Genotype(genes=tuple(genes), frozen=g1.frozen)
+        g2 = repair(Genotype(genes=tuple(genes), frozen=g1.frozen), space, state)
         assert decode(g1, space, state) == decode(g2, space, state)
 
     def test_continuous_values_decode_to_representatives(self, space):
@@ -149,6 +149,17 @@ class TestDecode:
 # ---------------------------------------------------------------------------
 # Repair
 # ---------------------------------------------------------------------------
+
+def chain_space():
+    """Three levels: c is active only when b is, and b only when a is."""
+    return ConfigSpace(variables=(
+        VariableSpec(1, "a", DISCRETE, candidates=("x", "y")),
+        VariableSpec(2, "b", COND_DISCRETE, candidates=("p", "q"),
+                     parent=(1, ("y",))),
+        VariableSpec(3, "c", COND_DISCRETE, candidates=("u", "v"),
+                     parent=(2, ("q",))),
+    ))
+
 
 class TestRepair:
     def test_clips_out_of_range_gene(self, space):
@@ -183,18 +194,27 @@ class TestRepair:
             assert repair(once, space, state) == once
 
     def test_restored_parent_reactivates_its_children(self):
-        space = ConfigSpace(variables=(
-            VariableSpec(1, "a", DISCRETE, candidates=("x", "y")),
-            VariableSpec(2, "b", COND_DISCRETE, candidates=("p", "q"),
-                         parent=(1, ("y",))),
-            VariableSpec(3, "c", COND_DISCRETE, candidates=("u", "v"),
-                         parent=(2, ("q",))),
-        ))
+        space = chain_space()
         state = make_state(space)
         g = repair(Genotype((1, PLACEHOLDER, PLACEHOLDER), (1, 1, 1)), space, state)
         assert g.genes == (1, 1, 1)
         assert repair(g, space, state) == g
         assert decode(g, space, state).ids == g.genes
+
+    @pytest.mark.parametrize("make_space", [builtin_space, chain_space])
+    def test_decode_reads_activity_from_repair(self, make_space):
+        # raw genes include out-of-range indices, negative ones and
+        # placeholders on dimensions that repair finds active
+        space = make_space()
+        state = make_state(space)
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            raw = Genotype(tuple(int(g) for g in rng.integers(-3, 12, len(space))),
+                           tuple(int(f) for f in rng.integers(-2, 12, len(space))))
+            g = repair(raw, space, state)
+            decoded = decode(g, space, state)
+            assert decoded.active == activity(g.genes, space)
+            assert decoded.ids == g.genes
 
     def test_decoded_continuous_within_bounds(self, space):
         state = make_state(space)
@@ -237,7 +257,8 @@ class TestCanonicalKey:
             inactive = [i for i, on in enumerate(decoded.active) if not on]
             for i in inactive:
                 genes[i] = int(rng.integers(0, 2))
-            other = decode(Genotype(tuple(genes), g.frozen), space, state)
+            other = decode(repair(Genotype(tuple(genes), g.frozen), space, state),
+                           space, state)
             assert canonical_key(other) == canonical_key(decoded)
 
     def test_active_change_changes_key(self, space):

@@ -2,8 +2,8 @@
 
 Reads one request per line and answers one line. The first CLI argument
 selects a behavior: ok, bad_id, report_error, garbage, not_object (valid
-JSON that is not an object), slow, slow_first (slow on the first request
-only), jitter.
+JSON that is not an object), not_utf8 (bytes that are not UTF-8), slow,
+slow_first (slow on the first request only), jitter.
 """
 
 import json
@@ -34,6 +34,10 @@ def main() -> None:
             continue
         if MODE == "not_object":
             print("5", flush=True)
+            continue
+        if MODE == "not_utf8":
+            sys.stdout.buffer.write(b"\xff\xfe not utf-8\n")
+            sys.stdout.buffer.flush()
             continue
         reply = {"id": request["id"], "status": "ok"}
         if MODE == "bad_id":
