@@ -22,10 +22,11 @@ from functools import cached_property
 import numpy as np
 
 from . import metrics
-from .evaluators import Evaluation
+from .evaluators import Evaluation, evaluate_safely
 from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                     PLACEHOLDER, RefinementState, canonical_key, decode,
-                    fresh_genotype, repair, sample_random, split_renumbering)
+                    fresh_genotype, nearest_index, repair, sample_random,
+                    split_renumbering)
 
 NORM_EPS = 1e-12
 
@@ -152,22 +153,17 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 def nd_sort_and_crowd(pop: list[Individual]) -> list[list[Individual]]:
-    """Assign 0-based non-domination ranks and per-front crowding distances."""
+    """Assign 0-based non-domination ranks and per-front crowding distances.
+
+    Fronts list their members in population order.
+    """
     if not pop:
         return []
-    dominates = metrics.dominance_matrix([[ind.f1, ind.f2] for ind in pop])
-    unassigned = np.ones(len(pop), dtype=bool)
-    fronts: list[list[Individual]] = []
-    rank = 0
-    while unassigned.any():
-        blocked = (dominates & unassigned[:, None]).any(axis=0)
-        current = unassigned & ~blocked
-        members = [pop[i] for i in np.nonzero(current)[0]]
-        for ind in members:
-            ind.rank = rank
-        fronts.append(members)
-        unassigned &= ~current
-        rank += 1
+    ranks = metrics.front_ranks([[ind.f1, ind.f2] for ind in pop]).tolist()
+    fronts: list[list[Individual]] = [[] for _ in range(max(ranks) + 1)]
+    for ind, rank in zip(pop, ranks):
+        ind.rank = rank
+        fronts[rank].append(ind)
     for front in fronts:
         _crowding(front)
     return fronts
@@ -299,14 +295,20 @@ class Partition:
     hot: tuple[int, ...]
     normal: tuple[int, ...]
     cold: tuple[int, ...]
+    _cdfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def non_hot(self) -> tuple[int, ...]:
         return tuple(sorted(self.normal + self.cold))
 
-    @cached_property
-    def non_hot_is_cold(self) -> np.ndarray:
-        return np.isin(self.non_hot, self.cold)
+    def non_hot_cdf(self, cold_bonus: float) -> np.ndarray:
+        """CDF of the cold-bonus weights over ``non_hot``, as ``Generator.choice``
+        builds it from ``p``: normalise, cumsum, divide by the last element."""
+        if cold_bonus not in self._cdfs:
+            weights = np.where(np.isin(self.non_hot, self.cold), cold_bonus, 1.0)
+            cdf = (weights / weights.sum()).cumsum()
+            self._cdfs[cold_bonus] = cdf / cdf[-1]
+        return self._cdfs[cold_bonus]
 
 
 def partition_players(archives: PlayerArchives, dim: int,
@@ -342,9 +344,8 @@ def sample_candidate(partition: Partition, pool: str, n_candidates: int,
     members = partition.non_hot
     if not members:
         return int(rng.integers(n_candidates))
-    weights = np.where(partition.non_hot_is_cold, cold_bonus, 1.0)
-    weights /= weights.sum()
-    return int(members[rng.choice(len(members), p=weights)])
+    cdf = partition.non_hot_cdf(cold_bonus)
+    return int(members[cdf.searchsorted(rng.random(), side="right")])
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +447,7 @@ class _Run:
                                      mass_threshold=params.refine_mass,
                                      persistence=params.refine_persistence)
         self.registry = DedupRegistry()
-        self.archives = PlayerArchives([self.state.choice_count(var)
-                                        for var in self.space.variables])
+        self.archives = PlayerArchives(self.state.counts)
         self.monitor = EarlyStopMonitor(params)
         self.dims = len(self.space)
         self.max_mutated = min(params.max_mutated, self.dims)
@@ -465,7 +465,7 @@ class _Run:
         if hasattr(evaluator, "evaluate_many"):
             evaluations = evaluator.evaluate_many(decoded)
         else:
-            evaluations = [evaluator(dec) for dec in decoded]
+            evaluations = [evaluate_safely(evaluator, dec) for dec in decoded]
         out = []
         for (genotype, dec, key), ev in zip(batch, evaluations):
             self.fes += 1
@@ -496,11 +496,11 @@ class _Run:
             return p1
         child_genes = list(p1.genes)
         child_frozen = list(p1.frozen)
-        for i, var in enumerate(self.space.variables):
+        for i, grid in enumerate(self.state.grids):
             g1, g2 = p1.genes[i], p2.genes[i]
-            if var.is_continuous and g1 != PLACEHOLDER and g2 != PLACEHOLDER:
-                lo, hi, reps = self.state.scale_grid(var.index)
-                v1, v2 = reps[g1], reps[g2]
+            if grid is not None and g1 != PLACEHOLDER and g2 != PLACEHOLDER:
+                lo, hi, mids = grid
+                v1, v2 = mids[g1], mids[g2]
                 u = self.rng.random()
                 if u <= 0.5:
                     beta = (2.0 * u) ** (1.0 / (params.sbx_eta + 1.0))
@@ -510,7 +510,7 @@ class _Run:
                 c2 = 0.5 * ((1.0 - beta) * v1 + (1.0 + beta) * v2)
                 value = c1 if self.rng.random() < 0.5 else c2
                 value = min(max(value, lo), hi)
-                child_genes[i] = int(np.argmin(np.abs(reps - value)))
+                child_genes[i] = nearest_index(mids, value)
                 child_frozen[i] = child_genes[i]
             else:
                 if self.rng.random() < 0.5:
@@ -526,28 +526,28 @@ class _Run:
         frozen = list(genotype.frozen)
         rate = 1.0 / self.dims
         changed = 0
-        for i, var in enumerate(self.space.variables):
+        for i, grid in enumerate(self.state.grids):
             if changed >= self.max_mutated:
                 break
             if genes[i] == PLACEHOLDER or self.rng.random() >= rate:
                 continue
-            if var.is_continuous:
-                new = self._polynomial_step(var.index, genes[i])
+            if grid is not None:
+                new = self._polynomial_step(grid, genes[i])
             else:
-                new = int(self.rng.integers(len(var.candidates)))
+                new = int(self.rng.integers(self.state.counts[i]))
             if new != genes[i]:
                 genes[i] = new
                 frozen[i] = new
                 changed += 1
         return Genotype(genes=tuple(genes), frozen=tuple(frozen))
 
-    def _polynomial_step(self, index: int, gene: int) -> int:
+    def _polynomial_step(self, grid: tuple[float, float, list[float]], gene: int) -> int:
         eta = self.params.mutation_eta
-        lo, hi, reps = self.state.scale_grid(index)
+        lo, hi, mids = grid
         span = hi - lo
         if span <= 0:
             return gene
-        x = reps[gene]
+        x = mids[gene]
         u = self.rng.random()
         if u < 0.5:
             xy = 1.0 - (x - lo) / span
@@ -556,7 +556,7 @@ class _Run:
             xy = 1.0 - (hi - x) / span
             delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xy ** (eta + 1.0)) ** (1.0 / (eta + 1.0))
         value = min(max(x + delta * span, lo), hi)
-        return int(np.argmin(np.abs(reps - value)))
+        return nearest_index(mids, value)
 
     def _variation_child(self) -> Genotype:
         p1 = self._tournament()
@@ -566,19 +566,16 @@ class _Run:
 
     def _assemble_child(self, partitions: dict[int, Partition], pool: str) -> Genotype:
         params = self.params
-        genes = []
-        for var in self.space.variables:
-            n_cand = self.state.choice_count(var)
-            genes.append(sample_candidate(partitions[var.index], pool, n_cand,
-                                          params.cold_bonus, self.rng))
+        counts = self.state.counts
+        genes = [sample_candidate(partitions[i + 1], pool, n, params.cold_bonus, self.rng)
+                 for i, n in enumerate(counts)]
         opposite = "nh" if pool == "hot" else "hot"
         changed = 0
-        for i, var in enumerate(self.space.variables):
+        for i, n in enumerate(counts):
             if changed >= self.max_mutated:
                 break
             if self.rng.random() < params.cross_pool_rate:
-                n_cand = self.state.choice_count(var)
-                new = sample_candidate(partitions[var.index], opposite, n_cand,
+                new = sample_candidate(partitions[i + 1], opposite, n,
                                        params.cold_bonus, self.rng)
                 if new != genes[i]:
                     genes[i] = new

@@ -27,7 +27,7 @@ import numpy as np
 
 from .benchmarks import HBenchProblem
 from .network import build_graph, count_params
-from .space import ConfigSpace, DecodedConfig, RefinementState, canonical_key
+from .space import ConfigSpace, DecodedConfig, RefinementState
 
 OK = "ok"
 ERROR = "error"
@@ -47,6 +47,15 @@ class Evaluation:
         return self.status == OK
 
 
+def evaluate_safely(evaluator, decoded: DecodedConfig) -> Evaluation:
+    """``evaluator(decoded)``; an exception fails this candidate alone."""
+    try:
+        return evaluator(decoded)
+    except Exception as exc:
+        return Evaluation(key=decoded.key, f1=math.nan, f2=math.nan, status=ERROR,
+                          message=str(exc))
+
+
 class BenchmarkEvaluator:
     """Analytic objectives of a synthetic hierarchical benchmark."""
 
@@ -58,7 +67,7 @@ class BenchmarkEvaluator:
         self.calls += 1
         start = time.perf_counter()
         f1, f2 = self.problem.objectives(decoded)
-        return Evaluation(key=canonical_key(decoded), f1=f1, f2=f2,
+        return Evaluation(key=decoded.key, f1=f1, f2=f2,
                           wall_time=time.perf_counter() - start)
 
 
@@ -113,13 +122,12 @@ class SurrogateEvaluator:
         self._target_gene = {}
         self._target_value = {}
         self._offsets = {}
-        for var in space.variables:
-            m = state.choice_count(var)
+        for var, m, values in zip(space.variables, state.counts, state.values):
             lo = m // 2 if var.name in _UPPER_HALF else 0
             gene = int(rng.integers(lo, m))
             self._target_gene[var.index] = gene
             if var.is_continuous:
-                self._target_value[var.index] = state.representative(var.index, gene)
+                self._target_value[var.index] = values[gene]
             elif var.name not in _ORDINAL:
                 offsets = rng.uniform(0.15, 0.6, size=m)
                 offsets[gene] = 0.0
@@ -150,7 +158,7 @@ class SurrogateEvaluator:
         level = (math.log(params) - _LOG_P_LO) / (_LOG_P_HI - _LOG_P_LO)
         level = min(max(level, 0.0), 1.0)
         f1 = self.mismatch(decoded) + CAPACITY_WEIGHT * (1.0 - level)
-        return Evaluation(key=canonical_key(decoded), f1=f1, f2=float(params),
+        return Evaluation(key=decoded.key, f1=f1, f2=float(params),
                           wall_time=time.perf_counter() - start)
 
 
@@ -200,7 +208,7 @@ class WorkerClient:
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
         self.calls += 1
-        key = canonical_key(decoded)
+        key = decoded.key
         req_id = self._next_id
         self._next_id += 1
         start = time.perf_counter()
@@ -277,7 +285,7 @@ class WorkerPool:
         def dispatch(decoded: DecodedConfig) -> Evaluation:
             client = idle.get()
             try:
-                return client(decoded)
+                return evaluate_safely(client, decoded)
             finally:
                 idle.put(client)
 

@@ -7,6 +7,8 @@ reference front, the distance to the nearest obtained point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 EPS = 1e-8
@@ -19,17 +21,26 @@ def _points(a) -> np.ndarray:
     return arr
 
 
-def dominance_matrix(points) -> np.ndarray:
-    """Boolean matrix whose ``[i, j]`` is True when point i dominates point j."""
+def front_ranks(points) -> np.ndarray:
+    """0-based non-domination rank of every point; equal points share a rank.
+
+    One sweep in lexicographic (f1, f2) order (Jensen, IEEE TEVC 7(5), 2003).
+    Each front keeps the key (lowest f2, f1 of the first member to reach it),
+    which sorts below a later point's (f2, f1) exactly when the front
+    dominates it. Keys rise front by front, so bisection finds the point's.
+    """
     pts = _points(points)
-    leq = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
-    lt = (pts[:, None, :] < pts[None, :, :]).any(axis=2)
-    return leq & lt
+    xs, ranks, keys = pts.tolist(), [0] * len(pts), []
+    for i in np.lexsort((pts[:, 1], pts[:, 0])).tolist():
+        key = (xs[i][1], xs[i][0])
+        rank = ranks[i] = bisect_left(keys, key)
+        keys[rank:rank + 1] = [key]         # a new front, or its new key
+    return np.array(ranks, dtype=np.int64)
 
 
 def nondominated_mask(points) -> np.ndarray:
     """Boolean mask of points not strictly dominated by any other point."""
-    return ~dominance_matrix(points).any(axis=0)
+    return front_ranks(points) == 0
 
 
 def igd(obtained, reference) -> float:
@@ -38,8 +49,10 @@ def igd(obtained, reference) -> float:
     ref = _points(reference)
     if len(a) == 0 or len(ref) == 0:
         raise ValueError("point sets must be non-empty")
-    d = np.sqrt(((ref[:, None, :] - a[None, :, :]) ** 2).sum(axis=2))
-    return float(d.min(axis=1).mean())
+    dx = ref[:, 0, None] - a[None, :, 0]
+    dy = ref[:, 1, None] - a[None, :, 1]
+    # sqrt is monotone and correctly rounded: one root after the min, same bits
+    return float(np.sqrt((dx * dx + dy * dy).min(axis=1)).mean())
 
 
 def hv(obtained, reference_point) -> float:

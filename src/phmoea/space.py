@@ -19,7 +19,9 @@ import hashlib
 import json
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +121,18 @@ class ConfigSpace:
     def continuous_indices(self) -> tuple[int, ...]:
         return tuple(v.index for v in self.variables if v.is_continuous)
 
+    @cached_property
+    def gates(self) -> tuple[tuple[int, int, tuple[bool, ...]], ...]:
+        """``(pos, parent_pos, activates)`` per conditional dimension, in order,
+        where ``activates[c]`` says whether parent candidate ``c`` activates it."""
+        out = []
+        for pos, var in enumerate(self.variables):
+            if var.parent is not None:
+                pidx, values = var.parent
+                out.append((pos, pidx - 1,
+                            tuple(c in values for c in self.variable(pidx).candidates)))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class Genotype:
@@ -146,6 +160,14 @@ class DecodedConfig:
     values: tuple
     active: tuple[bool, ...]
     ids: tuple[int, ...]
+
+    @cached_property
+    def key(self) -> int:
+        """The ``canonical_key``, computed once."""
+        fields = [x for i, (on, g) in enumerate(zip(self.active, self.ids), 1)
+                  if on for x in (i, g)]
+        payload = struct.pack("<" + "hi" * (len(fields) // 2), *fields)
+        return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
     def as_dict(self, space: ConfigSpace) -> dict:
         """Name -> value mapping over active dimensions only."""
@@ -182,6 +204,23 @@ def _from_scale(value, scale: str):
     return np.exp(value) if scale == "log" else value
 
 
+def nearest_index(points: list[float], value: float) -> int:
+    """Index of the sorted ``points`` entry closest to ``value``.
+
+    Equals ``int(np.argmin(np.abs(np.array(points) - value)))``: rounded
+    distances fall up to ``value`` and rise after it, so the minimum is at a
+    neighbour of ``value``; on the left, runs of points closer together than
+    ulp(value) tie, and the walk goes back to the run's first index.
+    """
+    j = bisect_left(points, value)
+    if j == len(points) or (j > 0 and value - points[j - 1] <= points[j] - value):
+        best = value - points[j - 1]
+        j -= 1
+        while j > 0 and value - points[j - 1] == best:
+            j -= 1
+    return j
+
+
 class RefinementState:
     """Per-dimension interval partitions plus persistence counters.
 
@@ -189,6 +228,10 @@ class RefinementState:
     uniform in the dimension's scale space initially. An interval whose share
     of the current non-dominated front exceeds ``mass_threshold`` for
     ``persistence`` consecutive updates is split at its scale-space midpoint.
+
+    Tables by 0-based position, rebuilt when a partition changes: ``counts``
+    (candidates or bins), ``values`` (candidates, or representatives in raw
+    units) and ``grids`` (scale-space ``(lo, hi, midpoints)``, None if discrete).
     """
 
     def __init__(self, space: ConfigSpace, initial_bins: int = 6,
@@ -196,6 +239,9 @@ class RefinementState:
         self.space = space
         self.mass_threshold = mass_threshold
         self.persistence = persistence
+        self.counts = [len(var.candidates) for var in space.variables]
+        self.values: list = [var.candidates for var in space.variables]
+        self.grids: list = [None] * len(space)
         # breakpoints and midpoints are in scale space; endpoints pin the range
         self._pts: dict[int, np.ndarray] = {}
         self._mids: dict[int, np.ndarray] = {}
@@ -208,8 +254,13 @@ class RefinementState:
             self.counters[idx] = np.zeros(initial_bins, dtype=np.int64)
 
     def _set_points(self, index: int, pts: np.ndarray) -> None:
-        self._pts[index] = pts
-        self._mids[index] = 0.5 * (pts[:-1] + pts[1:])
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        self._pts[index], self._mids[index] = pts, mids
+        pos, scale = index - 1, self.space.variable(index).scale
+        grid = mids.tolist()
+        self.counts[pos] = len(grid)
+        self.values[pos] = grid if scale == "linear" else _from_scale(mids, scale).tolist()
+        self.grids[pos] = (float(pts[0]), float(pts[-1]), grid)
 
     def breakpoints(self, index: int) -> np.ndarray:
         """Breakpoints of a dimension in its raw units."""
@@ -219,32 +270,17 @@ class RefinementState:
     def bin_count(self, index: int) -> int:
         return len(self._pts[index]) - 1
 
-    def choice_count(self, var: VariableSpec) -> int:
-        if var.is_continuous:
-            return self.bin_count(var.index)
-        return len(var.candidates)
-
-    def scale_grid(self, index: int) -> tuple[float, float, np.ndarray]:
-        """Scale-space bounds and interval midpoints of a dimension."""
-        pts = self._pts[index]
-        return float(pts[0]), float(pts[-1]), self._mids[index]
-
     def representatives(self, index: int) -> np.ndarray:
         """Midpoint value of every interval, in the dimension's raw units."""
-        var = self.space.variable(index)
-        _, _, reps = self.scale_grid(index)
-        return _from_scale(reps, var.scale)
+        return np.array(self.values[index - 1])
 
     def representative(self, index: int, k: int) -> float:
-        var = self.space.variable(index)
-        _, _, reps = self.scale_grid(index)
-        return float(_from_scale(reps[k], var.scale))
+        return self.values[index - 1][k]
 
     def nearest_bin(self, index: int, value: float) -> int:
         """Bin whose representative is closest in scale space."""
         var = self.space.variable(index)
-        _, _, reps = self.scale_grid(index)
-        return int(np.argmin(np.abs(reps - _to_scale(value, var.scale))))
+        return nearest_index(self.grids[index - 1][2], float(_to_scale(value, var.scale)))
 
     def update(self, front: list[tuple[int, ...]]) -> None:
         """Accumulate the bin masses of a non-dominated front's repaired genes.
@@ -299,17 +335,10 @@ def split_renumbering(genes: np.ndarray, split: np.ndarray) -> np.ndarray:
 
 def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:
     """Activity bit per dimension, resolved in dependency (index) order."""
-    active = []
-    for i, var in enumerate(space.variables):
-        if var.parent is None:
-            active.append(True)
-            continue
-        pidx, values = var.parent
-        parent = space.variable(pidx)
-        pgene = genes[pidx - 1]
-        ok = (active[pidx - 1] and 0 <= pgene < len(parent.candidates)
-              and parent.candidates[pgene] in values)
-        active.append(ok)
+    active = [True] * len(space)
+    for pos, ppos, activates in space.gates:
+        g = genes[ppos]
+        active[pos] = active[ppos] and 0 <= g < len(activates) and activates[g]
     return tuple(active)
 
 
@@ -321,17 +350,12 @@ def decode(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> De
     Those decode to None; active continuous dimensions map their bin index to
     the current partition's representative value.
     """
-    values = []
-    for var, gene in zip(space.variables, genotype.genes):
-        if gene == PLACEHOLDER:
-            values.append(None)
-        elif var.is_continuous:
-            values.append(state.representative(var.index, gene))
-        else:
-            values.append(var.candidates[gene])
-    return DecodedConfig(values=tuple(values),
-                         active=tuple(g != PLACEHOLDER for g in genotype.genes),
-                         ids=genotype.genes)
+    genes = genotype.genes
+    return DecodedConfig(
+        values=tuple(None if g == PLACEHOLDER else values[g]
+                     for g, values in zip(genes, state.values)),
+        active=tuple(g != PLACEHOLDER for g in genes),
+        ids=genes)
 
 
 def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Genotype:
@@ -343,27 +367,12 @@ def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Ge
     Repair is total and idempotent; the placeholder marks exactly the
     inactive dimensions.
     """
-    genes = list(genotype.genes)
-    frozen = list(genotype.frozen)
-    for i, var in enumerate(space.variables):
-        hi = state.choice_count(var) - 1
-        if genes[i] != PLACEHOLDER:
-            genes[i] = min(max(genes[i], 0), hi)
-        frozen[i] = min(max(frozen[i], 0), hi)
-    # children of a re-activated parent see the gene it restores
-    mask = activity([f if g == PLACEHOLDER else g
-                     for g, f in zip(genes, frozen)], space)
-    for i, on in enumerate(mask):
-        if on:
-            if genes[i] == PLACEHOLDER:
-                genes[i] = frozen[i]
-            else:
-                frozen[i] = genes[i]
-        else:
-            if genes[i] != PLACEHOLDER:
-                frozen[i] = genes[i]
-                genes[i] = PLACEHOLDER
-    return Genotype(genes=tuple(genes), frozen=tuple(frozen))
+    # a placeholder restores the cached gene; the cache holds what is kept
+    kept = [min(max(f if g == PLACEHOLDER else g, 0), n - 1)
+            for g, f, n in zip(genotype.genes, genotype.frozen, state.counts)]
+    mask = activity(kept, space)
+    return Genotype(genes=tuple(g if on else PLACEHOLDER for g, on in zip(kept, mask)),
+                    frozen=tuple(kept))
 
 
 def fresh_genotype(space: ConfigSpace, genes: list[int]) -> Genotype:
@@ -373,7 +382,7 @@ def fresh_genotype(space: ConfigSpace, genes: list[int]) -> Genotype:
 
 def sample_random(space: ConfigSpace, state: RefinementState, rng: np.random.Generator) -> Genotype:
     """Uniform gene per dimension over the current candidates/bins, repaired."""
-    genes = [int(rng.integers(state.choice_count(var))) for var in space.variables]
+    genes = [int(rng.integers(n)) for n in state.counts]
     return repair(fresh_genotype(space, genes), space, state)
 
 
@@ -381,16 +390,11 @@ def canonical_key(decoded: DecodedConfig) -> int:
     """64-bit key of the active part of a decoded configuration.
 
     The serialization is the ordered (dimension, gene-id) sequence over active
-    dimensions, so genotypes that differ only in masked dimensions collide by
-    construction and everything else separates with overwhelming probability.
+    dimensions (little-endian int16/int32 pairs), so genotypes that differ
+    only in masked dimensions collide by construction and everything else
+    separates with overwhelming probability. Cached as ``decoded.key``.
     """
-    payload = b"".join(
-        struct.pack("<hi", i + 1, decoded.ids[i])
-        for i in range(len(decoded.active))
-        if decoded.active[i]
-    )
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return decoded.key
 
 
 class DedupRegistry:

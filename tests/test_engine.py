@@ -62,6 +62,14 @@ class TestNdSort:
         fronts = nd_sort_and_crowd(pop)
         assert len(fronts) == 1
 
+    def test_fronts_list_members_in_population_order(self):
+        pop = individuals(np.random.default_rng(0).integers(0, 5, (60, 2)))
+        fronts = nd_sort_and_crowd(pop)
+        assert sum(map(len, fronts)) == len(pop) and all(fronts)
+        for rank, front in enumerate(fronts):
+            assert [id(ind) for ind in front] == \
+                [id(ind) for ind in pop if ind.rank == rank]
+
 
 class TestNormalization:
     def test_three_values(self):
@@ -223,9 +231,10 @@ class TestArchives:
         assert any(state.bin_count(idx) > run.params.initial_bins
                    for idx in run.space.continuous_indices())
         for pos, var in enumerate(run.space.variables):
-            assert len(arch.heat[pos]) == len(arch.count[pos]) == state.choice_count(var)
+            assert len(arch.heat[pos]) == len(arch.count[pos]) == state.counts[pos]
             if var.is_continuous:
-                assert len(state.counters[var.index]) == state.bin_count(var.index)
+                assert len(state.counters[var.index]) == state.bin_count(var.index) \
+                    == state.counts[pos]
             # a split divides its bin's count between the two children
             assert arch.count[pos].sum() == accumulated[pos]
 
@@ -630,6 +639,24 @@ class TestRuns:
         assert res.skipped_errors > 0
         assert res.fes == calls["n"]
         assert len(res.population) <= 12
+
+    @pytest.mark.parametrize("runner", [run_phmoea, run_nsga2])
+    def test_raising_evaluator_fails_only_its_candidate(self, runner):
+        params = SearchParams.benchmark()
+        baseline = runner(bench_problem(n=4), 12, 6, params=params, seed=9)
+        problem = bench_problem(n=4)
+        inner, bad = problem.evaluator, baseline.evaluated_keys[30]
+
+        def raising(decoded):
+            if decoded.key == bad:
+                raise ValueError("no such layer")
+            return inner(decoded)
+
+        problem.evaluator = raising
+        res = runner(problem, 12, 6, params=params, seed=9)
+        assert res.skipped_errors == 1
+        assert res.fes == baseline.fes
+        assert res.evaluated_keys[:31] == baseline.evaluated_keys[:31]
 
     def test_nsga2_within_three_x_of_phmoea(self):
         problem_a = bench_problem("hdtlz2", n=6)

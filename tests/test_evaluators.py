@@ -203,6 +203,26 @@ class TestWorkerProtocol:
         finally:
             pool.close()
 
+    def test_pool_exception_fails_only_its_candidate(self):
+        state = RefinementState(SPACE)
+        rng = np.random.default_rng(3)
+        batch = [decode(sample_random(SPACE, state, rng), SPACE, state)
+                 for _ in range(6)]
+        bad = batch[2].key
+
+        class Client:
+            def __call__(self, decoded):
+                if decoded.key == bad:
+                    raise ValueError("no such layer")
+                return Evaluation(key=decoded.key, f1=1.0, f2=2.0)
+
+            def close(self):
+                pass
+
+        results = WorkerPool([Client(), Client()]).evaluate_many(batch)
+        assert [r.ok for r in results] == [True, True, False, True, True, True]
+        assert (results[2].key, results[2].message) == (bad, "no such layer")
+
     def test_pool_hands_each_candidate_to_a_free_worker(self):
         # the slow worker is busy with its first request while the fast one
         # serves the rest; static striping would give each worker three

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from phmoea.metrics import (LOSS_KINDS, forecast_metrics, hv, igd, loss,
-                            merged_reference_front, nondominated_mask)
+from phmoea.metrics import (LOSS_KINDS, forecast_metrics, front_ranks, hv,
+                            igd, loss, merged_reference_front,
+                            nondominated_mask)
 
 
 def monte_carlo_hv(points, reference, n_samples, seed):
@@ -46,6 +47,54 @@ class TestIgd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             igd(np.empty((0, 2)), [(0.0, 0.0)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_root_per_pair_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((int(rng.integers(1, 60)), 2)) * 10.0 ** rng.integers(-3, 3)
+        ref = rng.random((int(rng.integers(1, 300)), 2))
+        d = np.sqrt(((ref[:, None, :] - a[None, :, :]) ** 2).sum(axis=2))
+        assert igd(a, ref) == float(d.min(axis=1).mean())
+
+
+# ---------------------------------------------------------------------------
+# Non-domination ranks
+# ---------------------------------------------------------------------------
+
+def peeled_ranks(points):
+    """Ranks by repeatedly removing the points no remaining point dominates."""
+    pts = [tuple(p) for p in np.asarray(points, dtype=float).tolist()]
+    ranks = [None] * len(pts)
+    rank = 0
+    while None in ranks:
+        left = [i for i, r in enumerate(ranks) if r is None]
+        front = [i for i in left
+                 if not any(pts[j][0] <= pts[i][0] and pts[j][1] <= pts[i][1]
+                            and pts[j] != pts[i] for j in left)]
+        for i in front:
+            ranks[i] = rank
+        rank += 1
+    return ranks
+
+
+class TestFrontRanks:
+    def test_hand_example(self):
+        pts = [(1, 1), (0, 2), (2, 0), (2, 2), (1, 1), (0, 3), (3, 3)]
+        assert front_ranks(pts).tolist() == [0, 0, 0, 1, 0, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_peeling_on_ties_and_duplicates(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        if seed % 2:    # integer grid: many shared coordinates and equal points
+            pts = rng.integers(0, int(rng.integers(2, 8)), (n, 2)).astype(float)
+        else:
+            pts = rng.random((n, 2))
+            pts[rng.random(n) < 0.2] = pts[0]
+            pts[rng.random(n) < 0.2, 0] = pts[-1, 0]
+        assert front_ranks(pts).tolist() == peeled_ranks(pts)
+        assert nondominated_mask(pts).tolist() == \
+            [r == 0 for r in peeled_ranks(pts)]
 
 
 # ---------------------------------------------------------------------------

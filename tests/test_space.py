@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from phmoea.space import (COND_DISCRETE, CONTINUOUS, DISCRETE, ConfigSpace,
-                          DedupRegistry, Genotype, PLACEHOLDER,
+from phmoea.space import (COND_CONTINUOUS, COND_DISCRETE, CONTINUOUS, DISCRETE,
+                          ConfigSpace, DedupRegistry, Genotype, PLACEHOLDER,
                           RefinementState, VariableSpec, activity, bin_value,
                           builtin_space, canonical_key, decode, dump_space,
-                          fresh_genotype, load_space, repair, sample_random,
-                          space_from_json, space_to_json, split_renumbering)
+                          fresh_genotype, load_space, nearest_index, repair,
+                          sample_random, space_from_json, space_to_json,
+                          split_renumbering)
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +396,92 @@ class TestRefinement:
             [5, PLACEHOLDER, 3, 6, 7, 5]
 
 
+    def test_tables_grow_with_the_bins(self):
+        space = ConfigSpace(variables=(
+            VariableSpec(1, "gate", DISCRETE, candidates=("off", "on")),
+            VariableSpec(2, "z", COND_CONTINUOUS, bounds=(0.0, 1.0),
+                         parent=(1, ("on",))),
+            VariableSpec(3, "b", DISCRETE, candidates=("x", "y")),
+        ))
+        state = make_state(space, persistence=1)
+        for _ in range(5):              # halve bin 0 of dimension 2 again and again
+            state.counters[2][0] = 1
+            state.refine()
+        n = state.bin_count(2)
+        assert n == 11
+        assert state.counts == [2, n, 2]
+        assert state.values[1] == state.representatives(2).tolist()
+        lo, hi, mids = state.grids[1]
+        assert (lo, hi, len(mids)) == (0.0, 1.0, n)
+        # a gene in a new bin, out of range before the splits, now survives
+        g = repair(Genotype((1, n - 1, 1), (1, n - 1, 1)), space, state)
+        assert g.genes == (1, n - 1, 1)
+        assert decode(g, space, state).values[1] == state.representative(2, n - 1)
+        assert repair(Genotype((1, n + 3, 1), (0, 0, 0)), space, state).genes[1] == n - 1
+        rng = np.random.default_rng(0)
+        drawn = {sample_random(space, state, rng).frozen[1] for _ in range(400)}
+        assert drawn == set(range(n))
+
+
+def argmin_reference(points, value):
+    return int(np.argmin(np.abs(np.array(points) - value)))
+
+
+class TestNearestIndex:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_argmin_on_random_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        points = np.sort(rng.random(int(rng.integers(1, 50)))).tolist()
+        for value in rng.uniform(-0.1, 1.1, 200).tolist() + points:
+            assert nearest_index(points, value) == argmin_reference(points, value)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_argmin_on_runs_narrower_than_ulp(self, seed):
+        # runs of equal points, of adjacent floats, and a cluster near 0 far
+        # narrower than ulp(value) of the queries: the rounded distances tie
+        # over whole runs, and the lowest index of the tie must win
+        rng = np.random.default_rng(seed)
+        points = (np.sort(rng.random(30)) * 1e-20).tolist()
+        for c in rng.uniform(0.0, 1.0, 4).tolist():
+            run = [c]
+            for _ in range(int(rng.integers(1, 40))):
+                step = rng.random() < 0.7
+                run.append(float(np.nextafter(run[-1], 2.0)) if step else run[-1])
+            points += run
+        points.sort()
+        ulps = [float(np.nextafter(p, d)) for p in points for d in (-1.0, 2.0)]
+        queries = points + ulps + rng.uniform(0.0, 1.0, 300).tolist()
+        ties = 0
+        for value in queries:
+            d = np.abs(np.array(points) - value)
+            ties += int((d == d.min()).sum() > 1)
+            assert nearest_index(points, value) == argmin_reference(points, value)
+        assert ties > 0
+
+    def test_matches_argmin_on_refined_bins(self, space):
+        # split the bin holding 0.3 until refinement refuses: one-ulp bins
+        # whose midpoints round onto their breakpoints
+        state = make_state(space, persistence=1)
+        while True:
+            k = int(np.searchsorted(state.breakpoints(13), 0.3, side="right")) - 1
+            state.counters[13][k] = 1
+            if not state.refine():
+                break
+        lo, hi, mids = state.grids[12]
+        near = [m for m in mids if abs(m - 0.3) < 1e-15]
+        assert len(near) > 5
+        queries = near + [float(np.nextafter(m, d)) for m in near for d in (-1.0, 2.0)] + \
+            [0.0, 0.3, 0.5, 1e-300] + np.random.default_rng(1).uniform(0, 0.5, 100).tolist()
+        for value in queries:
+            assert nearest_index(mids, value) == argmin_reference(mids, value)
+            assert state.nearest_bin(13, value) == argmin_reference(mids, value)
+
+    def test_ties_go_to_the_lower_index(self):
+        assert nearest_index([0.0, 1.0], 0.5) == 0
+        assert nearest_index([0.0, 1.0, 1.0, 2.0], 1.0) == 1
+        assert nearest_index([1e-20, 2e-20, 3e-20], 0.5) == 0
+
+
 # ---------------------------------------------------------------------------
 # Random sampling
 # ---------------------------------------------------------------------------
@@ -409,7 +496,7 @@ class TestSampleRandom:
                 if gene == PLACEHOLDER:
                     assert var.is_conditional
                 else:
-                    assert 0 <= gene < state.choice_count(var)
+                    assert 0 <= gene < state.counts[var.index - 1]
 
     def test_deterministic_for_seed(self, space):
         state = make_state(space)
