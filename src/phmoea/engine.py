@@ -16,13 +16,14 @@ index.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import metrics
-from .evaluators import Evaluation, evaluate_safely
+from .evaluators import Evaluation, evaluate_safely, failed_evaluation
 from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                     PLACEHOLDER, RefinementState, canonical_key, decode,
                     fresh_genotype, nearest_index, repair, sample_random,
@@ -170,25 +171,25 @@ def nd_sort_and_crowd(pop: list[Individual]) -> list[list[Individual]]:
 
 
 def _crowding(front: list[Individual]) -> None:
-    for ind in front:
-        ind.crowding = 0.0
-    n = len(front)
-    if n <= 2:
-        for ind in front:
-            ind.crowding = math.inf
+    """Crowding distance within one front (Deb et al., IEEE TEVC 6(2), 2002).
+
+    Per objective the members sort by value, ties in list order; the two
+    boundaries get ``inf`` and every other member adds the gap between its
+    neighbours over the span (nothing if the span is 0), f1 before f2. Plain
+    lists: fronts are mostly a few members, where numpy calls cost more.
+    """
+    if not front:
         return
-    for attr in ("f1", "f2"):
-        values = np.array([getattr(ind, attr) for ind in front])
-        order = np.argsort(values, kind="stable")
-        front[order[0]].crowding = math.inf
-        front[order[-1]].crowding = math.inf
+    crowding = [0.0] * len(front)
+    for values in ([ind.f1 for ind in front], [ind.f2 for ind in front]):
+        order = sorted(range(len(front)), key=values.__getitem__)
         span = values[order[-1]] - values[order[0]]
-        if span <= 0:
-            continue
-        for j in range(1, n - 1):
-            ind = front[order[j]]
-            if not math.isinf(ind.crowding):
-                ind.crowding += (values[order[j + 1]] - values[order[j - 1]]) / span
+        if span > 0:
+            for prev, j, nxt in zip(order, order[1:], order[2:]):
+                crowding[j] += (values[nxt] - values[prev]) / span
+        crowding[order[0]] = crowding[order[-1]] = math.inf
+    for ind, c in zip(front, crowding):
+        ind.crowding = c
 
 
 def normalize_generation(pop: list[Individual]) -> None:
@@ -301,13 +302,13 @@ class Partition:
     def non_hot(self) -> tuple[int, ...]:
         return tuple(sorted(self.normal + self.cold))
 
-    def non_hot_cdf(self, cold_bonus: float) -> np.ndarray:
+    def non_hot_cdf(self, cold_bonus: float) -> list[float]:
         """CDF of the cold-bonus weights over ``non_hot``, as ``Generator.choice``
         builds it from ``p``: normalise, cumsum, divide by the last element."""
         if cold_bonus not in self._cdfs:
             weights = np.where(np.isin(self.non_hot, self.cold), cold_bonus, 1.0)
             cdf = (weights / weights.sum()).cumsum()
-            self._cdfs[cold_bonus] = cdf / cdf[-1]
+            self._cdfs[cold_bonus] = (cdf / cdf[-1]).tolist()
         return self._cdfs[cold_bonus]
 
 
@@ -344,8 +345,7 @@ def sample_candidate(partition: Partition, pool: str, n_candidates: int,
     members = partition.non_hot
     if not members:
         return int(rng.integers(n_candidates))
-    cdf = partition.non_hot_cdf(cold_bonus)
-    return int(members[cdf.searchsorted(rng.random(), side="right")])
+    return members[bisect_right(partition.non_hot_cdf(cold_bonus), rng.random())]
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +450,7 @@ class _Run:
         self.archives = PlayerArchives(self.state.counts)
         self.monitor = EarlyStopMonitor(params)
         self.dims = len(self.space)
+        self.continuous = [v.index - 1 for v in self.space.variables if v.is_continuous]
         self.max_mutated = min(params.max_mutated, self.dims)
         self.fes = 0
         self.evaluated_keys: list[int] = []
@@ -463,7 +464,10 @@ class _Run:
         decoded = [dec for _, dec, _ in batch]
         evaluator = self.problem.evaluator
         if hasattr(evaluator, "evaluate_many"):
-            evaluations = evaluator.evaluate_many(decoded)
+            try:
+                evaluations = evaluator.evaluate_many(decoded)
+            except Exception as exc:    # no candidate can be blamed: the batch fails
+                evaluations = [failed_evaluation(dec, exc) for dec in decoded]
         else:
             evaluations = [evaluate_safely(evaluator, dec) for dec in decoded]
         out = []
@@ -480,9 +484,8 @@ class _Run:
 
     # -- offspring construction ---------------------------------------------
 
-    def _tournament(self) -> Individual:
-        i, j = self.rng.integers(len(self.population), size=2)
-        a, b = self.population[int(i)], self.population[int(j)]
+    @staticmethod
+    def _tournament(a: Individual, b: Individual) -> Individual:
         if a.rank != b.rank:
             return a if a.rank < b.rank else b
         if a.crowding != b.crowding:
@@ -490,32 +493,37 @@ class _Run:
         return a
 
     def _sbx_child(self, p1: Genotype, p2: Genotype) -> Genotype:
-        """One child from SBX on continuous dims plus uniform discrete swaps."""
+        """One child from SBX on continuous dims plus uniform discrete swaps.
+
+        After the crossover draw one batch holds, in order, ``u`` and the side
+        per SBX dimension and one swap draw per other dimension.
+        """
         params = self.params
         if self.rng.random() >= params.crossover_prob:
             return p1
-        child_genes = list(p1.genes)
+        genes1, genes2 = p1.genes, p2.genes
+        n_sbx = len([i for i in self.continuous if genes1[i] != PLACEHOLDER != genes2[i]])
+        draw = iter(self.rng.random(self.dims + n_sbx).tolist()).__next__
+        power = 1.0 / (params.sbx_eta + 1.0)
+        child_genes = list(genes1)
         child_frozen = list(p1.frozen)
-        for i, grid in enumerate(self.state.grids):
-            g1, g2 = p1.genes[i], p2.genes[i]
-            if grid is not None and g1 != PLACEHOLDER and g2 != PLACEHOLDER:
+        for i, (grid, g1, g2) in enumerate(zip(self.state.grids, genes1, genes2)):
+            if grid is not None and g1 != PLACEHOLDER != g2:
                 lo, hi, mids = grid
                 v1, v2 = mids[g1], mids[g2]
-                u = self.rng.random()
+                u = draw()
                 if u <= 0.5:
-                    beta = (2.0 * u) ** (1.0 / (params.sbx_eta + 1.0))
+                    beta = (2.0 * u) ** power
                 else:
-                    beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (params.sbx_eta + 1.0))
+                    beta = (1.0 / (2.0 * (1.0 - u))) ** power
                 c1 = 0.5 * ((1.0 + beta) * v1 + (1.0 - beta) * v2)
                 c2 = 0.5 * ((1.0 - beta) * v1 + (1.0 + beta) * v2)
-                value = c1 if self.rng.random() < 0.5 else c2
-                value = min(max(value, lo), hi)
-                child_genes[i] = nearest_index(mids, value)
-                child_frozen[i] = child_genes[i]
-            else:
-                if self.rng.random() < 0.5:
-                    child_genes[i] = g2
-                    child_frozen[i] = p2.frozen[i]
+                value = c1 if draw() < 0.5 else c2
+                value = lo if value < lo else hi if value > hi else value
+                child_genes[i] = child_frozen[i] = nearest_index(mids, value)
+            elif draw() < 0.5:
+                child_genes[i] = g2
+                child_frozen[i] = p2.frozen[i]
         return Genotype(genes=tuple(child_genes), frozen=tuple(child_frozen))
 
     def _mutate(self, genotype: Genotype) -> Genotype:
@@ -559,24 +567,35 @@ class _Run:
         return nearest_index(mids, value)
 
     def _variation_child(self) -> Genotype:
-        p1 = self._tournament()
-        p2 = self._tournament()
+        pop = self.population
+        i, j, k, m = self.rng.integers(len(pop), size=4).tolist()
+        p1 = self._tournament(pop[i], pop[j])
+        p2 = self._tournament(pop[k], pop[m])
         child = self._sbx_child(p1.genotype, p2.genotype)
         return self._mutate(child)
 
     def _assemble_child(self, partitions: dict[int, Partition], pool: str) -> Genotype:
+        """One gene per dimension from ``pool``, then cross-pool swaps. The first
+        pass draws once for all dimensions what ``sample_candidate`` draws per one."""
         params = self.params
         counts = self.state.counts
-        genes = [sample_candidate(partitions[i + 1], pool, n, params.cold_bonus, self.rng)
-                 for i, n in enumerate(counts)]
+        parts = [partitions[i + 1] for i in range(self.dims)]
+        if pool == "hot":
+            picks = self.rng.integers(0, [len(p.hot) or n for p, n in zip(parts, counts)])
+            genes = [p.hot[k] if p.hot else k for p, k in zip(parts, picks.tolist())]
+        elif all(p.non_hot for p in parts):
+            genes = [p.non_hot[bisect_right(p.non_hot_cdf(params.cold_bonus), u)]
+                     for p, u in zip(parts, self.rng.random(self.dims).tolist())]
+        else:
+            genes = [sample_candidate(p, pool, n, params.cold_bonus, self.rng)
+                     for p, n in zip(parts, counts)]
         opposite = "nh" if pool == "hot" else "hot"
         changed = 0
         for i, n in enumerate(counts):
             if changed >= self.max_mutated:
                 break
             if self.rng.random() < params.cross_pool_rate:
-                new = sample_candidate(partitions[i + 1], opposite, n,
-                                       params.cold_bonus, self.rng)
+                new = sample_candidate(parts[i], opposite, n, params.cold_bonus, self.rng)
                 if new != genes[i]:
                     genes[i] = new
                     changed += 1

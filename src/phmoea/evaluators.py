@@ -47,13 +47,18 @@ class Evaluation:
         return self.status == OK
 
 
+def failed_evaluation(decoded: DecodedConfig, exc: Exception) -> Evaluation:
+    """Error ``Evaluation`` of ``decoded`` carrying the exception text."""
+    return Evaluation(key=decoded.key, f1=math.nan, f2=math.nan, status=ERROR,
+                      message=str(exc))
+
+
 def evaluate_safely(evaluator, decoded: DecodedConfig) -> Evaluation:
     """``evaluator(decoded)``; an exception fails this candidate alone."""
     try:
         return evaluator(decoded)
     except Exception as exc:
-        return Evaluation(key=decoded.key, f1=math.nan, f2=math.nan, status=ERROR,
-                          message=str(exc))
+        return failed_evaluation(decoded, exc)
 
 
 class BenchmarkEvaluator:

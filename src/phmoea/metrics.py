@@ -59,21 +59,21 @@ def hv(obtained, reference_point) -> float:
     """Dominated hypervolume bounded by the reference point (2-D sweep).
 
     Points that do not strictly dominate the reference point contribute
-    nothing.
+    nothing. In (f1, f2) order a point is on the front when its f2 is below
+    every earlier one (a repeated point's strip would have zero width); the
+    strips are summed left to right.
     """
     pts = _points(obtained)
     r1, r2 = float(reference_point[0]), float(reference_point[1])
     pts = pts[(pts[:, 0] < r1) & (pts[:, 1] < r2)]
     if len(pts) == 0:
         return 0.0
-    pts = pts[nondominated_mask(pts)]
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    total = 0.0
-    for i, (f1, f2) in enumerate(pts):
-        nxt = pts[i + 1, 0] if i + 1 < len(pts) else r1
-        total += (nxt - f1) * (r2 - f2)
-    return float(total)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    f2 = pts[:, 1]
+    keep = np.append(True, f2[1:] < np.minimum.accumulate(f2)[:-1])
+    f1, f2 = pts[keep, 0], f2[keep]
+    widths = np.append(f1[1:], r1) - f1
+    return float(np.cumsum(widths * (r2 - f2))[-1])
 
 
 def merged_reference_front(point_sets) -> np.ndarray:

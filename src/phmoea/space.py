@@ -18,10 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -148,6 +150,12 @@ class Genotype:
     frozen: tuple[int, ...]
 
 
+@cache
+def _pair_struct(m: int) -> struct.Struct:
+    """Packer of ``m`` little-endian (int16 dimension, int32 gene) pairs."""
+    return struct.Struct("<" + "hi" * m)
+
+
 @dataclass(frozen=True)
 class DecodedConfig:
     """Executable configuration with an activity mask.
@@ -164,9 +172,11 @@ class DecodedConfig:
     @cached_property
     def key(self) -> int:
         """The ``canonical_key``, computed once."""
-        fields = [x for i, (on, g) in enumerate(zip(self.active, self.ids), 1)
-                  if on for x in (i, g)]
-        payload = struct.pack("<" + "hi" * (len(fields) // 2), *fields)
+        dims = list(compress(range(1, len(self.ids) + 1), self.active))
+        fields = dims * 2               # interleaved (dimension, gene) pairs
+        fields[::2] = dims
+        fields[1::2] = compress(self.ids, self.active)
+        payload = _pair_struct(len(dims)).pack(*fields)
         return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
     def as_dict(self, space: ConfigSpace) -> dict:
@@ -352,9 +362,9 @@ def decode(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> De
     """
     genes = genotype.genes
     return DecodedConfig(
-        values=tuple(None if g == PLACEHOLDER else values[g]
-                     for g, values in zip(genes, state.values)),
-        active=tuple(g != PLACEHOLDER for g in genes),
+        values=tuple([None if g == PLACEHOLDER else values[g]
+                      for g, values in zip(genes, state.values)]),
+        active=tuple(map(PLACEHOLDER.__ne__, genes)),
         ids=genes)
 
 
@@ -368,11 +378,17 @@ def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Ge
     inactive dimensions.
     """
     # a placeholder restores the cached gene; the cache holds what is kept
-    kept = [min(max(f if g == PLACEHOLDER else g, 0), n - 1)
-            for g, f, n in zip(genotype.genes, genotype.frozen, state.counts)]
-    mask = activity(kept, space)
-    return Genotype(genes=tuple(g if on else PLACEHOLDER for g, on in zip(kept, mask)),
-                    frozen=tuple(kept))
+    kept = [f if g == PLACEHOLDER else g for g, f in zip(genotype.genes, genotype.frozen)]
+    counts = state.counts
+    if min(kept, default=0) < 0 or not all(map(operator.lt, kept, counts)):
+        kept = [min(max(g, 0), n - 1) for g, n in zip(kept, counts)]
+    # gates run in index order, so a parent's placeholder is already set
+    genes = list(kept)
+    for pos, ppos, activates in space.gates:
+        g = genes[ppos]
+        if g == PLACEHOLDER or not activates[g]:
+            genes[pos] = PLACEHOLDER
+    return Genotype(genes=tuple(genes), frozen=tuple(kept))
 
 
 def fresh_genotype(space: ConfigSpace, genes: list[int]) -> Genotype:
@@ -382,7 +398,7 @@ def fresh_genotype(space: ConfigSpace, genes: list[int]) -> Genotype:
 
 def sample_random(space: ConfigSpace, state: RefinementState, rng: np.random.Generator) -> Genotype:
     """Uniform gene per dimension over the current candidates/bins, repaired."""
-    genes = [int(rng.integers(n)) for n in state.counts]
+    genes = rng.integers(0, state.counts).tolist()
     return repair(fresh_genotype(space, genes), space, state)
 
 

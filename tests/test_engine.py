@@ -7,7 +7,7 @@ import pytest
 
 from phmoea.benchmarks import HBenchProblem, reference_front
 from phmoea.engine import (EarlyStopMonitor, Individual, PlayerArchives,
-                           SearchParams, SearchProblem, compute_scores,
+                           SearchParams, SearchProblem, _crowding, compute_scores,
                            environmental_select, nd_sort_and_crowd,
                            normalize_generation, partition_players,
                            run_nsga2, run_phmoea, sample_candidate,
@@ -15,7 +15,8 @@ from phmoea.engine import (EarlyStopMonitor, Individual, PlayerArchives,
 from phmoea.evaluators import BenchmarkEvaluator, Evaluation
 from phmoea.space import (CONTINUOUS, PLACEHOLDER, ConfigSpace, DecodedConfig,
                           Genotype, RefinementState, VariableSpec,
-                          builtin_space, canonical_key, decode, sample_random)
+                          builtin_space, canonical_key, decode, fresh_genotype,
+                          sample_random)
 
 
 def individuals(points):
@@ -69,6 +70,62 @@ class TestNdSort:
         for rank, front in enumerate(fronts):
             assert [id(ind) for ind in front] == \
                 [id(ind) for ind in pop if ind.rank == rank]
+
+
+def loop_crowding(points):
+    """Crowding distances by the per-individual loop, kept as the reference."""
+    crowding = [0.0] * len(points)
+    n = len(points)
+    if n <= 2:
+        return [math.inf] * n
+    for col in (0, 1):
+        values = np.array([p[col] for p in points])
+        order = np.argsort(values, kind="stable")
+        crowding[order[0]] = math.inf
+        crowding[order[-1]] = math.inf
+        span = values[order[-1]] - values[order[0]]
+        if span <= 0:
+            continue
+        for j in range(1, n - 1):
+            if not math.isinf(crowding[order[j]]):
+                crowding[order[j]] += (values[order[j + 1]] - values[order[j - 1]]) / span
+    return crowding
+
+
+class TestCrowding:
+    def check(self, points):
+        front = individuals(points)
+        _crowding(front)
+        assert [ind.crowding for ind in front] == loop_crowding(points)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_loop_on_random_fronts(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3, 4, 7, 40):
+            pts = rng.random((n, 2))
+            if seed % 3 == 1:           # ties and repeated points
+                pts = rng.integers(0, 4, (n, 2)) / 4.0
+            self.check(pts.tolist())
+
+    @pytest.mark.parametrize("col", [0, 1])
+    def test_zero_span_in_one_objective(self, col):
+        rng = np.random.default_rng(col)
+        for n in (3, 5, 20):
+            pts = rng.random((n, 2))
+            pts[:, col] = 0.25
+            self.check(pts.tolist())
+
+    def test_all_points_equal(self):
+        self.check([[0.5, 0.5]] * 5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_front_matches_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 6, (80, 2)) / 6.0 if seed % 2 else rng.random((80, 2))
+        pop = individuals(pts)
+        for front in nd_sort_and_crowd(pop):
+            assert [ind.crowding for ind in front] == \
+                loop_crowding([[ind.f1, ind.f2] for ind in front])
 
 
 class TestNormalization:
@@ -339,6 +396,102 @@ def engine_for(problem, pop_size=10, generations=10, params=None, seed=0,
     return run
 
 
+class TestDrawBatching:
+    """The numpy identities the batched draws of the variation operators rest on.
+
+    Each case interleaves other draws, so a numpy whose batched and scalar
+    draws part ways fails here, not as a silent change of seeded output.
+    """
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_four_indices_equal_two_pairs(self, seed):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        # rejections of large bounds leave a 32-bit half buffered across calls
+        for n in (2, 3, 7, 100, 2**31 + 1, 3 * 2**30) * 4:
+            got = batched.integers(n, size=4).tolist() + [batched.random()]
+            want = (scalar.integers(n, size=2).tolist() + scalar.integers(n, size=2).tolist()
+                    + [scalar.random()])
+            assert got == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_per_bound_array_equals_scalar_calls(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            bounds = rng.integers(1, 9, rng.integers(1, 30)).tolist()
+            bounds[::4] = [1] * len(bounds[::4])     # a bound of 1 draws nothing
+            got = batched.integers(0, bounds).tolist() + [batched.random()]
+            want = [int(scalar.integers(b)) for b in bounds] + [scalar.random()]
+            assert got == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_uniform_batch_equals_scalar_calls(self, seed):
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (1, 2, 13, 40):
+            got = [int(batched.integers(5))] + batched.random(k).tolist()
+            want = [int(scalar.integers(5))] + [scalar.random() for _ in range(k)]
+            assert got == want
+
+
+def per_draw_variation_child(run, rng):
+    """Tournaments, SBX and mutation with one RNG call per draw: the reference."""
+    def tournament():
+        i, j = rng.integers(len(run.population), size=2)
+        a, b = run.population[int(i)], run.population[int(j)]
+        if a.rank != b.rank:
+            return a if a.rank < b.rank else b
+        if a.crowding != b.crowding:
+            return a if a.crowding > b.crowding else b
+        return a
+
+    p1, p2 = tournament().genotype, tournament().genotype
+    params = run.params
+    if rng.random() >= params.crossover_prob:
+        child = p1
+    else:
+        genes, frozen = list(p1.genes), list(p1.frozen)
+        for i, grid in enumerate(run.state.grids):
+            g1, g2 = p1.genes[i], p2.genes[i]
+            if grid is not None and g1 != PLACEHOLDER and g2 != PLACEHOLDER:
+                lo, hi, mids = grid
+                v1, v2 = mids[g1], mids[g2]
+                u = rng.random()
+                if u <= 0.5:
+                    beta = (2.0 * u) ** (1.0 / (params.sbx_eta + 1.0))
+                else:
+                    beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (params.sbx_eta + 1.0))
+                c1 = 0.5 * ((1.0 + beta) * v1 + (1.0 - beta) * v2)
+                c2 = 0.5 * ((1.0 - beta) * v1 + (1.0 + beta) * v2)
+                value = min(max(c1 if rng.random() < 0.5 else c2, lo), hi)
+                genes[i] = frozen[i] = int(np.argmin(np.abs(np.array(mids) - value)))
+            elif rng.random() < 0.5:
+                genes[i], frozen[i] = g2, p2.frozen[i]
+        child = Genotype(tuple(genes), tuple(frozen))
+    saved, run.rng = run.rng, rng       # mutation draws one by one already
+    try:
+        return run._mutate(child)
+    finally:
+        run.rng = saved
+
+
+def per_dimension_assembled_child(run, partitions, pool, rng):
+    """Pool offspring with one ``sample_candidate`` call per dimension: the reference."""
+    params, counts = run.params, run.state.counts
+    genes = [sample_candidate(partitions[i + 1], pool, n, params.cold_bonus, rng)
+             for i, n in enumerate(counts)]
+    opposite = "nh" if pool == "hot" else "hot"
+    changed = 0
+    for i, n in enumerate(counts):
+        if changed >= run.max_mutated:
+            break
+        if rng.random() < params.cross_pool_rate:
+            new = sample_candidate(partitions[i + 1], opposite, n, params.cold_bonus, rng)
+            if new != genes[i]:
+                genes[i] = new
+                changed += 1
+    return fresh_genotype(run.space, genes)
+
+
 class TestVariation:
     def test_no_crossover_no_mutation_copies_parents(self):
         params = SearchParams.benchmark()
@@ -402,6 +555,41 @@ class TestVariation:
         monkeypatch.setattr(run, "_fill_slots", spy)
         run._generate_offspring(phi=0.3)   # middle stage: (0.6, 0.2, 0.2)
         assert requested == [30, 10, 10]
+
+    @staticmethod
+    def twin_rng(run):
+        twin = np.random.default_rng()
+        twin.bit_generator.state = run.rng.bit_generator.state
+        return twin
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_variation_child_matches_the_per_draw_loop(self, seed):
+        params = SearchParams.benchmark()
+        params.crossover_prob = 0.9
+        run = engine_for(bench_problem("hdtlz7", n=6), pop_size=16, seed=seed,
+                         params=params, use_archives=False)
+        for _ in range(200):
+            rng = self.twin_rng(run)
+            want = per_draw_variation_child(run, rng)
+            assert run._variation_child() == want
+            assert run.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("hot_fraction, cold_fraction",
+                             [(0.3, 0.2), (1.0, 0.0), (0.0, 0.2), (0.5, 0.5)])
+    def test_assembled_child_matches_the_per_dimension_draws(self, hot_fraction,
+                                                             cold_fraction):
+        run = engine_for(bench_problem(n=5), pop_size=12)
+        normalize_generation(run.population)
+        compute_scores(run.population, 0.5, run.params)
+        run.archives.update(run.population)
+        partitions = {var.index: partition_players(run.archives, var.index,
+                                                   hot_fraction, cold_fraction)
+                      for var in run.space.variables}
+        for pool in ("hot", "nh") * 50:
+            rng = self.twin_rng(run)
+            want = per_dimension_assembled_child(run, partitions, pool, rng)
+            assert run._assemble_child(partitions, pool) == want
+            assert run.rng.bit_generator.state == rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +845,28 @@ class TestRuns:
         assert res.skipped_errors == 1
         assert res.fes == baseline.fes
         assert res.evaluated_keys[:31] == baseline.evaluated_keys[:31]
+
+    @pytest.mark.parametrize("runner", [run_phmoea, run_nsga2])
+    def test_raising_batch_fails_only_its_batch(self, runner):
+        problem = bench_problem(n=4)
+        inner = problem.evaluator
+
+        class RaisingBatches:
+            def __init__(self):
+                self.sizes = []
+
+            def evaluate_many(self, batch):
+                self.sizes.append(len(batch))
+                if len(self.sizes) == 3:
+                    raise RuntimeError("cluster unavailable")
+                return [inner(dec) for dec in batch]
+
+        evaluator = RaisingBatches()
+        problem.evaluator = evaluator
+        res = runner(problem, 12, 6, params=SearchParams.benchmark(), seed=9)
+        assert res.generations == 6
+        assert res.skipped_errors == evaluator.sizes[2] > 0
+        assert res.fes == sum(evaluator.sizes) == len(res.evaluated_keys)
 
     def test_nsga2_within_three_x_of_phmoea(self):
         problem_a = bench_problem("hdtlz2", n=6)

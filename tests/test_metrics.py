@@ -101,6 +101,22 @@ class TestFrontRanks:
 # Hypervolume
 # ---------------------------------------------------------------------------
 
+def loop_hv(obtained, reference_point):
+    """Hypervolume by the non-dominated filter and a strip loop, kept as the reference."""
+    pts = np.asarray(obtained, dtype=float).reshape(-1, 2)
+    r1, r2 = float(reference_point[0]), float(reference_point[1])
+    pts = pts[(pts[:, 0] < r1) & (pts[:, 1] < r2)]
+    if len(pts) == 0:
+        return 0.0
+    pts = pts[np.array(peeled_ranks(pts)) == 0]
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    total = 0.0
+    for i, (f1, f2) in enumerate(pts):
+        nxt = pts[i + 1, 0] if i + 1 < len(pts) else r1
+        total += (nxt - f1) * (r2 - f2)
+    return float(total)
+
+
 class TestHv:
     def test_unit_square(self):
         assert hv([(0.0, 0.0)], (1.0, 1.0)) == 1.0
@@ -127,6 +143,28 @@ class TestHv:
     def test_dominated_addition_is_neutral(self):
         pts = [(0.2, 0.2)]
         assert hv(pts + [(0.5, 0.5)], (1.0, 1.0)) == hv(pts, (1.0, 1.0))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3, 8, 60, 300):
+            if seed % 4 == 0:           # integer grid: ties, repeats, shared f1
+                pts = rng.integers(0, 5, (n, 2)).astype(float)
+                ref = (4.0, 4.0)        # points on and beyond the reference lines
+            elif seed % 4 == 1:         # shared f1, shared f2 and repeated points
+                pts = rng.random((n, 2))
+                pts[:, 0] = rng.choice(pts[:3, 0], n)
+                pts[:, 1] = rng.choice(pts[:5, 1], n)
+                pts = np.vstack([pts, pts[: n // 2 + 1]])
+                ref = (1.1, 1.1)
+            elif seed % 4 == 2:         # every point on the front: long sums
+                u = np.sort(rng.random(n))
+                pts = np.column_stack([u, 1.0 - np.sqrt(u)])
+                ref = (1.1, 1.1)
+            else:
+                pts = rng.random((n, 2)) * 1.2
+                ref = (1.0, 1.0)
+            assert hv(pts, ref) == loop_hv(pts, ref)
 
     def test_agrees_with_monte_carlo(self):
         rng = np.random.default_rng(12)

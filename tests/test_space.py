@@ -1,14 +1,17 @@
 """Space definition, encoding, repair, dedup and refinement tests."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from phmoea.space import (COND_CONTINUOUS, COND_DISCRETE, CONTINUOUS, DISCRETE,
-                          ConfigSpace, DedupRegistry, Genotype, PLACEHOLDER,
-                          RefinementState, VariableSpec, activity, bin_value,
-                          builtin_space, canonical_key, decode, dump_space,
-                          fresh_genotype, load_space, nearest_index, repair,
-                          sample_random, space_from_json, space_to_json,
+                          ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
+                          PLACEHOLDER, RefinementState, VariableSpec, activity,
+                          bin_value, builtin_space, canonical_key, decode,
+                          dump_space, fresh_genotype, load_space, nearest_index,
+                          repair, sample_random, space_from_json, space_to_json,
                           split_renumbering)
 
 
@@ -162,6 +165,15 @@ def chain_space():
     ))
 
 
+def clip_then_gate_repair(genotype, space, state):
+    """Repair as restore-and-clip every gene, then mask by ``activity``: the reference."""
+    kept = [min(max(f if g == PLACEHOLDER else g, 0), n - 1)
+            for g, f, n in zip(genotype.genes, genotype.frozen, state.counts)]
+    mask = activity(kept, space)
+    return Genotype(genes=tuple(g if on else PLACEHOLDER for g, on in zip(kept, mask)),
+                    frozen=tuple(kept))
+
+
 class TestRepair:
     def test_clips_out_of_range_gene(self, space):
         state = make_state(space)
@@ -216,6 +228,16 @@ class TestRepair:
             decoded = decode(g, space, state)
             assert decoded.active == activity(g.genes, space)
             assert decoded.ids == g.genes
+            assert g == clip_then_gate_repair(raw, space, state)
+        # in range, with placeholders whose cached genes are restored
+        for _ in range(300):
+            frozen = tuple(rng.integers(0, state.counts).tolist())
+            genes = tuple(PLACEHOLDER if rng.random() < 0.4 else int(rng.integers(n))
+                          for n in state.counts)
+            raw = Genotype(genes, frozen)
+            g = repair(raw, space, state)
+            assert g == clip_then_gate_repair(raw, space, state)
+            assert decode(g, space, state).active == activity(g.genes, space)
 
     def test_decoded_continuous_within_bounds(self, space):
         state = make_state(space)
@@ -272,6 +294,28 @@ class TestCanonicalKey:
         state = make_state(space)
         g = genotype_with(space, state)
         assert canonical_key(decode(g, space, state)) == canonical_key(decode(g, space, state))
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_key_equals_the_one_off_pack(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            d = int(rng.integers(0, 30))
+            active = tuple(bool(a) for a in rng.random(d) < 0.6)
+            ids = tuple(int(g) if on else PLACEHOLDER
+                        for g, on in zip(rng.integers(0, 3000, d), active))
+            dec = DecodedConfig(values=(None,) * d, active=active, ids=ids)
+            fields = [x for i, (on, g) in enumerate(zip(active, ids), 1)
+                      if on for x in (i, g)]
+            payload = struct.pack("<" + "hi" * (len(fields) // 2), *fields)
+            want = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+            assert dec.key == canonical_key(dec) == want
+
+    def test_key_with_no_active_dimension(self):
+        dec = DecodedConfig(values=(None, None), active=(False, False),
+                            ids=(PLACEHOLDER, PLACEHOLDER))
+        empty = hashlib.blake2b(b"", digest_size=8).digest()
+        assert dec.key == int.from_bytes(empty, "little")
 
 
 class TestDedupRegistry:
