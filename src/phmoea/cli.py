@@ -256,6 +256,13 @@ def cmd_count_params(config_path: str, targets: int, input_width: int) -> int:
             continue
         value = doc[var.name]
         if var.is_continuous:
+            lo, hi = var.bounds
+            try:
+                inside = lo <= float(value) <= hi       # False for nan
+            except (TypeError, ValueError):
+                inside = False
+            if not inside:
+                raise ValueError(f"{var.name}: {value!r} is not a number in [{lo}, {hi}]")
             genes.append(state.nearest_bin(var.index, float(value)))
         else:
             value = tuple(value) if isinstance(value, list) else value
@@ -353,8 +360,8 @@ def _manifest_from_args(args) -> RunManifest:
     manifest = RunManifest(
         problem=args.problem,
         algorithm=args.algo,
-        pop_size=args.pop if args.pop else (100 if bench_problem else 50),
-        generations=args.gens if args.gens else (100 if bench_problem else 30),
+        pop_size=args.pop if args.pop is not None else (100 if bench_problem else 50),
+        generations=args.gens if args.gens is not None else (100 if bench_problem else 30),
         seed=args.seed,
         seeds=args.seeds,
         out_dir=args.out,

@@ -8,6 +8,13 @@ continuous dimensions, and duplicate rejection of every candidate admitted to
 evaluation. A plain NSGA-II baseline mode disables the archive machinery but
 keeps the identical encoding, repair, deduplication and selection path.
 
+Per-generation scratch is passed, not stored: ``archive_weights`` turns the
+ranked population into one credit per individual for ``PlayerArchives.update``,
+``partition_players`` builds one ``Partition`` per dimension, listed by
+position, and ``should_stop`` reads the front means from the run's
+``HistoryRow`` series. An ``Individual`` carries only its genotype, evaluated
+configuration, key, objectives, rank and crowding.
+
 Everything is deterministic for a fixed seed: a single RNG drives sampling
 and variation, evaluation consumes no randomness, and all ties break by
 index.
@@ -18,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -106,11 +112,6 @@ class Individual:
     f2: float
     rank: int = 0
     crowding: float = 0.0
-    f1_norm: float = 0.0
-    f2_norm: float = 0.0
-    crowding_norm: float = 0.0
-    score: float = 0.0
-    weight: float = 0.0
 
 
 @dataclass
@@ -132,9 +133,6 @@ class HistoryRow:
     mean_f2: float
     hv: float
     igd: float | None
-    # population minima, for elitism diagnostics (not part of the CSV schema)
-    min_f1: float = math.nan
-    min_f2: float = math.nan
 
 
 @dataclass
@@ -150,7 +148,7 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Ranking, crowding, normalization, scoring
+# Ranking, crowding, archive weights
 # ---------------------------------------------------------------------------
 
 def nd_sort_and_crowd(pop: list[Individual]) -> list[list[Individual]]:
@@ -192,51 +190,42 @@ def _crowding(front: list[Individual]) -> None:
         ind.crowding = c
 
 
-def normalize_generation(pop: list[Individual]) -> None:
-    """Min-max normalize objectives and crowding within the generation.
-
-    Boundary individuals carry infinite crowding and normalize to 1.
-    """
-    for attr, target in (("f1", "f1_norm"), ("f2", "f2_norm")):
-        values = [getattr(ind, attr) for ind in pop]
-        lo, hi = min(values), max(values)
-        for ind, v in zip(pop, values):
-            setattr(ind, target, (v - lo) / (hi - lo + NORM_EPS))
-    finite = [ind.crowding for ind in pop if math.isfinite(ind.crowding)]
+def min_max(values: list[float]) -> list[float]:
+    """Min-max scale over the finite values; an infinite value maps to 1."""
+    finite = [v for v in values if math.isfinite(v)]
     lo = min(finite) if finite else 0.0
     hi = max(finite) if finite else 0.0
-    for ind in pop:
-        if math.isfinite(ind.crowding):
-            ind.crowding_norm = (ind.crowding - lo) / (hi - lo + NORM_EPS)
-        else:
-            ind.crowding_norm = 1.0
+    return [(v - lo) / (hi - lo + NORM_EPS) if math.isfinite(v) else 1.0
+            for v in values]
 
 
-def compute_scores(pop: list[Individual], phi: float, params: SearchParams) -> None:
-    """Stage-blended score and normalized archive weights.
+def archive_weights(pop: list[Individual], phi: float, params: SearchParams) -> list[float]:
+    """Each ranked individual's share of this generation's archive credit.
 
-    Early stage rewards rank and diversity, the late stage switches to the
-    blended normalized objectives plus a small crowding bonus, and the middle
-    stage interpolates linearly between the two.
+    Objectives and crowding are min-max scaled within the generation. The
+    early stage scores rank and diversity, the late stage the blended scaled
+    objectives plus a small crowding bonus, and the middle stage interpolates
+    linearly between the two. Scores are divided by their sum (uniform if it
+    is not positive).
     """
     k1, k2 = params.stage_early_end, params.stage_late_start
-    for ind in pop:
-        s = 1.0 / (1.0 + ind.rank) + params.crowding_bonus * ind.crowding_norm
-        g = params.error_weight * ind.f1_norm + (1.0 - params.error_weight) * ind.f2_norm
+    scores = []
+    for ind, n1, n2, c in zip(pop, min_max([ind.f1 for ind in pop]),
+                              min_max([ind.f2 for ind in pop]),
+                              min_max([ind.crowding for ind in pop])):
+        s = 1.0 / (1.0 + ind.rank) + params.crowding_bonus * c
+        g = params.error_weight * n1 + (1.0 - params.error_weight) * n2
         if phi < k1:
-            ind.score = s
+            scores.append(s)
         elif phi < k2:
             alpha = (k2 - phi) / (k2 - k1)
-            ind.score = alpha * s + (1.0 - alpha) * g
+            scores.append(alpha * s + (1.0 - alpha) * g)
         else:
-            ind.score = g + params.late_crowding_bonus * ind.crowding_norm
-    total = sum(ind.score for ind in pop)
+            scores.append(g + params.late_crowding_bonus * c)
+    total = sum(scores)
     if total <= 0:
-        for ind in pop:
-            ind.weight = 1.0 / len(pop)
-    else:
-        for ind in pop:
-            ind.weight = ind.score / total
+        return [1.0 / len(pop)] * len(pop)
+    return [score / total for score in scores]
 
 
 def stage_ratios(phi: float, params: SearchParams) -> tuple[float, float, float]:
@@ -262,14 +251,13 @@ class PlayerArchives:
         self.heat = [np.zeros(n) for n in sizes]
         self.count = [np.zeros(n, dtype=np.int64) for n in sizes]
 
-    def update(self, pop: list[Individual]) -> None:
-        """Accumulate each individual's weight onto its repaired genes.
+    def update(self, genes: list[tuple[int, ...]], weights: list[float]) -> None:
+        """Accumulate each row's weight onto its repaired genes.
 
-        ``np.add.at`` adds in population order, so every player's heat is
-        the same float sum as one-by-one accumulation.
+        ``np.add.at`` adds in row order, so every player's heat is the same
+        float sum as one-by-one accumulation.
         """
-        genes = np.array([ind.genotype.genes for ind in pop])
-        weights = np.array([ind.weight for ind in pop])
+        genes, weights = np.array(genes), np.array(weights)
         for pos, column in enumerate(genes.T):
             on = column != PLACEHOLDER
             np.add.at(self.heat[pos], column[on], weights[on])
@@ -293,27 +281,22 @@ class PlayerArchives:
 
 @dataclass(frozen=True)
 class Partition:
+    """One dimension's pools as sorted candidate indices.
+
+    ``non_hot`` is ``normal`` and ``cold`` merged; ``cdf`` is the CDF of the
+    cold-bonus weights over it, built as ``Generator.choice`` builds it from
+    ``p``: normalise, cumsum, divide by the last element.
+    """
+
     hot: tuple[int, ...]
     normal: tuple[int, ...]
     cold: tuple[int, ...]
-    _cdfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def non_hot(self) -> tuple[int, ...]:
-        return tuple(sorted(self.normal + self.cold))
-
-    def non_hot_cdf(self, cold_bonus: float) -> list[float]:
-        """CDF of the cold-bonus weights over ``non_hot``, as ``Generator.choice``
-        builds it from ``p``: normalise, cumsum, divide by the last element."""
-        if cold_bonus not in self._cdfs:
-            weights = np.where(np.isin(self.non_hot, self.cold), cold_bonus, 1.0)
-            cdf = (weights / weights.sum()).cumsum()
-            self._cdfs[cold_bonus] = (cdf / cdf[-1]).tolist()
-        return self._cdfs[cold_bonus]
+    non_hot: tuple[int, ...]
+    cdf: list[float]
 
 
-def partition_players(archives: PlayerArchives, dim: int,
-                      hot_fraction: float, cold_fraction: float) -> Partition:
+def partition_players(archives: PlayerArchives, dim: int, hot_fraction: float,
+                      cold_fraction: float, cold_bonus: float) -> Partition:
     """Split a dimension's candidates into hot / normal / cold pools.
 
     Hot is the top share by heat, cold the bottom share by count among the
@@ -325,13 +308,18 @@ def partition_players(archives: PlayerArchives, dim: int,
     by_heat = np.argsort(-heat, kind="stable")
     rest = np.sort(by_heat[n_hot:])
     by_count = rest[np.argsort(count[rest], kind="stable")]
+    weights = np.ones(n)
+    weights[by_count[:n_cold]] = cold_bonus
+    cdf = (weights[rest] / weights[rest].sum()).cumsum()
     return Partition(hot=tuple(sorted(by_heat[:n_hot].tolist())),
                      normal=tuple(sorted(by_count[n_cold:].tolist())),
-                     cold=tuple(sorted(by_count[:n_cold].tolist())))
+                     cold=tuple(sorted(by_count[:n_cold].tolist())),
+                     non_hot=tuple(rest.tolist()),
+                     cdf=(cdf / cdf[-1]).tolist() if len(rest) else [])
 
 
 def sample_candidate(partition: Partition, pool: str, n_candidates: int,
-                     cold_bonus: float, rng: np.random.Generator) -> int:
+                     rng: np.random.Generator) -> int:
     """Draw one candidate from the hot or non-hot pool.
 
     Hot sampling is uniform; non-hot applies the cold-bonus weight and
@@ -345,58 +333,33 @@ def sample_candidate(partition: Partition, pool: str, n_candidates: int,
     members = partition.non_hot
     if not members:
         return int(rng.integers(n_candidates))
-    return members[bisect_right(partition.non_hot_cdf(cold_bonus), rng.random())]
+    return members[bisect_right(partition.cdf, rng.random())]
 
 
 # ---------------------------------------------------------------------------
 # Early stopping
 # ---------------------------------------------------------------------------
 
-class EarlyStopMonitor:
-    """Windowed relative-improvement stagnation detector.
+def should_stop(history: list[HistoryRow], stop_hv: list[float],
+                params: SearchParams) -> bool:
+    """Windowed relative-improvement stagnation test.
 
-    The hypervolume reference is fixed from the initial population the first
-    time it is seen and never moves afterwards. Stopping requires all three
-    signals (front-mean improvements of both objectives and hypervolume gain)
-    to fall below their thresholds simultaneously.
+    Compares the last generation with the one ``params.window`` before it:
+    stops only when the front means of f1 and f2 fell by less than
+    ``eps_f1``/``eps_f2`` and the hypervolume ``stop_hv`` rose by less than
+    ``eps_hv``, each as a share of its old value (at least ``eps_denom``).
     """
+    if len(history) <= params.window:
+        return False
+    old, new = history[-1 - params.window], history[-1]
+    old_hv, new_hv = stop_hv[-1 - params.window], stop_hv[-1]
 
-    def __init__(self, params: SearchParams):
-        self.window = params.window
-        self.eps_denom = params.eps_denom
-        self.eps_f1 = params.eps_f1
-        self.eps_f2 = params.eps_f2
-        self.eps_hv = params.eps_hv
-        self.reference: tuple[float, float] | None = None
-        self.f1_means: list[float] = []
-        self.f2_means: list[float] = []
-        self.hv_values: list[float] = []
+    def share(change: float, old_value: float) -> float:
+        return max(0.0, change) / max(abs(old_value), params.eps_denom)
 
-    def set_reference(self, pop: list[Individual]) -> None:
-        if self.reference is None:
-            self.reference = (1.1 * max(ind.f1 for ind in pop),
-                              1.1 * max(ind.f2 for ind in pop))
-
-    def record(self, front: list[Individual]) -> None:
-        self.f1_means.append(sum(ind.f1 for ind in front) / len(front))
-        self.f2_means.append(sum(ind.f2 for ind in front) / len(front))
-        pts = [(ind.f1, ind.f2) for ind in front]
-        self.hv_values.append(metrics.hv(pts, self.reference))
-
-    def _relative_drop(self, series: list[float]) -> float:
-        old, new = series[-1 - self.window], series[-1]
-        return max(0.0, old - new) / max(abs(old), self.eps_denom)
-
-    def _relative_gain(self, series: list[float]) -> float:
-        old, new = series[-1 - self.window], series[-1]
-        return max(0.0, new - old) / max(abs(old), self.eps_denom)
-
-    def should_stop(self) -> bool:
-        if len(self.f1_means) <= self.window:
-            return False
-        return (self._relative_drop(self.f1_means) < self.eps_f1
-                and self._relative_drop(self.f2_means) < self.eps_f2
-                and self._relative_gain(self.hv_values) < self.eps_hv)
+    return (share(old.mean_f1 - new.mean_f1, old.mean_f1) < params.eps_f1
+            and share(old.mean_f2 - new.mean_f2, old.mean_f2) < params.eps_f2
+            and share(new_hv - old_hv, old_hv) < params.eps_hv)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +411,10 @@ class _Run:
                                      persistence=params.refine_persistence)
         self.registry = DedupRegistry()
         self.archives = PlayerArchives(self.state.counts)
-        self.monitor = EarlyStopMonitor(params)
+        # early stop's hv series, against a reference fixed by the initial
+        # population (so not ``HistoryRow.hv`` if the problem brings its own)
+        self.reference: tuple[float, float] | None = None
+        self.stop_hv: list[float] = []
         self.dims = len(self.space)
         self.continuous = [v.index - 1 for v in self.space.variables if v.is_continuous]
         self.max_mutated = min(params.max_mutated, self.dims)
@@ -574,28 +540,25 @@ class _Run:
         child = self._sbx_child(p1.genotype, p2.genotype)
         return self._mutate(child)
 
-    def _assemble_child(self, partitions: dict[int, Partition], pool: str) -> Genotype:
+    def _assemble_child(self, parts: list[Partition], pool: str) -> Genotype:
         """One gene per dimension from ``pool``, then cross-pool swaps. The first
         pass draws once for all dimensions what ``sample_candidate`` draws per one."""
-        params = self.params
         counts = self.state.counts
-        parts = [partitions[i + 1] for i in range(self.dims)]
         if pool == "hot":
             picks = self.rng.integers(0, [len(p.hot) or n for p, n in zip(parts, counts)])
             genes = [p.hot[k] if p.hot else k for p, k in zip(parts, picks.tolist())]
         elif all(p.non_hot for p in parts):
-            genes = [p.non_hot[bisect_right(p.non_hot_cdf(params.cold_bonus), u)]
+            genes = [p.non_hot[bisect_right(p.cdf, u)]
                      for p, u in zip(parts, self.rng.random(self.dims).tolist())]
         else:
-            genes = [sample_candidate(p, pool, n, params.cold_bonus, self.rng)
-                     for p, n in zip(parts, counts)]
+            genes = [sample_candidate(p, pool, n, self.rng) for p, n in zip(parts, counts)]
         opposite = "nh" if pool == "hot" else "hot"
         changed = 0
         for i, n in enumerate(counts):
             if changed >= self.max_mutated:
                 break
-            if self.rng.random() < params.cross_pool_rate:
-                new = sample_candidate(parts[i], opposite, n, params.cold_bonus, self.rng)
+            if self.rng.random() < self.params.cross_pool_rate:
+                new = sample_candidate(parts[i], opposite, n, self.rng)
                 if new != genes[i]:
                     genes[i] = new
                     changed += 1
@@ -623,22 +586,19 @@ class _Run:
         n = self.pop_size
         if not self.use_archives:
             return self._fill_slots(n, self._variation_child)
-        normalize_generation(self.population)
-        compute_scores(self.population, phi, self.params)
-        self.archives.update(self.population)
-        partitions = {
-            var.index: partition_players(self.archives, var.index,
-                                         self.params.hot_fraction,
-                                         self.params.cold_fraction)
-            for var in self.space.variables
-        }
-        r_par, r_hot, _ = stage_ratios(phi, self.params)
+        params, pop = self.params, self.population
+        self.archives.update([ind.genotype.genes for ind in pop],
+                             archive_weights(pop, phi, params))
+        parts = [partition_players(self.archives, var.index, params.hot_fraction,
+                                   params.cold_fraction, params.cold_bonus)
+                 for var in self.space.variables]
+        r_par, r_hot, _ = stage_ratios(phi, params)
         n_par = math.floor(r_par * n + 1e-9)
         n_hot = math.floor(r_hot * n + 1e-9)
         n_nh = n - n_par - n_hot
         batch = self._fill_slots(n_par, self._variation_child)
-        batch += self._fill_slots(n_hot, lambda: self._assemble_child(partitions, "hot"))
-        batch += self._fill_slots(n_nh, lambda: self._assemble_child(partitions, "nh"))
+        batch += self._fill_slots(n_hot, lambda: self._assemble_child(parts, "hot"))
+        batch += self._fill_slots(n_nh, lambda: self._assemble_child(parts, "nh"))
         return batch
 
     # -- refinement ---------------------------------------------------------
@@ -664,21 +624,19 @@ class _Run:
     def _record(self, gen: int) -> list[Individual]:
         """Log the ranked population's generation and return its first front."""
         front = [ind for ind in self.population if ind.rank == 0]
-        self.monitor.record(front)
         pts = [(ind.f1, ind.f2) for ind in front]
+        self.stop_hv.append(metrics.hv(pts, self.reference))
         reference = self.problem.hv_reference
-        hv_value = (self.monitor.hv_values[-1] if reference is None   # same points
+        hv_value = (self.stop_hv[-1] if reference is None    # same points
                     else metrics.hv(pts, reference))
         igd_value = None
         if self.problem.reference_front is not None:
             igd_value = metrics.igd(pts, self.problem.reference_front)
         self.history.append(HistoryRow(
             gen=gen, fes=self.fes,
-            mean_f1=self.monitor.f1_means[-1],
-            mean_f2=self.monitor.f2_means[-1],
-            hv=hv_value, igd=igd_value,
-            min_f1=min(ind.f1 for ind in self.population),
-            min_f2=min(ind.f2 for ind in self.population)))
+            mean_f1=sum(ind.f1 for ind in front) / len(front),
+            mean_f2=sum(ind.f2 for ind in front) / len(front),
+            hv=hv_value, igd=igd_value))
         return front
 
     # -- main loop ------------------------------------------------------------
@@ -689,7 +647,8 @@ class _Run:
         self.population = self._evaluate(init)
         if len(self.population) < 2:
             raise RuntimeError("initial population collapsed; evaluator keeps failing")
-        self.monitor.set_reference(self.population)
+        self.reference = (1.1 * max(ind.f1 for ind in self.population),
+                          1.1 * max(ind.f2 for ind in self.population))
         nd_sort_and_crowd(self.population)
         front = self._record(gen=1)
 
@@ -697,7 +656,7 @@ class _Run:
         gen = 1
         for gen in range(2, self.generations + 1):
             phi = (gen - 1) / self.generations
-            if self.params.early_stop and self.monitor.should_stop():
+            if self.params.early_stop and should_stop(self.history, self.stop_hv, self.params):
                 stopped_early = True
                 gen -= 1
                 break

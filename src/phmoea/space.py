@@ -21,7 +21,7 @@ import math
 import operator
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import compress
 
@@ -162,22 +162,24 @@ class DecodedConfig:
 
     ``values[d]`` is None for inactive dimensions. ``ids[d]`` keeps the gene
     index the value was decoded from, which canonical hashing uses so that
-    float formatting can never perturb duplicate detection.
+    float formatting can never perturb duplicate detection. ``key`` is the
+    ``canonical_key``, computed once at construction; it takes no part in
+    equality or hashing.
     """
 
     values: tuple
     active: tuple[bool, ...]
     ids: tuple[int, ...]
+    key: int = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def key(self) -> int:
-        """The ``canonical_key``, computed once."""
+    def __post_init__(self):
         dims = list(compress(range(1, len(self.ids) + 1), self.active))
         fields = dims * 2               # interleaved (dimension, gene) pairs
         fields[::2] = dims
         fields[1::2] = compress(self.ids, self.active)
         payload = _pair_struct(len(dims)).pack(*fields)
-        return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+        object.__setattr__(self, "key", int.from_bytes(
+            hashlib.blake2b(payload, digest_size=8).digest(), "little"))
 
     def as_dict(self, space: ConfigSpace) -> dict:
         """Name -> value mapping over active dimensions only."""

@@ -205,7 +205,7 @@ def test_criterion_7_indicator_oracles():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_dominance_invariance():
-    from phmoea.engine import normalize_generation
+    from phmoea.engine import min_max
     rng = np.random.default_rng(8)
     bad = 0
     for _ in range(100):
@@ -214,8 +214,8 @@ def test_criterion_8_dominance_invariance():
         pop = individuals(pts)
         nd_sort_and_crowd(pop)
         raw = [ind.rank for ind in pop]
-        normalize_generation(pop)
-        scaled = individuals([(ind.f1_norm, ind.f2_norm) for ind in pop])
+        scaled = individuals(zip(min_max([ind.f1 for ind in pop]),
+                                 min_max([ind.f2 for ind in pop])))
         nd_sort_and_crowd(scaled)
         if raw != [ind.rank for ind in scaled]:
             bad += 1

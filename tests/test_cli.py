@@ -101,6 +101,14 @@ class TestSearch:
         code = run_cli(["search", "--problem", "zdt1", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--pop", "--gens"])
+    def test_zero_budget_is_usage_error(self, tmp_path, capsys, flag):
+        code = run_cli(["search", "--problem", "hdtlz2", flag, "0",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_invalid_manifest_field(self, tmp_path):
         bad = tmp_path / "m.json"
         bad.write_text(json.dumps({"problem": "hdtlz2", "bogus": 1}))
@@ -292,6 +300,22 @@ class TestCountParams:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"norm_layer": "GroupNorm"}))
         assert run_cli(["count-params", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("value", [-1.0, "nan", float("inf")])
+    def test_continuous_value_outside_bounds_rejected(self, tmp_path, capsys, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"learning_rate": value}))
+        assert run_cli(["count-params", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "learning_rate" in captured.err and not captured.out
+
+    def test_continuous_bounds_are_inclusive(self, tmp_path, capsys):
+        lo, hi = next(var.bounds for var in builtin_space().variables
+                      if var.name == "learning_rate")
+        for value in (lo, hi):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"learning_rate": value}))
+            assert run_cli(["count-params", "--config", str(path)]) == 0
 
 
 class TestManifest:

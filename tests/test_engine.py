@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from phmoea import engine, metrics
 from phmoea.benchmarks import HBenchProblem, reference_front
-from phmoea.engine import (EarlyStopMonitor, Individual, PlayerArchives,
-                           SearchParams, SearchProblem, _crowding, compute_scores,
-                           environmental_select, nd_sort_and_crowd,
-                           normalize_generation, partition_players,
-                           run_nsga2, run_phmoea, sample_candidate,
-                           stage_ratios)
+from phmoea.engine import (NORM_EPS, HistoryRow, Individual, PlayerArchives,
+                           SearchParams, SearchProblem, _crowding, archive_weights,
+                           environmental_select, min_max, nd_sort_and_crowd,
+                           partition_players, run_nsga2, run_phmoea,
+                           sample_candidate, should_stop, stage_ratios)
 from phmoea.evaluators import BenchmarkEvaluator, Evaluation
 from phmoea.space import (CONTINUOUS, PLACEHOLDER, ConfigSpace, DecodedConfig,
                           Genotype, RefinementState, VariableSpec,
@@ -129,24 +129,26 @@ class TestCrowding:
 
 
 class TestNormalization:
+    """``min_max``, the generation-wide scaling of objectives and crowding."""
+
     def test_three_values(self):
-        pop = individuals([(2.0, 5.0), (4.0, 5.0), (6.0, 5.0)])
-        nd_sort_and_crowd(pop)
-        normalize_generation(pop)
-        assert [round(ind.f1_norm, 6) for ind in pop] == [0.0, 0.5, 1.0]
+        assert [round(v, 6) for v in min_max([2.0, 4.0, 6.0])] == [0.0, 0.5, 1.0]
 
     def test_all_equal_go_to_zero(self):
-        pop = individuals([(3.0, 3.0)] * 5)
-        nd_sort_and_crowd(pop)
-        normalize_generation(pop)
-        assert all(ind.f1_norm == 0.0 and ind.f2_norm == 0.0 for ind in pop)
+        assert min_max([3.0] * 5) == [0.0] * 5
+
+    def test_infinite_values_map_to_one(self):
+        scaled = min_max([math.inf, 0.3, 0.9, 0.6, math.inf])
+        assert scaled[0] == scaled[4] == 1.0
+        assert scaled[1] == 0.0 and 0.0 < scaled[3] < scaled[2] <= 1.0
+        assert min_max([math.inf, math.inf]) == [1.0, 1.0]
 
     def test_boundary_crowding_normalizes_to_one(self):
         pop = individuals([(0.0, 1.0), (0.3, 0.6), (0.6, 0.3), (1.0, 0.0)])
         nd_sort_and_crowd(pop)
-        normalize_generation(pop)
-        assert pop[0].crowding_norm == 1.0 and pop[3].crowding_norm == 1.0
-        assert 0.0 <= pop[1].crowding_norm <= 1.0
+        crowding = min_max([ind.crowding for ind in pop])
+        assert crowding[0] == 1.0 and crowding[3] == 1.0
+        assert 0.0 <= crowding[1] <= 1.0
 
     def test_dominance_invariant_under_normalization(self):
         rng = np.random.default_rng(0)
@@ -155,55 +157,94 @@ class TestNormalization:
             pop = individuals(pts)
             nd_sort_and_crowd(pop)
             raw_ranks = [ind.rank for ind in pop]
-            normalize_generation(pop)
-            scaled = individuals([(ind.f1_norm, ind.f2_norm) for ind in pop])
+            scaled = individuals(zip(min_max([ind.f1 for ind in pop]),
+                                     min_max([ind.f2 for ind in pop])))
             nd_sort_and_crowd(scaled)
             assert raw_ranks == [ind.rank for ind in scaled]
 
 
 # ---------------------------------------------------------------------------
-# Stage scores and weights
+# Stage scores and archive weights
 # ---------------------------------------------------------------------------
 
+def loop_weights(pop, phi, params):
+    """Archive weights by per-individual normalization and scoring: the reference."""
+    norms = {}
+    for attr in ("f1", "f2"):
+        values = [getattr(ind, attr) for ind in pop]
+        lo, hi = min(values), max(values)
+        norms[attr] = [(v - lo) / (hi - lo + NORM_EPS) for v in values]
+    finite = [ind.crowding for ind in pop if math.isfinite(ind.crowding)]
+    lo = min(finite) if finite else 0.0
+    hi = max(finite) if finite else 0.0
+    crowding = [(ind.crowding - lo) / (hi - lo + NORM_EPS)
+                if math.isfinite(ind.crowding) else 1.0 for ind in pop]
+    k1, k2 = params.stage_early_end, params.stage_late_start
+    scores = []
+    for ind, n1, n2, c in zip(pop, norms["f1"], norms["f2"], crowding):
+        s = 1.0 / (1.0 + ind.rank) + params.crowding_bonus * c
+        g = params.error_weight * n1 + (1.0 - params.error_weight) * n2
+        if phi < k1:
+            scores.append(s)
+        elif phi < k2:
+            alpha = (k2 - phi) / (k2 - k1)
+            scores.append(alpha * s + (1.0 - alpha) * g)
+        else:
+            scores.append(g + params.late_crowding_bonus * c)
+    total = sum(score for score in scores)
+    if total <= 0:
+        return [1.0 / len(pop)] * len(pop)
+    return [score / total for score in scores]
+
+
 class TestScores:
+    """``archive_weights``: stage-blended scores divided by their sum."""
+
     def test_early_branch(self):
         pop = individuals([(0.0, 0.0), (1.0, 1.0)])
-        pop[0].rank, pop[0].crowding_norm = 0, 1.0
-        pop[1].rank, pop[1].crowding_norm = 1, 0.0
-        params = SearchParams(crowding_bonus=0.2)
-        compute_scores(pop, phi=0.1, params=params)
-        assert pop[0].score == pytest.approx(1.2)
+        pop[0].rank, pop[0].crowding = 0, math.inf      # scaled crowding 1
+        pop[1].rank, pop[1].crowding = 1, 0.0           # scaled crowding 0
+        weights = archive_weights(pop, 0.1, SearchParams(crowding_bonus=0.2))
+        assert weights == pytest.approx([1.2 / 1.7, 0.5 / 1.7])
 
     def test_middle_branch_blend(self):
-        pop = individuals([(0.0, 0.0)])
-        ind = pop[0]
-        ind.rank, ind.crowding_norm = 0, 0.0
-        ind.f1_norm, ind.f2_norm = 1.0, 1.0
+        pop = individuals([(0.0, 0.0), (1.0, 1.0)])     # scaled objectives 0 and ~1
         params = SearchParams(stage_early_end=0.3, stage_late_start=0.6,
                               error_weight=0.5)
-        compute_scores(pop, phi=0.45, params=params)
-        s, g = 1.0, 1.0
-        assert ind.score == pytest.approx(0.5 * s + 0.5 * g)
+        weights = archive_weights(pop, 0.45, params)    # alpha = 0.5, crowding 0
+        assert weights == pytest.approx([0.5 / 1.5, 1.0 / 1.5])
 
     def test_late_branch(self):
-        pop = individuals([(0.0, 0.0)])
-        ind = pop[0]
-        ind.rank, ind.crowding_norm = 3, 0.0
-        ind.f1_norm, ind.f2_norm = 0.2, 0.4
+        pop = individuals([(0.0, 0.0), (0.2, 0.4), (1.0, 1.0)])
+        for ind in pop:
+            ind.rank = 3
         params = SearchParams(error_weight=0.7, late_crowding_bonus=0.05)
-        compute_scores(pop, phi=0.9, params=params)
-        assert ind.score == pytest.approx(0.26)
+        weights = archive_weights(pop, 0.9, params)     # crowding 0: scores 0, 0.26, 1
+        assert weights == pytest.approx([0.0, 0.26 / 1.26, 1.0 / 1.26])
+
+    def test_non_positive_total_gives_uniform_weights(self):
+        pop = individuals([(0.5, 0.5)] * 4)
+        params = SearchParams(late_crowding_bonus=0.0)
+        assert archive_weights(pop, 0.9, params) == [0.25] * 4
 
     def test_weights_form_a_simplex(self):
         rng = np.random.default_rng(2)
         pop = individuals(rng.random((30, 2)))
         nd_sort_and_crowd(pop)
-        normalize_generation(pop)
         for phi in (0.05, 0.45, 0.95):
-            compute_scores(pop, phi, SearchParams())
-            total = sum(ind.weight for ind in pop)
-            assert total == pytest.approx(1.0, abs=1e-9)
-            assert all(ind.weight >= 0 for ind in pop)
+            weights = archive_weights(pop, phi, SearchParams())
+            assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+            assert all(w >= 0 for w in weights)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 5, (40, 2)) / 5.0 if seed % 2 else rng.random((40, 2))
+        pop = individuals(pts * rng.uniform(1, 1e4, size=2))
+        nd_sort_and_crowd(pop)
+        for params in (SearchParams.real_task(), SearchParams.benchmark()):
+            for phi in (0.0, 0.1, 0.25, 0.35, 0.5, 0.59, 0.6, 0.95):
+                assert archive_weights(pop, phi, params) == loop_weights(pop, phi, params)
 
     def test_stage_ratio_table(self):
         params = SearchParams.benchmark()
@@ -237,12 +278,7 @@ class TestScores:
 class TestArchives:
     def test_single_individual_accumulation(self):
         arch = PlayerArchives([3, 4, 6])
-        dec = DecodedConfig(values=("a", None, 1.5), active=(True, False, True),
-                            ids=(2, PLACEHOLDER, 4))
-        ind = Individual(genotype=Genotype((2, PLACEHOLDER, 4), (2, 0, 4)),
-                         decoded=dec, key=1, f1=0.0, f2=0.0)
-        ind.weight = 1.0
-        arch.update([ind])
+        arch.update([(2, PLACEHOLDER, 4)], [1.0])
         assert arch.heat[0].tolist() == [0.0, 0.0, 1.0]
         assert arch.count[0].tolist() == [0, 0, 1]
         assert arch.heat[2][4] == 1.0 and arch.count[2][4] == 1
@@ -252,12 +288,7 @@ class TestArchives:
 
     def test_shared_player_counts(self):
         arch = PlayerArchives([2])
-        dec = DecodedConfig(values=("a",), active=(True,), ids=(0,))
-        inds = [Individual(genotype=Genotype((0,), (0,)), decoded=dec, key=i,
-                           f1=0.0, f2=0.0) for i in range(2)]
-        for ind in inds:
-            ind.weight = 0.5
-        arch.update(inds)
+        arch.update([(0,), (0,)], [0.5, 0.5])
         assert arch.count[0].tolist() == [2, 0]
         assert arch.heat[0][0] == pytest.approx(1.0)
 
@@ -277,10 +308,9 @@ class TestArchives:
         accumulated = np.zeros(len(run.space), dtype=np.int64)
         update = run.archives.update
 
-        def counting_update(pop):
-            genes = np.array([ind.genotype.genes for ind in pop])
-            accumulated[:] += (genes != PLACEHOLDER).sum(axis=0)
-            update(pop)
+        def counting_update(genes, weights):
+            accumulated[:] += (np.array(genes) != PLACEHOLDER).sum(axis=0)
+            update(genes, weights)
 
         run.archives.update = counting_update
         run.run()
@@ -300,18 +330,21 @@ class TestPartition:
     def test_six_candidates_hot_size(self):
         arch = PlayerArchives([6])
         arch.heat[0][:] = range(6)
-        part = partition_players(arch, 1, hot_fraction=0.3, cold_fraction=0.2)
+        part = partition_players(arch, 1, hot_fraction=0.3, cold_fraction=0.2,
+                                 cold_bonus=0.15)
         assert len(part.hot) == 2
         assert part.hot == (4, 5)
 
     def test_two_candidates(self):
         arch = PlayerArchives([2])
-        part = partition_players(arch, 1, hot_fraction=0.3, cold_fraction=0.2)
+        part = partition_players(arch, 1, hot_fraction=0.3, cold_fraction=0.2,
+                                 cold_bonus=0.15)
         assert len(part.hot) == 1 and len(part.cold) == 1 and not part.normal
 
     def test_zero_archives_tie_break_by_index(self):
         arch = PlayerArchives([1] * 6 + [6])
-        part = partition_players(arch, 7, hot_fraction=0.3, cold_fraction=0.2)
+        part = partition_players(arch, 7, hot_fraction=0.3, cold_fraction=0.2,
+                                 cold_bonus=0.15)
         assert part.hot == (0, 1)
         assert part.cold == (2, 3)
         assert part.normal == (4, 5)
@@ -320,7 +353,7 @@ class TestPartition:
         arch = PlayerArchives([6])
         arch.heat[0][:] = [5.0, 4.0, 1.0, 1.0, 1.0, 1.0]
         arch.count[0][:] = [9, 9, 7, 2, 5, 1]
-        part = partition_players(arch, 1, 0.3, 0.2)
+        part = partition_players(arch, 1, 0.3, 0.2, 0.15)
         assert part.hot == (0, 1)
         assert part.cold == (3, 5)
         assert part.normal == (2, 4)
@@ -329,55 +362,62 @@ class TestPartition:
         arch = PlayerArchives([6])
         arch.heat[0][:] = [1.0, 2.0, 2.0, 0.0, 2.0, 1.0]
         arch.count[0][:] = [3, 0, 0, 3, 5, 3]
-        part = partition_players(arch, 1, 0.3, 0.2)
+        part = partition_players(arch, 1, 0.3, 0.2, 0.15)
         assert part.hot == (1, 2)
         assert part.cold == (0, 3)
         assert part.normal == (4, 5)
 
 
+def partition_of(heat, count, hot_fraction, cold_fraction, cold_bonus=0.15):
+    arch = PlayerArchives([len(heat)])
+    arch.heat[0][:] = heat
+    arch.count[0][:] = count
+    return partition_players(arch, 1, hot_fraction, cold_fraction, cold_bonus)
+
+
 class TestSampling:
     def test_cold_bonus_probability(self):
-        # force a known partition: one cold, two normal
-        from phmoea.engine import Partition
-        part = Partition(hot=(), normal=(1, 2), cold=(0,))
+        part = partition_of([0.0] * 3, [0, 5, 5], 0.0, 0.2)
+        assert (part.hot, part.normal, part.cold) == ((), (1, 2), (0,))
         rng = np.random.default_rng(0)
-        draws = [sample_candidate(part, "nh", 3, cold_bonus=0.15, rng=rng)
-                 for _ in range(40000)]
+        draws = [sample_candidate(part, "nh", 3, rng) for _ in range(40000)]
         p_cold = draws.count(0) / len(draws)
         assert p_cold == pytest.approx(0.15 / 2.15, abs=0.01)
 
     def test_all_normal_is_uniform(self):
-        from phmoea.engine import Partition
-        part = Partition(hot=(), normal=(0, 1, 2, 3), cold=())
+        part = partition_of([0.0] * 4, [0] * 4, 0.0, 0.0)
+        assert (part.hot, part.normal, part.cold) == ((), (0, 1, 2, 3), ())
         rng = np.random.default_rng(1)
-        draws = [sample_candidate(part, "nh", 4, 0.15, rng) for _ in range(20000)]
+        draws = [sample_candidate(part, "nh", 4, rng) for _ in range(20000)]
         for a in range(4):
             assert draws.count(a) / len(draws) == pytest.approx(0.25, abs=0.02)
 
     def test_singleton_hot(self):
-        from phmoea.engine import Partition
-        part = Partition(hot=(2,), normal=(0,), cold=(1,))
+        part = partition_of([0.0, 0.0, 1.0], [5, 0, 0], 0.3, 0.2)
+        assert (part.hot, part.normal, part.cold) == ((2,), (0,), (1,))
         rng = np.random.default_rng(2)
-        assert all(sample_candidate(part, "hot", 3, 0.15, rng) == 2
-                   for _ in range(100))
+        assert all(sample_candidate(part, "hot", 3, rng) == 2 for _ in range(100))
 
     def test_empty_pool_falls_back_to_uniform(self):
-        from phmoea.engine import Partition
-        part = Partition(hot=(0, 1), normal=(), cold=())
+        part = partition_of([0.0, 0.0], [0, 0], 1.0, 0.0)
+        assert (part.hot, part.non_hot, part.cdf) == ((0, 1), (), [])
         rng = np.random.default_rng(3)
-        draws = {sample_candidate(part, "nh", 2, 0.15, rng) for _ in range(50)}
+        draws = {sample_candidate(part, "nh", 2, rng) for _ in range(50)}
         assert draws == {0, 1}
 
     def test_non_hot_draws_match_the_loop_reference(self):
-        from phmoea.engine import Partition
-        part = Partition(hot=(4,), normal=(0, 5, 2), cold=(6, 1, 3))
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        members = sorted(part.normal + part.cold)
-        weights = np.array([0.15 if a in part.cold else 1.0 for a in members])
-        weights /= weights.sum()
-        for _ in range(200):
-            expected = members[ref_rng.choice(len(members), p=weights)]
-            assert sample_candidate(part, "nh", 7, 0.15, rng) == expected
+        for cold_bonus in (0.15, 0.5, 3.0):
+            part = partition_of([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                                [9, 1, 9, 2, 0, 9, 0], 0.1, 0.4, cold_bonus)
+            assert (part.hot, part.normal, part.cold) == ((4,), (0, 2, 5), (1, 3, 6))
+            assert part.non_hot == (0, 1, 2, 3, 5, 6)
+            rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+            weights = np.array([cold_bonus if a in part.cold else 1.0
+                                for a in part.non_hot])
+            weights /= weights.sum()
+            for _ in range(200):
+                expected = part.non_hot[ref_rng.choice(len(part.non_hot), p=weights)]
+                assert sample_candidate(part, "nh", 7, rng) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +517,14 @@ def per_draw_variation_child(run, rng):
 def per_dimension_assembled_child(run, partitions, pool, rng):
     """Pool offspring with one ``sample_candidate`` call per dimension: the reference."""
     params, counts = run.params, run.state.counts
-    genes = [sample_candidate(partitions[i + 1], pool, n, params.cold_bonus, rng)
-             for i, n in enumerate(counts)]
+    genes = [sample_candidate(part, pool, n, rng) for part, n in zip(partitions, counts)]
     opposite = "nh" if pool == "hot" else "hot"
     changed = 0
     for i, n in enumerate(counts):
         if changed >= run.max_mutated:
             break
         if rng.random() < params.cross_pool_rate:
-            new = sample_candidate(partitions[i + 1], opposite, n, params.cold_bonus, rng)
+            new = sample_candidate(partitions[i], opposite, n, rng)
             if new != genes[i]:
                 genes[i] = new
                 changed += 1
@@ -524,27 +563,23 @@ class TestVariation:
                 assert changed <= 2
 
     def test_assembled_offspring_pool_purity_without_cross_mutation(self):
-        from phmoea.engine import partition_players
         params = SearchParams.benchmark()
         params.cross_pool_rate = 0.0
         run = engine_for(bench_problem(n=5), params=params)
-        run.archives.update(run.population)
-        partitions = {
-            var.index: partition_players(run.archives, var.index, 0.3, 0.2)
-            for var in run.space.variables
-        }
+        run.archives.update([ind.genotype.genes for ind in run.population],
+                            archive_weights(run.population, 0.5, params))
+        partitions = [partition_players(run.archives, var.index, 0.3, 0.2, 0.15)
+                      for var in run.space.variables]
         for pool in ("hot", "nh"):
             for _ in range(20):
                 child = run._assemble_child(partitions, pool)
-                for i, var in enumerate(run.space.variables):
-                    part = partitions[var.index]
+                for i, part in enumerate(partitions):
                     members = part.hot if pool == "hot" else part.non_hot
                     if members:  # empty pools legitimately fall back
                         assert child.genes[i] in members
 
     def test_offspring_source_counts(self, monkeypatch):
         run = engine_for(bench_problem(n=4), pop_size=50)
-        normalize_generation(run.population)
         requested = []
         original = run._fill_slots
 
@@ -579,12 +614,11 @@ class TestVariation:
     def test_assembled_child_matches_the_per_dimension_draws(self, hot_fraction,
                                                              cold_fraction):
         run = engine_for(bench_problem(n=5), pop_size=12)
-        normalize_generation(run.population)
-        compute_scores(run.population, 0.5, run.params)
-        run.archives.update(run.population)
-        partitions = {var.index: partition_players(run.archives, var.index,
-                                                   hot_fraction, cold_fraction)
-                      for var in run.space.variables}
+        run.archives.update([ind.genotype.genes for ind in run.population],
+                            archive_weights(run.population, 0.5, run.params))
+        partitions = [partition_players(run.archives, var.index, hot_fraction,
+                                        cold_fraction, run.params.cold_bonus)
+                      for var in run.space.variables]
         for pool in ("hot", "nh") * 50:
             rng = self.twin_rng(run)
             want = per_dimension_assembled_child(run, partitions, pool, rng)
@@ -699,63 +733,101 @@ class TestEnvironmentalSelect:
         nd_sort_and_crowd(chosen)
         assert got == [(ind.key, ind.rank, ind.crowding) for ind in chosen]
 
-    def test_elitism_across_generations(self):
-        problem = bench_problem(n=4)
-        res = run_phmoea(problem, 16, 12, params=SearchParams.benchmark(), seed=3)
-        best_f1 = [row.mean_f1 for row in res.history]
-        # the running best objective can never regress under elitism
-        mins_f1 = np.minimum.accumulate([row.mean_f1 for row in res.history])
-        assert all(m <= b + 1e-12 for m, b in zip(mins_f1, best_f1))
+    def test_elitism_across_generations(self, monkeypatch):
+        minima = []
+        select = engine.environmental_select
+
+        def recording(union, n):
+            survivors = select(union, n)
+            for group in (union, survivors):
+                minima.append((min(ind.f1 for ind in group), min(ind.f2 for ind in group)))
+            return survivors
+
+        monkeypatch.setattr(engine, "environmental_select", recording)
+        for runner, seed in ((run_phmoea, 3), (run_phmoea, 5), (run_nsga2, 3)):
+            minima.clear()
+            res = runner(bench_problem(n=5), 20, 20, params=SearchParams.benchmark(),
+                         seed=seed)
+            assert len(minima) == 2 * (res.generations - 1) == 38
+            # the best f1 and f2 of parents plus children always survive ...
+            assert minima[0::2] == minima[1::2]
+            # ... so the population's minima never rise from one generation to the next
+            survivors = minima[1::2]
+            for (a1, a2), (b1, b2) in zip(survivors, survivors[1:]):
+                assert b1 <= a1 and b2 <= a2
 
 
 # ---------------------------------------------------------------------------
 # Early stopping
 # ---------------------------------------------------------------------------
 
-def stopped_monitor(window=8):
-    params = SearchParams(window=window)
-    return EarlyStopMonitor(params)
+def history_rows(f1_means, f2_means):
+    return [HistoryRow(gen=gen, fes=0, mean_f1=f1, mean_f2=f2, hv=math.nan, igd=None)
+            for gen, (f1, f2) in enumerate(zip(f1_means, f2_means), start=1)]
 
 
 class TestEarlyStop:
     def test_relative_drop_arithmetic(self):
-        mon = stopped_monitor(window=1)
-        mon.f1_means = [10.0, 9.0]
-        assert mon._relative_drop(mon.f1_means) == pytest.approx(0.1)
+        # f1 falls by exactly 0.1 of its old value over the window
+        history, stop_hv = history_rows([10.0, 9.0], [7.0, 7.0]), [0.4, 0.4]
+        assert not should_stop(history, stop_hv, SearchParams(window=1, eps_f1=0.1))
+        assert should_stop(history, stop_hv,
+                           SearchParams(window=1, eps_f1=np.nextafter(0.1, 1.0)))
 
     def test_increase_clamps_to_zero(self):
-        mon = stopped_monitor(window=1)
-        mon.f1_means = [9.0, 10.0]
-        assert mon._relative_drop(mon.f1_means) == 0.0
+        history = history_rows([9.0, 10.0], [7.0, 8.0])
+        assert should_stop(history, [0.5, 0.4], SearchParams(window=1, eps_f1=1e-300,
+                                                             eps_f2=1e-300, eps_hv=1e-300))
 
     def test_stagnant_history_stops(self):
-        mon = stopped_monitor(window=8)
-        mon.f1_means = [5.0] * 9
-        mon.f2_means = [7.0] * 9
-        mon.hv_values = [0.4] * 9
-        assert mon.should_stop()
+        assert should_stop(history_rows([5.0] * 9, [7.0] * 9), [0.4] * 9,
+                           SearchParams(window=8))
 
     def test_never_stops_before_window(self):
-        mon = stopped_monitor(window=8)
-        mon.f1_means = [5.0] * 8
-        mon.f2_means = [7.0] * 8
-        mon.hv_values = [0.4] * 8
-        assert not mon.should_stop()
+        assert not should_stop(history_rows([5.0] * 8, [7.0] * 8), [0.4] * 8,
+                               SearchParams(window=8))
 
     def test_requires_all_three_signals(self):
-        mon = stopped_monitor(window=2)
-        mon.f1_means = [5.0, 5.0, 5.0]
-        mon.f2_means = [7.0, 7.0, 7.0]
-        mon.hv_values = [0.4, 0.4, 0.5]   # still improving
-        assert not mon.should_stop()
+        for f1, f2, hv in (([5.0, 5.0, 4.0], [7.0] * 3, [0.4] * 3),    # f1 still falling
+                           ([5.0] * 3, [7.0, 7.0, 6.0], [0.4] * 3),    # f2 still falling
+                           ([5.0] * 3, [7.0] * 3, [0.4, 0.4, 0.5])):   # hv still rising
+            assert not should_stop(history_rows(f1, f2), hv, SearchParams(window=2))
+
+    def test_window_compares_with_the_generation_window_back(self):
+        # the drop between the ends counts, not the last step alone
+        history = history_rows([6.0, 5.0, 5.0, 5.0], [7.0] * 4)
+        assert not should_stop(history, [0.4] * 4, SearchParams(window=3))
+        assert should_stop(history, [0.4] * 4, SearchParams(window=2))
+
+    def test_reads_its_own_hv_series_not_the_history_hv(self):
+        history = [HistoryRow(gen=g, fes=0, mean_f1=5.0, mean_f2=7.0, hv=0.1 * g, igd=None)
+                   for g in range(1, 4)]
+        assert should_stop(history, [0.4] * 3, SearchParams(window=2))
+        assert not should_stop(history, [0.4, 0.4, 0.5], SearchParams(window=2))
 
     def test_reference_fixed_from_first_population(self):
-        mon = stopped_monitor()
-        pop = individuals([(2.0, 10.0), (1.0, 30.0)])
-        mon.set_reference(pop)
-        assert mon.reference == (pytest.approx(2.2), pytest.approx(33.0))
-        mon.set_reference(individuals([(100.0, 100.0)]))
-        assert mon.reference == (pytest.approx(2.2), pytest.approx(33.0))
+        from phmoea.engine import _Run
+        run = _Run(bench_problem(n=4), 12, 8, SearchParams.benchmark(), 0,
+                   use_archives=True)
+        seen = []
+        record = run._record
+
+        def spy(gen):
+            front = record(gen)
+            seen.append((run.reference, [(ind.f1, ind.f2) for ind in front],
+                         [(ind.f1, ind.f2) for ind in run.population]))
+            return front
+
+        run._record = spy
+        res = run.run()
+        initial = seen[0][2]
+        assert run.reference == (1.1 * max(f1 for f1, _ in initial),
+                                 1.1 * max(f2 for _, f2 in initial))
+        assert all(reference == run.reference for reference, _, _ in seen)
+        assert run.stop_hv == [metrics.hv(front, run.reference) for _, front, _ in seen]
+        # the problem's own reference scores HistoryRow.hv, so the series differ
+        assert [row.hv for row in res.history] == \
+            [metrics.hv(front, (1.1, 1.1)) for _, front, _ in seen] != run.stop_hv
 
 
 # ---------------------------------------------------------------------------
@@ -797,14 +869,6 @@ class TestRuns:
                 if i != j:
                     assert not (a[0] <= b[0] and a[1] <= b[1]
                                 and (a[0] < b[0] or a[1] < b[1]))
-
-    def test_min_objectives_non_increasing(self):
-        res = run_phmoea(bench_problem(n=5), 20, 20,
-                         params=SearchParams.benchmark(), seed=5)
-        f1_mins = [row.min_f1 for row in res.history]
-        f2_mins = [row.min_f2 for row in res.history]
-        assert all(b <= a + 1e-12 for a, b in zip(f1_mins, f1_mins[1:]))
-        assert all(b <= a + 1e-12 for a, b in zip(f2_mins, f2_mins[1:]))
 
     def test_evaluator_errors_skip_candidates(self):
         problem = bench_problem(n=4)
