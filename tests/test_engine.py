@@ -870,6 +870,25 @@ class TestRuns:
                     assert not (a[0] <= b[0] and a[1] <= b[1]
                                 and (a[0] < b[0] or a[1] < b[1]))
 
+    def test_min_objectives_non_increasing(self, monkeypatch):
+        minima = []
+        select = engine.environmental_select
+
+        def recording(union, n):
+            survivors = select(union, n)
+            minima.append((min(ind.f1 for ind in survivors),
+                           min(ind.f2 for ind in survivors)))
+            return survivors
+
+        monkeypatch.setattr(engine, "environmental_select", recording)
+        res = run_phmoea(bench_problem(n=5), 20, 20,
+                         params=SearchParams.benchmark(), seed=5)
+        assert len(minima) == res.generations - 1
+        f1_mins = [m[0] for m in minima]
+        f2_mins = [m[1] for m in minima]
+        assert all(b <= a + 1e-12 for a, b in zip(f1_mins, f1_mins[1:]))
+        assert all(b <= a + 1e-12 for a, b in zip(f2_mins, f2_mins[1:]))
+
     def test_evaluator_errors_skip_candidates(self):
         problem = bench_problem(n=4)
         inner = problem.evaluator
