@@ -37,12 +37,12 @@ REFERENCE_FRONT_POINTS = 1000
 
 @dataclass
 class RunManifest:
-    """Fully resolved description of one search invocation."""
+    """Fully resolved description of one search invocation; holds every default."""
 
     problem: str
     algorithm: str = "phmoea"
-    pop_size: int = 50
-    generations: int = 30
+    pop_size: int | None = None         # None: 100 on H-DTLZ, 50 on the surrogate
+    generations: int | None = None      # None: 100 on H-DTLZ, 30 on the surrogate
     seed: int = 0
     seeds: int = 1
     out_dir: str = "runs"
@@ -52,6 +52,11 @@ class RunManifest:
     targets: int = 5
     input_width: int = 50
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        pop_size, generations = (50, 30) if self.problem == "surrogate" else (100, 100)
+        self.pop_size = pop_size if self.pop_size is None else self.pop_size
+        self.generations = generations if self.generations is None else self.generations
 
     def validate(self) -> None:
         if self.problem not in PROBLEMS:
@@ -78,7 +83,6 @@ class RunManifest:
     def resolved(self) -> dict:
         doc = asdict(self)
         doc["params"] = asdict(self.search_params())
-        doc["params"]["stage_ratios"] = [list(r) for r in doc["params"]["stage_ratios"]]
         return doc
 
     @classmethod
@@ -151,16 +155,12 @@ def write_run_outputs(run_dir: Path, manifest_doc: dict, result: RunResult,
                [(h.gen, h.fes, h.mean_f1, h.mean_f2, h.hv, h.igd)
                 for h in result.history])
     configs = [{"f1": ind.f1, "f2": ind.f2, "canonical_key": ind.key,
-                "config": _jsonable(ind.decoded.as_dict(space))}
+                "config": ind.decoded.as_dict(space)}
                for ind in result.pareto]
     (run_dir / "pareto_configs.json").write_text(
         json.dumps(configs, indent=2) + "\n")
     (run_dir / "manifest.json").write_text(
         json.dumps(manifest_doc, indent=2, sort_keys=True) + "\n")
-
-
-def _jsonable(config: dict) -> dict:
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()}
 
 
 def cmd_search(manifest: RunManifest) -> int:
@@ -208,7 +208,13 @@ def _read_points(path: str) -> np.ndarray:
         cols = {name.strip(): i for i, name in enumerate(header)}
         if "f1" not in cols or "f2" not in cols:
             raise ValueError(f"{path}: need 'f1' and 'f2' columns, got {header}")
-        pts = [(float(row[cols["f1"]]), float(row[cols["f2"]])) for row in reader if row]
+        pts = []
+        for row in filter(None, reader):
+            try:
+                pts.append((float(row[cols["f1"]]), float(row[cols["f2"]])))
+            except IndexError:
+                raise ValueError(f"{path}: row {reader.line_num} has {len(row)} "
+                                 f"fields, the header {len(header)}") from None
     if not pts:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(pts)
@@ -248,6 +254,11 @@ def cmd_resample(in_csv: str, out_csv: str, operator: str,
 def cmd_count_params(config_path: str, targets: int, input_width: int) -> int:
     doc = json.loads(Path(config_path).read_text())
     space = builtin_space()
+    if not isinstance(doc, dict):
+        raise ValueError(f"{config_path}: expected a JSON object of variable values")
+    unknown = set(doc) - {var.name for var in space.variables}
+    if unknown:
+        raise ValueError(f"unknown variables: {sorted(unknown)}")
     state = RefinementState(space)
     genes = []
     for var in space.variables:
@@ -306,29 +317,29 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="Bi-objective configuration search")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    search = sub.add_parser("search", help="run one or more seeded searches")
+    # flags left out stay out of the namespace: RunManifest and SearchParams
+    # hold every default
+    search = sub.add_parser("search", help="run one or more seeded searches",
+                            argument_default=argparse.SUPPRESS)
     search.add_argument("--manifest", help="replay a saved manifest (other flags ignored)")
     search.add_argument("--problem", choices=PROBLEMS)
-    search.add_argument("--algo", choices=ALGORITHMS, default="phmoea")
-    search.add_argument("--pop", type=int)
-    search.add_argument("--gens", type=int)
-    search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--seeds", type=int, default=1)
-    search.add_argument("--out", default="runs")
-    search.add_argument("--early-stop", dest="early_stop", action="store_true",
-                        default=None)
+    search.add_argument("--algo", dest="algorithm", choices=ALGORITHMS)
+    search.add_argument("--pop", dest="pop_size", type=int)
+    search.add_argument("--gens", dest="generations", type=int)
+    search.add_argument("--seed", type=int)
+    search.add_argument("--seeds", type=int)
+    search.add_argument("--out", dest="out_dir")
+    search.add_argument("--early-stop", dest="early_stop", action="store_true")
     search.add_argument("--no-early-stop", dest="early_stop", action="store_false")
-    search.add_argument("--n", type=int, default=12, help="benchmark variable count")
-    search.add_argument("--gamma", type=float, default=1.0,
+    search.add_argument("--n", dest="bench_n", type=int, help="benchmark variable count")
+    search.add_argument("--gamma", dest="bench_gamma", type=float,
                         help="benchmark coupling coefficient")
-    search.add_argument("--topology", choices=("chain", "tree"), default="chain")
-    search.add_argument("--targets", type=int, default=5)
-    search.add_argument("--input-width", type=int, default=50)
+    search.add_argument("--topology", dest="bench_topology", choices=("chain", "tree"))
+    search.add_argument("--targets", type=int)
+    search.add_argument("--input-width", type=int)
+    kinds = {f.name: type(f.default) for f in fields(SearchParams)}
     for flag, name in _PARAM_FLAGS.items():
-        kind = int if name in ("initial_bins", "n_trial", "refine_persistence",
-                               "window") else float
-        search.add_argument(f"--{flag}", dest=f"param_{name}", type=kind,
-                            default=None)
+        search.add_argument(f"--{flag}", dest=name, type=kinds[name])
 
     ind = sub.add_parser("indicators", help="IGD/HV of a front against a reference")
     ind.add_argument("--front", required=True)
@@ -345,39 +356,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     card = sub.add_parser("count-params", help="model card for a config JSON")
     card.add_argument("--config", required=True)
-    card.add_argument("--targets", type=int, default=5)
-    card.add_argument("--input-width", type=int, default=50)
+    card.add_argument("--targets", type=int, default=RunManifest.targets)
+    card.add_argument("--input-width", type=int, default=RunManifest.input_width)
     return parser
 
 
 def _manifest_from_args(args) -> RunManifest:
-    if args.manifest:
-        doc = json.loads(Path(args.manifest).read_text())
-        return RunManifest.from_json(doc)
-    if not args.problem:
+    given = {name: value for name, value in vars(args).items() if name != "command"}
+    if "manifest" in given:
+        return RunManifest.from_json(json.loads(Path(given["manifest"]).read_text()))
+    if "problem" not in given:
         raise ValueError("--problem is required (or pass --manifest)")
-    bench_problem = args.problem != "surrogate"
-    manifest = RunManifest(
-        problem=args.problem,
-        algorithm=args.algo,
-        pop_size=args.pop if args.pop is not None else (100 if bench_problem else 50),
-        generations=args.gens if args.gens is not None else (100 if bench_problem else 30),
-        seed=args.seed,
-        seeds=args.seeds,
-        out_dir=args.out,
-        bench_n=args.n,
-        bench_gamma=args.gamma,
-        bench_topology=args.topology,
-        targets=args.targets,
-        input_width=args.input_width,
-    )
-    for name in _PARAM_FLAGS.values():
-        value = getattr(args, f"param_{name}", None)
-        if value is not None:
-            manifest.params[name] = value
-    if args.early_stop is not None:
-        manifest.params["early_stop"] = args.early_stop
-    return manifest
+    params = {f.name: given.pop(f.name) for f in fields(SearchParams) if f.name in given}
+    return RunManifest(**given, params=params)
 
 
 def main(argv=None) -> int:

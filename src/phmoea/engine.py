@@ -411,14 +411,14 @@ class _Run:
                                      persistence=params.refine_persistence)
         self.registry = DedupRegistry()
         self.archives = PlayerArchives(self.state.counts)
-        # early stop's hv series, against a reference fixed by the initial
-        # population (so not ``HistoryRow.hv`` if the problem brings its own)
+        # early stop's hv series (kept only with early_stop on), against a
+        # reference fixed by the initial population; ``HistoryRow.hv`` uses it
+        # too unless the problem brings its own
         self.reference: tuple[float, float] | None = None
         self.stop_hv: list[float] = []
         self.dims = len(self.space)
         self.continuous = [v.index - 1 for v in self.space.variables if v.is_continuous]
         self.max_mutated = min(params.max_mutated, self.dims)
-        self.fes = 0
         self.evaluated_keys: list[int] = []
         self.skipped_errors = 0
         self.history: list[HistoryRow] = []
@@ -438,7 +438,6 @@ class _Run:
             evaluations = [evaluate_safely(evaluator, dec) for dec in decoded]
         out = []
         for (genotype, dec, key), ev in zip(batch, evaluations):
-            self.fes += 1
             self.evaluated_keys.append(key)
             if isinstance(ev, Evaluation) and ev.ok and \
                     math.isfinite(ev.f1) and math.isfinite(ev.f2):
@@ -625,15 +624,15 @@ class _Run:
         """Log the ranked population's generation and return its first front."""
         front = [ind for ind in self.population if ind.rank == 0]
         pts = [(ind.f1, ind.f2) for ind in front]
-        self.stop_hv.append(metrics.hv(pts, self.reference))
-        reference = self.problem.hv_reference
-        hv_value = (self.stop_hv[-1] if reference is None    # same points
-                    else metrics.hv(pts, reference))
+        hv_value = metrics.hv(pts, self.problem.hv_reference or self.reference)
+        if self.params.early_stop:
+            self.stop_hv.append(hv_value if self.problem.hv_reference is None
+                                else metrics.hv(pts, self.reference))
         igd_value = None
         if self.problem.reference_front is not None:
             igd_value = metrics.igd(pts, self.problem.reference_front)
         self.history.append(HistoryRow(
-            gen=gen, fes=self.fes,
+            gen=gen, fes=len(self.evaluated_keys),
             mean_f1=sum(ind.f1 for ind in front) / len(front),
             mean_f2=sum(ind.f2 for ind in front) / len(front),
             hv=hv_value, igd=igd_value))
@@ -671,7 +670,7 @@ class _Run:
         assert len(set(self.evaluated_keys)) == len(self.evaluated_keys), \
             "duplicate candidate admitted to evaluation"
         return RunResult(pareto=pareto, population=self.population,
-                         history=self.history, fes=self.fes,
+                         history=self.history, fes=len(self.evaluated_keys),
                          generations=gen, stopped_early=stopped_early,
                          evaluated_keys=self.evaluated_keys,
                          skipped_errors=self.skipped_errors)

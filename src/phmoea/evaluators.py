@@ -1,8 +1,9 @@
 """Evaluators: candidate configuration -> bi-objective value.
 
 Three families share one contract: given a decoded configuration they return
-an Evaluation with (f1, f2) and a status flag, and every dispatched call
-counts as one function evaluation regardless of outcome.
+an Evaluation with (f1, f2), a status flag and the call's wall time. They keep
+no counters: the engine's ``evaluated_keys`` counts every dispatched candidate
+as one function evaluation, whatever its outcome.
 
 * the analytic benchmark evaluator wraps a synthetic problem;
 * the surrogate evaluator scores the full auto-configuration space without
@@ -66,10 +67,8 @@ class BenchmarkEvaluator:
 
     def __init__(self, problem: HBenchProblem):
         self.problem = problem
-        self.calls = 0
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
-        self.calls += 1
         start = time.perf_counter()
         f1, f2 = self.problem.objectives(decoded)
         return Evaluation(key=decoded.key, f1=f1, f2=f2,
@@ -121,7 +120,6 @@ class SurrogateEvaluator:
         self.space = space
         self.targets = targets
         self.input_width = input_width
-        self.calls = 0
         rng = np.random.default_rng(SURROGATE_TARGET_SEED)
         state = RefinementState(space, initial_bins=6)
         self._target_gene = {}
@@ -156,7 +154,6 @@ class SurrogateEvaluator:
         return total
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
-        self.calls += 1
         start = time.perf_counter()
         spec = build_graph(decoded, self.space, self.input_width, self.targets)
         params = count_params(spec)
@@ -188,7 +185,6 @@ class WorkerClient:
         self.space = space
         self.targets = targets
         self.timeout = timeout
-        self.calls = 0
         self._next_id = 0
         self._buffer = b""
         self._proc = subprocess.Popen(
@@ -212,7 +208,6 @@ class WorkerClient:
         return line
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
-        self.calls += 1
         key = decoded.key
         req_id = self._next_id
         self._next_id += 1
@@ -278,11 +273,9 @@ class WorkerPool:
         if not clients:
             raise ValueError("need at least one worker")
         self.clients = clients
-        self.calls = 0
 
     def evaluate_many(self, batch: list[DecodedConfig]) -> list[Evaluation]:
         from concurrent.futures import ThreadPoolExecutor  # imports logging: pool runs only
-        self.calls += len(batch)
         idle: queue.SimpleQueue[WorkerClient] = queue.SimpleQueue()
         for client in self.clients:
             idle.put(client)

@@ -254,9 +254,8 @@ class RefinementState:
         self.counts = [len(var.candidates) for var in space.variables]
         self.values: list = [var.candidates for var in space.variables]
         self.grids: list = [None] * len(space)
-        # breakpoints and midpoints are in scale space; endpoints pin the range
+        # breakpoints are in scale space; endpoints pin the range
         self._pts: dict[int, np.ndarray] = {}
-        self._mids: dict[int, np.ndarray] = {}
         self.counters: dict[int, np.ndarray] = {}
         for idx in space.continuous_indices():
             var = space.variable(idx)
@@ -267,7 +266,7 @@ class RefinementState:
 
     def _set_points(self, index: int, pts: np.ndarray) -> None:
         mids = 0.5 * (pts[:-1] + pts[1:])
-        self._pts[index], self._mids[index] = pts, mids
+        self._pts[index] = pts
         pos, scale = index - 1, self.space.variable(index).scale
         grid = mids.tolist()
         self.counts[pos] = len(grid)
@@ -321,7 +320,8 @@ class RefinementState:
             triggered = self.counters[idx] >= self.persistence
             if not triggered.any():
                 continue
-            pts, mids = self._pts[idx], self._mids[idx]
+            pts = self._pts[idx]
+            mids = 0.5 * (pts[:-1] + pts[1:])
             split = np.flatnonzero(triggered & (pts[:-1] < mids) & (mids < pts[1:]))
             self._set_points(idx, np.insert(pts, split + 1, mids[split]))
             self.counters[idx] = np.insert(np.where(triggered, 0, self.counters[idx]),
@@ -423,9 +423,6 @@ class DedupRegistry:
 
     def __len__(self) -> int:
         return len(self._seen)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._seen
 
     def admit(self, key: int) -> bool:
         """True and remember the key if unseen; False for a duplicate."""

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phmoea.cli import RunManifest, cmd_search, main, write_run_outputs
+from phmoea.cli import (_PARAM_FLAGS, PROBLEMS, RunManifest, _build_parser,
+                        _manifest_from_args, cmd_search, main, write_run_outputs)
 from phmoea.engine import SearchParams, SearchProblem, run_phmoea
 from phmoea.evaluators import SurrogateEvaluator
 from phmoea.space import PLACEHOLDER, DecodedConfig, builtin_space, canonical_key
@@ -224,6 +225,14 @@ class TestIndicators:
         out = capsys.readouterr().out
         assert "HV 1.2100000" in out
 
+    def test_row_shorter_than_header_is_usage_error(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("f1,f2\n0.1,0.9\n\n0.5\n")
+        code = run_cli(["indicators", "--front", str(short), "--ref", str(short)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "short.csv: row 4 has 1 fields" in err
+
     def test_missing_column_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         with open(bad, "w", newline="") as fh:
@@ -296,6 +305,21 @@ class TestCountParams:
         assert card["total_params"] == 61397
         assert card["fusion"] == "concat"
 
+    def test_unknown_names_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"learning_rat": 0.001, "fusion_opp": "gating",
+                                    "dropout": 0.1}))
+        assert run_cli(["count-params", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "['fusion_opp', 'learning_rat']" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("doc", [5, [["dropout", 0.1]]])
+    def test_config_not_an_object_rejected(self, tmp_path, capsys, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["count-params", "--config", str(path)]) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+
     def test_invalid_candidate_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"norm_layer": "GroupNorm"}))
@@ -318,7 +342,41 @@ class TestCountParams:
             assert run_cli(["count-params", "--config", str(path)]) == 0
 
 
+def parse_search(*argv) -> RunManifest:
+    return _manifest_from_args(_build_parser().parse_args(["search", *argv]))
+
+
 class TestManifest:
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_cli_defaults_are_the_manifest_defaults(self, problem):
+        assert parse_search("--problem", problem).resolved() == \
+            RunManifest(problem=problem).resolved()
+
+    @pytest.mark.parametrize("problem, budget", [
+        ("hdtlz2", (100, 100)), ("hdtlz7", (100, 100)), ("surrogate", (50, 30))])
+    def test_standard_budget_per_problem(self, problem, budget):
+        manifest = RunManifest(problem=problem)
+        assert (manifest.pop_size, manifest.generations) == budget
+        manifest = RunManifest(problem=problem, pop_size=7, generations=3)
+        assert (manifest.pop_size, manifest.generations) == (7, 3)
+
+    @pytest.mark.parametrize("flag, name", sorted(_PARAM_FLAGS.items()))
+    def test_param_flag_parses_to_its_field_type(self, flag, name):
+        params = parse_search("--problem", "hdtlz2", f"--{flag}", "3").search_params()
+        assert type(getattr(params, name)) is type(getattr(SearchParams(), name))
+        assert getattr(params, name) == 3
+
+    def test_flags_name_manifest_fields(self):
+        manifest = parse_search("--problem", "hdtlz7", "--algo", "nsga2", "--pop", "8",
+                                "--gens", "4", "--out", "o", "--n", "6", "--gamma", "2",
+                                "--topology", "tree", "--input-width", "30",
+                                "--no-early-stop", "--window", "4")
+        assert (manifest.algorithm, manifest.pop_size, manifest.generations,
+                manifest.out_dir, manifest.bench_n, manifest.bench_gamma,
+                manifest.bench_topology, manifest.input_width) == \
+            ("nsga2", 8, 4, "o", 6, 2.0, "tree", 30)
+        assert manifest.params == {"early_stop": False, "window": 4}
+
     def test_round_trip(self):
         manifest = RunManifest(problem="hdtlz7", pop_size=20, generations=10,
                                params={"error_weight": 0.5})

@@ -807,8 +807,10 @@ class TestEarlyStop:
 
     def test_reference_fixed_from_first_population(self):
         from phmoea.engine import _Run
-        run = _Run(bench_problem(n=4), 12, 8, SearchParams.benchmark(), 0,
-                   use_archives=True)
+        # the series is kept only with early stop on; a long window never fires
+        params = SearchParams.benchmark()
+        params.early_stop, params.window = True, 100
+        run = _Run(bench_problem(n=4), 12, 8, params, 0, use_archives=True)
         seen = []
         record = run._record
 
@@ -857,8 +859,38 @@ class TestRuns:
 
     def test_fe_accounting_matches_evaluator(self):
         problem = bench_problem(n=4)
+        inner, dispatched = problem.evaluator, []
+
+        def counting(decoded):
+            dispatched.append(decoded.key)
+            return inner(decoded)
+
+        problem.evaluator = counting
         res = run_phmoea(problem, 10, 8, params=SearchParams.benchmark(), seed=2)
-        assert problem.evaluator.calls == res.fes
+        assert res.fes == res.history[-1].fes == len(dispatched)
+        assert res.evaluated_keys == dispatched
+
+    @pytest.mark.parametrize("early_stop, hv_reference, per_generation", [
+        (False, (1.1, 1.1), 1),     # HistoryRow.hv only
+        (True, None, 1),            # both series against the run's reference
+        (True, (1.1, 1.1), 2),      # one against each reference
+    ])
+    def test_hv_calls_per_generation(self, monkeypatch, early_stop, hv_reference,
+                                     per_generation):
+        calls = []
+        hv = metrics.hv
+
+        def counting(points, reference):
+            calls.append(reference)
+            return hv(points, reference)
+
+        monkeypatch.setattr(metrics, "hv", counting)
+        problem = bench_problem("hdtlz7", n=4)
+        problem.hv_reference = hv_reference
+        params = SearchParams.benchmark()
+        params.early_stop = early_stop
+        res = run_nsga2(problem, 12, 10, params=params, seed=0)
+        assert len(calls) == per_generation * res.generations
 
     def test_pareto_mutually_nondominated(self):
         res = run_nsga2(bench_problem(n=5), 16, 10,

@@ -66,3 +66,23 @@ def test_traced_search_matches_untraced_and_uninstalls(tmp_path, tracing, proble
     for owner, attrs in zip(OWNERS, before):
         restored = vars(owner)
         assert all(restored[attr] is value for attr, value in attrs.items()), owner
+
+
+def test_layer_metrics_of_a_traced_run(tracing):
+    """``layer_metrics`` reads the run result and the refinement state it saw."""
+    bench = benchmarks.HBenchProblem("hdtlz7", n=6)
+    problem = engine.SearchProblem(space=bench.space(),
+                                   evaluator=evaluators.BenchmarkEvaluator(bench),
+                                   hv_reference=(1.1, 1.1))
+    tracer = tracing.Tracer()
+    tracing.install(tracer, phmoea)
+    try:
+        result = engine.run_nsga2(problem, 10, 5, params=engine.SearchParams.benchmark())
+    finally:
+        tracer.uninstall()
+
+    layers = tracing.layer_metrics(tracer, 1.0, tracer.top_level_s, result, 10)
+    assert all(name in layers for name in tracing.COUNT_METRICS)
+    assert layers["space.bins_final"] > 0
+    assert layers["space.exhausted_slots"] == 10 * result.generations - result.fes
+    assert layers["metrics.hv_calls"] == result.generations
