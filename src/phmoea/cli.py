@@ -21,7 +21,7 @@ import numpy as np
 from . import benchmarks, metrics, resample
 from .engine import RunResult, SearchParams, SearchProblem, run_nsga2, run_phmoea
 from .evaluators import BenchmarkEvaluator, SurrogateEvaluator
-from .network import build_graph, dump_model_card
+from .network import INPUT_WIDTH, TARGETS, build_graph, dump_model_card
 from .space import (RefinementState, builtin_space, decode, fresh_genotype,
                     repair)
 
@@ -49,8 +49,8 @@ class RunManifest:
     bench_n: int = 12
     bench_gamma: float = 1.0
     bench_topology: str = "chain"
-    targets: int = 5
-    input_width: int = 50
+    targets: int = TARGETS
+    input_width: int = INPUT_WIDTH
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -344,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ind = sub.add_parser("indicators", help="IGD/HV of a front against a reference")
     ind.add_argument("--front", required=True)
     ind.add_argument("--ref", required=True)
-    ind.add_argument("--r1", type=float, default=1.1)
-    ind.add_argument("--r2", type=float, default=1.1)
+    ind.add_argument("--r1", type=float, default=BENCH_HV_REFERENCE[0])
+    ind.add_argument("--r2", type=float, default=BENCH_HV_REFERENCE[1])
 
     res = sub.add_parser("resample", help="align a CSV series to a fixed length")
     res.add_argument("--in", dest="in_csv", required=True)

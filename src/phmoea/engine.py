@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -607,16 +608,17 @@ class _Run:
         splits = self.state.refine()
         if not splits:
             return
-        genes = np.array([ind.genotype.genes for ind in self.population])
-        frozen = np.array([ind.genotype.frozen for ind in self.population])
-        for dim in sorted({d for d, _ in splits}):
-            split = np.array([k for d, k in splits if d == dim])
+        # one column per dimension; only the split dimensions' are renumbered
+        genes = list(zip(*(ind.genotype.genes for ind in self.population)))
+        frozen = list(zip(*(ind.genotype.frozen for ind in self.population)))
+        for dim, group in groupby(splits, key=lambda s: s[0]):   # refine sorts by dim
+            split = [k for _, k in group]
             if self.use_archives:
-                self.archives.split_bin(dim, split)
-            for rows in (genes, frozen):
-                rows[:, dim - 1] = split_renumbering(rows[:, dim - 1], split)
-        for ind, g, f in zip(self.population, genes.tolist(), frozen.tolist()):
-            ind.genotype = Genotype(genes=tuple(g), frozen=tuple(f))
+                self.archives.split_bin(dim, np.array(split))
+            for columns in (genes, frozen):
+                columns[dim - 1] = split_renumbering(columns[dim - 1], split)
+        for ind, g, f in zip(self.population, zip(*genes), zip(*frozen)):
+            ind.genotype = Genotype(genes=g, frozen=f)
 
     # -- bookkeeping ---------------------------------------------------------
 

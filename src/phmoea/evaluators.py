@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import HBenchProblem
-from .network import build_graph, count_params
+from .network import INPUT_WIDTH, TARGETS, build_graph, count_params
 from .space import ConfigSpace, DecodedConfig, RefinementState
 
 OK = "ok"
@@ -116,7 +116,8 @@ class SurrogateEvaluator:
     hidden target remains the unique f1 minimizer.
     """
 
-    def __init__(self, space: ConfigSpace, targets: int = 5, input_width: int = 50):
+    def __init__(self, space: ConfigSpace, targets: int = TARGETS,
+                 input_width: int = INPUT_WIDTH):
         self.space = space
         self.targets = targets
         self.input_width = input_width
@@ -180,7 +181,7 @@ class WorkerClient:
     read and discarded, so one timeout fails only its own request.
     """
 
-    def __init__(self, argv, space: ConfigSpace, targets: int = 5,
+    def __init__(self, argv, space: ConfigSpace, targets: int = TARGETS,
                  timeout: float = 600.0):
         self.space = space
         self.targets = targets

@@ -12,6 +12,7 @@ from bisect import bisect_left
 import numpy as np
 
 EPS = 1e-8
+WINDOW_SLACK = 1e-12        # relative widening of igd's f1 windows
 
 
 def _points(a) -> np.ndarray:
@@ -49,10 +50,34 @@ def igd(obtained, reference) -> float:
     ref = _points(reference)
     if len(a) == 0 or len(ref) == 0:
         raise ValueError("point sets must be non-empty")
-    dx = ref[:, 0, None] - a[None, :, 0]
-    dy = ref[:, 1, None] - a[None, :, 1]
+    for name, pts in (("obtained", a), ("reference", ref)):
+        if not np.isfinite(pts).all():
+            raise ValueError(f"{name} points must be finite (got nan or inf)")
     # sqrt is monotone and correctly rounded: one root after the min, same bits
-    return float(np.sqrt((dx * dx + dy * dy).min(axis=1)).mean())
+    return float(np.sqrt(_nearest_squared(a, ref)).mean())
+
+
+def _nearest_squared(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Each reference point's least squared distance to ``a``, bit-exact.
+
+    Its f1 neighbours in ``a`` bound it by ``bound``; only points whose f1 lies
+    within the bound's root ``r``, widened by a relative slack far above the
+    rounding of ``rx - r`` and ``rx + r``, are measured. The minimum folds in
+    ``bound``, one pair's distance, so a window may hold one point too many.
+    """
+    ax, ay = a[np.argsort(a[:, 0], kind="stable")].T
+    rx, ry = ref.T
+    j = np.searchsorted(ax, rx)
+    near = np.minimum(np.maximum(j - [[1], [0]], 0), len(ax) - 1)   # left, right
+    dx, dy = rx - ax[near], ry - ay[near]
+    bound = (dx * dx + dy * dy).min(axis=0)
+    reach = np.sqrt(bound) * (1 + WINDOW_SLACK) + np.abs(rx) * WINDOW_SLACK
+    lo, hi = np.searchsorted(ax, (rx - reach, rx + reach))
+    count = np.maximum(hi - lo, 1)          # reduceat needs non-empty segments
+    start = np.cumsum(count) - count
+    idx = np.arange(start[-1] + count[-1]) + np.repeat(np.minimum(lo, len(ax) - 1) - start, count)
+    dx, dy = np.repeat(rx, count) - ax[idx], np.repeat(ry, count) - ay[idx]
+    return np.minimum(bound, np.minimum.reduceat(dx * dx + dy * dy, start))
 
 
 def hv(obtained, reference_point) -> float:

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 from .space import ConfigSpace, DecodedConfig
 
+TARGETS = 5              # forecast targets of the built-in task
+INPUT_WIDTH = 50         # input window length of the built-in task
+
 
 @dataclass(frozen=True)
 class TimeEmbedding:

@@ -21,9 +21,10 @@ import math
 import operator
 import struct
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import compress
+from itertools import compress, cycle
 
 import numpy as np
 
@@ -330,7 +331,7 @@ class RefinementState:
         return splits
 
 
-def split_renumbering(genes: np.ndarray, split: np.ndarray) -> np.ndarray:
+def split_renumbering(genes: Sequence[int], split: list[int]) -> list[int]:
     """One dimension's gene column renumbered after ``RefinementState.refine``.
 
     ``split`` holds the dimension's split bins, sorted, in old numbering.
@@ -339,10 +340,8 @@ def split_renumbering(genes: np.ndarray, split: np.ndarray) -> np.ndarray:
     they alternate left and right child in population order, which keeps both
     children populated.
     """
-    new = genes + np.searchsorted(split, genes)
-    for k in split:
-        new[np.flatnonzero(genes == k)[1::2]] += 1
-    return new
+    side = {k: cycle((0, 1)) for k in split}
+    return [g + bisect_left(split, g) + (next(side[g]) if g in side else 0) for g in genes]
 
 
 def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:

@@ -1,16 +1,19 @@
 """Command-line interface tests: subcommands, outputs, determinism."""
 
 import csv
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phmoea.cli import (_PARAM_FLAGS, PROBLEMS, RunManifest, _build_parser,
-                        _manifest_from_args, cmd_search, main, write_run_outputs)
+from phmoea.cli import (_PARAM_FLAGS, BENCH_HV_REFERENCE, PROBLEMS, RunManifest,
+                        _build_parser, _manifest_from_args, cmd_search, main,
+                        write_run_outputs)
 from phmoea.engine import SearchParams, SearchProblem, run_phmoea
-from phmoea.evaluators import SurrogateEvaluator
+from phmoea.evaluators import SurrogateEvaluator, WorkerClient
+from phmoea.network import INPUT_WIDTH, TARGETS
 from phmoea.space import PLACEHOLDER, DecodedConfig, builtin_space, canonical_key
 
 
@@ -233,6 +236,18 @@ class TestIndicators:
         err = capsys.readouterr().err
         assert "short.csv: row 4 has 1 fields" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("side, name", [("front", "obtained"), ("ref", "reference")])
+    def test_non_finite_coordinate_is_usage_error(self, tmp_path, capsys, bad, side, name):
+        good, odd = tmp_path / "good.csv", tmp_path / "odd.csv"
+        self.make_front(good, [(0.0, 1.0), (1.0, 0.0)])
+        self.make_front(odd, [(0.0, 1.0), (0.1, bad)])
+        files = {"front": good, "ref": good, side: odd}
+        code = run_cli(["indicators", "--front", str(files["front"]),
+                        "--ref", str(files["ref"])])
+        assert code == 2
+        assert f"{name} points must be finite" in capsys.readouterr().err
+
     def test_missing_column_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         with open(bad, "w", newline="") as fh:
@@ -376,6 +391,17 @@ class TestManifest:
                 manifest.bench_topology, manifest.input_width) == \
             ("nsga2", 8, 4, "o", 6, 2.0, "tree", 30)
         assert manifest.params == {"early_stop": False, "window": 4}
+
+    def test_defaults_outside_search_are_their_owners(self):
+        assert (RunManifest.targets, RunManifest.input_width) == (TARGETS, INPUT_WIDTH)
+        surrogate = inspect.signature(SurrogateEvaluator).parameters
+        assert (surrogate["targets"].default, surrogate["input_width"].default) == \
+            (TARGETS, INPUT_WIDTH)
+        assert inspect.signature(WorkerClient).parameters["targets"].default == TARGETS
+        card = _build_parser().parse_args(["count-params", "--config", "c.json"])
+        assert (card.targets, card.input_width) == (TARGETS, INPUT_WIDTH)
+        ind = _build_parser().parse_args(["indicators", "--front", "f", "--ref", "r"])
+        assert (ind.r1, ind.r2) == BENCH_HV_REFERENCE
 
     def test_round_trip(self):
         manifest = RunManifest(problem="hdtlz7", pop_size=20, generations=10,

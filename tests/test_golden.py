@@ -3,6 +3,9 @@
 Each ``GOLDEN`` digest is the SHA-256 of ``pareto_front.csv`` followed by
 ``history.csv`` of one seed's run directory at pop 20 x 10 generations;
 ``GOLDEN_CONFIGS`` pins that run directory's ``pareto_configs.json``.
+``GOLDEN_AT_SCALE`` pins both digests of seed 0 at pop 40 x 30, where the
+front fills the population and refinement ends with thousands of bins, so
+IGD and bin renumbering run at the scale of a benchmark run.
 A change that moves a seeded trajectory fails here; re-pin only on purpose,
 with the reason and the acceptance-protocol IGD/HV recorded in CHANGES.md.
 """
@@ -49,6 +52,15 @@ GOLDEN_CONFIGS = {
         "90894af49d37cae74682c554b87789d99d5d68ca69a4a98f9d071d5eec7f1e47"),
 }
 
+GOLDEN_AT_SCALE = {
+    ("hdtlz7", "nsga2"): (
+        "4c2568bc276cefbfcabbdfc58725fa07d9ceb044ffb96dfd98c3d63d9407e565",
+        "e18bed5d54ac92eaaacc38abf562968ad3b1d4616717e9fb70d5d661f11e7a19"),
+    ("hdtlz2", "phmoea"): (
+        "ca3da88bb59a4ff46fd3b8d9f6e3a10ee7a9e74c7ec3c2580ede959ee817d467",
+        "b63215259ce17cb19fd7b27fb3675d62ed1aa504aca8dd253c0087114910364c"),
+}
+
 
 def run_digest(run_dir, names=("pareto_front.csv", "history.csv")) -> str:
     sha = hashlib.sha256()
@@ -65,3 +77,12 @@ def test_seeded_runs_match_golden_digests(tmp_path, problem, algo):
     assert tuple(map(run_digest, run_dirs)) == GOLDEN[(problem, algo)]
     assert tuple(run_digest(d, ("pareto_configs.json",)) for d in run_dirs) == \
         GOLDEN_CONFIGS[(problem, algo)]
+
+
+@pytest.mark.parametrize("problem,algo", sorted(GOLDEN_AT_SCALE))
+def test_seeded_runs_at_scale_match_golden_digests(tmp_path, problem, algo):
+    assert main(["search", "--problem", problem, "--algo", algo, "--pop", "40",
+                 "--gens", "30", "--seeds", "1", "--out", str(tmp_path)]) == 0
+    run_dir = tmp_path / "seed_000"
+    assert (run_digest(run_dir), run_digest(run_dir, ("pareto_configs.json",))) == \
+        GOLDEN_AT_SCALE[(problem, algo)]

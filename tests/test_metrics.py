@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from phmoea.metrics import (LOSS_KINDS, forecast_metrics, front_ranks, hv,
-                            igd, loss, merged_reference_front,
+from phmoea import metrics
+from phmoea.cli import RunManifest, build_problem
+from phmoea.engine import run_nsga2
+from phmoea.metrics import (LOSS_KINDS, _nearest_squared, forecast_metrics,
+                            front_ranks, hv, igd, loss, merged_reference_front,
                             nondominated_mask)
 
 
@@ -30,6 +33,65 @@ def monte_carlo_hv(points, reference, n_samples, seed):
 # ---------------------------------------------------------------------------
 # IGD
 # ---------------------------------------------------------------------------
+
+def dense_nearest_squared(a, ref):
+    """The full reference x obtained formula igd replaced, kept as the reference."""
+    a, ref = np.asarray(a, dtype=float), np.asarray(ref, dtype=float)
+    dx = ref[:, 0, None] - a[None, :, 0]
+    dy = ref[:, 1, None] - a[None, :, 1]
+    return (dx * dx + dy * dy).min(axis=1)
+
+
+def assert_matches_dense(a, ref):
+    nearest = dense_nearest_squared(a, ref)
+    assert np.array_equal(_nearest_squared(np.asarray(a, dtype=float),
+                                           np.asarray(ref, dtype=float)), nearest)
+    assert igd(a, ref) == float(np.sqrt(nearest).mean())
+
+
+def _arc(n, lo=0.0, hi=1.0):
+    u = np.linspace(lo, hi, n)
+    return np.column_stack([np.cos(np.pi * u / 2), np.sin(np.pi * u / 2)])
+
+
+def _shared_f1():
+    rng = np.random.default_rng(1)
+    a = np.column_stack([rng.integers(0, 5, 80) / 4, rng.random(80)])
+    ref = np.column_stack([rng.integers(0, 5, 40) / 4, rng.random(40)])
+    return a, ref
+
+
+def _repeated():
+    rng = np.random.default_rng(2)
+    a = rng.random((10, 2))[rng.integers(0, 10, 60)]
+    return a, np.vstack([a[:5], rng.random((30, 2))])
+
+
+def _dominated():
+    rng = np.random.default_rng(3)
+    front = _arc(20)
+    return np.vstack([front, front + rng.random((20, 2))]), _arc(200)
+
+
+def _magnitudes():
+    rng = np.random.default_rng(4)
+
+    def pts(n):
+        return rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-300, 6, (n, 2))
+
+    tiny = np.array([(0.0, 0.0), (1e-300, 0.0), (0.0, 1e-300), (-3e-200, 2e-250)])
+    return np.vstack([pts(60), tiny]), np.vstack([pts(60), tiny[::-1] * 0.5])
+
+
+EDGE_CASES = {
+    "shared_f1": _shared_f1,
+    "repeated_points": _repeated,
+    "dominated_points": _dominated,
+    "one_obtained_point": lambda: (np.array([(0.4, 0.6)]), _arc(100)),
+    "reference_far_from_front": lambda: (_arc(30, 0.2, 0.4), _arc(50) * 1e3 - 500.0),
+    "magnitudes_1e-300_to_1e6": _magnitudes,
+}
+
 
 class TestIgd:
     def test_identical_sets(self):
@@ -55,6 +117,51 @@ class TestIgd:
         ref = rng.random((int(rng.integers(1, 300)), 2))
         d = np.sqrt(((ref[:, None, :] - a[None, :, :]) ** 2).sum(axis=2))
         assert igd(a, ref) == float(d.min(axis=1).mean())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_sets_match_the_dense_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((int(rng.integers(1, 120)), 2))
+        ref = rng.random((int(rng.integers(1, 500)), 2)) * rng.choice([1.0, 3.0])
+        assert_matches_dense(a, ref)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases_match_the_dense_formula(self, case):
+        assert_matches_dense(*EDGE_CASES[case]())
+
+    def test_rounded_reach_keeps_a_nearer_point(self):
+        # A, the right f1 neighbour, bounds the reference's distance; B lies
+        # just beyond rx - r, and its rounded offset squares below the bound
+        rx, p, q = 0.5154368461864055, 0.14791770699277332, 0.49375651819539595
+        bx = float(np.nextafter(rx - np.sqrt(p * p + q * q), -np.inf))
+        a = np.array([(rx + p, q), (bx, 0.0), ((bx + rx) / 2, 10.0)])
+        ref = np.array([(rx, 0.0)])
+        assert dense_nearest_squared(a[1:2], ref) < dense_nearest_squared(a[:1], ref)
+        assert_matches_dense(a, ref)
+
+    def test_every_front_of_a_short_run(self, monkeypatch):
+        calls = []
+
+        def recording(obtained, reference):
+            calls.append((np.array(obtained, dtype=float), reference))
+            return real(obtained, reference)
+
+        real = metrics.igd
+        monkeypatch.setattr(metrics, "igd", recording)
+        manifest = RunManifest(problem="hdtlz7", algorithm="nsga2", pop_size=20,
+                               generations=10)
+        run_nsga2(build_problem(manifest), 20, 10, manifest.search_params(), seed=0)
+        assert len(calls) == 10
+        for a, ref in calls:
+            assert_matches_dense(a, ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["obtained", "reference"])
+    def test_non_finite_coordinates_rejected(self, bad, side):
+        pts = {"obtained": [(0.1, 0.9), (0.5, 0.5)], "reference": [(0.0, 1.0), (1.0, 0.0)]}
+        pts[side] = pts[side] + [(0.3, bad)]
+        with pytest.raises(ValueError, match=side):
+            igd(pts["obtained"], pts["reference"])
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,15 @@ def make_state(space, **kw):
     return RefinementState(space, **kw)
 
 
+def per_bin_renumbering(genes, split):
+    """The per-split-bin numpy loop split_renumbering replaced, kept as the reference."""
+    genes, split = np.asarray(genes), np.asarray(split)
+    new = genes + np.searchsorted(split, genes)
+    for k in split:
+        new[np.flatnonzero(genes == k)[1::2]] += 1
+    return new.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Built-in space
 # ---------------------------------------------------------------------------
@@ -423,11 +432,11 @@ class TestRefinement:
         state.counters[14][0] = 1
         old = state.representatives(13)
         splits = state.refine()
-        split = np.array([k for d, k in splits if d == 13])
-        assert split.tolist() == [1, 4]
+        split = [k for d, k in splits if d == 13]
+        assert split == [1, 4]
         assert state.counters[13].tolist() == [0] * 8
-        new = split_renumbering(np.arange(6), split)
-        assert new.tolist() == [0, 1, 3, 4, 5, 7]
+        new = split_renumbering(list(range(6)), split)
+        assert new == [0, 1, 3, 4, 5, 7]
         reps = state.representatives(13)
         for j in range(6):
             if j in split:
@@ -435,9 +444,18 @@ class TestRefinement:
             else:
                 assert reps[new[j]] == old[j]
         # a placeholder stays put; members of a split bin alternate children
-        genes = np.array([4, PLACEHOLDER, 2, 4, 5, 4])
-        assert split_renumbering(genes, split).tolist() == \
-            [5, PLACEHOLDER, 3, 6, 7, 5]
+        genes = [4, PLACEHOLDER, 2, 4, 5, 4]
+        assert split_renumbering(genes, split) == [5, PLACEHOLDER, 3, 6, 7, 5]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_split_renumbering_matches_the_per_bin_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        bins = int(rng.integers(1, 40))
+        split = sorted(rng.choice(bins, int(rng.integers(1, bins + 1)), replace=False).tolist())
+        genes = rng.integers(0, bins, int(rng.integers(1, 150)))
+        genes[rng.random(len(genes)) < 0.2] = PLACEHOLDER
+        genes[rng.random(len(genes)) < 0.3] = split[0]      # several members per split bin
+        assert split_renumbering(genes.tolist(), split) == per_bin_renumbering(genes, split)
 
 
     def test_tables_grow_with_the_bins(self):
