@@ -8,7 +8,9 @@ as one function evaluation, whatever its outcome.
 * the analytic benchmark evaluator wraps a synthetic problem;
 * the surrogate evaluator scores the full auto-configuration space without
   training: f2 is the exact parameter count and f1 is a deterministic smooth
-  stand-in for validation error that genuinely conflicts with f2;
+  stand-in for validation error that genuinely conflicts with f2. What never
+  changes (penalty per candidate, target position per continuous variable,
+  positions of the network's inputs) is tabled at construction;
 * the external evaluator ships configurations to a worker process over
   line-delimited JSON and maps its replies.
 """
@@ -23,11 +25,14 @@ import select
 import subprocess
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
 from .benchmarks import HBenchProblem
-from .network import INPUT_WIDTH, TARGETS, build_graph, count_params
+from .network import (INPUT_WIDTH, REQUIRED, TARGETS, build_graph, count_params,
+                      layer_counts)
 from .space import ConfigSpace, DecodedConfig, RefinementState
 
 OK = "ok"
@@ -96,13 +101,9 @@ CAPACITY_WEIGHT = 0.08
 _LOG_P_LO = math.log(1e4)
 _LOG_P_HI = math.log(4e6)
 
-
-def _scale_pos(var, value: float) -> float:
-    """Value mapped to [0, 1] within the variable's range, in scale space."""
-    a, b = var.bounds
-    if var.scale == "log":
-        return (math.log(value) - math.log(a)) / (math.log(b) - math.log(a))
-    return (value - a) / (b - a)
+# names of the build_graph inputs the evaluator reads, in layer_counts order
+_COUNTED = ("aligned_length", "proj_channels", "conv1_channels", "conv2_channels",
+            "conv3_channels", "short_kernels", "long_kernels", "fusion_op")
 
 
 class SurrogateEvaluator:
@@ -114,6 +115,13 @@ class SurrogateEvaluator:
     that grows with log-parameter count. Larger models therefore buy f1 down
     slightly, which guarantees a genuine error/complexity trade-off, while the
     hidden target remains the unique f1 minimizer.
+
+    Everything fixed is tabled once. f1 adds one term per active position:
+    per-candidate penalties of a discrete variable, or ``(is_log, a or log a,
+    span, target scale position)`` of a continuous one, whose value is read from
+    the configuration since a run's refined bins are not the evaluator's.
+    f2 sums ``layer_counts`` at positions found by name, or goes through
+    ``build_graph`` in a space where that could reject a configuration.
     """
 
     def __init__(self, space: ConfigSpace, targets: int = TARGETS,
@@ -124,40 +132,58 @@ class SurrogateEvaluator:
         rng = np.random.default_rng(SURROGATE_TARGET_SEED)
         state = RefinementState(space, initial_bins=6)
         self._target_gene = {}
-        self._target_value = {}
-        self._offsets = {}
+        self._terms = []
         for var, m, values in zip(space.variables, state.counts, state.values):
             lo = m // 2 if var.name in _UPPER_HALF else 0
             gene = int(rng.integers(lo, m))
             self._target_gene[var.index] = gene
             if var.is_continuous:
-                self._target_value[var.index] = values[gene]
-            elif var.name not in _ORDINAL:
+                log = var.scale == "log"
+                a, b = map(math.log, var.bounds) if log else var.bounds
+                target = ((math.log(values[gene]) if log else values[gene]) - a) / (b - a)
+                self._terms.append((log, a, b - a, target))
+            elif var.name in _ORDINAL:
+                self._terms.append([d * d for d in ((i - gene) / (m - 1) for i in range(m))])
+            else:
                 offsets = rng.uniform(0.15, 0.6, size=m)
                 offsets[gene] = 0.0
-                self._offsets[var.index] = offsets
+                self._terms.append(offsets.tolist())
+        at = {var.name: pos for pos, var in enumerate(space.variables)}
+        self._mode_at = {fusion: at[name] for fusion, name in (
+            ("weighting", "weighting_mode"), ("cross_mapping", "cross_mapping_mode"))
+            if name in at}
+        # required variables that are always active and odd kernels mean
+        # build_graph rejects no configuration of this space
+        safe = all(name in at and space.variables[at[name]].parent is None
+                   for name in REQUIRED) and all(
+            isinstance(c, tuple) and all(k % 2 for k in c)
+            for name in ("short_kernels", "long_kernels")
+            for c in space.variables[at[name]].candidates)
+        self._counted = itemgetter(*(at[name] for name in _COUNTED)) if safe else None
 
     def mismatch(self, decoded: DecodedConfig) -> float:
         total = 0.0
-        for i, var in enumerate(self.space.variables):
-            if not decoded.active[i]:
-                continue
-            if var.is_continuous:
-                delta = _scale_pos(var, decoded.values[i]) - _scale_pos(
-                    var, self._target_value[var.index])
-                total += delta * delta
-            elif var.name in _ORDINAL:
-                span = len(var.candidates) - 1
-                delta = (decoded.ids[i] - self._target_gene[var.index]) / span
+        for term, gene, value in compress(
+                zip(self._terms, decoded.ids, decoded.values), decoded.active):
+            if type(term) is tuple:
+                log, a, span, target = term
+                delta = ((math.log(value) if log else value) - a) / span - target
                 total += delta * delta
             else:
-                total += float(self._offsets[var.index][decoded.ids[i]])
+                total += term[gene]
         return total
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
         start = time.perf_counter()
-        spec = build_graph(decoded, self.space, self.input_width, self.targets)
-        params = count_params(spec)
+        if self._counted is None:
+            params = count_params(build_graph(decoded, self.space, self.input_width,
+                                              self.targets))
+        else:
+            length, *channels, short, long, fusion = self._counted(decoded.values)
+            mode_at = self._mode_at.get(fusion)
+            mode = None if mode_at is None else decoded.values[mode_at]
+            params = sum(layer_counts(length, channels, short, long, fusion, mode,
+                                      self.input_width, self.targets).values())
         level = (math.log(params) - _LOG_P_LO) / (_LOG_P_HI - _LOG_P_LO)
         level = min(max(level, 0.0), 1.0)
         f1 = self.mismatch(decoded) + CAPACITY_WEIGHT * (1.0 - level)
@@ -253,12 +279,14 @@ class WorkerClient:
                           wall_time=time.perf_counter() - start)
 
     def close(self):
-        if self._proc.poll() is None:
-            self._proc.stdin.close()
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
+        """End the worker, live or already exited, and close both pipes."""
+        self._proc.stdin.close()
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -7,10 +7,10 @@ operator, and a single linear head over the flattened fused sequence. Nothing
 here is executable; the description exists to count trainable parameters
 exactly and to export a model card for an external trainer.
 
-Counting rules: convolutions and linear layers contribute weights plus biases;
-normalization layers contribute their two affine vectors; fusion operators
-contribute whatever projections their definitions introduce; activations,
-dropout and pooling contribute nothing.
+Counting rules, all in ``layer_counts``: convolutions and linear layers
+contribute weights plus biases; normalization layers contribute their two
+affine vectors; fusion operators contribute whatever projections their
+definitions introduce; activations, dropout and pooling contribute nothing.
 """
 
 from __future__ import annotations
@@ -23,21 +23,6 @@ from .space import ConfigSpace, DecodedConfig
 
 TARGETS = 5              # forecast targets of the built-in task
 INPUT_WIDTH = 50         # input window length of the built-in task
-
-
-@dataclass(frozen=True)
-class TimeEmbedding:
-    """Sample-level periodic time features.
-
-    ``components`` is a list of (index, period) pairs; each contributes a
-    sine/cosine pair, so the embedding dimension is twice the component count.
-    """
-
-    components: tuple[tuple[float, float], ...]
-
-    @property
-    def dim(self) -> int:
-        return 2 * len(self.components)
 
 
 def time_embedding(components) -> list[float]:
@@ -112,14 +97,36 @@ def _fusion_params(fusion: str, mode: str | None, c: int) -> int:
     raise ValueError(f"unknown fusion operator {fusion!r}")
 
 
+# variables build_graph needs active in every configuration
+REQUIRED = ("aligned_length", "norm_layer", "proj_channels", "conv1_channels",
+            "conv2_channels", "conv3_channels", "short_kernels", "long_kernels",
+            "activation", "dropout", "fusion_op")
+
+
+def layer_counts(length: int, channels, short_kernels, long_kernels, fusion: str,
+                 mode: str | None, input_width: int, targets: int) -> dict[str, int]:
+    """Parameter count per layer group, in ``NetworkSpec.breakdown`` order.
+
+    ``channels`` is the projection width then the three layer widths."""
+    counts = {"projection": input_width * channels[0] + channels[0]}
+    for name, kernels in (("short_branch", short_kernels), ("long_branch", long_kernels)):
+        total, prev = 0, channels[0]
+        for width, k in zip(channels[1:], kernels):
+            total += prev * width * k + width   # conv weight + bias
+            total += 2 * width                  # norm affine pair
+            prev = width
+        counts[name] = total
+    counts["fusion"] = _fusion_params(fusion, mode, channels[3])
+    flat = length * _fused_width(fusion, mode, channels[3])
+    counts["head"] = targets * flat + targets
+    return counts
+
+
 def build_graph(decoded: DecodedConfig, space: ConfigSpace, input_width: int,
                 targets: int) -> NetworkSpec:
     """Instantiate the network description for a decoded configuration."""
     cfg = decoded.as_dict(space)
-    required = ("aligned_length", "norm_layer", "proj_channels", "conv1_channels",
-                "conv2_channels", "conv3_channels", "short_kernels", "long_kernels",
-                "activation", "dropout", "fusion_op")
-    missing = [name for name in required if name not in cfg]
+    missing = [name for name in REQUIRED if name not in cfg]
     if missing:
         raise ValueError(f"configuration is missing active variables: {missing}")
 
@@ -134,19 +141,8 @@ def build_graph(decoded: DecodedConfig, space: ConfigSpace, input_width: int,
     mode = cfg.get("weighting_mode") if fusion == "weighting" else None
     if fusion == "cross_mapping":
         mode = cfg.get("cross_mapping_mode")
-
-    breakdown = [LayerCount("projection", input_width * channels[0] + channels[0])]
-    for branch, kernels in (("short", cfg["short_kernels"]), ("long", cfg["long_kernels"])):
-        total = 0
-        prev = channels[0]
-        for width, k in zip(channels[1:], kernels):
-            total += prev * width * k + width   # conv weight + bias
-            total += 2 * width                  # norm affine pair
-            prev = width
-        breakdown.append(LayerCount(f"{branch}_branch", total))
-    breakdown.append(LayerCount("fusion", _fusion_params(fusion, mode, channels[3])))
-    flat = length * _fused_width(fusion, mode, channels[3])
-    breakdown.append(LayerCount("head", targets * flat + targets))
+    counts = layer_counts(length, channels, cfg["short_kernels"], cfg["long_kernels"],
+                          fusion, mode, input_width, targets)
 
     return NetworkSpec(
         aligned_length=length,
@@ -160,7 +156,7 @@ def build_graph(decoded: DecodedConfig, space: ConfigSpace, input_width: int,
         fusion=fusion,
         fusion_mode=mode,
         targets=targets,
-        breakdown=tuple(breakdown),
+        breakdown=tuple(LayerCount(name, n) for name, n in counts.items()),
     )
 
 

@@ -1,5 +1,6 @@
 """Evaluator tests: benchmark wrapper, surrogate design, worker protocol."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -7,12 +8,17 @@ import numpy as np
 import pytest
 
 from phmoea.benchmarks import HBenchProblem
-from phmoea.evaluators import (BenchmarkEvaluator, Evaluation,
-                               SurrogateEvaluator, WorkerClient, WorkerPool)
+from phmoea.engine import SearchParams, SearchProblem, run_phmoea
+from phmoea.evaluators import (_LOG_P_HI, _LOG_P_LO, _ORDINAL, _UPPER_HALF,
+                               CAPACITY_WEIGHT, ERROR, SURROGATE_TARGET_SEED,
+                               BenchmarkEvaluator, Evaluation,
+                               SurrogateEvaluator, WorkerClient, WorkerPool,
+                               evaluate_safely)
 from phmoea.metrics import nondominated_mask
 from phmoea.network import build_graph, count_params
 from phmoea.space import (RefinementState, builtin_space, decode,
-                          fresh_genotype, repair, sample_random)
+                          fresh_genotype, repair, sample_random,
+                          space_from_json, space_to_json)
 
 WORKER = Path(__file__).parent / "worker_stub.py"
 
@@ -123,6 +129,200 @@ class TestSurrogate:
 
 
 # ---------------------------------------------------------------------------
+# Surrogate against its per-call formulas
+# ---------------------------------------------------------------------------
+
+def _scale_pos(var, value: float) -> float:
+    a, b = var.bounds
+    if var.scale == "log":
+        return (math.log(value) - math.log(a)) / (math.log(b) - math.log(a))
+    return (value - a) / (b - a)
+
+
+class ReferenceSurrogate:
+    """The surrogate computed per call, variable by variable, as before its
+    tables: f1 walks the variables, f2 is ``count_params(build_graph(...))``."""
+
+    def __init__(self, space, targets=5, input_width=50):
+        self.space, self.targets, self.input_width = space, targets, input_width
+        rng = np.random.default_rng(SURROGATE_TARGET_SEED)
+        state = RefinementState(space, initial_bins=6)
+        self.target_gene, self.target_value, self.offsets = {}, {}, {}
+        for var, m, values in zip(space.variables, state.counts, state.values):
+            lo = m // 2 if var.name in _UPPER_HALF else 0
+            gene = int(rng.integers(lo, m))
+            self.target_gene[var.index] = gene
+            if var.is_continuous:
+                self.target_value[var.index] = values[gene]
+            elif var.name not in _ORDINAL:
+                offsets = rng.uniform(0.15, 0.6, size=m)
+                offsets[gene] = 0.0
+                self.offsets[var.index] = offsets
+
+    def mismatch(self, decoded) -> float:
+        total = 0.0
+        for i, var in enumerate(self.space.variables):
+            if not decoded.active[i]:
+                continue
+            if var.is_continuous:
+                delta = _scale_pos(var, decoded.values[i]) - _scale_pos(
+                    var, self.target_value[var.index])
+                total += delta * delta
+            elif var.name in _ORDINAL:
+                span = len(var.candidates) - 1
+                delta = (decoded.ids[i] - self.target_gene[var.index]) / span
+                total += delta * delta
+            else:
+                total += float(self.offsets[var.index][decoded.ids[i]])
+        return total
+
+    def __call__(self, decoded) -> tuple[float, float]:
+        params = count_params(build_graph(decoded, self.space, self.input_width,
+                                          self.targets))
+        level = (math.log(params) - _LOG_P_LO) / (_LOG_P_HI - _LOG_P_LO)
+        level = min(max(level, 0.0), 1.0)
+        f1 = self.mismatch(decoded) + CAPACITY_WEIGHT * (1.0 - level)
+        return f1, float(params)
+
+
+def refined_state(space, rounds: int = 30) -> RefinementState:
+    """Partitions split at both bounds every round and in the middle at first."""
+    state = RefinementState(space)
+    for round_ in range(rounds):
+        for idx in space.continuous_indices():
+            counters = state.counters[idx]
+            counters[[0, -1]] = state.persistence
+            if round_ < 4:
+                counters[len(counters) // 2] = state.persistence
+        assert state.refine()
+    return state
+
+
+def edited_space(edit):
+    """The built-in space's JSON document after ``edit(variables)``, renumbered."""
+    doc = space_to_json(builtin_space())
+    edit(doc["variables"])
+    renumber = {v["index"]: pos + 1 for pos, v in enumerate(doc["variables"])}
+    for v in doc["variables"]:
+        v["index"] = renumber[v["index"]]
+        if "parent" in v:
+            v["parent"]["dim"] = renumber[v["parent"]["dim"]]
+    return space_from_json(doc)
+
+
+def without(name):
+    return lambda variables: variables.remove(
+        next(v for v in variables if v["name"] == name))
+
+
+def configs(space, state, seed: int, n: int, **genes):
+    """``n`` random repaired configurations with the named genes overridden."""
+    rng = np.random.default_rng(seed)
+    at = {var.name: var.index - 1 for var in space.variables}
+    out = []
+    for _ in range(n):
+        g = list(sample_random(space, state, rng).frozen)
+        for name, gene in genes.items():
+            g[at[name]] = gene
+        out.append(decode(repair(fresh_genotype(space, g), space, state), space, state))
+    return out
+
+
+class TestSurrogateMatchesReference:
+    def test_random_configs(self):
+        evaluator, reference = SurrogateEvaluator(SPACE), ReferenceSurrogate(SPACE)
+        for decoded in configs(SPACE, STATE, 11, 10_000):
+            ev = evaluator(decoded)
+            assert (ev.f1, ev.f2) == reference(decoded)
+
+    def test_refined_bins_at_both_bounds_and_log_scale(self):
+        evaluator, reference = SurrogateEvaluator(SPACE), ReferenceSurrogate(SPACE)
+        state = refined_state(SPACE)
+        edges = {}
+        for idx in SPACE.continuous_indices():
+            var = SPACE.variable(idx)
+            edges[var.name] = (0, state.counts[idx - 1] - 1)
+            lo, hi = state.breakpoints(idx)[[1, -2]]
+            assert lo - var.bounds[0] < 1e-6 * (var.bounds[1] - var.bounds[0])
+            assert var.bounds[1] - hi < 1e-6 * (var.bounds[1] - var.bounds[0])
+        assert {SPACE.variable(i).scale for i in SPACE.continuous_indices()} == \
+            {"linear", "log"}
+        batches = [configs(SPACE, state, 12, 1000)]
+        for side in (0, 1):
+            batches.append(configs(SPACE, state, 13 + side, 200, **{
+                name: pair[side] for name, pair in edges.items()}))
+        for batch in batches:
+            for decoded in batch:
+                ev = evaluator(decoded)
+                assert (ev.f1, ev.f2) == reference(decoded)
+
+    def test_every_config_a_seeded_search_dispatches(self):
+        evaluator, reference = SurrogateEvaluator(SPACE), ReferenceSurrogate(SPACE)
+        dispatched = []
+
+        def recording(decoded):
+            dispatched.append(decoded)
+            return evaluator(decoded)
+
+        result = run_phmoea(SearchProblem(space=SPACE, evaluator=recording,
+                                          name="surrogate"),
+                            100, 60, params=SearchParams.real_task(), seed=0)
+        assert len(dispatched) == result.fes > 1000
+        for decoded in dispatched:
+            ev = evaluator(decoded)
+            assert (ev.f1, ev.f2) == reference(decoded)
+
+
+class TestSurrogateErrorPaths:
+    """Whatever ``build_graph`` rejects fails the candidate with its message."""
+
+    @staticmethod
+    def assert_agrees_with_build_graph(space, decoded):
+        ev = evaluate_safely(SurrogateEvaluator(space), decoded)
+        try:
+            params = count_params(build_graph(decoded, space, 50, 5))
+        except ValueError as exc:
+            assert (ev.status, ev.message) == (ERROR, str(exc))
+            return str(exc)
+        assert ev.ok and ev.f2 == params
+        return None
+
+    def test_even_kernel(self):
+        def even(variables):
+            variables[9]["candidates"][0] = [3, 4, 5]
+        space = edited_space(even)
+        state = RefinementState(space)
+        for decoded in configs(space, state, 21, 20, short_kernels=0):
+            message = self.assert_agrees_with_build_graph(space, decoded)
+            assert message.startswith("kernel size 4 is even")
+
+    def test_required_variable_inactive(self):
+        def gated_dropout(variables):
+            variables[12].update(kind="conditional-continuous",
+                                 parent={"dim": 12, "values": ["ReLU"]})
+        space = edited_space(gated_dropout)
+        state = RefinementState(space)
+        messages = {self.assert_agrees_with_build_graph(space, decoded)
+                    for decoded in configs(space, state, 22, 40)}
+        assert messages == {None, "configuration is missing active variables: ['dropout']"}
+
+    def test_space_missing_weighting_mode(self):
+        # build_graph reads the absent mode as None, so this counts, not fails
+        space = edited_space(without("weighting_mode"))
+        state = RefinementState(space)
+        for fusion in range(6):
+            for decoded in configs(space, state, 23 + fusion, 10, fusion_op=fusion):
+                assert self.assert_agrees_with_build_graph(space, decoded) is None
+
+    def test_space_missing_required_variable(self):
+        space = edited_space(without("dropout"))
+        state = RefinementState(space)
+        for decoded in configs(space, state, 30, 5):
+            assert self.assert_agrees_with_build_graph(space, decoded) == \
+                "configuration is missing active variables: ['dropout']"
+
+
+# ---------------------------------------------------------------------------
 # External worker protocol
 # ---------------------------------------------------------------------------
 
@@ -135,6 +335,19 @@ class TestWorkerProtocol:
             cfg = decoded.as_dict(SPACE)
             assert ev.f1 == pytest.approx(round(cfg["dropout"] * 2.0, 6))
             assert ev.f2 == cfg["conv3_channels"] * 1000.0
+
+    def test_close_releases_both_pipes_of_a_live_worker(self):
+        client = make_client("ok")
+        assert client(worked_decoded()).ok
+        client.close()
+        assert client._proc.stdin.closed and client._proc.stdout.closed
+        assert client._proc.returncode is not None
+
+    def test_close_releases_both_pipes_of_an_exited_worker(self):
+        client = WorkerClient([sys.executable, "-c", "import sys; sys.exit(0)"], SPACE)
+        client._proc.wait(timeout=10)
+        client.close()
+        assert client._proc.stdin.closed and client._proc.stdout.closed
 
     def test_mismatched_id_is_error(self):
         with make_client("bad_id") as client:

@@ -4,8 +4,9 @@ Each ``GOLDEN`` digest is the SHA-256 of ``pareto_front.csv`` followed by
 ``history.csv`` of one seed's run directory at pop 20 x 10 generations;
 ``GOLDEN_CONFIGS`` pins that run directory's ``pareto_configs.json``.
 ``GOLDEN_AT_SCALE`` pins both digests of seed 0 at pop 40 x 30, where the
-front fills the population and refinement ends with thousands of bins, so
-IGD and bin renumbering run at the scale of a benchmark run.
+front fills the population: on H-DTLZ refinement ends with thousands of bins,
+so IGD and bin renumbering run at the scale of a benchmark run, and on the
+surrogate 1200 configurations go through the evaluator.
 A change that moves a seeded trajectory fails here; re-pin only on purpose,
 with the reason and the acceptance-protocol IGD/HV recorded in CHANGES.md.
 """
@@ -59,6 +60,9 @@ GOLDEN_AT_SCALE = {
     ("hdtlz2", "phmoea"): (
         "ca3da88bb59a4ff46fd3b8d9f6e3a10ee7a9e74c7ec3c2580ede959ee817d467",
         "b63215259ce17cb19fd7b27fb3675d62ed1aa504aca8dd253c0087114910364c"),
+    ("surrogate", "phmoea"): (
+        "7a69159cacdfac361a5a4ce9b3a50c3669cfdc95ea4a1bf28e3ab6c3da1db0ee",
+        "0e46ca86ba2b8712bcd1f5700abca8a723cf812d5a769978fb037b6cd5bd434f"),
 }
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from phmoea.network import (NetworkSpec, build_graph, count_params,
-                            input_channels, spec_to_json, time_embedding)
+                            input_channels, layer_counts, spec_to_json,
+                            time_embedding)
 from phmoea.space import (RefinementState, builtin_space, decode,
                           fresh_genotype, repair, sample_random)
 
@@ -200,6 +201,30 @@ class TestCountingProperties:
             a = count_params(build_graph(decoded, SPACE, 50, 5))
             b = count_params(build_graph(twin, SPACE, 50, 5))
             assert a == b
+
+
+FUSION_MODES = [("concat", None), ("add", None), ("weighting", "add"),
+                ("weighting", "concat"), ("gating", None), ("attention", None),
+                ("cross_mapping", "add"), ("cross_mapping", "concat"),
+                ("cross_mapping", "gated")]
+
+
+@pytest.mark.parametrize("fusion,mode", FUSION_MODES)
+def test_layer_counts_total_matches_oracle(fusion, mode):
+    rng = np.random.default_rng(5)
+    names = ("aligned_length", "proj_channels", "conv1_channels", "conv2_channels",
+             "conv3_channels", "short_kernels", "long_kernels")
+    variables = {v.name: v for v in SPACE.variables}
+    for _ in range(50):
+        cfg = {name: variables[name].candidates[
+            rng.integers(len(variables[name].candidates))] for name in names}
+        cfg.update(fusion_op=fusion, weighting_mode=mode, cross_mapping_mode=mode)
+        channels = tuple(cfg[name] for name in names[1:5])
+        counts = layer_counts(cfg["aligned_length"], channels, cfg["short_kernels"],
+                              cfg["long_kernels"], fusion, mode, 50, 5)
+        assert list(counts) == ["projection", "short_branch", "long_branch",
+                                "fusion", "head"]
+        assert sum(counts.values()) == oracle_count(cfg, 50, 5)
 
 
 class TestModelCard:
