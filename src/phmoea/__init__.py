@@ -8,7 +8,7 @@ from .metrics import hv, igd, merged_reference_front
 from .network import NetworkSpec, build_graph, count_params
 from .resample import align
 from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
-                    RefinementState, VariableSpec, bin_value, builtin_space,
-                    canonical_key, decode, repair, sample_random)
+                    RefinementState, VariableSpec, builtin_space, canonical_key,
+                    decode, repair, sample_random)
 
 __version__ = "0.1.0"

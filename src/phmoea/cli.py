@@ -67,6 +67,8 @@ class RunManifest:
             raise ValueError("population size must be at least 2")
         if self.generations < 1 or self.seeds < 1:
             raise ValueError("generations and seeds must be positive")
+        if min(self.targets, self.input_width) < 1:
+            raise ValueError("targets and input width must be at least 1")
         self.search_params().validate()
 
     def search_params(self) -> SearchParams:
@@ -87,6 +89,7 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunManifest":
+        _check_json_type("manifest", doc, cls(problem=PROBLEMS[0]).resolved())
         names = {f.name for f in fields(cls)}
         unknown = set(doc) - names
         if unknown:
@@ -96,6 +99,22 @@ class RunManifest:
             manifest.params["stage_ratios"] = tuple(
                 tuple(r) for r in manifest.params["stage_ratios"])
         return manifest
+
+
+def _check_json_type(name: str, value, default) -> None:
+    """Raise unless JSON ``value`` fits ``default``'s type: an int fits a float and
+    a bool only a bool; lists (for tuples) and objects go entry by entry."""
+    if isinstance(default, dict) and isinstance(value, dict):
+        for key in value:
+            if key in default:      # unknown names are rejected by their owner
+                _check_json_type(f"{name}.{key}", value[key], default[key])
+    elif isinstance(default, tuple) and isinstance(value, list) and len(value) == len(default):
+        for i, (v, d) in enumerate(zip(value, default)):
+            _check_json_type(f"{name}[{i}]", v, d)
+    elif isinstance(value, bool) != isinstance(default, bool) or not isinstance(
+            value, (int, float) if type(default) is float else type(default)):
+        raise ValueError(f"{name}: expected {type(default).__name__}, "
+                         f"got {json.dumps(value)}")
 
 
 def build_problem(manifest: RunManifest) -> SearchProblem:
@@ -199,25 +218,30 @@ def cmd_search(manifest: RunManifest) -> int:
 # Indicators
 # ---------------------------------------------------------------------------
 
-def _read_points(path: str) -> np.ndarray:
+def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and non-empty data rows of a CSV file, each as wide as the header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        cols = {name.strip(): i for i, name in enumerate(header)}
-        if "f1" not in cols or "f2" not in cols:
-            raise ValueError(f"{path}: need 'f1' and 'f2' columns, got {header}")
-        pts = []
+        rows = []
         for row in filter(None, reader):
-            try:
-                pts.append((float(row[cols["f1"]]), float(row[cols["f2"]])))
-            except IndexError:
+            if len(row) != len(header):
                 raise ValueError(f"{path}: row {reader.line_num} has {len(row)} "
-                                 f"fields, the header {len(header)}") from None
-    if not pts:
+                                 f"fields, the header {len(header)}")
+            rows.append(row)
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(pts)
+    return header, rows
+
+
+def _read_points(path: str) -> np.ndarray:
+    header, rows = _read_rows(path)
+    cols = {name.strip(): i for i, name in enumerate(header)}
+    if "f1" not in cols or "f2" not in cols:
+        raise ValueError(f"{path}: need 'f1' and 'f2' columns, got {header}")
+    return np.asarray([(float(row[cols["f1"]]), float(row[cols["f2"]])) for row in rows])
 
 
 def cmd_indicators(front_csv: str, ref_csv: str, reference_point) -> int:
@@ -234,15 +258,9 @@ def cmd_indicators(front_csv: str, ref_csv: str, reference_point) -> int:
 
 def cmd_resample(in_csv: str, out_csv: str, operator: str,
                  pool_type: str | None, length: int) -> int:
-    with open(in_csv, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{in_csv}: empty file")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{in_csv}: no data rows")
-    aligned = resample.align(np.asarray(rows), length, operator, pool_type)
+    header, rows = _read_rows(in_csv)
+    values = [[float(v) for v in row] for row in rows]
+    aligned = resample.align(np.asarray(values), length, operator, pool_type)
     _write_csv(Path(out_csv), header, aligned.tolist())
     return 0
 
@@ -252,6 +270,8 @@ def cmd_resample(in_csv: str, out_csv: str, operator: str,
 # ---------------------------------------------------------------------------
 
 def cmd_count_params(config_path: str, targets: int, input_width: int) -> int:
+    if min(targets, input_width) < 1:
+        raise ValueError("targets and input width must be at least 1")
     doc = json.loads(Path(config_path).read_text())
     space = builtin_space()
     if not isinstance(doc, dict):
@@ -281,8 +301,8 @@ def cmd_count_params(config_path: str, targets: int, input_width: int) -> int:
                 raise ValueError(
                     f"{var.name}: {value!r} is not one of {var.candidates}")
             genes.append(var.candidates.index(value))
-    genotype = repair(fresh_genotype(space, genes), space, state)
-    decoded = decode(genotype, space, state)
+    genotype = repair(fresh_genotype(genes), space, state)
+    decoded = decode(genotype, state)
     spec = build_graph(decoded, space, input_width, targets)
     print(dump_model_card(spec))
     return 0

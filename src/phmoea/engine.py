@@ -13,7 +13,7 @@ ranked population into one credit per individual for ``PlayerArchives.update``,
 ``partition_players`` builds one ``Partition`` per dimension, listed by
 position, and ``should_stop`` reads the front means from the run's
 ``HistoryRow`` series. An ``Individual`` carries only its genotype, evaluated
-configuration, key, objectives, rank and crowding.
+configuration (whose ``key`` it reads), objectives, rank and crowding.
 
 Everything is deterministic for a fixed seed: a single RNG drives sampling
 and variation, evaluation consumes no randomness, and all ties break by
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -98,8 +98,13 @@ class SearchParams:
                 raise ValueError("each stage ratio triple must sum to 1")
         if self.cold_bonus <= 0:
             raise ValueError("cold bonus must be positive")
-        if not 0 <= self.cross_pool_rate <= 1:
-            raise ValueError("cross-pool rate must lie in [0, 1]")
+        for name in ("hot_fraction", "cold_fraction", "cross_pool_rate",
+                     "crossover_prob", "mutation_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        for name in ("initial_bins", "n_trial", "refine_persistence", "window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -108,11 +113,14 @@ class Individual:
 
     genotype: Genotype
     decoded: DecodedConfig
-    key: int
     f1: float
     f2: float
     rank: int = 0
     crowding: float = 0.0
+
+    @property
+    def key(self) -> int:
+        return self.decoded.key
 
 
 @dataclass
@@ -141,11 +149,18 @@ class RunResult:
     pareto: list[Individual]
     population: list[Individual]
     history: list[HistoryRow]
-    fes: int
-    generations: int
     stopped_early: bool
-    evaluated_keys: list[int] = field(default_factory=list)
+    evaluated_keys: list[int]
     skipped_errors: int = 0
+
+    @property
+    def fes(self) -> int:
+        """Function evaluations: every dispatched candidate counts once."""
+        return len(self.evaluated_keys)
+
+    @property
+    def generations(self) -> int:
+        return len(self.history)
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +297,25 @@ class PlayerArchives:
 
 @dataclass(frozen=True)
 class Partition:
-    """One dimension's pools as sorted candidate indices.
+    """One dimension's hot and non-hot pools as sorted candidate indices.
 
-    ``non_hot`` is ``normal`` and ``cold`` merged; ``cdf`` is the CDF of the
-    cold-bonus weights over it, built as ``Generator.choice`` builds it from
+    ``cdf`` is the CDF over ``non_hot`` of the weights that give its cold
+    members the cold bonus, built as ``Generator.choice`` builds it from
     ``p``: normalise, cumsum, divide by the last element.
     """
 
     hot: tuple[int, ...]
-    normal: tuple[int, ...]
-    cold: tuple[int, ...]
     non_hot: tuple[int, ...]
     cdf: list[float]
 
 
 def partition_players(archives: PlayerArchives, dim: int, hot_fraction: float,
                       cold_fraction: float, cold_bonus: float) -> Partition:
-    """Split a dimension's candidates into hot / normal / cold pools.
+    """Split a dimension's candidates into hot and non-hot pools.
 
-    Hot is the top share by heat, cold the bottom share by count among the
-    remainder; ties always break toward the lower candidate index.
+    Hot is the top share by heat; the rest is non-hot, where the cold share,
+    the bottom by count, is weighted by ``cold_bonus``. Ties always break
+    toward the lower candidate index.
     """
     heat, count = archives.heat[dim - 1], archives.count[dim - 1]
     n = len(heat)
@@ -313,8 +327,6 @@ def partition_players(archives: PlayerArchives, dim: int, hot_fraction: float,
     weights[by_count[:n_cold]] = cold_bonus
     cdf = (weights[rest] / weights[rest].sum()).cumsum()
     return Partition(hot=tuple(sorted(by_heat[:n_hot].tolist())),
-                     normal=tuple(sorted(by_count[n_cold:].tolist())),
-                     cold=tuple(sorted(by_count[:n_cold].tolist())),
                      non_hot=tuple(rest.tolist()),
                      cdf=(cdf / cdf[-1]).tolist() if len(rest) else [])
 
@@ -427,8 +439,8 @@ class _Run:
 
     # -- evaluation barrier -------------------------------------------------
 
-    def _evaluate(self, batch: list[tuple[Genotype, DecodedConfig, int]]) -> list[Individual]:
-        decoded = [dec for _, dec, _ in batch]
+    def _evaluate(self, batch: list[tuple[Genotype, DecodedConfig]]) -> list[Individual]:
+        decoded = [dec for _, dec in batch]
         evaluator = self.problem.evaluator
         if hasattr(evaluator, "evaluate_many"):
             try:
@@ -438,11 +450,11 @@ class _Run:
         else:
             evaluations = [evaluate_safely(evaluator, dec) for dec in decoded]
         out = []
-        for (genotype, dec, key), ev in zip(batch, evaluations):
-            self.evaluated_keys.append(key)
+        for (genotype, dec), ev in zip(batch, evaluations):
+            self.evaluated_keys.append(dec.key)
             if isinstance(ev, Evaluation) and ev.ok and \
                     math.isfinite(ev.f1) and math.isfinite(ev.f2):
-                out.append(Individual(genotype=genotype, decoded=dec, key=key,
+                out.append(Individual(genotype=genotype, decoded=dec,
                                       f1=float(ev.f1), f2=float(ev.f2)))
             else:
                 self.skipped_errors += 1
@@ -562,17 +574,16 @@ class _Run:
                 if new != genes[i]:
                     genes[i] = new
                     changed += 1
-        return fresh_genotype(self.space, genes)
+        return fresh_genotype(genes)
 
-    def _admit(self, genotype: Genotype) -> tuple[Genotype, DecodedConfig, int] | None:
+    def _admit(self, genotype: Genotype) -> tuple[Genotype, DecodedConfig] | None:
         g = repair(genotype, self.space, self.state)
-        dec = decode(g, self.space, self.state)
-        key = canonical_key(dec)
-        if self.registry.admit(key):
-            return (g, dec, key)
+        dec = decode(g, self.state)
+        if self.registry.admit(canonical_key(dec)):
+            return (g, dec)
         return None
 
-    def _fill_slots(self, n_slots: int, make) -> list[tuple[Genotype, DecodedConfig, int]]:
+    def _fill_slots(self, n_slots: int, make) -> list[tuple[Genotype, DecodedConfig]]:
         out = []
         for _ in range(n_slots):
             for _ in range(self.params.n_trial):
@@ -582,7 +593,7 @@ class _Run:
                     break
         return out
 
-    def _generate_offspring(self, phi: float) -> list[tuple[Genotype, DecodedConfig, int]]:
+    def _generate_offspring(self, phi: float) -> list[tuple[Genotype, DecodedConfig]]:
         n = self.pop_size
         if not self.use_archives:
             return self._fill_slots(n, self._variation_child)
@@ -654,12 +665,10 @@ class _Run:
         front = self._record(gen=1)
 
         stopped_early = False
-        gen = 1
         for gen in range(2, self.generations + 1):
             phi = (gen - 1) / self.generations
             if self.params.early_stop and should_stop(self.history, self.stop_hv, self.params):
                 stopped_early = True
-                gen -= 1
                 break
             self._refine(front)
             offspring = self._generate_offspring(phi)
@@ -672,8 +681,7 @@ class _Run:
         assert len(set(self.evaluated_keys)) == len(self.evaluated_keys), \
             "duplicate candidate admitted to evaluation"
         return RunResult(pareto=pareto, population=self.population,
-                         history=self.history, fes=len(self.evaluated_keys),
-                         generations=gen, stopped_early=stopped_early,
+                         history=self.history, stopped_early=stopped_early,
                          evaluated_keys=self.evaluated_keys,
                          skipped_errors=self.skipped_errors)
 

@@ -131,12 +131,10 @@ class SurrogateEvaluator:
         self.input_width = input_width
         rng = np.random.default_rng(SURROGATE_TARGET_SEED)
         state = RefinementState(space, initial_bins=6)
-        self._target_gene = {}
         self._terms = []
         for var, m, values in zip(space.variables, state.counts, state.values):
             lo = m // 2 if var.name in _UPPER_HALF else 0
             gene = int(rng.integers(lo, m))
-            self._target_gene[var.index] = gene
             if var.is_continuous:
                 log = var.scale == "log"
                 a, b = map(math.log, var.bounds) if log else var.bounds

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import operator
 import struct
 from bisect import bisect_left
@@ -162,22 +161,25 @@ class DecodedConfig:
     """Executable configuration with an activity mask.
 
     ``values[d]`` is None for inactive dimensions. ``ids[d]`` keeps the gene
-    index the value was decoded from, which canonical hashing uses so that
-    float formatting can never perturb duplicate detection. ``key`` is the
-    ``canonical_key``, computed once at construction; it takes no part in
-    equality or hashing.
+    index the value was decoded from (``PLACEHOLDER`` if inactive); canonical
+    hashing uses the ids so that float formatting can never perturb duplicate
+    detection. ``active`` and ``key`` (the ``canonical_key``) are derived
+    from ``ids`` once at construction; neither takes part in equality or
+    hashing.
     """
 
     values: tuple
-    active: tuple[bool, ...]
     ids: tuple[int, ...]
+    active: tuple[bool, ...] = field(init=False, compare=False)
     key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = list(compress(range(1, len(self.ids) + 1), self.active))
+        active = tuple(map(PLACEHOLDER.__ne__, self.ids))
+        object.__setattr__(self, "active", active)
+        dims = list(compress(range(1, len(self.ids) + 1), active))
         fields = dims * 2               # interleaved (dimension, gene) pairs
         fields[::2] = dims
-        fields[1::2] = compress(self.ids, self.active)
+        fields[1::2] = compress(self.ids, active)
         payload = _pair_struct(len(dims)).pack(*fields)
         object.__setattr__(self, "key", int.from_bytes(
             hashlib.blake2b(payload, digest_size=8).digest(), "little"))
@@ -189,24 +191,6 @@ class DecodedConfig:
             for i, var in enumerate(space.variables)
             if self.active[i]
         }
-
-
-def bin_value(a: float, b: float, n_bins: int, k: int, scale: str = "linear") -> float:
-    """Representative (midpoint) value of bin ``k`` in 1..n_bins over [a, b].
-
-    Linear scale places midpoints uniformly; log scale places them uniformly
-    in log space, i.e. geometric midpoints.
-    """
-    if not 1 <= k <= n_bins:
-        raise ValueError(f"bin index {k} outside 1..{n_bins}")
-    if not a < b:
-        raise ValueError("lower bound must be below upper bound")
-    alpha = (2 * k - 1) / (2 * n_bins)
-    if scale == "log":
-        if a <= 0:
-            raise ValueError("log scale requires a positive lower bound")
-        return math.exp((1 - alpha) * math.log(a) + alpha * math.log(b))
-    return a + alpha * (b - a)
 
 
 def _to_scale(value, scale: str):
@@ -282,13 +266,6 @@ class RefinementState:
     def bin_count(self, index: int) -> int:
         return len(self._pts[index]) - 1
 
-    def representatives(self, index: int) -> np.ndarray:
-        """Midpoint value of every interval, in the dimension's raw units."""
-        return np.array(self.values[index - 1])
-
-    def representative(self, index: int, k: int) -> float:
-        return self.values[index - 1][k]
-
     def nearest_bin(self, index: int, value: float) -> int:
         """Bin whose representative is closest in scale space."""
         var = self.space.variable(index)
@@ -353,7 +330,7 @@ def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:
     return tuple(active)
 
 
-def decode(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> DecodedConfig:
+def decode(genotype: Genotype, state: RefinementState) -> DecodedConfig:
     """Map a repaired genotype to its executable configuration.
 
     The genotype must come from ``repair`` or ``sample_random``, so its genes
@@ -365,7 +342,6 @@ def decode(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> De
     return DecodedConfig(
         values=tuple([None if g == PLACEHOLDER else values[g]
                       for g, values in zip(genes, state.values)]),
-        active=tuple(map(PLACEHOLDER.__ne__, genes)),
         ids=genes)
 
 
@@ -392,7 +368,7 @@ def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Ge
     return Genotype(genes=tuple(genes), frozen=tuple(kept))
 
 
-def fresh_genotype(space: ConfigSpace, genes: list[int]) -> Genotype:
+def fresh_genotype(genes: list[int]) -> Genotype:
     """Genotype with the freeze cache initialized to the given genes."""
     return Genotype(genes=tuple(genes), frozen=tuple(max(g, 0) for g in genes))
 
@@ -400,7 +376,7 @@ def fresh_genotype(space: ConfigSpace, genes: list[int]) -> Genotype:
 def sample_random(space: ConfigSpace, state: RefinementState, rng: np.random.Generator) -> Genotype:
     """Uniform gene per dimension over the current candidates/bins, repaired."""
     genes = rng.integers(0, state.counts).tolist()
-    return repair(fresh_genotype(space, genes), space, state)
+    return repair(fresh_genotype(genes), space, state)
 
 
 def canonical_key(decoded: DecodedConfig) -> int:
@@ -419,9 +395,6 @@ class DedupRegistry:
 
     def __init__(self):
         self._seen: set[int] = set()
-
-    def __len__(self) -> int:
-        return len(self._seen)
 
     def admit(self, key: int) -> bool:
         """True and remember the key if unseen; False for a duplicate."""

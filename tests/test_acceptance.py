@@ -153,7 +153,7 @@ def test_criterion_6_parameter_count_oracle():
     rng = np.random.default_rng(2024)
     mismatches = 0
     for _ in range(20):
-        decoded = decode(sample_random(space, state, rng), space, state)
+        decoded = decode(sample_random(space, state, rng), state)
         spec = build_graph(decoded, space, 50, 5)
         if count_params(spec) != oracle_count(decoded.as_dict(space), 50, 5):
             mismatches += 1
@@ -163,7 +163,7 @@ def test_criterion_6_parameter_count_oracle():
     for idx, gene in {3: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1, 11: 1}.items():
         genes[idx - 1] = gene
     from phmoea.space import fresh_genotype, repair
-    decoded = decode(repair(fresh_genotype(space, genes), space, state), space, state)
+    decoded = decode(repair(fresh_genotype(genes), space, state), state)
     total = count_params(build_graph(decoded, space, 50, 5))
     passed = mismatches == 0 and total == 61397
     report("criterion 6 (parameter-count oracle)", passed,

@@ -19,8 +19,8 @@ def decoded_with(problem, z1_bin=0, z2_bin=0, gates=(), tail_bins=None):
         genes[2 * j - 4] = 1  # gate_j on
         if tail_bins and j in tail_bins:
             genes[2 * j - 3] = tail_bins[j]
-    g = repair(fresh_genotype(space, genes), space, state)
-    return decode(g, space, state), state
+    g = repair(fresh_genotype(genes), space, state)
+    return decode(g, state), state
 
 
 class TestGenome:
@@ -63,7 +63,7 @@ class TestProjection:
         decoded, state = decoded_with(problem, gates=(4,), tail_bins={4: 5})
         z, active = problem.project(decoded)
         assert active == (4,)
-        assert z[3] == pytest.approx(state.representative(6, 5))
+        assert z[3] == pytest.approx(state.values[5][5])
 
     def test_projection_in_unit_cube(self):
         problem = HBenchProblem("hdtlz7", n=8)
@@ -71,7 +71,7 @@ class TestProjection:
         state = RefinementState(space)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            decoded = decode(sample_random(space, state, rng), space, state)
+            decoded = decode(sample_random(space, state, rng), state)
             z, _ = problem.project(decoded)
             assert np.all(z >= 0.0) and np.all(z <= 1.0)
 

@@ -23,19 +23,17 @@ def run_cli(argv):
 
 def decoded_from_config(space, config):
     """DecodedConfig of a written name -> value config (continuous ids unused)."""
-    values, active, ids = [], [], []
+    values, ids = [], []
     for var in space.variables:
         if var.name not in config:
             values.append(None)
-            active.append(False)
             ids.append(PLACEHOLDER)
             continue
         value = config[var.name]
         value = tuple(value) if isinstance(value, list) else value
         values.append(value)
-        active.append(True)
         ids.append(0 if var.is_continuous else var.candidates.index(value))
-    return DecodedConfig(values=tuple(values), active=tuple(active), ids=tuple(ids))
+    return DecodedConfig(values=tuple(values), ids=tuple(ids))
 
 
 def read_lines(path: Path) -> bytes:
@@ -112,6 +110,61 @@ class TestSearch:
         assert code == 2
         assert "must be" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--pc", "3"], "crossover_prob"),
+        (["--pm", "-0.1"], "mutation_prob"),
+        (["--q", "1.5"], "hot_fraction"),
+        (["--p", "nan"], "cold_fraction"),
+        (["--bins", "0"], "initial_bins"),
+        (["--n-trial", "0"], "n_trial"),
+        (["--window", "0", "--early-stop"], "window"),
+        (["--refine-persistence", "0"], "refine_persistence"),
+    ])
+    def test_out_of_range_tunable_is_usage_error(self, tmp_path, capsys, flags, name):
+        code = run_cli(["search", "--problem", "hdtlz2", "--pop", "6", "--gens", "3",
+                        "--out", str(tmp_path), *flags])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value", [("--targets", "0"), ("--input-width", "-100")])
+    def test_non_positive_network_size_is_usage_error(self, tmp_path, capsys, flag, value):
+        code = run_cli(["search", "--problem", "surrogate", "--pop", "6", "--gens", "2",
+                        "--out", str(tmp_path), flag, value])
+        assert code == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("pop_size", "6", "pop_size"),
+        ("params", {"window": "8"}, "params.window"),
+        ("params", {"n_trial": True}, "params.n_trial"),
+        ("params", {"stage_ratios": [[1.0], [1.0], [1.0]]}, "params.stage_ratios[0]"),
+        ("params", [], "params"),
+    ])
+    def test_manifest_field_of_wrong_type_is_usage_error(self, tmp_path, capsys, field,
+                                                         value, named):
+        doc = {"problem": "surrogate", "pop_size": 6, "generations": 2,
+               "out_dir": str(tmp_path / "out"), field: value}
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["search", "--manifest", str(bad)]) == 2
+        assert f"manifest.{named}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_not_an_object_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps([["problem", "hdtlz2"]]))
+        assert run_cli(["search", "--manifest", str(bad)]) == 2
+        assert "manifest: expected dict" in capsys.readouterr().err
+
+    def test_manifest_takes_an_int_for_a_float(self, tmp_path):
+        doc = {"problem": "hdtlz2", "pop_size": 6, "generations": 2,
+               "out_dir": str(tmp_path / "out"), "bench_gamma": 2,
+               "params": {"cold_bonus": 1}}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        assert run_cli(["search", "--manifest", str(tmp_path / "m.json")]) == 0
 
     def test_invalid_manifest_field(self, tmp_path):
         bad = tmp_path / "m.json"
@@ -302,6 +355,16 @@ class TestResampleCommand:
         assert "linear" in capsys.readouterr().err
 
 
+    def test_row_width_other_than_the_header_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "in.csv").write_text("a,b,c\n1,2\n3,4\n")
+        code = run_cli(["resample", "--in", str(tmp_path / "in.csv"),
+                        "--out", str(tmp_path / "out.csv"),
+                        "--operator", "linear", "--length", "2"])
+        assert code == 2
+        assert "in.csv: row 2 has 2 fields, the header 3" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestCountParams:
     def test_model_card_for_worked_config(self, tmp_path, capsys):
         config = {
@@ -334,6 +397,14 @@ class TestCountParams:
         path.write_text(json.dumps(doc))
         assert run_cli(["count-params", "--config", str(path)]) == 2
         assert "expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--targets", "0"), ("--input-width", "-100")])
+    def test_non_positive_network_size_rejected(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"resample_op": "linear"}))
+        assert run_cli(["count-params", "--config", str(path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "at least 1" in captured.err and not captured.out
 
     def test_invalid_candidate_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -22,9 +22,9 @@ from phmoea.space import (CONTINUOUS, PLACEHOLDER, ConfigSpace, DecodedConfig,
 def individuals(points):
     out = []
     for i, (f1, f2) in enumerate(points):
-        dec = DecodedConfig(values=(float(i),), active=(True,), ids=(i,))
+        dec = DecodedConfig(values=(float(i),), ids=(i,))
         out.append(Individual(genotype=Genotype((i,), (i,)), decoded=dec,
-                              key=i, f1=float(f1), f2=float(f2)))
+                              f1=float(f1), f2=float(f2)))
     return out
 
 
@@ -326,6 +326,34 @@ class TestArchives:
             assert arch.count[pos].sum() == accumulated[pos]
 
 
+def reference_pools(heat, count, hot_fraction, cold_fraction):
+    """(hot, normal, cold) in plain Python: hot is the top share by heat, cold
+    the bottom share by count among the rest, ties toward the lower index."""
+    n = len(heat)
+    n_hot, n_cold = math.ceil(hot_fraction * n), math.ceil(cold_fraction * n)
+    by_heat = sorted(range(n), key=lambda a: -heat[a])
+    rest = sorted(by_heat[n_hot:])
+    by_count = sorted(rest, key=lambda a: count[a])
+    return (tuple(sorted(by_heat[:n_hot])), tuple(sorted(by_count[n_cold:])),
+            tuple(sorted(by_count[:n_cold])))
+
+
+def partition_and_pools(arch, dim, hot_fraction, cold_fraction, cold_bonus=0.15):
+    """``partition_players`` of ``dim`` and its reference (hot, normal, cold),
+    after checking that the partition's hot pool, non-hot pool and CDF are the
+    ones those pools and the cold bonus give."""
+    part = partition_players(arch, dim, hot_fraction, cold_fraction, cold_bonus)
+    hot, normal, cold = pools = reference_pools(
+        arch.heat[dim - 1].tolist(), arch.count[dim - 1].tolist(),
+        hot_fraction, cold_fraction)
+    assert part.hot == hot
+    assert part.non_hot == tuple(sorted(normal + cold))
+    weights = np.array([cold_bonus if a in cold else 1.0 for a in part.non_hot])
+    cdf = (weights / weights.sum()).cumsum()
+    assert part.cdf == ((cdf / cdf[-1]).tolist() if part.non_hot else [])
+    return part, pools
+
+
 class TestPartition:
     def test_six_candidates_hot_size(self):
         arch = PlayerArchives([6])
@@ -337,69 +365,62 @@ class TestPartition:
 
     def test_two_candidates(self):
         arch = PlayerArchives([2])
-        part = partition_players(arch, 1, hot_fraction=0.3, cold_fraction=0.2,
-                                 cold_bonus=0.15)
-        assert len(part.hot) == 1 and len(part.cold) == 1 and not part.normal
+        _, (hot, normal, cold) = partition_and_pools(arch, 1, hot_fraction=0.3,
+                                                     cold_fraction=0.2)
+        assert len(hot) == 1 and len(cold) == 1 and not normal
 
     def test_zero_archives_tie_break_by_index(self):
         arch = PlayerArchives([1] * 6 + [6])
-        part = partition_players(arch, 7, hot_fraction=0.3, cold_fraction=0.2,
-                                 cold_bonus=0.15)
-        assert part.hot == (0, 1)
-        assert part.cold == (2, 3)
-        assert part.normal == (4, 5)
+        _, pools = partition_and_pools(arch, 7, hot_fraction=0.3, cold_fraction=0.2)
+        assert pools == ((0, 1), (4, 5), (2, 3))
 
     def test_cold_selected_by_count_among_non_hot(self):
         arch = PlayerArchives([6])
         arch.heat[0][:] = [5.0, 4.0, 1.0, 1.0, 1.0, 1.0]
         arch.count[0][:] = [9, 9, 7, 2, 5, 1]
-        part = partition_players(arch, 1, 0.3, 0.2, 0.15)
-        assert part.hot == (0, 1)
-        assert part.cold == (3, 5)
-        assert part.normal == (2, 4)
+        _, pools = partition_and_pools(arch, 1, 0.3, 0.2)
+        assert pools == ((0, 1), (2, 4), (3, 5))
 
     def test_ties_break_toward_lower_index(self):
         arch = PlayerArchives([6])
         arch.heat[0][:] = [1.0, 2.0, 2.0, 0.0, 2.0, 1.0]
         arch.count[0][:] = [3, 0, 0, 3, 5, 3]
-        part = partition_players(arch, 1, 0.3, 0.2, 0.15)
-        assert part.hot == (1, 2)
-        assert part.cold == (0, 3)
-        assert part.normal == (4, 5)
+        _, pools = partition_and_pools(arch, 1, 0.3, 0.2)
+        assert pools == ((1, 2), (4, 5), (0, 3))
 
 
 def partition_of(heat, count, hot_fraction, cold_fraction, cold_bonus=0.15):
     arch = PlayerArchives([len(heat)])
     arch.heat[0][:] = heat
     arch.count[0][:] = count
-    return partition_players(arch, 1, hot_fraction, cold_fraction, cold_bonus)
+    return partition_and_pools(arch, 1, hot_fraction, cold_fraction, cold_bonus)
 
 
 class TestSampling:
     def test_cold_bonus_probability(self):
-        part = partition_of([0.0] * 3, [0, 5, 5], 0.0, 0.2)
-        assert (part.hot, part.normal, part.cold) == ((), (1, 2), (0,))
+        part, pools = partition_of([0.0] * 3, [0, 5, 5], 0.0, 0.2)
+        assert pools == ((), (1, 2), (0,))
         rng = np.random.default_rng(0)
         draws = [sample_candidate(part, "nh", 3, rng) for _ in range(40000)]
         p_cold = draws.count(0) / len(draws)
         assert p_cold == pytest.approx(0.15 / 2.15, abs=0.01)
 
     def test_all_normal_is_uniform(self):
-        part = partition_of([0.0] * 4, [0] * 4, 0.0, 0.0)
-        assert (part.hot, part.normal, part.cold) == ((), (0, 1, 2, 3), ())
+        part, pools = partition_of([0.0] * 4, [0] * 4, 0.0, 0.0)
+        assert pools == ((), (0, 1, 2, 3), ())
         rng = np.random.default_rng(1)
         draws = [sample_candidate(part, "nh", 4, rng) for _ in range(20000)]
         for a in range(4):
             assert draws.count(a) / len(draws) == pytest.approx(0.25, abs=0.02)
 
     def test_singleton_hot(self):
-        part = partition_of([0.0, 0.0, 1.0], [5, 0, 0], 0.3, 0.2)
-        assert (part.hot, part.normal, part.cold) == ((2,), (0,), (1,))
+        part, pools = partition_of([0.0, 0.0, 1.0], [5, 0, 0], 0.3, 0.2)
+        assert pools == ((2,), (0,), (1,))
         rng = np.random.default_rng(2)
         assert all(sample_candidate(part, "hot", 3, rng) == 2 for _ in range(100))
 
     def test_empty_pool_falls_back_to_uniform(self):
-        part = partition_of([0.0, 0.0], [0, 0], 1.0, 0.0)
+        part, _ = partition_of([0.0, 0.0], [0, 0], 1.0, 0.0)
         assert (part.hot, part.non_hot, part.cdf) == ((0, 1), (), [])
         rng = np.random.default_rng(3)
         draws = {sample_candidate(part, "nh", 2, rng) for _ in range(50)}
@@ -407,12 +428,12 @@ class TestSampling:
 
     def test_non_hot_draws_match_the_loop_reference(self):
         for cold_bonus in (0.15, 0.5, 3.0):
-            part = partition_of([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-                                [9, 1, 9, 2, 0, 9, 0], 0.1, 0.4, cold_bonus)
-            assert (part.hot, part.normal, part.cold) == ((4,), (0, 2, 5), (1, 3, 6))
+            part, pools = partition_of([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                                       [9, 1, 9, 2, 0, 9, 0], 0.1, 0.4, cold_bonus)
+            assert pools == ((4,), (0, 2, 5), (1, 3, 6))
             assert part.non_hot == (0, 1, 2, 3, 5, 6)
             rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-            weights = np.array([cold_bonus if a in part.cold else 1.0
+            weights = np.array([cold_bonus if a in pools[2] else 1.0
                                 for a in part.non_hot])
             weights /= weights.sum()
             for _ in range(200):
@@ -528,7 +549,7 @@ def per_dimension_assembled_child(run, partitions, pool, rng):
             if new != genes[i]:
                 genes[i] = new
                 changed += 1
-    return fresh_genotype(run.space, genes)
+    return fresh_genotype(genes)
 
 
 class TestVariation:
@@ -644,12 +665,11 @@ class TestRefinementResnap:
         genes = [2, 0, 2, 3, 2, 9]
         frozen = [2, 2, 1, 2, 4, 0]
         run.population = []
-        for i, (g, f) in enumerate(zip(genes, frozen)):
+        for g, f in zip(genes, frozen):
             genotype = Genotype((g,), (f,))
             run.population.append(Individual(
-                genotype=genotype, decoded=decode(genotype, space, state),
-                key=i, f1=0.0, f2=0.0))
-        before = {j: state.representative(1, j) for j in set(genes + frozen)}
+                genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
+        before = {j: state.values[0][j] for j in set(genes + frozen)}
         state.counters[1] = np.zeros(state.bin_count(1), dtype=np.int64)
         state.counters[1][2] = state.persistence
         run._refine([])
@@ -662,9 +682,9 @@ class TestRefinementResnap:
                                            frozen, new_frozen):
             if old_g != 2:
                 assert ind.decoded.values[0] == before[old_g]
-                assert state.representative(1, g) == before[old_g]
+                assert state.values[0][g] == before[old_g]
             if old_f != 2:
-                assert state.representative(1, f) == before[old_f]
+                assert state.values[0][f] == before[old_f]
 
     def test_front_mass_counts_the_occupied_bin(self):
         # Splitting the bin that holds 0.6 until refine() refuses leaves bin
@@ -688,12 +708,11 @@ class TestRefinementResnap:
         assert splits == 51
         pts = state.breakpoints(1)
         assert np.nextafter(pts[29], 1.0) == pts[30]
-        assert state.representative(1, 29) == pts[30]
+        assert state.values[0][29] == pts[30]
         state.counters[1] = np.zeros(state.bin_count(1), dtype=np.int64)
         member = Genotype((29,), (29,))
-        run.population = [Individual(genotype=member,
-                                     decoded=decode(member, space, state),
-                                     key=0, f1=0.0, f2=0.0)]
+        run.population = [Individual(genotype=member, decoded=decode(member, state),
+                                     f1=0.0, f2=0.0)]
         run._refine(run.population)
         assert state.counters[1][29] == 1
         assert state.counters[1][30] == 0
@@ -869,6 +888,16 @@ class TestRuns:
         res = run_phmoea(problem, 10, 8, params=SearchParams.benchmark(), seed=2)
         assert res.fes == res.history[-1].fes == len(dispatched)
         assert res.evaluated_keys == dispatched
+
+    def test_early_stopped_run_counts_what_it_recorded(self):
+        problem = bench_problem(n=4)
+        problem.evaluator = lambda decoded: Evaluation(key=decoded.key, f1=1.0, f2=1.0)
+        params = SearchParams.benchmark()
+        params.early_stop, params.window = True, 2
+        res = run_nsga2(problem, 8, 20, params=params, seed=0)
+        assert res.stopped_early
+        assert res.generations == len(res.history) == res.history[-1].gen == 3
+        assert res.fes == len(res.evaluated_keys) == res.history[-1].fes
 
     @pytest.mark.parametrize("early_stop, hv_reference, per_generation", [
         (False, (1.1, 1.1), 1),     # HistoryRow.hv only

@@ -31,8 +31,8 @@ def worked_decoded():
     overrides = {3: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1, 11: 1}
     for idx, gene in overrides.items():
         genes[idx - 1] = gene
-    g = repair(fresh_genotype(SPACE, genes), SPACE, STATE)
-    return decode(g, SPACE, STATE)
+    g = repair(fresh_genotype(genes), SPACE, STATE)
+    return decode(g, STATE)
 
 
 def make_client(mode: str, timeout: float = 10.0) -> WorkerClient:
@@ -64,10 +64,9 @@ class TestBenchmarkEvaluator:
         space = bench.space()
         state = RefinementState(space)
         evaluator = BenchmarkEvaluator(bench)
-        g = repair(fresh_genotype(space, [0] * len(space)), space, state)
-        ev = evaluator(decode(g, space, state))
-        z1 = state.representative(1, 0)
-        z2 = state.representative(2, 0)
+        g = repair(fresh_genotype([0] * len(space)), space, state)
+        ev = evaluator(decode(g, state))
+        z1, z2 = state.values[0][0], state.values[1][0]
         # inactive tails sit at the neutral 0.5, so only z2 feeds the g-term
         g2 = (z2 - 0.5) ** 2 / 5
         assert ev.f1 == pytest.approx((1 + g2) * np.cos(np.pi / 2 * z1), rel=1e-12)
@@ -79,7 +78,7 @@ class TestBenchmarkEvaluator:
         state = RefinementState(space)
         evaluator = BenchmarkEvaluator(bench)
         rng = np.random.default_rng(0)
-        decoded = decode(sample_random(space, state, rng), space, state)
+        decoded = decode(sample_random(space, state, rng), state)
         a, b = evaluator(decoded), evaluator(decoded)
         assert (a.f1, a.f2) == (b.f1, b.f2)
 
@@ -101,18 +100,18 @@ class TestSurrogate:
         b = SurrogateEvaluator(SPACE)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            decoded = decode(sample_random(SPACE, STATE, rng), SPACE, STATE)
+            decoded = decode(sample_random(SPACE, STATE, rng), STATE)
             assert a(decoded).f1 == b(decoded).f1
 
     def test_hidden_target_is_argmin_over_random_audit(self):
         evaluator = SurrogateEvaluator(SPACE)
         state = RefinementState(SPACE)
-        target_genes = [evaluator._target_gene[v.index] for v in SPACE.variables]
-        target = decode(repair(fresh_genotype(SPACE, target_genes), SPACE, state),
-                        SPACE, state)
+        target_gene = ReferenceSurrogate(SPACE).target_gene
+        target_genes = [target_gene[v.index] for v in SPACE.variables]
+        target = decode(repair(fresh_genotype(target_genes), SPACE, state), state)
         target_f1 = evaluator(target).f1
         rng = np.random.default_rng(99)
-        best = min(evaluator(decode(sample_random(SPACE, state, rng), SPACE, state)).f1
+        best = min(evaluator(decode(sample_random(SPACE, state, rng), state)).f1
                    for _ in range(10_000))
         assert target_f1 <= best
 
@@ -121,7 +120,7 @@ class TestSurrogate:
         rng = np.random.default_rng(7)
         pts = []
         for _ in range(10_000):
-            ev = evaluator(decode(sample_random(SPACE, STATE, rng), SPACE, STATE))
+            ev = evaluator(decode(sample_random(SPACE, STATE, rng), STATE))
             pts.append((ev.f1, ev.f2))
         pts = np.asarray(pts)
         front = pts[nondominated_mask(pts)]
@@ -224,7 +223,7 @@ def configs(space, state, seed: int, n: int, **genes):
         g = list(sample_random(space, state, rng).frozen)
         for name, gene in genes.items():
             g[at[name]] = gene
-        out.append(decode(repair(fresh_genotype(space, g), space, state), space, state))
+        out.append(decode(repair(fresh_genotype(g), space, state), state))
     return out
 
 
@@ -396,7 +395,7 @@ class TestWorkerProtocol:
         try:
             state = RefinementState(SPACE)
             rng = np.random.default_rng(5)
-            batch = [decode(sample_random(SPACE, state, rng), SPACE, state)
+            batch = [decode(sample_random(SPACE, state, rng), state)
                      for _ in range(7)]
             results = pool.evaluate_many(batch)
             singles = [clients[0](dec) for dec in batch]
@@ -413,7 +412,7 @@ class TestWorkerProtocol:
         try:
             state = RefinementState(SPACE)
             rng = np.random.default_rng(3)
-            batch = [decode(sample_random(SPACE, state, rng), SPACE, state)
+            batch = [decode(sample_random(SPACE, state, rng), state)
                      for _ in range(6)]
             results = pool.evaluate_many(batch)
             assert all(isinstance(r, Evaluation) and not r.ok
@@ -424,7 +423,7 @@ class TestWorkerProtocol:
     def test_pool_exception_fails_only_its_candidate(self):
         state = RefinementState(SPACE)
         rng = np.random.default_rng(3)
-        batch = [decode(sample_random(SPACE, state, rng), SPACE, state)
+        batch = [decode(sample_random(SPACE, state, rng), state)
                  for _ in range(6)]
         bad = batch[2].key
 
@@ -449,7 +448,7 @@ class TestWorkerProtocol:
         try:
             state = RefinementState(SPACE)
             rng = np.random.default_rng(23)
-            batch = [decode(sample_random(SPACE, state, rng), SPACE, state)
+            batch = [decode(sample_random(SPACE, state, rng), state)
                      for _ in range(6)]
             results = pool.evaluate_many(batch)
             expected = [(round(d.as_dict(SPACE)["dropout"] * 2.0, 6),
@@ -467,7 +466,7 @@ class TestWorkerProtocol:
         try:
             state = RefinementState(SPACE)
             rng = np.random.default_rng(17)
-            batch = [decode(sample_random(SPACE, state, rng), SPACE, state)
+            batch = [decode(sample_random(SPACE, state, rng), state)
                      for _ in range(9)]
             results = pool.evaluate_many(batch)
             expected = [(round(d.as_dict(SPACE)["dropout"] * 2.0, 6),

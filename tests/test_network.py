@@ -13,8 +13,8 @@ import pytest
 from phmoea.network import (NetworkSpec, build_graph, count_params,
                             input_channels, layer_counts, spec_to_json,
                             time_embedding)
-from phmoea.space import (RefinementState, builtin_space, decode,
-                          fresh_genotype, repair, sample_random)
+from phmoea.space import (PLACEHOLDER, RefinementState, builtin_space,
+                          decode, fresh_genotype, repair, sample_random)
 
 SPACE = builtin_space()
 STATE = RefinementState(SPACE)
@@ -25,8 +25,8 @@ def decoded_from(**overrides):
     for name, value in overrides.items():
         var = next(v for v in SPACE.variables if v.name == name)
         genes[var.index - 1] = var.candidates.index(value)
-    g = repair(fresh_genotype(SPACE, genes), SPACE, STATE)
-    return decode(g, SPACE, STATE)
+    g = repair(fresh_genotype(genes), SPACE, STATE)
+    return decode(g, STATE)
 
 
 def worked_example(fusion="concat", **extra):
@@ -156,14 +156,14 @@ class TestCountingProperties:
     def test_breakdown_sums_to_total(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
-            decoded = decode(sample_random(SPACE, STATE, rng), SPACE, STATE)
+            decoded = decode(sample_random(SPACE, STATE, rng), STATE)
             spec = build_graph(decoded, SPACE, 50, 5)
             assert count_params(spec) == sum(e.count for e in spec.breakdown)
 
     def test_matches_oracle_on_random_configs(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
-            decoded = decode(sample_random(SPACE, STATE, rng), SPACE, STATE)
+            decoded = decode(sample_random(SPACE, STATE, rng), STATE)
             spec = build_graph(decoded, SPACE, 50, 5)
             cfg = decoded.as_dict(SPACE)
             assert count_params(spec) == oracle_count(cfg, 50, 5)
@@ -186,7 +186,7 @@ class TestCountingProperties:
     def test_independent_of_training_dims(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
-            decoded = decode(sample_random(SPACE, STATE, rng), SPACE, STATE)
+            decoded = decode(sample_random(SPACE, STATE, rng), STATE)
             cfg = decoded.as_dict(SPACE)
             arch = {k: cfg[k] for k in
                     ("aligned_length", "norm_layer", "proj_channels",
@@ -248,8 +248,7 @@ class TestModelCard:
         decoded = worked_example()
         # knocking out an architectural variable must fail loudly
         broken = decoded.__class__(
-            values=decoded.values,
-            active=tuple(list(decoded.active[:5]) + [False] + list(decoded.active[6:])),
-            ids=decoded.ids)
+            values=decoded.values[:5] + (None,) + decoded.values[6:],
+            ids=decoded.ids[:5] + (PLACEHOLDER,) + decoded.ids[6:])
         with pytest.raises(ValueError):
             build_graph(broken, SPACE, 50, 5)

@@ -1,6 +1,7 @@
 """Space definition, encoding, repair, dedup and refinement tests."""
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from phmoea.space import (COND_CONTINUOUS, COND_DISCRETE, CONTINUOUS, DISCRETE,
                           ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                           PLACEHOLDER, RefinementState, VariableSpec, activity,
-                          bin_value, builtin_space, canonical_key, decode,
-                          dump_space, fresh_genotype, load_space, nearest_index,
-                          repair, sample_random, space_from_json, space_to_json,
+                          builtin_space, canonical_key, decode, dump_space,
+                          fresh_genotype, load_space, nearest_index, repair,
+                          sample_random, space_from_json, space_to_json,
                           split_renumbering)
 
 
@@ -95,6 +96,25 @@ class TestBuiltinSpace:
 # Bin representatives
 # ---------------------------------------------------------------------------
 
+def bin_value(a: float, b: float, n_bins: int, k: int, scale: str = "linear") -> float:
+    """Representative (midpoint) value of bin ``k`` in 1..n_bins over [a, b]:
+    the reference formula ``decode`` is compared against.
+
+    Linear scale places midpoints uniformly; log scale places them uniformly
+    in log space, i.e. geometric midpoints.
+    """
+    if not 1 <= k <= n_bins:
+        raise ValueError(f"bin index {k} outside 1..{n_bins}")
+    if not a < b:
+        raise ValueError("lower bound must be below upper bound")
+    alpha = (2 * k - 1) / (2 * n_bins)
+    if scale == "log":
+        if a <= 0:
+            raise ValueError("log scale requires a positive lower bound")
+        return math.exp((1 - alpha) * math.log(a) + alpha * math.log(b))
+    return a + alpha * (b - a)
+
+
 class TestBinValue:
     def test_linear_first_bin(self):
         assert bin_value(0.0, 0.5, 6, 1) == pytest.approx(0.0416667, abs=1e-6)
@@ -126,21 +146,21 @@ def genotype_with(space, state, **overrides):
     for name, value in overrides.items():
         var = next(v for v in space.variables if v.name == name)
         genes[var.index - 1] = var.candidates.index(value)
-    return repair(fresh_genotype(space, genes), space, state)
+    return repair(fresh_genotype(genes), space, state)
 
 
 class TestDecode:
     def test_linear_masks_pool_type(self, space):
         state = make_state(space)
         g = genotype_with(space, state, resample_op="linear")
-        decoded = decode(g, space, state)
+        decoded = decode(g, state)
         assert not decoded.active[1]
         assert decoded.values[1] is None
 
     def test_weighting_activates_mode(self, space):
         state = make_state(space)
         g = genotype_with(space, state, fusion_op="weighting")
-        decoded = decode(g, space, state)
+        decoded = decode(g, state)
         assert decoded.active[22] and not decoded.active[23]
 
     def test_inactive_gene_does_not_leak(self, space):
@@ -149,12 +169,12 @@ class TestDecode:
         genes = list(g1.genes)
         genes[1] = 2  # perturb the masked pool type
         g2 = repair(Genotype(genes=tuple(genes), frozen=g1.frozen), space, state)
-        assert decode(g1, space, state) == decode(g2, space, state)
+        assert decode(g1, state) == decode(g2, state)
 
     def test_continuous_values_decode_to_representatives(self, space):
         state = make_state(space)
         g = genotype_with(space, state)
-        decoded = decode(g, space, state)
+        decoded = decode(g, state)
         assert decoded.values[12] == pytest.approx(bin_value(0.0, 0.5, 6, 1))
         assert decoded.values[13] == pytest.approx(bin_value(1e-5, 1e-2, 6, 1, "log"))
 
@@ -188,7 +208,7 @@ class TestRepair:
         state = make_state(space)
         genes = [0] * 24
         genes[12] = 8   # dropout has 6 bins
-        g = repair(fresh_genotype(space, genes), space, state)
+        g = repair(fresh_genotype(genes), space, state)
         assert g.genes[12] == 5
 
     def test_freeze_and_restore(self, space):
@@ -211,7 +231,7 @@ class TestRepair:
         state = make_state(space)
         rng = np.random.default_rng(7)
         for _ in range(50):
-            raw = fresh_genotype(space, [int(rng.integers(0, 12)) for _ in range(24)])
+            raw = fresh_genotype([int(rng.integers(0, 12)) for _ in range(24)])
             once = repair(raw, space, state)
             assert repair(once, space, state) == once
 
@@ -221,7 +241,7 @@ class TestRepair:
         g = repair(Genotype((1, PLACEHOLDER, PLACEHOLDER), (1, 1, 1)), space, state)
         assert g.genes == (1, 1, 1)
         assert repair(g, space, state) == g
-        assert decode(g, space, state).ids == g.genes
+        assert decode(g, state).ids == g.genes
 
     @pytest.mark.parametrize("make_space", [builtin_space, chain_space])
     def test_decode_reads_activity_from_repair(self, make_space):
@@ -234,7 +254,7 @@ class TestRepair:
             raw = Genotype(tuple(int(g) for g in rng.integers(-3, 12, len(space))),
                            tuple(int(f) for f in rng.integers(-2, 12, len(space))))
             g = repair(raw, space, state)
-            decoded = decode(g, space, state)
+            decoded = decode(g, state)
             assert decoded.active == activity(g.genes, space)
             assert decoded.ids == g.genes
             assert g == clip_then_gate_repair(raw, space, state)
@@ -246,14 +266,14 @@ class TestRepair:
             raw = Genotype(genes, frozen)
             g = repair(raw, space, state)
             assert g == clip_then_gate_repair(raw, space, state)
-            assert decode(g, space, state).active == activity(g.genes, space)
+            assert decode(g, state).active == activity(g.genes, space)
 
     def test_decoded_continuous_within_bounds(self, space):
         state = make_state(space)
         rng = np.random.default_rng(11)
         for _ in range(100):
             g = sample_random(space, state, rng)
-            decoded = decode(g, space, state)
+            decoded = decode(g, state)
             for var in space.variables:
                 v = decoded.values[var.index - 1]
                 if var.is_continuous and v is not None:
@@ -263,7 +283,7 @@ class TestRepair:
         state = make_state(space)
         rng = np.random.default_rng(3)
         for _ in range(200):
-            decoded = decode(sample_random(space, state, rng), space, state)
+            decoded = decode(sample_random(space, state, rng), state)
             cfg = dict(zip([v.name for v in space.variables], decoded.values))
             for var in space.variables:
                 if var.parent is None:
@@ -284,25 +304,24 @@ class TestCanonicalKey:
         rng = np.random.default_rng(5)
         for _ in range(100):
             g = sample_random(space, state, rng)
-            decoded = decode(g, space, state)
+            decoded = decode(g, state)
             genes = list(g.genes)
             inactive = [i for i, on in enumerate(decoded.active) if not on]
             for i in inactive:
                 genes[i] = int(rng.integers(0, 2))
-            other = decode(repair(Genotype(tuple(genes), g.frozen), space, state),
-                           space, state)
+            other = decode(repair(Genotype(tuple(genes), g.frozen), space, state), state)
             assert canonical_key(other) == canonical_key(decoded)
 
     def test_active_change_changes_key(self, space):
         state = make_state(space)
         g1 = genotype_with(space, state, norm_layer="BatchNorm")
         g2 = genotype_with(space, state, norm_layer="LayerNorm")
-        assert canonical_key(decode(g1, space, state)) != canonical_key(decode(g2, space, state))
+        assert canonical_key(decode(g1, state)) != canonical_key(decode(g2, state))
 
     def test_deterministic(self, space):
         state = make_state(space)
         g = genotype_with(space, state)
-        assert canonical_key(decode(g, space, state)) == canonical_key(decode(g, space, state))
+        assert canonical_key(decode(g, state)) == canonical_key(decode(g, state))
 
 
     @pytest.mark.parametrize("seed", range(4))
@@ -313,7 +332,8 @@ class TestCanonicalKey:
             active = tuple(bool(a) for a in rng.random(d) < 0.6)
             ids = tuple(int(g) if on else PLACEHOLDER
                         for g, on in zip(rng.integers(0, 3000, d), active))
-            dec = DecodedConfig(values=(None,) * d, active=active, ids=ids)
+            dec = DecodedConfig(values=(None,) * d, ids=ids)
+            assert dec.active == active
             fields = [x for i, (on, g) in enumerate(zip(active, ids), 1)
                       if on for x in (i, g)]
             payload = struct.pack("<" + "hi" * (len(fields) // 2), *fields)
@@ -321,8 +341,7 @@ class TestCanonicalKey:
             assert dec.key == canonical_key(dec) == want
 
     def test_key_with_no_active_dimension(self):
-        dec = DecodedConfig(values=(None, None), active=(False, False),
-                            ids=(PLACEHOLDER, PLACEHOLDER))
+        dec = DecodedConfig(values=(None, None), ids=(PLACEHOLDER, PLACEHOLDER))
         empty = hashlib.blake2b(b"", digest_size=8).digest()
         assert dec.key == int.from_bytes(empty, "little")
 
@@ -331,9 +350,8 @@ class TestDedupRegistry:
     def test_admit_then_duplicate(self):
         reg = DedupRegistry()
         assert reg.admit(42)
-        assert len(reg) == 1
         assert not reg.admit(42)
-        assert len(reg) == 1
+        assert reg.admit(43)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +364,7 @@ def front_of(space, state, values, dim=13):
     for v in values:
         genes = [0] * len(space)
         genes[dim - 1] = state.nearest_bin(dim, v)
-        out.append(repair(fresh_genotype(space, genes), space, state).genes)
+        out.append(repair(fresh_genotype(genes), space, state).genes)
     return out
 
 
@@ -430,14 +448,14 @@ class TestRefinement:
         state = make_state(space, persistence=1)
         state.counters[13][1] = state.counters[13][4] = 1
         state.counters[14][0] = 1
-        old = state.representatives(13)
+        old = state.values[12]
         splits = state.refine()
         split = [k for d, k in splits if d == 13]
         assert split == [1, 4]
         assert state.counters[13].tolist() == [0] * 8
         new = split_renumbering(list(range(6)), split)
         assert new == [0, 1, 3, 4, 5, 7]
-        reps = state.representatives(13)
+        reps = state.values[12]
         for j in range(6):
             if j in split:
                 assert reps[new[j]] < old[j] < reps[new[j] + 1]
@@ -472,13 +490,14 @@ class TestRefinement:
         n = state.bin_count(2)
         assert n == 11
         assert state.counts == [2, n, 2]
-        assert state.values[1] == state.representatives(2).tolist()
+        pts = state.breakpoints(2)
+        assert state.values[1] == (0.5 * (pts[:-1] + pts[1:])).tolist()
         lo, hi, mids = state.grids[1]
         assert (lo, hi, len(mids)) == (0.0, 1.0, n)
         # a gene in a new bin, out of range before the splits, now survives
         g = repair(Genotype((1, n - 1, 1), (1, n - 1, 1)), space, state)
         assert g.genes == (1, n - 1, 1)
-        assert decode(g, space, state).values[1] == state.representative(2, n - 1)
+        assert decode(g, state).values[1] == state.values[1][n - 1]
         assert repair(Genotype((1, n + 3, 1), (0, 0, 0)), space, state).genes[1] == n - 1
         rng = np.random.default_rng(0)
         drawn = {sample_random(space, state, rng).frozen[1] for _ in range(400)}
