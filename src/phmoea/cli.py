@@ -22,8 +22,7 @@ from . import benchmarks, metrics, resample
 from .engine import RunResult, SearchParams, SearchProblem, run_nsga2, run_phmoea
 from .evaluators import BenchmarkEvaluator, SurrogateEvaluator
 from .network import INPUT_WIDTH, TARGETS, build_graph, dump_model_card
-from .space import (RefinementState, builtin_space, decode, fresh_genotype,
-                    repair)
+from .space import RefinementState, builtin_space
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
@@ -67,6 +66,8 @@ class RunManifest:
             raise ValueError("population size must be at least 2")
         if self.generations < 1 or self.seeds < 1:
             raise ValueError("generations and seeds must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if min(self.targets, self.input_width) < 1:
             raise ValueError("targets and input width must be at least 1")
         self.search_params().validate()
@@ -279,32 +280,26 @@ def cmd_count_params(config_path: str, targets: int, input_width: int) -> int:
     unknown = set(doc) - {var.name for var in space.variables}
     if unknown:
         raise ValueError(f"unknown variables: {sorted(unknown)}")
-    state = RefinementState(space)
-    genes = []
-    for var in space.variables:
-        if var.name not in doc:
-            genes.append(0)
-            continue
-        value = doc[var.name]
+    config = {}     # an omitted variable takes its first candidate or initial bin
+    for var, values in zip(space.variables, RefinementState(space).values):
+        value = doc.get(var.name, values[0])
         if var.is_continuous:
             lo, hi = var.bounds
             try:
-                inside = lo <= float(value) <= hi       # False for nan
+                value = float(value)
+                inside = lo <= value <= hi       # False for nan
             except (TypeError, ValueError):
                 inside = False
             if not inside:
                 raise ValueError(f"{var.name}: {value!r} is not a number in [{lo}, {hi}]")
-            genes.append(state.nearest_bin(var.index, float(value)))
         else:
             value = tuple(value) if isinstance(value, list) else value
             if value not in var.candidates:
                 raise ValueError(
                     f"{var.name}: {value!r} is not one of {var.candidates}")
-            genes.append(var.candidates.index(value))
-    genotype = repair(fresh_genotype(genes), space, state)
-    decoded = decode(genotype, state)
-    spec = build_graph(decoded, space, input_width, targets)
-    print(dump_model_card(spec))
+            value = var.candidates[var.candidates.index(value)]   # 12.0 prints as 12
+        config[var.name] = value
+    print(dump_model_card(build_graph(config, input_width, targets)))
     return 0
 
 

@@ -93,18 +93,24 @@ class SearchParams:
     def validate(self) -> None:
         if not 0 <= self.stage_early_end < self.stage_late_start <= 1:
             raise ValueError("stage thresholds must satisfy 0 <= early < late <= 1")
+        if [len(ratios) for ratios in self.stage_ratios] != [3, 3, 3]:
+            raise ValueError(f"stage_ratios must be three triples, got {self.stage_ratios}")
         for ratios in self.stage_ratios:
             if abs(sum(ratios) - 1.0) > 1e-9:
                 raise ValueError("each stage ratio triple must sum to 1")
-        if self.cold_bonus <= 0:
-            raise ValueError("cold bonus must be positive")
-        for name in ("hot_fraction", "cold_fraction", "cross_pool_rate",
-                     "crossover_prob", "mutation_prob"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
-        for name in ("initial_bins", "n_trial", "refine_persistence", "window"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for rule, holds, names in (
+                ("in [0, 1]", lambda v: 0 <= v <= 1,
+                 ("error_weight", "hot_fraction", "cold_fraction", "cross_pool_rate",
+                  "crossover_prob", "mutation_prob")),
+                ("positive", lambda v: v > 0, ("cold_bonus", "refine_mass", "eps_denom")),
+                ("non-negative", lambda v: v >= 0,
+                 ("sbx_eta", "mutation_eta", "eps_f1", "eps_f2", "eps_hv")),
+                ("at least 1", lambda v: v >= 1,
+                 ("initial_bins", "n_trial", "refine_persistence", "window",
+                  "max_mutated"))):
+            for name in names:
+                if not holds(getattr(self, name)):      # nan holds nothing
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -445,6 +451,9 @@ class _Run:
         if hasattr(evaluator, "evaluate_many"):
             try:
                 evaluations = evaluator.evaluate_many(decoded)
+                if len(evaluations) != len(decoded):
+                    raise ValueError(f"evaluate_many returned {len(evaluations)} "
+                                     f"results for {len(decoded)} candidates")
             except Exception as exc:    # no candidate can be blamed: the batch fails
                 evaluations = [failed_evaluation(dec, exc) for dec in decoded]
         else:

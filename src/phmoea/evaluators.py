@@ -31,8 +31,9 @@ from operator import itemgetter
 import numpy as np
 
 from .benchmarks import HBenchProblem
-from .network import (INPUT_WIDTH, REQUIRED, TARGETS, build_graph, count_params,
-                      layer_counts)
+# build_graph and count_params stay importable here for perfbench/tracing.py
+from .network import (COUNTED, FUSION_MODE, INPUT_WIDTH, REQUIRED, TARGETS,
+                      build_graph, count_params, layer_counts)
 from .space import ConfigSpace, DecodedConfig, RefinementState
 
 OK = "ok"
@@ -101,10 +102,6 @@ CAPACITY_WEIGHT = 0.08
 _LOG_P_LO = math.log(1e4)
 _LOG_P_HI = math.log(4e6)
 
-# names of the build_graph inputs the evaluator reads, in layer_counts order
-_COUNTED = ("aligned_length", "proj_channels", "conv1_channels", "conv2_channels",
-            "conv3_channels", "short_kernels", "long_kernels", "fusion_op")
-
 
 class SurrogateEvaluator:
     """Training-free objective pair over the full configuration space.
@@ -120,13 +117,12 @@ class SurrogateEvaluator:
     per-candidate penalties of a discrete variable, or ``(is_log, a or log a,
     span, target scale position)`` of a continuous one, whose value is read from
     the configuration since a run's refined bins are not the evaluator's.
-    f2 sums ``layer_counts`` at positions found by name, or goes through
-    ``build_graph`` in a space where that could reject a configuration.
+    f2 sums ``layer_counts`` at positions found by name. A space with a
+    configuration ``build_graph`` would reject is refused at construction.
     """
 
     def __init__(self, space: ConfigSpace, targets: int = TARGETS,
                  input_width: int = INPUT_WIDTH):
-        self.space = space
         self.targets = targets
         self.input_width = input_width
         rng = np.random.default_rng(SURROGATE_TARGET_SEED)
@@ -147,17 +143,16 @@ class SurrogateEvaluator:
                 offsets[gene] = 0.0
                 self._terms.append(offsets.tolist())
         at = {var.name: pos for pos, var in enumerate(space.variables)}
-        self._mode_at = {fusion: at[name] for fusion, name in (
-            ("weighting", "weighting_mode"), ("cross_mapping", "cross_mapping_mode"))
-            if name in at}
-        # required variables that are always active and odd kernels mean
-        # build_graph rejects no configuration of this space
-        safe = all(name in at and space.variables[at[name]].parent is None
-                   for name in REQUIRED) and all(
-            isinstance(c, tuple) and all(k % 2 for k in c)
-            for name in ("short_kernels", "long_kernels")
-            for c in space.variables[at[name]].candidates)
-        self._counted = itemgetter(*(at[name] for name in _COUNTED)) if safe else None
+        for name in REQUIRED:
+            if name not in at or space.variables[at[name]].parent is not None:
+                raise ValueError(f"{name}: build_graph needs it active in every configuration")
+        for name in ("short_kernels", "long_kernels"):
+            for c in space.variables[at[name]].candidates:
+                if not (isinstance(c, tuple) and all(k % 2 for k in c)):
+                    raise ValueError(f"{name}: candidate {c!r} is not a tuple of odd sizes")
+        self._counted = itemgetter(*(at[name] for name in COUNTED))
+        self._mode_at = {fusion: at[name] for fusion, name in FUSION_MODE.items()
+                         if name in at}
 
     def mismatch(self, decoded: DecodedConfig) -> float:
         total = 0.0
@@ -173,15 +168,11 @@ class SurrogateEvaluator:
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
         start = time.perf_counter()
-        if self._counted is None:
-            params = count_params(build_graph(decoded, self.space, self.input_width,
-                                              self.targets))
-        else:
-            length, *channels, short, long, fusion = self._counted(decoded.values)
-            mode_at = self._mode_at.get(fusion)
-            mode = None if mode_at is None else decoded.values[mode_at]
-            params = sum(layer_counts(length, channels, short, long, fusion, mode,
-                                      self.input_width, self.targets).values())
+        length, *channels, short, long, fusion = self._counted(decoded.values)
+        mode_at = self._mode_at.get(fusion)
+        mode = None if mode_at is None else decoded.values[mode_at]
+        params = sum(layer_counts(length, channels, short, long, fusion, mode,
+                                  self.input_width, self.targets).values())
         level = (math.log(params) - _LOG_P_LO) / (_LOG_P_HI - _LOG_P_LO)
         level = min(max(level, 0.0), 1.0)
         f1 = self.mismatch(decoded) + CAPACITY_WEIGHT * (1.0 - level)

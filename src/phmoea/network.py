@@ -1,11 +1,12 @@
 """Deterministic computation-graph description of the bi-branch forecaster.
 
-A decoded configuration instantiates a fixed-topology network: a per-timestep
-input projection, three bi-branch 1D convolution layers (a short-kernel and a
-long-kernel branch sharing channel widths), a configurable branch-fusion
-operator, and a single linear head over the flattened fused sequence. Nothing
-here is executable; the description exists to count trainable parameters
-exactly and to export a model card for an external trainer.
+A configuration, read by variable name, instantiates a fixed-topology
+network: a per-timestep input projection, three bi-branch 1D convolution
+layers (a short-kernel and a long-kernel branch sharing channel widths), a
+configurable branch-fusion operator, and a single linear head over the
+flattened fused sequence. Nothing here is executable; the description exists
+to count trainable parameters exactly and to export a model card for an
+external trainer.
 
 Counting rules, all in ``layer_counts``: convolutions and linear layers
 contribute weights plus biases; normalization layers contribute their two
@@ -18,8 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-from .space import ConfigSpace, DecodedConfig
+from operator import itemgetter
 
 TARGETS = 5              # forecast targets of the built-in task
 INPUT_WIDTH = 50         # input window length of the built-in task
@@ -42,12 +42,6 @@ def input_channels(source_channels, time_components: int) -> int:
 
 
 @dataclass(frozen=True)
-class LayerCount:
-    name: str
-    count: int
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
     """Structural description sufficient for parameter counting and export."""
 
@@ -62,7 +56,7 @@ class NetworkSpec:
     fusion: str
     fusion_mode: str | None
     targets: int
-    breakdown: tuple[LayerCount, ...]
+    breakdown: dict[str, int]               # ``layer_counts`` of this network
 
     @property
     def fused_width(self) -> int:
@@ -97,10 +91,13 @@ def _fusion_params(fusion: str, mode: str | None, c: int) -> int:
     raise ValueError(f"unknown fusion operator {fusion!r}")
 
 
-# variables build_graph needs active in every configuration
-REQUIRED = ("aligned_length", "norm_layer", "proj_channels", "conv1_channels",
-            "conv2_channels", "conv3_channels", "short_kernels", "long_kernels",
-            "activation", "dropout", "fusion_op")
+# variables layer_counts reads, in its argument order (the four channels in a row)
+COUNTED = ("aligned_length", "proj_channels", "conv1_channels", "conv2_channels",
+           "conv3_channels", "short_kernels", "long_kernels", "fusion_op")
+# variables build_graph needs in every configuration
+REQUIRED = COUNTED + ("norm_layer", "activation", "dropout")
+# the variable that holds each fusion operator's mode
+FUSION_MODE = {"weighting": "weighting_mode", "cross_mapping": "cross_mapping_mode"}
 
 
 def layer_counts(length: int, channels, short_kernels, long_kernels, fusion: str,
@@ -122,47 +119,37 @@ def layer_counts(length: int, channels, short_kernels, long_kernels, fusion: str
     return counts
 
 
-def build_graph(decoded: DecodedConfig, space: ConfigSpace, input_width: int,
-                targets: int) -> NetworkSpec:
-    """Instantiate the network description for a decoded configuration."""
-    cfg = decoded.as_dict(space)
-    missing = [name for name in REQUIRED if name not in cfg]
+def build_graph(config: dict, input_width: int, targets: int) -> NetworkSpec:
+    """Instantiate the network description for a name -> value configuration."""
+    missing = [name for name in REQUIRED if name not in config]
     if missing:
         raise ValueError(f"configuration is missing active variables: {missing}")
-
-    length = cfg["aligned_length"]
-    channels = (cfg["proj_channels"], cfg["conv1_channels"],
-                cfg["conv2_channels"], cfg["conv3_channels"])
-    for k in tuple(cfg["short_kernels"]) + tuple(cfg["long_kernels"]):
+    length, *channels, short, long, fusion = itemgetter(*COUNTED)(config)
+    for k in tuple(short) + tuple(long):
         if k % 2 == 0:
             raise ValueError(f"kernel size {k} is even; length-preserving "
                              "padding (k-1)/2 needs odd kernels")
-    fusion = cfg["fusion_op"]
-    mode = cfg.get("weighting_mode") if fusion == "weighting" else None
-    if fusion == "cross_mapping":
-        mode = cfg.get("cross_mapping_mode")
-    counts = layer_counts(length, channels, cfg["short_kernels"], cfg["long_kernels"],
-                          fusion, mode, input_width, targets)
-
+    mode = config.get(FUSION_MODE.get(fusion))     # None without a mode variable
     return NetworkSpec(
         aligned_length=length,
         input_width=input_width,
-        channels=channels,
-        short_kernels=cfg["short_kernels"],
-        long_kernels=cfg["long_kernels"],
-        norm=cfg["norm_layer"],
-        activation=cfg["activation"],
-        dropout=cfg["dropout"],
+        channels=tuple(channels),
+        short_kernels=short,
+        long_kernels=long,
+        norm=config["norm_layer"],
+        activation=config["activation"],
+        dropout=config["dropout"],
         fusion=fusion,
         fusion_mode=mode,
         targets=targets,
-        breakdown=tuple(LayerCount(name, n) for name, n in counts.items()),
+        breakdown=layer_counts(length, channels, short, long, fusion, mode,
+                               input_width, targets),
     )
 
 
 def count_params(spec: NetworkSpec) -> int:
     """Exact trainable-parameter count of the described network."""
-    return sum(entry.count for entry in spec.breakdown)
+    return sum(spec.breakdown.values())
 
 
 def spec_to_json(spec: NetworkSpec) -> dict:
@@ -184,7 +171,7 @@ def spec_to_json(spec: NetworkSpec) -> dict:
         "targets": spec.targets,
         "fused_width": spec.fused_width,
         "head_input": spec.aligned_length * spec.fused_width,
-        "layers": [{"name": e.name, "params": e.count} for e in spec.breakdown],
+        "layers": [{"name": name, "params": n} for name, n in spec.breakdown.items()],
         "total_params": count_params(spec),
     }
 

@@ -27,6 +27,9 @@ from itertools import compress, cycle
 
 import numpy as np
 
+from .metrics import LOSS_KINDS
+from .resample import OPERATORS, POOL_TYPES
+
 PLACEHOLDER = -1
 
 DISCRETE = "discrete"
@@ -266,11 +269,6 @@ class RefinementState:
     def bin_count(self, index: int) -> int:
         return len(self._pts[index]) - 1
 
-    def nearest_bin(self, index: int, value: float) -> int:
-        """Bin whose representative is closest in scale space."""
-        var = self.space.variable(index)
-        return nearest_index(self.grids[index - 1][2], float(_to_scale(value, var.scale)))
-
     def update(self, front: list[tuple[int, ...]]) -> None:
         """Accumulate the bin masses of a non-dominated front's repaired genes.
 
@@ -408,12 +406,8 @@ class DedupRegistry:
 # Built-in 24-dimension auto-configuration space
 # ---------------------------------------------------------------------------
 
-RESAMPLE_OPS = ("linear", "decimate_repeat", "hybrid", "pool", "conv_blurpool", "fir_lowpass")
-POOL_TYPES = ("avg", "max", "median", "weighted")
 NORM_LAYERS = ("BatchNorm", "LayerNorm", "InstanceNorm")
 ACTIVATIONS = ("ReLU", "GELU", "SiLU", "Tanh")
-LOSS_TYPES = ("MSE", "MAE", "SmoothL1", "MAPE", "Huber", "LogCosh",
-              "Quantile", "SMAPE", "Combined", "AdaptiveCombined")
 LOSS_PAIRS = (
     ("MSE", "MAE"), ("MSE", "Huber"), ("MAE", "Huber"), ("MAE", "MAPE"),
     ("MSE", "SMAPE"), ("MAE", "Quantile"), ("Huber", "Quantile"),
@@ -425,7 +419,7 @@ FUSION_OPS = ("concat", "add", "weighting", "gating", "attention", "cross_mappin
 def builtin_space() -> ConfigSpace:
     """The embedded 24-variable auto-configuration space."""
     v = [
-        VariableSpec(1, "resample_op", DISCRETE, candidates=RESAMPLE_OPS),
+        VariableSpec(1, "resample_op", DISCRETE, candidates=OPERATORS),
         VariableSpec(2, "pool_type", COND_DISCRETE, candidates=POOL_TYPES,
                      parent=(1, ("pool",))),
         VariableSpec(3, "aligned_length", DISCRETE, candidates=(8, 12, 24, 36, 48)),
@@ -446,7 +440,7 @@ def builtin_space() -> ConfigSpace:
         VariableSpec(16, "lr_schedule", DISCRETE, candidates=("on", "off")),
         VariableSpec(17, "scheduler_type", COND_DISCRETE,
                      candidates=("plateau", "warmup_cosine"), parent=(16, ("on",))),
-        VariableSpec(18, "loss_type", DISCRETE, candidates=LOSS_TYPES),
+        VariableSpec(18, "loss_type", DISCRETE, candidates=LOSS_KINDS),
         VariableSpec(19, "loss_pair", COND_DISCRETE, candidates=LOSS_PAIRS,
                      parent=(18, ("Combined", "AdaptiveCombined"))),
         VariableSpec(20, "loss_weights", COND_DISCRETE,

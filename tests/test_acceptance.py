@@ -154,8 +154,8 @@ def test_criterion_6_parameter_count_oracle():
     mismatches = 0
     for _ in range(20):
         decoded = decode(sample_random(space, state, rng), state)
-        spec = build_graph(decoded, space, 50, 5)
-        if count_params(spec) != oracle_count(decoded.as_dict(space), 50, 5):
+        cfg = decoded.as_dict(space)
+        if count_params(build_graph(cfg, 50, 5)) != oracle_count(cfg, 50, 5):
             mismatches += 1
 
     worked = SurrogateEvaluator(space)
@@ -164,7 +164,7 @@ def test_criterion_6_parameter_count_oracle():
         genes[idx - 1] = gene
     from phmoea.space import fresh_genotype, repair
     decoded = decode(repair(fresh_genotype(genes), space, state), state)
-    total = count_params(build_graph(decoded, space, 50, 5))
+    total = count_params(build_graph(decoded.as_dict(space), 50, 5))
     passed = mismatches == 0 and total == 61397
     report("criterion 6 (parameter-count oracle)", passed,
            f"20/20 random configs match brute-force enumeration "

@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, outputs, determinism."""
 
 import csv
+import hashlib
 import inspect
 import json
 from pathlib import Path
@@ -120,6 +121,9 @@ class TestSearch:
         (["--n-trial", "0"], "n_trial"),
         (["--window", "0", "--early-stop"], "window"),
         (["--refine-persistence", "0"], "refine_persistence"),
+        (["--w", "5"], "error_weight"),
+        (["--refine-mass", "-1"], "refine_mass"),
+        (["--seed", "-1"], "seed"),
     ])
     def test_out_of_range_tunable_is_usage_error(self, tmp_path, capsys, flags, name):
         code = run_cli(["search", "--problem", "hdtlz2", "--pop", "6", "--gens", "3",
@@ -151,6 +155,21 @@ class TestSearch:
         bad.write_text(json.dumps(doc))
         assert run_cli(["search", "--manifest", str(bad)]) == 2
         assert f"manifest.{named}: expected" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("seed", -1, "seed"),
+        ("params", {"sbx_eta": -1.0}, "sbx_eta"),
+        ("params", {"max_mutated": 0}, "max_mutated"),
+    ])
+    def test_manifest_value_out_of_range_is_usage_error(self, tmp_path, capsys, field,
+                                                        value, named):
+        doc = {"problem": "hdtlz2", "pop_size": 6, "generations": 2,
+               "out_dir": str(tmp_path / "out"), field: value}
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["search", "--manifest", str(bad)]) == 2
+        assert f"{named} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_manifest_not_an_object_is_usage_error(self, tmp_path, capsys):
@@ -382,6 +401,34 @@ class TestCountParams:
         card = json.loads(capsys.readouterr().out)
         assert card["total_params"] == 61397
         assert card["fusion"] == "concat"
+
+    # sha256 prefixes of the cards count-params printed when it still snapped
+    # the config onto genes and decoded it, for a config without continuous values
+    CARD_DIGESTS = {"concat": "109580f33888a955", "add": "0cdd9ad03114f538",
+                    "weighting": "1faacf0897d87ec0", "gating": "6f9b4123e341dbf6",
+                    "attention": "be09dd515280b95d", "cross_mapping": "19dc4ba402691264"}
+
+    @pytest.mark.parametrize("fusion", sorted(CARD_DIGESTS))
+    def test_card_bytes_without_continuous_values(self, tmp_path, capsys, fusion):
+        config = {
+            "resample_op": "linear", "aligned_length": 12, "batch_size": 16,
+            "norm_layer": "BatchNorm", "proj_channels": 16,
+            "conv1_channels": 16, "conv2_channels": 32, "conv3_channels": 64,
+            "short_kernels": [3, 5, 7], "long_kernels": [9, 11, 13],
+            "activation": "ReLU", "lr_schedule": "off", "loss_type": "MSE",
+            "fusion_op": fusion,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["count-params", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == self.CARD_DIGESTS[fusion]
+
+    def test_card_echoes_the_given_dropout(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dropout": 0.33}))
+        assert run_cli(["count-params", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["dropout"] == 0.33
 
     def test_unknown_names_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -852,6 +852,34 @@ class TestEarlyStop:
 
 
 # ---------------------------------------------------------------------------
+# Parameter validation
+# ---------------------------------------------------------------------------
+
+class TestSearchParamsValidate:
+    @pytest.mark.parametrize("name, value", [
+        ("error_weight", 1.5), ("error_weight", -0.1), ("error_weight", math.nan),
+        ("refine_mass", 0.0), ("refine_mass", -1.0),
+        ("sbx_eta", -1.0), ("mutation_eta", -0.5),
+        ("eps_f1", -1e-3), ("eps_f2", -1e-3), ("eps_hv", -1e-4),
+        ("eps_denom", 0.0), ("eps_denom", -1e-12),
+        ("max_mutated", 0),
+    ])
+    def test_out_of_range_value_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SearchParams(**{name: value}).validate()
+
+    @pytest.mark.parametrize("ratios", [((1.0,),) * 3, ((0.8, 0.1, 0.1),) * 2,
+                                        ((0.5, 0.5), (0.8, 0.1, 0.1), (0.5, 0.3, 0.2))])
+    def test_stage_ratios_must_be_three_triples(self, ratios):
+        with pytest.raises(ValueError, match="stage_ratios"):
+            SearchParams(stage_ratios=ratios).validate()
+
+    def test_zero_etas_and_tolerances_pass(self):
+        SearchParams(sbx_eta=0.0, mutation_eta=0.0, eps_f1=0.0, eps_f2=0.0,
+                     eps_hv=0.0, error_weight=1.0, max_mutated=1).validate()
+
+
+# ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
 
@@ -1011,6 +1039,29 @@ class TestRuns:
         assert res.generations == 6
         assert res.skipped_errors == evaluator.sizes[2] > 0
         assert res.fes == sum(evaluator.sizes) == len(res.evaluated_keys)
+
+    @pytest.mark.parametrize("runner", [run_phmoea, run_nsga2])
+    def test_short_batch_fails_its_whole_batch(self, runner):
+        problem = bench_problem(n=4)
+        inner = problem.evaluator
+
+        class ShortBatches:
+            """Drops the last result of every batch after the first."""
+
+            def __init__(self):
+                self.sizes = []
+
+            def evaluate_many(self, batch):
+                self.sizes.append(len(batch))
+                results = [inner(dec) for dec in batch]
+                return results[:-1] if len(self.sizes) > 1 else results
+
+        evaluator = ShortBatches()
+        problem.evaluator = evaluator
+        res = runner(problem, 10, 4, params=SearchParams.benchmark(), seed=0)
+        assert len(evaluator.sizes) == 4
+        assert res.fes == sum(evaluator.sizes) == len(res.evaluated_keys)
+        assert res.skipped_errors == sum(evaluator.sizes[1:]) > 0
 
     def test_nsga2_within_three_x_of_phmoea(self):
         problem_a = bench_problem("hdtlz2", n=6)

@@ -13,20 +13,22 @@ import pytest
 from phmoea.network import (NetworkSpec, build_graph, count_params,
                             input_channels, layer_counts, spec_to_json,
                             time_embedding)
-from phmoea.space import (PLACEHOLDER, RefinementState, builtin_space,
-                          decode, fresh_genotype, repair, sample_random)
+from phmoea.space import (RefinementState, builtin_space, decode,
+                          fresh_genotype, repair, sample_random)
 
 SPACE = builtin_space()
 STATE = RefinementState(SPACE)
 
 
 def decoded_from(**overrides):
+    """Active name -> value mapping of the all-first-gene configuration with
+    the named candidates overridden."""
     genes = [0] * 24
     for name, value in overrides.items():
         var = next(v for v in SPACE.variables if v.name == name)
         genes[var.index - 1] = var.candidates.index(value)
     g = repair(fresh_genotype(genes), SPACE, STATE)
-    return decode(g, STATE)
+    return decode(g, STATE).as_dict(SPACE)
 
 
 def worked_example(fusion="concat", **extra):
@@ -119,32 +121,30 @@ class TestInputChannels:
 
 class TestWorkedExample:
     def test_concat_total(self):
-        spec = build_graph(worked_example(), SPACE, input_width=50, targets=5)
+        spec = build_graph(worked_example(), input_width=50, targets=5)
         assert count_params(spec) == 61397
 
     def test_concat_breakdown(self):
-        spec = build_graph(worked_example(), SPACE, input_width=50, targets=5)
-        counts = {e.name: e.count for e in spec.breakdown}
-        assert counts == {"projection": 816, "short_branch": 18000,
-                          "long_branch": 34896, "fusion": 0, "head": 7685}
+        spec = build_graph(worked_example(), input_width=50, targets=5)
+        assert spec.breakdown == {"projection": 816, "short_branch": 18000,
+                                  "long_branch": 34896, "fusion": 0, "head": 7685}
 
     def test_add_head_and_total(self):
-        spec = build_graph(worked_example("add"), SPACE, input_width=50, targets=5)
-        counts = {e.name: e.count for e in spec.breakdown}
-        assert counts["head"] == 5 * 768 + 5 == 3845
+        spec = build_graph(worked_example("add"), input_width=50, targets=5)
+        assert spec.breakdown["head"] == 5 * 768 + 5 == 3845
         assert count_params(spec) == 816 + 18000 + 34896 + 0 + 3845
 
     def test_attention_adds_three_projections(self):
-        base = count_params(build_graph(worked_example("add"), SPACE, 50, 5))
-        attn = count_params(build_graph(worked_example("attention"), SPACE, 50, 5))
+        base = count_params(build_graph(worked_example("add"), 50, 5))
+        attn = count_params(build_graph(worked_example("attention"), 50, 5))
         assert attn - base == 3 * 64 * 64 == 12288
 
     def test_concat_head_width(self):
-        spec = build_graph(worked_example(), SPACE, 50, 5)
+        spec = build_graph(worked_example(), 50, 5)
         assert spec.fused_width == 2 * 64
 
     def test_add_head_width(self):
-        spec = build_graph(worked_example("add"), SPACE, 50, 5)
+        spec = build_graph(worked_example("add"), 50, 5)
         assert spec.fused_width == 64
 
 
@@ -157,15 +157,15 @@ class TestCountingProperties:
         rng = np.random.default_rng(2)
         for _ in range(30):
             decoded = decode(sample_random(SPACE, STATE, rng), STATE)
-            spec = build_graph(decoded, SPACE, 50, 5)
-            assert count_params(spec) == sum(e.count for e in spec.breakdown)
+            spec = build_graph(decoded.as_dict(SPACE), 50, 5)
+            assert count_params(spec) == sum(spec.breakdown.values())
 
     def test_matches_oracle_on_random_configs(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
             decoded = decode(sample_random(SPACE, STATE, rng), STATE)
-            spec = build_graph(decoded, SPACE, 50, 5)
             cfg = decoded.as_dict(SPACE)
+            spec = build_graph(cfg, 50, 5)
             assert count_params(spec) == oracle_count(cfg, 50, 5)
 
     def test_monotone_in_channel_widths(self):
@@ -173,14 +173,14 @@ class TestCountingProperties:
                         proj_channels=16, conv1_channels=16, conv2_channels=32,
                         conv3_channels=64, short_kernels=(3, 5, 7),
                         long_kernels=(9, 11, 13), fusion_op="concat")
-        p0 = count_params(build_graph(decoded_from(**base_cfg), SPACE, 50, 5))
+        p0 = count_params(build_graph(decoded_from(**base_cfg), 50, 5))
         for name in ("proj_channels", "conv1_channels", "conv2_channels",
                      "conv3_channels"):
             var = next(v for v in SPACE.variables if v.name == name)
             start = var.candidates.index(base_cfg[name])
             for pos in range(start + 1, len(var.candidates)):
                 bigger = dict(base_cfg, **{name: var.candidates[pos]})
-                p1 = count_params(build_graph(decoded_from(**bigger), SPACE, 50, 5))
+                p1 = count_params(build_graph(decoded_from(**bigger), 50, 5))
                 assert p1 >= p0
 
     def test_independent_of_training_dims(self):
@@ -198,8 +198,8 @@ class TestCountingProperties:
                 arch["cross_mapping_mode"] = cfg["cross_mapping_mode"]
             twin = decoded_from(activation="Tanh", loss_type="Huber",
                                 batch_size=128, **arch)
-            a = count_params(build_graph(decoded, SPACE, 50, 5))
-            b = count_params(build_graph(twin, SPACE, 50, 5))
+            a = count_params(build_graph(cfg, 50, 5))
+            b = count_params(build_graph(twin, 50, 5))
             assert a == b
 
 
@@ -229,7 +229,7 @@ def test_layer_counts_total_matches_oracle(fusion, mode):
 
 class TestModelCard:
     def test_json_contains_layers_and_total(self):
-        spec = build_graph(worked_example(), SPACE, 50, 5)
+        spec = build_graph(worked_example(), 50, 5)
         doc = spec_to_json(spec)
         assert doc["total_params"] == 61397
         assert doc["head_input"] == 12 * 128
@@ -238,17 +238,22 @@ class TestModelCard:
 
     def test_length_preserving_padding(self):
         # kernel 7 pads by 3, so the temporal length survives every layer
-        spec = build_graph(worked_example(), SPACE, 50, 5)
+        spec = build_graph(worked_example(), 50, 5)
         doc = spec_to_json(spec)
         assert doc["short_paddings"] == [1, 2, 3]
         assert doc["long_paddings"] == [4, 5, 6]
         assert doc["head_input"] == spec.aligned_length * spec.fused_width
 
+    def test_only_the_chosen_fusion_reads_its_mode(self):
+        config = worked_example("add")
+        config.update(weighting_mode="concat", cross_mapping_mode="gated")
+        assert build_graph(config, 50, 5).fusion_mode is None
+        for fusion, mode in (("weighting", "concat"), ("cross_mapping", "gated")):
+            assert build_graph(dict(config, fusion_op=fusion), 50, 5).fusion_mode == mode
+
     def test_missing_variable_rejected(self):
-        decoded = worked_example()
+        config = worked_example()
         # knocking out an architectural variable must fail loudly
-        broken = decoded.__class__(
-            values=decoded.values[:5] + (None,) + decoded.values[6:],
-            ids=decoded.ids[:5] + (PLACEHOLDER,) + decoded.ids[6:])
+        del config["proj_channels"]
         with pytest.raises(ValueError):
-            build_graph(broken, SPACE, 50, 5)
+            build_graph(config, 50, 5)

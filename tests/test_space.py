@@ -359,11 +359,12 @@ class TestDedupRegistry:
 # ---------------------------------------------------------------------------
 
 def front_of(space, state, values, dim=13):
-    """Repaired genes of members whose continuous dim takes the given values."""
+    """Repaired genes of members whose continuous dim takes the given values;
+    the dim must be linear-scale, where grid midpoints are raw values."""
     out = []
     for v in values:
         genes = [0] * len(space)
-        genes[dim - 1] = state.nearest_bin(dim, v)
+        genes[dim - 1] = nearest_index(state.grids[dim - 1][2], v)
         out.append(repair(fresh_genotype(genes), space, state).genes)
     return out
 
@@ -555,7 +556,6 @@ class TestNearestIndex:
             [0.0, 0.3, 0.5, 1e-300] + np.random.default_rng(1).uniform(0, 0.5, 100).tolist()
         for value in queries:
             assert nearest_index(mids, value) == argmin_reference(mids, value)
-            assert state.nearest_bin(13, value) == argmin_reference(mids, value)
 
     def test_ties_go_to_the_lower_index(self):
         assert nearest_index([0.0, 1.0], 0.5) == 0
