@@ -11,6 +11,7 @@ disagree with their parent variable under a chain or binary-tree topology.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,27 +85,24 @@ class HBenchProblem:
     def parent(self, j: int) -> int:
         return chain_parent(j) if self.topology == "chain" else tree_parent(j)
 
-    def project(self, decoded: DecodedConfig) -> tuple[np.ndarray, tuple[int, ...]]:
+    def project(self, decoded: DecodedConfig) -> tuple[list[float], tuple[int, ...]]:
         """Continuous vector in [0,1]^n plus the active tail indices.
 
         Inactive tails take the variant's neutral value.
         """
-        z = np.full(self.n, self.neutral)
-        z[0] = decoded.values[0]
-        z[1] = decoded.values[1]
-        active = []
-        for j in range(3, self.n + 1):
-            pos = 2 * j - 3          # 0-based position of z_j in the genome
-            if decoded.active[pos]:
-                z[j - 1] = decoded.values[pos]
-                active.append(j)
-        return z, tuple(active)
+        values, neutral = decoded.values, self.neutral
+        tails = values[3::2]            # z_j sits at 0-based position 2j - 3
+        z = [values[0], values[1]] + [neutral if v is None else v for v in tails]
+        active = tuple(j for j, v in enumerate(tails, 3) if v is not None)
+        return z, active
 
-    def coupling(self, z: np.ndarray, active_tails) -> float:
+    def coupling(self, z, active_tails) -> float:
         """Mean squared parent disagreement over active tails, scaled by gamma."""
         if not active_tails:
             return 0.0
-        total = sum((z[j - 1] - z[self.parent(j) - 1]) ** 2 for j in active_tails)
+        total = 0.0
+        for j in active_tails:      # in order: builtin sum compensates floats from 3.12
+            total += (z[j - 1] - z[self.parent(j) - 1]) ** 2
         return self.gamma * total / len(active_tails)
 
     def objectives(self, decoded: DecodedConfig) -> tuple[float, float]:
@@ -115,19 +113,42 @@ class HBenchProblem:
         return hdtlz7(z, cpl)
 
 
-def hdtlz2(z: np.ndarray, coupling: float = 0.0) -> tuple[float, float]:
+def pairwise_sum(terms) -> float:
+    """``float(np.sum(terms))`` for float64 terms, in numpy's summation order.
+
+    Above 128 terms numpy sums two halves, the first a multiple of 8 long;
+    from 8 terms on it keeps 8 interleaved accumulators and folds them
+    pairwise; the remainder, or all of fewer than 8 terms, adds in order.
+    Starting from 0.0 as numpy does only turns an all -0.0 sum into 0.0.
+    """
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+    total, m = 0.0, n - n % 8
+    if m:
+        acc = terms[:8]
+        for i in range(8, m, 8):
+            acc = list(map(operator.add, acc, terms[i:i + 8]))
+        total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for t in terms[m:]:
+        total += t
+    return total
+
+
+def hdtlz2(z, coupling: float = 0.0) -> tuple[float, float]:
     """Quarter-circle front; the g-term vanishes when all z_j>=2 sit at 0.5."""
     n = len(z)
-    g = ((z[1:] - 0.5) ** 2).sum() / (n - 1) + coupling
+    g = pairwise_sum([(v - 0.5) * (v - 0.5) for v in z[1:]]) / (n - 1) + coupling
     angle = 0.5 * math.pi * z[0]
     return ((1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle))
 
 
-def hdtlz7(z: np.ndarray, coupling: float = 0.0) -> tuple[float, float]:
+def hdtlz7(z, coupling: float = 0.0) -> tuple[float, float]:
     """Disconnected multimodal front; optimal tails sit at 0."""
     n = len(z)
     f1 = float(z[0])
-    g = 1.0 + 9.0 * z[1:].sum() / (n - 1) + coupling
+    g = 1.0 + 9.0 * pairwise_sum(z[1:]) / (n - 1) + coupling
     h = 2.0 - (f1 / g) * (1.0 + math.sin(3.0 * math.pi * f1))
     return (f1, 0.5 * g * h)
 

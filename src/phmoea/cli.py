@@ -285,13 +285,10 @@ def cmd_count_params(config_path: str, targets: int, input_width: int) -> int:
         value = doc.get(var.name, values[0])
         if var.is_continuous:
             lo, hi = var.bounds
-            try:
-                value = float(value)
-                inside = lo <= value <= hi       # False for nan
-            except (TypeError, ValueError):
-                inside = False
-            if not inside:
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and lo <= value <= hi):      # nan is never inside
                 raise ValueError(f"{var.name}: {value!r} is not a number in [{lo}, {hi}]")
+            value = float(value)
         else:
             value = tuple(value) if isinstance(value, list) else value
             if value not in var.candidates:

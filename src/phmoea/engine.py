@@ -479,21 +479,21 @@ class _Run:
             return a if a.crowding > b.crowding else b
         return a
 
-    def _sbx_child(self, p1: Genotype, p2: Genotype) -> Genotype:
-        """One child from SBX on continuous dims plus uniform discrete swaps.
+    def _sbx_child(self, p1: Genotype, p2: Genotype) -> tuple[list[int], list[int]]:
+        """One child's genes and frozen genes from SBX on continuous dims plus
+        uniform discrete swaps; without crossover, copies of ``p1``'s.
 
         After the crossover draw one batch holds, in order, ``u`` and the side
         per SBX dimension and one swap draw per other dimension.
         """
         params = self.params
+        child_genes, child_frozen = list(p1.genes), list(p1.frozen)
         if self.rng.random() >= params.crossover_prob:
-            return p1
+            return child_genes, child_frozen
         genes1, genes2 = p1.genes, p2.genes
         n_sbx = len([i for i in self.continuous if genes1[i] != PLACEHOLDER != genes2[i]])
         draw = iter(self.rng.random(self.dims + n_sbx).tolist()).__next__
         power = 1.0 / (params.sbx_eta + 1.0)
-        child_genes = list(genes1)
-        child_frozen = list(p1.frozen)
         for i, (grid, g1, g2) in enumerate(zip(self.state.grids, genes1, genes2)):
             if grid is not None and g1 != PLACEHOLDER != g2:
                 lo, hi, mids = grid
@@ -511,14 +511,13 @@ class _Run:
             elif draw() < 0.5:
                 child_genes[i] = g2
                 child_frozen[i] = p2.frozen[i]
-        return Genotype(genes=tuple(child_genes), frozen=tuple(child_frozen))
+        return child_genes, child_frozen
 
-    def _mutate(self, genotype: Genotype) -> Genotype:
+    def _mutate(self, genes: list[int], frozen: list[int]) -> None:
+        """Polynomial or uniform mutation of a child's gene lists, in place."""
         params = self.params
         if self.rng.random() >= params.mutation_prob:
-            return genotype
-        genes = list(genotype.genes)
-        frozen = list(genotype.frozen)
+            return
         rate = 1.0 / self.dims
         changed = 0
         for i, grid in enumerate(self.state.grids):
@@ -534,7 +533,6 @@ class _Run:
                 genes[i] = new
                 frozen[i] = new
                 changed += 1
-        return Genotype(genes=tuple(genes), frozen=tuple(frozen))
 
     def _polynomial_step(self, grid: tuple[float, float, list[float]], gene: int) -> int:
         eta = self.params.mutation_eta
@@ -558,8 +556,9 @@ class _Run:
         i, j, k, m = self.rng.integers(len(pop), size=4).tolist()
         p1 = self._tournament(pop[i], pop[j])
         p2 = self._tournament(pop[k], pop[m])
-        child = self._sbx_child(p1.genotype, p2.genotype)
-        return self._mutate(child)
+        genes, frozen = self._sbx_child(p1.genotype, p2.genotype)
+        self._mutate(genes, frozen)
+        return Genotype(genes=tuple(genes), frozen=tuple(frozen))
 
     def _assemble_child(self, parts: list[Partition], pool: str) -> Genotype:
         """One gene per dimension from ``pool``, then cross-pool swaps. The first
@@ -587,9 +586,9 @@ class _Run:
 
     def _admit(self, genotype: Genotype) -> tuple[Genotype, DecodedConfig] | None:
         g = repair(genotype, self.space, self.state)
-        dec = decode(g, self.state)
-        if self.registry.admit(canonical_key(dec)):
-            return (g, dec)
+        key = canonical_key(g.genes)
+        if self.registry.admit(key):
+            return (g, decode(g, self.state, key))
         return None
 
     def _fill_slots(self, n_slots: int, make) -> list[tuple[Genotype, DecodedConfig]]:

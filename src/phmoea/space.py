@@ -20,10 +20,11 @@ import json
 import operator
 import struct
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import compress, cycle
+from functools import cached_property
+from itertools import cycle
 
 import numpy as np
 
@@ -153,10 +154,20 @@ class Genotype:
     frozen: tuple[int, ...]
 
 
-@cache
-def _pair_struct(m: int) -> struct.Struct:
-    """Packer of ``m`` little-endian (int16 dimension, int32 gene) pairs."""
-    return struct.Struct("<" + "hi" * m)
+_pack_pair = struct.Struct("<hi").pack
+
+
+def canonical_key(genes: Sequence[int]) -> int:
+    """64-bit key of the active part of a repaired gene sequence.
+
+    The serialization is the ordered (dimension, gene) sequence over active
+    dimensions (little-endian int16/int32 pairs), so genotypes that differ
+    only in masked dimensions collide by construction and everything else
+    separates with overwhelming probability.
+    """
+    payload = b"".join([_pack_pair(d, g) for d, g in enumerate(genes, 1)
+                        if g != PLACEHOLDER])
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -166,34 +177,28 @@ class DecodedConfig:
     ``values[d]`` is None for inactive dimensions. ``ids[d]`` keeps the gene
     index the value was decoded from (``PLACEHOLDER`` if inactive); canonical
     hashing uses the ids so that float formatting can never perturb duplicate
-    detection. ``active`` and ``key`` (the ``canonical_key``) are derived
-    from ``ids`` once at construction; neither takes part in equality or
-    hashing.
+    detection. ``key`` is ``canonical_key(ids)``, computed at construction
+    unless the caller already holds it; ``active`` is derived from ``ids`` on
+    each read (caching it after construction would materialize a ``__dict__``
+    per instance). Neither takes part in equality or hashing.
     """
 
     values: tuple
     ids: tuple[int, ...]
-    active: tuple[bool, ...] = field(init=False, compare=False)
-    key: int = field(init=False, repr=False, compare=False)
+    key: int = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        active = tuple(map(PLACEHOLDER.__ne__, self.ids))
-        object.__setattr__(self, "active", active)
-        dims = list(compress(range(1, len(self.ids) + 1), active))
-        fields = dims * 2               # interleaved (dimension, gene) pairs
-        fields[::2] = dims
-        fields[1::2] = compress(self.ids, active)
-        payload = _pair_struct(len(dims)).pack(*fields)
-        object.__setattr__(self, "key", int.from_bytes(
-            hashlib.blake2b(payload, digest_size=8).digest(), "little"))
+        if self.key is None:
+            object.__setattr__(self, "key", canonical_key(self.ids))
+
+    @property
+    def active(self) -> tuple[bool, ...]:
+        return tuple([g != PLACEHOLDER for g in self.ids])
 
     def as_dict(self, space: ConfigSpace) -> dict:
         """Name -> value mapping over active dimensions only."""
-        return {
-            var.name: self.values[i]
-            for i, var in enumerate(space.variables)
-            if self.active[i]
-        }
+        return {var.name: value for var, value, g in zip(space.variables, self.values, self.ids)
+                if g != PLACEHOLDER}
 
 
 def _to_scale(value, scale: str):
@@ -229,9 +234,10 @@ class RefinementState:
     of the current non-dominated front exceeds ``mass_threshold`` for
     ``persistence`` consecutive updates is split at its scale-space midpoint.
 
-    Tables by 0-based position, rebuilt when a partition changes: ``counts``
-    (candidates or bins), ``values`` (candidates, or representatives in raw
-    units) and ``grids`` (scale-space ``(lo, hi, midpoints)``, None if discrete).
+    Tables by 0-based position, edited in place when a partition changes:
+    ``counts`` (candidates or bins), ``values`` (candidates, or representatives
+    in raw units) and ``grids`` (scale-space ``(lo, hi, midpoints)``, None if
+    discrete). ``counters[index]`` maps a bin to its nonzero counter.
     """
 
     def __init__(self, space: ConfigSpace, initial_bins: int = 6,
@@ -243,28 +249,25 @@ class RefinementState:
         self.values: list = [var.candidates for var in space.variables]
         self.grids: list = [None] * len(space)
         # breakpoints are in scale space; endpoints pin the range
-        self._pts: dict[int, np.ndarray] = {}
-        self.counters: dict[int, np.ndarray] = {}
+        self._pts: dict[int, list[float]] = {}
+        self.counters: dict[int, dict[int, int]] = {}
         for idx in space.continuous_indices():
-            var = space.variable(idx)
+            var, pos = space.variable(idx), idx - 1
             a, b = var.bounds
-            self._set_points(idx, np.linspace(_to_scale(a, var.scale),
-                                              _to_scale(b, var.scale), initial_bins + 1))
-            self.counters[idx] = np.zeros(initial_bins, dtype=np.int64)
-
-    def _set_points(self, index: int, pts: np.ndarray) -> None:
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        self._pts[index] = pts
-        pos, scale = index - 1, self.space.variable(index).scale
-        grid = mids.tolist()
-        self.counts[pos] = len(grid)
-        self.values[pos] = grid if scale == "linear" else _from_scale(mids, scale).tolist()
-        self.grids[pos] = (float(pts[0]), float(pts[-1]), grid)
+            pts = np.linspace(_to_scale(a, var.scale), _to_scale(b, var.scale),
+                              initial_bins + 1)
+            mids = 0.5 * (pts[:-1] + pts[1:])
+            self._pts[idx] = pts.tolist()
+            grid = mids.tolist()
+            self.counts[pos] = initial_bins
+            self.values[pos] = grid if var.scale == "linear" else np.exp(mids).tolist()
+            self.grids[pos] = (float(pts[0]), float(pts[-1]), grid)
+            self.counters[idx] = {}
 
     def breakpoints(self, index: int) -> np.ndarray:
         """Breakpoints of a dimension in its raw units."""
         var = self.space.variable(index)
-        return _from_scale(self._pts[index], var.scale)
+        return _from_scale(np.array(self._pts[index]), var.scale)
 
     def bin_count(self, index: int) -> int:
         return len(self._pts[index]) - 1
@@ -277,32 +280,42 @@ class RefinementState:
         """
         if not front:
             return
-        genes = np.array(front)
-        for idx in self._pts:
-            column = genes[:, idx - 1]
-            hits = np.bincount(column[column != PLACEHOLDER],
-                               minlength=self.bin_count(idx))
-            self.counters[idx] = np.where(hits / len(front) > self.mass_threshold,
-                                          self.counters[idx] + 1, 0)
+        columns = list(zip(*front))
+        size, threshold = len(front), self.mass_threshold
+        self.counters = {idx: {k: counters.get(k, 0) + 1
+                               for k, h in Counter(columns[idx - 1]).items()
+                               if h / size > threshold and k != PLACEHOLDER}
+                         for idx, counters in self.counters.items()}
 
     def refine(self) -> list[tuple[int, int]]:
         """Split every interval whose counter reached the persistence bar.
 
         Returns the (dimension, interval) pairs that were split, in order.
         Intervals too narrow for a representable midpoint are left alone.
+        Every triggered counter resets; the others move with their bin.
         """
         splits = []
         for idx in sorted(self._pts):
-            triggered = self.counters[idx] >= self.persistence
-            if not triggered.any():
+            counters = self.counters[idx]
+            triggered = {k for k, c in counters.items() if c >= self.persistence}
+            if not triggered:
                 continue
-            pts = self._pts[idx]
-            mids = 0.5 * (pts[:-1] + pts[1:])
-            split = np.flatnonzero(triggered & (pts[:-1] < mids) & (mids < pts[1:]))
-            self._set_points(idx, np.insert(pts, split + 1, mids[split]))
-            self.counters[idx] = np.insert(np.where(triggered, 0, self.counters[idx]),
-                                           split + 1, 0)
-            splits += [(idx, int(k)) for k in split]
+            pts, pos = self._pts[idx], idx - 1
+            split = sorted(k for k in triggered
+                           if pts[k] < 0.5 * (pts[k] + pts[k + 1]) < pts[k + 1])
+            mids, values = self.grids[pos][2], self.values[pos]
+            for k in reversed(split):       # from the right, so k still indexes the old bin
+                mid = 0.5 * (pts[k] + pts[k + 1])
+                pts.insert(k + 1, mid)
+                left, right = 0.5 * (pts[k] + mid), 0.5 * (mid + pts[k + 2])
+                mids[k] = left
+                mids.insert(k + 1, right)
+                if values is not mids:      # log scale: representatives in raw units
+                    values[k:k + 1] = np.exp([left, right]).tolist()
+            self.counts[pos] = len(mids)
+            self.counters[idx] = {k + bisect_left(split, k): c for k, c in counters.items()
+                                  if k not in triggered}
+            splits += [(idx, k) for k in split]
         return splits
 
 
@@ -328,19 +341,20 @@ def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:
     return tuple(active)
 
 
-def decode(genotype: Genotype, state: RefinementState) -> DecodedConfig:
+def decode(genotype: Genotype, state: RefinementState, key: int | None = None) -> DecodedConfig:
     """Map a repaired genotype to its executable configuration.
 
     The genotype must come from ``repair`` or ``sample_random``, so its genes
     are in range and ``PLACEHOLDER`` marks exactly the inactive dimensions.
     Those decode to None; active continuous dimensions map their bin index to
-    the current partition's representative value.
+    the current partition's representative value. ``key``, if given, is the
+    genes' ``canonical_key``.
     """
     genes = genotype.genes
     return DecodedConfig(
         values=tuple([None if g == PLACEHOLDER else values[g]
                       for g, values in zip(genes, state.values)]),
-        ids=genes)
+        ids=genes, key=key)
 
 
 def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Genotype:
@@ -375,17 +389,6 @@ def sample_random(space: ConfigSpace, state: RefinementState, rng: np.random.Gen
     """Uniform gene per dimension over the current candidates/bins, repaired."""
     genes = rng.integers(0, state.counts).tolist()
     return repair(fresh_genotype(genes), space, state)
-
-
-def canonical_key(decoded: DecodedConfig) -> int:
-    """64-bit key of the active part of a decoded configuration.
-
-    The serialization is the ordered (dimension, gene-id) sequence over active
-    dimensions (little-endian int16/int32 pairs), so genotypes that differ
-    only in masked dimensions collide by construction and everything else
-    separates with overwhelming probability. Cached as ``decoded.key``.
-    """
-    return decoded.key
 
 
 class DedupRegistry:

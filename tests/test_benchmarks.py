@@ -1,10 +1,13 @@
 """Hierarchical benchmark tests: projection, coupling, objectives, fronts."""
 
+import math
+
 import numpy as np
 import pytest
 
 from phmoea.benchmarks import (HBenchProblem, benchmark_space, chain_parent,
-                               hdtlz2, hdtlz7, reference_front, tree_parent)
+                               hdtlz2, hdtlz7, pairwise_sum, reference_front,
+                               tree_parent)
 from phmoea.metrics import nondominated_mask
 from phmoea.space import (RefinementState, decode, fresh_genotype, repair,
                           sample_random)
@@ -73,7 +76,7 @@ class TestProjection:
         for _ in range(100):
             decoded = decode(sample_random(space, state, rng), state)
             z, _ = problem.project(decoded)
-            assert np.all(z >= 0.0) and np.all(z <= 1.0)
+            assert all(0.0 <= v <= 1.0 for v in z)
 
 
 class TestCoupling:
@@ -136,6 +139,127 @@ class TestObjectives:
         z[1] = 0.5  # force the ideal distance value
         f1, f2 = hdtlz2(z, problem.coupling(z, active))
         assert f1 ** 2 + f2 ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+# The numpy objectives the plain-float path replaced, kept as the reference.
+
+def numpy_project(problem, decoded):
+    z = np.full(problem.n, problem.neutral)
+    z[0] = decoded.values[0]
+    z[1] = decoded.values[1]
+    active = []
+    for j in range(3, problem.n + 1):
+        pos = 2 * j - 3
+        if decoded.active[pos]:
+            z[j - 1] = decoded.values[pos]
+            active.append(j)
+    return z, tuple(active)
+
+
+def numpy_coupling(problem, z, active_tails):
+    if not active_tails:
+        return 0.0
+    total = sum((z[j - 1] - z[problem.parent(j) - 1]) ** 2 for j in active_tails)
+    return problem.gamma * total / len(active_tails)
+
+
+def numpy_hdtlz2(z, coupling=0.0):
+    n = len(z)
+    g = ((z[1:] - 0.5) ** 2).sum() / (n - 1) + coupling
+    angle = 0.5 * math.pi * z[0]
+    return ((1.0 + g) * math.cos(angle), (1.0 + g) * math.sin(angle))
+
+
+def numpy_hdtlz7(z, coupling=0.0):
+    n = len(z)
+    f1 = float(z[0])
+    g = 1.0 + 9.0 * z[1:].sum() / (n - 1) + coupling
+    h = 2.0 - (f1 / g) * (1.0 + math.sin(3.0 * math.pi * f1))
+    return (f1, 0.5 * g * h)
+
+
+def numpy_objectives(problem, decoded):
+    z, active = numpy_project(problem, decoded)
+    cpl = numpy_coupling(problem, z, active)
+    return (numpy_hdtlz2 if problem.variant == "hdtlz2" else numpy_hdtlz7)(z, cpl)
+
+
+def refined_bench_state(space, rng, rounds=60):
+    """Bins split at random, and again and again next to 0 and 0.5 where
+    H-DTLZ fronts pile up, down to bins narrower than 1e-12."""
+    state = RefinementState(space, persistence=1)
+    for _ in range(rounds):
+        for idx in space.continuous_indices():
+            pts = state.breakpoints(idx)
+            targets = [0.0, 0.5] + rng.random(2).tolist()
+            for t in targets:
+                k = min(int(np.searchsorted(pts, t, side="right")) - 1, len(pts) - 2)
+                state.counters[idx][k] = 1
+        state.refine()
+    return state
+
+
+class TestPlainFloatObjectives:
+    """``objectives`` equals the numpy formulas bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["hdtlz2", "hdtlz7"])
+    @pytest.mark.parametrize("topology", ["chain", "tree"])
+    def test_equals_numpy_on_initial_and_refined_bins(self, variant, topology):
+        rng = np.random.default_rng(7)
+        for n, refined, configs in ((12, False, 5000), (12, True, 5000), (140, True, 1000)):
+            problem = HBenchProblem(variant, n=n, topology=topology, gamma=1.3)
+            space = problem.space()
+            state = refined_bench_state(space, rng) if refined else RefinementState(space)
+            if refined:
+                assert np.diff(state.breakpoints(2)).min() < 1e-12
+            for _ in range(configs):
+                decoded = decode(sample_random(space, state, rng), state)
+                assert problem.objectives(decoded) == numpy_objectives(problem, decoded)
+
+    def test_numpy_inputs_still_work(self):
+        problem = HBenchProblem("hdtlz7", n=140, topology="tree")
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            z = rng.random(140)
+            active = tuple(j for j in range(3, 141) if rng.random() < 0.5)
+            cpl = problem.coupling(z, active)
+            assert cpl == numpy_coupling(problem, z, active)
+            assert hdtlz2(z, cpl) == numpy_hdtlz2(z, cpl)
+            assert hdtlz7(z, cpl) == numpy_hdtlz7(z, cpl)
+            assert hdtlz7(z.tolist(), cpl) == numpy_hdtlz7(z, cpl)
+
+
+class TestPairwiseSum:
+    def test_equals_np_sum_on_every_length(self):
+        rng = np.random.default_rng(11)
+        for n in range(401):
+            for trial in range(6):
+                terms = rng.random(n) * 10.0 ** rng.integers(-12, 12, size=n)
+                if trial % 2:
+                    terms -= rng.random(n)          # mixed signs and cancellation
+                if trial == 5:
+                    terms[rng.random(n) < 0.5] = -0.0
+                want = np.sum(terms)
+                got = pairwise_sum(terms.tolist())
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), n
+
+    def test_all_negative_zero_sums_to_positive_zero(self):
+        for n in (1, 7, 8, 100, 200):
+            assert math.copysign(1.0, pairwise_sum([-0.0] * n)) == 1.0
+            assert math.copysign(1.0, np.sum(np.full(n, -0.0))) == 1.0
+
+    def test_left_to_right_order_differs(self):
+        # the reason for the helper: plain addition order mismatches np.sum
+        rng = np.random.default_rng(2)
+        vectors = [rng.random(11) * 10.0 ** rng.integers(-3, 3, size=11) for _ in range(200)]
+        assert any(sum_in_order(v.tolist()) != np.sum(v) for v in vectors)
+
+
+def sum_in_order(terms):
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
 class TestReferenceFront:

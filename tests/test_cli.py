@@ -214,7 +214,7 @@ class TestSearch:
         evaluated = {}
 
         def recording(decoded):
-            evaluated[canonical_key(decoded)] = json.loads(
+            evaluated[canonical_key(decoded.ids)] = json.loads(
                 json.dumps(decoded.as_dict(space)))
             return surrogate(decoded)
 
@@ -465,6 +465,16 @@ class TestCountParams:
         assert run_cli(["count-params", "--config", str(path)]) == 2
         captured = capsys.readouterr()
         assert "learning_rate" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("name, value", [("dropout", False), ("learning_rate", "0.001")])
+    def test_continuous_value_of_another_json_type_rejected(self, tmp_path, capsys,
+                                                             name, value):
+        # float() takes both a bool and a numeric string; neither is a number
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({name: value}))
+        assert run_cli(["count-params", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{name}: {value!r} is not a number" in captured.err and not captured.out
 
     def test_continuous_bounds_are_inclusive(self, tmp_path, capsys):
         lo, hi = next(var.bounds for var in builtin_space().variables

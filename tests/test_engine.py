@@ -320,8 +320,8 @@ class TestArchives:
         for pos, var in enumerate(run.space.variables):
             assert len(arch.heat[pos]) == len(arch.count[pos]) == state.counts[pos]
             if var.is_continuous:
-                assert len(state.counters[var.index]) == state.bin_count(var.index) \
-                    == state.counts[pos]
+                assert state.bin_count(var.index) == state.counts[pos]
+                assert all(0 <= k < state.counts[pos] for k in state.counters[var.index])
             # a split divides its bin's count between the two children
             assert arch.count[pos].sum() == accumulated[pos]
 
@@ -529,10 +529,12 @@ def per_draw_variation_child(run, rng):
                 genes[i], frozen[i] = g2, p2.frozen[i]
         child = Genotype(tuple(genes), tuple(frozen))
     saved, run.rng = run.rng, rng       # mutation draws one by one already
+    genes, frozen = list(child.genes), list(child.frozen)
     try:
-        return run._mutate(child)
+        run._mutate(genes, frozen)
     finally:
         run.rng = saved
+    return Genotype(tuple(genes), tuple(frozen))
 
 
 def per_dimension_assembled_child(run, partitions, pool, rng):
@@ -567,8 +569,8 @@ class TestVariation:
         run = engine_for(bench_problem(n=4))
         g = run.population[0].genotype
         for _ in range(30):
-            child = run._sbx_child(g, g)
-            assert child.genes == g.genes
+            genes, frozen = run._sbx_child(g, g)
+            assert tuple(genes) == g.genes
 
     def test_mutation_changes_at_most_cap_dims(self):
         params = SearchParams.benchmark()
@@ -578,8 +580,9 @@ class TestVariation:
         run.max_mutated = 2
         for ind in run.population:
             for _ in range(10):
-                child = run._mutate(ind.genotype)
-                changed = sum(1 for a, b in zip(child.genes, ind.genotype.genes)
+                genes, frozen = list(ind.genotype.genes), list(ind.genotype.frozen)
+                run._mutate(genes, frozen)
+                changed = sum(1 for a, b in zip(genes, ind.genotype.genes)
                               if a != b)
                 assert changed <= 2
 
@@ -670,8 +673,7 @@ class TestRefinementResnap:
             run.population.append(Individual(
                 genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
         before = {j: state.values[0][j] for j in set(genes + frozen)}
-        state.counters[1] = np.zeros(state.bin_count(1), dtype=np.int64)
-        state.counters[1][2] = state.persistence
+        state.counters[1] = {2: state.persistence}
         run._refine([])
         new_genes = [ind.genotype.genes[0] for ind in run.population]
         new_frozen = [ind.genotype.frozen[0] for ind in run.population]
@@ -709,13 +711,13 @@ class TestRefinementResnap:
         pts = state.breakpoints(1)
         assert np.nextafter(pts[29], 1.0) == pts[30]
         assert state.values[0][29] == pts[30]
-        state.counters[1] = np.zeros(state.bin_count(1), dtype=np.int64)
+        state.counters[1] = {}
         member = Genotype((29,), (29,))
         run.population = [Individual(genotype=member, decoded=decode(member, state),
                                      f1=0.0, f2=0.0)]
         run._refine(run.population)
         assert state.counters[1][29] == 1
-        assert state.counters[1][30] == 0
+        assert 30 not in state.counters[1]
 
 
 # ---------------------------------------------------------------------------

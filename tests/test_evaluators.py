@@ -189,10 +189,10 @@ def refined_state(space, rounds: int = 30) -> RefinementState:
     state = RefinementState(space)
     for round_ in range(rounds):
         for idx in space.continuous_indices():
-            counters = state.counters[idx]
-            counters[[0, -1]] = state.persistence
+            counters, n = state.counters[idx], state.bin_count(idx)
+            counters[0] = counters[n - 1] = state.persistence
             if round_ < 4:
-                counters[len(counters) // 2] = state.persistence
+                counters[n // 2] = state.persistence
         assert state.refine()
     return state
 
@@ -474,7 +474,7 @@ class TestWorkerProtocol:
 
         def in_process(decoded):
             cfg = decoded.as_dict(SPACE)
-            return Evaluation(key=canonical_key(decoded),
+            return Evaluation(key=canonical_key(decoded.ids),
                               f1=round(cfg["dropout"] * 2.0, 6),
                               f2=cfg["conv3_channels"] * 1000.0)
 

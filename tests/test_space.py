@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -310,18 +311,18 @@ class TestCanonicalKey:
             for i in inactive:
                 genes[i] = int(rng.integers(0, 2))
             other = decode(repair(Genotype(tuple(genes), g.frozen), space, state), state)
-            assert canonical_key(other) == canonical_key(decoded)
+            assert canonical_key(other.ids) == canonical_key(decoded.ids)
 
     def test_active_change_changes_key(self, space):
         state = make_state(space)
         g1 = genotype_with(space, state, norm_layer="BatchNorm")
         g2 = genotype_with(space, state, norm_layer="LayerNorm")
-        assert canonical_key(decode(g1, state)) != canonical_key(decode(g2, state))
+        assert canonical_key(decode(g1, state).ids) != canonical_key(decode(g2, state).ids)
 
     def test_deterministic(self, space):
         state = make_state(space)
         g = genotype_with(space, state)
-        assert canonical_key(decode(g, state)) == canonical_key(decode(g, state))
+        assert canonical_key(decode(g, state).ids) == canonical_key(decode(g, state).ids)
 
 
     @pytest.mark.parametrize("seed", range(4))
@@ -338,12 +339,45 @@ class TestCanonicalKey:
                       if on for x in (i, g)]
             payload = struct.pack("<" + "hi" * (len(fields) // 2), *fields)
             want = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
-            assert dec.key == canonical_key(dec) == want
+            assert dec.key == canonical_key(ids) == want
 
     def test_key_with_no_active_dimension(self):
         dec = DecodedConfig(values=(None, None), ids=(PLACEHOLDER, PLACEHOLDER))
         empty = hashlib.blake2b(b"", digest_size=8).digest()
         assert dec.key == int.from_bytes(empty, "little")
+
+
+def pair_struct_key(ids):
+    """The interleaved one-struct key the per-pair pack replaced, kept as the reference."""
+    active = list(map(PLACEHOLDER.__ne__, ids))
+    dims = list(compress(range(1, len(ids) + 1), active))
+    fields = dims * 2
+    fields[::2] = dims
+    fields[1::2] = compress(ids, active)
+    payload = struct.Struct("<" + "hi" * len(dims)).pack(*fields)
+    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+
+class TestKeyMatchesPairStruct:
+    @pytest.mark.parametrize("placeholders", [0.0, 0.3, 1.0])
+    def test_random_gene_tuples(self, placeholders):
+        rng = np.random.default_rng(int(placeholders * 10))
+        for _ in range(2000):
+            d = int(rng.integers(0, 60))
+            genes = rng.integers(0, 2 ** 31 - 1 if rng.random() < 0.1 else 3000, d)
+            genes[rng.random(d) < placeholders] = PLACEHOLDER
+            genes = tuple(genes.tolist())
+            assert canonical_key(genes) == pair_struct_key(genes)
+
+    def test_keys_of_a_run(self):
+        from phmoea.engine import SearchParams, SearchProblem, run_nsga2
+        from phmoea.evaluators import SurrogateEvaluator
+        space = builtin_space()
+        problem = SearchProblem(space=space, evaluator=SurrogateEvaluator(space))
+        result = run_nsga2(problem, 30, 10, params=SearchParams.real_task(), seed=1)
+        assert any(PLACEHOLDER in ind.decoded.ids for ind in result.population)
+        for ind in result.population:   # refinement may renumber genes after evaluation
+            assert ind.key == canonical_key(ind.decoded.ids) == pair_struct_key(ind.decoded.ids)
 
 
 class TestDedupRegistry:
@@ -374,21 +408,21 @@ class TestRefinement:
         state = make_state(space, mass_threshold=0.5)
         front = front_of(space, state, [0.05, 0.06, 0.07])
         state.update(front)
-        assert state.counters[13].tolist() == [1, 0, 0, 0, 0, 0]
+        assert state.counters[13] == {0: 1}
 
     def test_uniform_mass_resets(self, space):
         state = make_state(space, mass_threshold=0.5)
         front = front_of(space, state, [0.03, 0.11, 0.2, 0.28, 0.36, 0.45])
-        state.counters[13][:] = 2
+        state.counters[13] = dict.fromkeys(range(6), 2)
         state.update(front)
-        assert not state.counters[13].any()
+        assert not state.counters[13]
 
     def test_inactive_dim_resets(self, space):
         # pool_type inactive in every member: its counters go to zero
         state = make_state(space, mass_threshold=0.5)
         bench_like = front_of(space, state, [0.05, 0.06])
         assert all(genes[1] == PLACEHOLDER for genes in bench_like)
-        state.counters[13][:] = 1
+        state.counters[13] = dict.fromkeys(range(6), 1)
         state.update(bench_like)
         assert state.counters[13][0] == 2  # the active dim keeps accumulating
 
@@ -396,15 +430,15 @@ class TestRefinement:
         state = make_state(space, mass_threshold=0.5)
         active = front_of(space, state, [0.05])[0]
         inactive = active[:12] + (PLACEHOLDER,) + active[13:]
-        state.counters[13][:] = 1
+        state.counters[13] = dict.fromkeys(range(6), 1)
         state.update([active, inactive, inactive])
-        assert not state.counters[13].any()
+        assert not state.counters[13]
 
     def test_empty_front_is_noop(self, space):
         state = make_state(space)
-        state.counters[13][:] = 1
+        state.counters[13] = dict.fromkeys(range(6), 1)
         state.update([])
-        assert state.counters[13].tolist() == [1] * 6
+        assert state.counters[13] == dict.fromkeys(range(6), 1)
 
     def test_split_at_midpoint(self, space):
         state = make_state(space, persistence=3)
@@ -449,11 +483,11 @@ class TestRefinement:
         state = make_state(space, persistence=1)
         state.counters[13][1] = state.counters[13][4] = 1
         state.counters[14][0] = 1
-        old = state.values[12]
+        old = list(state.values[12])     # refine edits the table in place
         splits = state.refine()
         split = [k for d, k in splits if d == 13]
         assert split == [1, 4]
-        assert state.counters[13].tolist() == [0] * 8
+        assert not state.counters[13]
         new = split_renumbering(list(range(6)), split)
         assert new == [0, 1, 3, 4, 5, 7]
         reps = state.values[12]
@@ -503,6 +537,124 @@ class TestRefinement:
         rng = np.random.default_rng(0)
         drawn = {sample_random(space, state, rng).frozen[1] for _ in range(400)}
         assert drawn == set(range(n))
+
+
+class ArrayRefinementState:
+    """The numpy-array refinement the front-sized one replaced, kept as the reference:
+    dense counters per bin, tables rebuilt in full on every split."""
+
+    def __init__(self, space, initial_bins=6, mass_threshold=0.5, persistence=3):
+        self.space = space
+        self.mass_threshold = mass_threshold
+        self.persistence = persistence
+        self.counts = [len(var.candidates) for var in space.variables]
+        self.values = [var.candidates for var in space.variables]
+        self.grids = [None] * len(space)
+        self.pts, self.counters = {}, {}
+        for idx in space.continuous_indices():
+            var = space.variable(idx)
+            a, b = var.bounds
+            if var.scale == "log":
+                a, b = np.log(a), np.log(b)
+            self.set_points(idx, np.linspace(a, b, initial_bins + 1))
+            self.counters[idx] = np.zeros(initial_bins, dtype=np.int64)
+
+    def set_points(self, index, pts):
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        self.pts[index] = pts
+        pos, scale = index - 1, self.space.variable(index).scale
+        grid = mids.tolist()
+        self.counts[pos] = len(grid)
+        self.values[pos] = grid if scale == "linear" else np.exp(mids).tolist()
+        self.grids[pos] = (float(pts[0]), float(pts[-1]), grid)
+
+    def update(self, front):
+        if not front:
+            return
+        genes = np.array(front)
+        for idx in self.pts:
+            column = genes[:, idx - 1]
+            hits = np.bincount(column[column != PLACEHOLDER],
+                               minlength=len(self.pts[idx]) - 1)
+            self.counters[idx] = np.where(hits / len(front) > self.mass_threshold,
+                                          self.counters[idx] + 1, 0)
+
+    def refine(self):
+        splits = []
+        for idx in sorted(self.pts):
+            triggered = self.counters[idx] >= self.persistence
+            if not triggered.any():
+                continue
+            pts = self.pts[idx]
+            mids = 0.5 * (pts[:-1] + pts[1:])
+            split = np.flatnonzero(triggered & (pts[:-1] < mids) & (mids < pts[1:]))
+            self.set_points(idx, np.insert(pts, split + 1, mids[split]))
+            self.counters[idx] = np.insert(np.where(triggered, 0, self.counters[idx]),
+                                           split + 1, 0)
+            splits += [(idx, int(k)) for k in split]
+        return splits
+
+
+def recorded_fronts(monkeypatch, problem, runner, params, seed):
+    """Every front a seeded search hands to ``RefinementState.update``, in order."""
+    fronts = []
+    update = RefinementState.update
+
+    def recording(state, front):
+        fronts.append(list(front))
+        update(state, front)
+
+    monkeypatch.setattr(RefinementState, "update", recording)
+    runner(problem, 100, 100, params=params, seed=seed)
+    monkeypatch.undo()
+    return fronts
+
+
+class TestRefinementMatchesArrays:
+    @pytest.mark.parametrize("workload, aggressive", [
+        ("hdtlz7-nsga2", True), ("surrogate-phmoea", True), ("surrogate-phmoea", False)])
+    def test_replayed_fronts_of_a_run(self, monkeypatch, workload, aggressive):
+        from phmoea.benchmarks import HBenchProblem
+        from phmoea.engine import SearchParams, SearchProblem, run_nsga2, run_phmoea
+        from phmoea.evaluators import BenchmarkEvaluator, SurrogateEvaluator
+        if workload == "hdtlz7-nsga2":
+            bench = HBenchProblem("hdtlz7")
+            space, evaluator, runner = bench.space(), BenchmarkEvaluator(bench), run_nsga2
+        else:
+            space = builtin_space()
+            evaluator, runner = SurrogateEvaluator(space), run_phmoea
+        # aggressive: every occupied bin splits each generation; otherwise
+        # counters build up over generations and move with their bins
+        params = (SearchParams.benchmark() if aggressive
+                  else SearchParams(early_stop=False, refine_mass=0.2))
+        fronts = recorded_fronts(monkeypatch, SearchProblem(space=space, evaluator=evaluator),
+                                 runner, params, seed=0)
+        kw = dict(initial_bins=params.initial_bins, mass_threshold=params.refine_mass,
+                  persistence=params.refine_persistence)
+        ref, state = ArrayRefinementState(space, **kw), RefinementState(space, **kw)
+        split_dims, moved = set(), 0
+        for front in fronts:
+            ref.update(front)
+            state.update(front)
+            for idx, counters in ref.counters.items():
+                assert state.counters[idx] == {k: c for k, c in enumerate(counters.tolist()) if c}
+            pending = {idx: {k for k, c in counters.items() if c < ref.persistence}
+                       for idx, counters in state.counters.items()}
+            splits = ref.refine()
+            assert state.refine() == splits
+            moved += sum(len(pending[idx]) for idx in {idx for idx, _ in splits})
+            split_dims.update(idx for idx, _ in splits)
+            assert state.counts == ref.counts
+            assert state.values == ref.values
+            assert state.grids == ref.grids
+            for idx in ref.pts:
+                assert np.array_equal(state.breakpoints(idx), np.exp(ref.pts[idx])
+                                      if space.variable(idx).scale == "log" else ref.pts[idx])
+        assert len(fronts) == 99
+        log_dims = {v.index for v in space.variables if v.scale == "log"}
+        assert split_dims >= log_dims
+        assert sum(ref.counts[idx - 1] for idx in ref.pts) > 100 or not aggressive
+        assert moved > 0 or aggressive
 
 
 def argmin_reference(points, value):
