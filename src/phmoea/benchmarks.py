@@ -72,8 +72,9 @@ class HBenchProblem:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.n < 3:
             raise ValueError("need at least 3 continuous variables")
-        if self.gamma < 0:
-            raise ValueError("coupling coefficient must be non-negative")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"coupling coefficient must be finite and non-negative, "
+                             f"got {self.gamma}")
 
     @property
     def neutral(self) -> float:

@@ -246,6 +246,9 @@ def _read_points(path: str) -> np.ndarray:
 
 
 def cmd_indicators(front_csv: str, ref_csv: str, reference_point) -> int:
+    if not np.isfinite(reference_point).all():
+        raise ValueError(f"HV reference point (--r1, --r2) must be finite, "
+                         f"got {reference_point}")
     front = _read_points(front_csv)
     ref = _read_points(ref_csv)
     print(f"IGD {metrics.igd(front, ref):.7f}")

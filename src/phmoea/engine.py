@@ -33,8 +33,7 @@ from . import metrics
 from .evaluators import Evaluation, evaluate_safely, failed_evaluation
 from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                     PLACEHOLDER, RefinementState, canonical_key, decode,
-                    fresh_genotype, nearest_index, repair, sample_random,
-                    split_renumbering)
+                    nearest_index, repair, sample_random, split_renumbering)
 
 NORM_EPS = 1e-12
 
@@ -96,6 +95,8 @@ class SearchParams:
         if [len(ratios) for ratios in self.stage_ratios] != [3, 3, 3]:
             raise ValueError(f"stage_ratios must be three triples, got {self.stage_ratios}")
         for ratios in self.stage_ratios:
+            if not all(0 <= r <= 1 for r in ratios):     # nan is in no range
+                raise ValueError(f"stage_ratios must be in [0, 1] entrywise, got {ratios}")
             if abs(sum(ratios) - 1.0) > 1e-9:
                 raise ValueError("each stage ratio triple must sum to 1")
         for rule, holds, names in (
@@ -337,22 +338,17 @@ def partition_players(archives: PlayerArchives, dim: int, hot_fraction: float,
                      cdf=(cdf / cdf[-1]).tolist() if len(rest) else [])
 
 
-def sample_candidate(partition: Partition, pool: str, n_candidates: int,
-                     rng: np.random.Generator) -> int:
+def sample_candidate(partition: Partition, pool: str, rng: np.random.Generator) -> int:
     """Draw one candidate from the hot or non-hot pool.
 
     Hot sampling is uniform; non-hot applies the cold-bonus weight and
-    renormalizes. An empty pool falls back to uniform over all candidates.
+    renormalizes. An empty pool draws uniformly from its partner, which then
+    holds every candidate in order.
     """
-    if pool == "hot":
-        members = partition.hot
-        if not members:
-            return int(rng.integers(n_candidates))
+    if pool == "hot" or not partition.non_hot:
+        members = partition.hot or partition.non_hot
         return int(members[rng.integers(len(members))])
-    members = partition.non_hot
-    if not members:
-        return int(rng.integers(n_candidates))
-    return members[bisect_right(partition.cdf, rng.random())]
+    return partition.non_hot[bisect_right(partition.cdf, rng.random())]
 
 
 # ---------------------------------------------------------------------------
@@ -551,41 +547,40 @@ class _Run:
         value = min(max(x + delta * span, lo), hi)
         return nearest_index(mids, value)
 
-    def _variation_child(self) -> Genotype:
+    def _variation_child(self) -> tuple[list[int], list[int]]:
         pop = self.population
         i, j, k, m = self.rng.integers(len(pop), size=4).tolist()
         p1 = self._tournament(pop[i], pop[j])
         p2 = self._tournament(pop[k], pop[m])
         genes, frozen = self._sbx_child(p1.genotype, p2.genotype)
         self._mutate(genes, frozen)
-        return Genotype(genes=tuple(genes), frozen=tuple(frozen))
+        return genes, frozen
 
-    def _assemble_child(self, parts: list[Partition], pool: str) -> Genotype:
+    def _assemble_child(self, parts: list[Partition], pool: str) -> tuple[list[int], list[int]]:
         """One gene per dimension from ``pool``, then cross-pool swaps. The first
         pass draws once for all dimensions what ``sample_candidate`` draws per one."""
-        counts = self.state.counts
         if pool == "hot":
-            picks = self.rng.integers(0, [len(p.hot) or n for p, n in zip(parts, counts)])
-            genes = [p.hot[k] if p.hot else k for p, k in zip(parts, picks.tolist())]
+            picks = self.rng.integers(0, [len(p.hot or p.non_hot) for p in parts])
+            genes = [(p.hot or p.non_hot)[k] for p, k in zip(parts, picks.tolist())]
         elif all(p.non_hot for p in parts):
             genes = [p.non_hot[bisect_right(p.cdf, u)]
                      for p, u in zip(parts, self.rng.random(self.dims).tolist())]
         else:
-            genes = [sample_candidate(p, pool, n, self.rng) for p, n in zip(parts, counts)]
+            genes = [sample_candidate(p, pool, self.rng) for p in parts]
         opposite = "nh" if pool == "hot" else "hot"
         changed = 0
-        for i, n in enumerate(counts):
+        for i, part in enumerate(parts):
             if changed >= self.max_mutated:
                 break
             if self.rng.random() < self.params.cross_pool_rate:
-                new = sample_candidate(parts[i], opposite, n, self.rng)
+                new = sample_candidate(part, opposite, self.rng)
                 if new != genes[i]:
                     genes[i] = new
                     changed += 1
-        return fresh_genotype(genes)
+        return genes, genes
 
-    def _admit(self, genotype: Genotype) -> tuple[Genotype, DecodedConfig] | None:
-        g = repair(genotype, self.space, self.state)
+    def _admit(self, child: tuple[list[int], list[int]]) -> tuple[Genotype, DecodedConfig] | None:
+        g = repair(child, self.space, self.state)
         key = canonical_key(g.genes)
         if self.registry.admit(key):
             return (g, decode(g, self.state, key))

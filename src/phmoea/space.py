@@ -9,8 +9,8 @@ decoding and semantically frozen inside the genotype so their last valid value
 survives deactivation.
 
 The module also owns duplicate detection (canonical hashing of the active part
-of a decoded configuration) and the adaptive bin-refinement machinery that
-splits intervals where non-dominated solutions persistently concentrate.
+of the repaired genes, before decode) and the adaptive bin-refinement machinery
+that splits intervals where non-dominated solutions persistently concentrate.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import cycle
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,9 +141,8 @@ class ConfigSpace:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Genotype:
-    """Fixed-length encoded individual.
+class Genotype(NamedTuple):
+    """A repaired individual: what ``repair`` returns.
 
     ``genes[d]`` is the candidate index (discrete) or bin index (continuous)
     for dimension d+1, or PLACEHOLDER when the dimension is frozen.
@@ -357,17 +357,21 @@ def decode(genotype: Genotype, state: RefinementState, key: int | None = None) -
         ids=genes, key=key)
 
 
-def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Genotype:
+def repair(genotype: tuple[Sequence[int], Sequence[int]], space: ConfigSpace,
+           state: RefinementState) -> Genotype:
     """Clip, freeze and restore genes so the genotype is always executable.
 
+    ``genotype`` is any ``(genes, frozen)`` pair: a ``Genotype``, or the two
+    lists an operator built (a fresh draw passes its genes as both).
     Out-of-range indices are clipped into the current candidate/bin counts.
     Dimensions deactivated by their parent cache their last valid gene and
     take the placeholder; re-activated dimensions restore the cached gene.
     Repair is total and idempotent; the placeholder marks exactly the
     inactive dimensions.
     """
+    genes, frozen = genotype
     # a placeholder restores the cached gene; the cache holds what is kept
-    kept = [f if g == PLACEHOLDER else g for g, f in zip(genotype.genes, genotype.frozen)]
+    kept = [f if g == PLACEHOLDER else g for g, f in zip(genes, frozen)]
     counts = state.counts
     if min(kept, default=0) < 0 or not all(map(operator.lt, kept, counts)):
         kept = [min(max(g, 0), n - 1) for g, n in zip(kept, counts)]
@@ -380,15 +384,10 @@ def repair(genotype: Genotype, space: ConfigSpace, state: RefinementState) -> Ge
     return Genotype(genes=tuple(genes), frozen=tuple(kept))
 
 
-def fresh_genotype(genes: list[int]) -> Genotype:
-    """Genotype with the freeze cache initialized to the given genes."""
-    return Genotype(genes=tuple(genes), frozen=tuple(max(g, 0) for g in genes))
-
-
 def sample_random(space: ConfigSpace, state: RefinementState, rng: np.random.Generator) -> Genotype:
     """Uniform gene per dimension over the current candidates/bins, repaired."""
     genes = rng.integers(0, state.counts).tolist()
-    return repair(fresh_genotype(genes), space, state)
+    return repair((genes, genes), space, state)
 
 
 class DedupRegistry:

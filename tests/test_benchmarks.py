@@ -9,8 +9,7 @@ from phmoea.benchmarks import (HBenchProblem, benchmark_space, chain_parent,
                                hdtlz2, hdtlz7, pairwise_sum, reference_front,
                                tree_parent)
 from phmoea.metrics import nondominated_mask
-from phmoea.space import (RefinementState, decode, fresh_genotype, repair,
-                          sample_random)
+from phmoea.space import RefinementState, decode, repair, sample_random
 
 
 def decoded_with(problem, z1_bin=0, z2_bin=0, gates=(), tail_bins=None):
@@ -22,7 +21,7 @@ def decoded_with(problem, z1_bin=0, z2_bin=0, gates=(), tail_bins=None):
         genes[2 * j - 4] = 1  # gate_j on
         if tail_bins and j in tail_bins:
             genes[2 * j - 3] = tail_bins[j]
-    g = repair(fresh_genotype(genes), space, state)
+    g = repair((genes, genes), space, state)
     return decode(g, state), state
 
 
@@ -45,6 +44,11 @@ class TestGenome:
             HBenchProblem("hdtlz2", topology="ring")
         with pytest.raises(ValueError):
             HBenchProblem("hdtlz2", gamma=-1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_coupling_coefficient_must_be_finite_and_non_negative(self, gamma):
+        with pytest.raises(ValueError, match="coupling coefficient"):
+            HBenchProblem("hdtlz7", gamma=gamma)
 
 
 class TestProjection:

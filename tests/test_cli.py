@@ -132,6 +132,14 @@ class TestSearch:
         assert name in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_coupling_coefficient_is_usage_error(self, tmp_path, capsys, gamma):
+        code = run_cli(["search", "--problem", "hdtlz7", "--pop", "6", "--gens", "3",
+                        "--out", str(tmp_path), "--gamma", gamma])
+        assert code == 2
+        assert "coupling coefficient" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag, value", [("--targets", "0"), ("--input-width", "-100")])
     def test_non_positive_network_size_is_usage_error(self, tmp_path, capsys, flag, value):
         code = run_cli(["search", "--problem", "surrogate", "--pop", "6", "--gens", "2",
@@ -161,6 +169,7 @@ class TestSearch:
         ("seed", -1, "seed"),
         ("params", {"sbx_eta": -1.0}, "sbx_eta"),
         ("params", {"max_mutated": 0}, "max_mutated"),
+        ("params", {"stage_ratios": [[1.5, -0.5, 0.0]] * 3}, "stage_ratios"),
     ])
     def test_manifest_value_out_of_range_is_usage_error(self, tmp_path, capsys, field,
                                                         value, named):
@@ -319,6 +328,17 @@ class TestIndicators:
                         "--ref", str(files["ref"])])
         assert code == 2
         assert f"{name} points must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--r1", "--r2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_reference_point_is_usage_error(self, tmp_path, capsys, flag, value):
+        self.make_front(tmp_path / "f.csv", [(0.0, 1.0), (1.0, 0.0)])
+        code = run_cli(["indicators", "--front", str(tmp_path / "f.csv"),
+                        "--ref", str(tmp_path / "f.csv"), flag, value])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "reference point (--r1, --r2) must be finite" in err
+        assert out == ""
 
     def test_missing_column_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

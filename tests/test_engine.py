@@ -15,8 +15,7 @@ from phmoea.engine import (NORM_EPS, HistoryRow, Individual, PlayerArchives,
 from phmoea.evaluators import BenchmarkEvaluator, Evaluation
 from phmoea.space import (CONTINUOUS, PLACEHOLDER, ConfigSpace, DecodedConfig,
                           Genotype, RefinementState, VariableSpec,
-                          builtin_space, canonical_key, decode, fresh_genotype,
-                          sample_random)
+                          builtin_space, canonical_key, decode, sample_random)
 
 
 def individuals(points):
@@ -401,7 +400,7 @@ class TestSampling:
         part, pools = partition_of([0.0] * 3, [0, 5, 5], 0.0, 0.2)
         assert pools == ((), (1, 2), (0,))
         rng = np.random.default_rng(0)
-        draws = [sample_candidate(part, "nh", 3, rng) for _ in range(40000)]
+        draws = [sample_candidate(part, "nh", rng) for _ in range(40000)]
         p_cold = draws.count(0) / len(draws)
         assert p_cold == pytest.approx(0.15 / 2.15, abs=0.01)
 
@@ -409,7 +408,7 @@ class TestSampling:
         part, pools = partition_of([0.0] * 4, [0] * 4, 0.0, 0.0)
         assert pools == ((), (0, 1, 2, 3), ())
         rng = np.random.default_rng(1)
-        draws = [sample_candidate(part, "nh", 4, rng) for _ in range(20000)]
+        draws = [sample_candidate(part, "nh", rng) for _ in range(20000)]
         for a in range(4):
             assert draws.count(a) / len(draws) == pytest.approx(0.25, abs=0.02)
 
@@ -417,14 +416,34 @@ class TestSampling:
         part, pools = partition_of([0.0, 0.0, 1.0], [5, 0, 0], 0.3, 0.2)
         assert pools == ((2,), (0,), (1,))
         rng = np.random.default_rng(2)
-        assert all(sample_candidate(part, "hot", 3, rng) == 2 for _ in range(100))
+        assert all(sample_candidate(part, "hot", rng) == 2 for _ in range(100))
 
     def test_empty_pool_falls_back_to_uniform(self):
         part, _ = partition_of([0.0, 0.0], [0, 0], 1.0, 0.0)
         assert (part.hot, part.non_hot, part.cdf) == ((0, 1), (), [])
         rng = np.random.default_rng(3)
-        draws = {sample_candidate(part, "nh", 2, rng) for _ in range(50)}
+        draws = {sample_candidate(part, "nh", rng) for _ in range(50)}
         assert draws == {0, 1}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("pool, hot_fraction", [("hot", 0.0), ("nh", 1.0)])
+    def test_empty_pool_draws_match_the_uniform_fallback(self, n, pool, hot_fraction):
+        """An empty pool's partner holds every candidate in order, so drawing
+        from it equals the former fallback ``int(rng.integers(n))``: the same
+        value and the same bit-generator state, with the other pool's draws
+        interleaved."""
+        rng = np.random.default_rng(n)
+        part, _ = partition_of(rng.random(n).tolist(), rng.integers(0, 5, n).tolist(),
+                               hot_fraction, 0.4)
+        empty, partner = (part.hot, part.non_hot) if pool == "hot" else (part.non_hot, part.hot)
+        assert empty == () and partner == tuple(range(n))
+        other = "nh" if pool == "hot" else "hot"
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(300):
+            assert sample_candidate(part, pool, rng) == int(ref_rng.integers(n))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            sample_candidate(part, other, rng)
+            sample_candidate(part, other, ref_rng)
 
     def test_non_hot_draws_match_the_loop_reference(self):
         for cold_bonus in (0.15, 0.5, 3.0):
@@ -438,7 +457,7 @@ class TestSampling:
             weights /= weights.sum()
             for _ in range(200):
                 expected = part.non_hot[ref_rng.choice(len(part.non_hot), p=weights)]
-                assert sample_candidate(part, "nh", 7, rng) == expected
+                assert sample_candidate(part, "nh", rng) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -527,31 +546,31 @@ def per_draw_variation_child(run, rng):
                 genes[i] = frozen[i] = int(np.argmin(np.abs(np.array(mids) - value)))
             elif rng.random() < 0.5:
                 genes[i], frozen[i] = g2, p2.frozen[i]
-        child = Genotype(tuple(genes), tuple(frozen))
+        child = genes, frozen
     saved, run.rng = run.rng, rng       # mutation draws one by one already
-    genes, frozen = list(child.genes), list(child.frozen)
+    genes, frozen = map(list, child)
     try:
         run._mutate(genes, frozen)
     finally:
         run.rng = saved
-    return Genotype(tuple(genes), tuple(frozen))
+    return genes, frozen
 
 
 def per_dimension_assembled_child(run, partitions, pool, rng):
     """Pool offspring with one ``sample_candidate`` call per dimension: the reference."""
-    params, counts = run.params, run.state.counts
-    genes = [sample_candidate(part, pool, n, rng) for part, n in zip(partitions, counts)]
+    params = run.params
+    genes = [sample_candidate(part, pool, rng) for part in partitions]
     opposite = "nh" if pool == "hot" else "hot"
     changed = 0
-    for i, n in enumerate(counts):
+    for i, part in enumerate(partitions):
         if changed >= run.max_mutated:
             break
         if rng.random() < params.cross_pool_rate:
-            new = sample_candidate(partitions[i], opposite, n, rng)
+            new = sample_candidate(part, opposite, rng)
             if new != genes[i]:
                 genes[i] = new
                 changed += 1
-    return fresh_genotype(genes)
+    return genes, genes
 
 
 class TestVariation:
@@ -562,8 +581,8 @@ class TestVariation:
         run = engine_for(bench_problem(n=4), params=params)
         parents = {ind.genotype.genes for ind in run.population}
         for _ in range(50):
-            child = run._variation_child()
-            assert child.genes in parents
+            genes, _ = run._variation_child()
+            assert tuple(genes) in parents
 
     def test_sbx_on_equal_parents_returns_them(self):
         run = engine_for(bench_problem(n=4))
@@ -596,11 +615,11 @@ class TestVariation:
                       for var in run.space.variables]
         for pool in ("hot", "nh"):
             for _ in range(20):
-                child = run._assemble_child(partitions, pool)
+                genes, _ = run._assemble_child(partitions, pool)
                 for i, part in enumerate(partitions):
                     members = part.hot if pool == "hot" else part.non_hot
                     if members:  # empty pools legitimately fall back
-                        assert child.genes[i] in members
+                        assert genes[i] in members
 
     def test_offspring_source_counts(self, monkeypatch):
         run = engine_for(bench_problem(n=4), pop_size=50)
@@ -873,6 +892,13 @@ class TestSearchParamsValidate:
     @pytest.mark.parametrize("ratios", [((1.0,),) * 3, ((0.8, 0.1, 0.1),) * 2,
                                         ((0.5, 0.5), (0.8, 0.1, 0.1), (0.5, 0.3, 0.2))])
     def test_stage_ratios_must_be_three_triples(self, ratios):
+        with pytest.raises(ValueError, match="stage_ratios"):
+            SearchParams(stage_ratios=ratios).validate()
+
+    @pytest.mark.parametrize("ratios", [((1.5, -0.5, 0.0),) * 3,
+                                        ((0.8, 0.1, 0.1), (math.nan, 0.5, 0.5),
+                                         (0.5, 0.3, 0.2))])
+    def test_stage_ratio_entries_must_lie_in_the_unit_interval(self, ratios):
         with pytest.raises(ValueError, match="stage_ratios"):
             SearchParams(stage_ratios=ratios).validate()
 

@@ -14,7 +14,7 @@ from phmoea.network import (NetworkSpec, build_graph, count_params,
                             input_channels, layer_counts, spec_to_json,
                             time_embedding)
 from phmoea.space import (RefinementState, builtin_space, decode,
-                          fresh_genotype, repair, sample_random)
+                          repair, sample_random)
 
 SPACE = builtin_space()
 STATE = RefinementState(SPACE)
@@ -27,7 +27,7 @@ def decoded_from(**overrides):
     for name, value in overrides.items():
         var = next(v for v in SPACE.variables if v.name == name)
         genes[var.index - 1] = var.candidates.index(value)
-    g = repair(fresh_genotype(genes), SPACE, STATE)
+    g = repair((genes, genes), SPACE, STATE)
     return decode(g, STATE).as_dict(SPACE)
 
 

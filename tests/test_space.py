@@ -12,7 +12,7 @@ from phmoea.space import (COND_CONTINUOUS, COND_DISCRETE, CONTINUOUS, DISCRETE,
                           ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                           PLACEHOLDER, RefinementState, VariableSpec, activity,
                           builtin_space, canonical_key, decode, dump_space,
-                          fresh_genotype, load_space, nearest_index, repair,
+                          load_space, nearest_index, repair,
                           sample_random, space_from_json, space_to_json,
                           split_renumbering)
 
@@ -147,7 +147,7 @@ def genotype_with(space, state, **overrides):
     for name, value in overrides.items():
         var = next(v for v in space.variables if v.name == name)
         genes[var.index - 1] = var.candidates.index(value)
-    return repair(fresh_genotype(genes), space, state)
+    return repair((genes, genes), space, state)
 
 
 class TestDecode:
@@ -209,7 +209,7 @@ class TestRepair:
         state = make_state(space)
         genes = [0] * 24
         genes[12] = 8   # dropout has 6 bins
-        g = repair(fresh_genotype(genes), space, state)
+        g = repair((genes, genes), space, state)
         assert g.genes[12] == 5
 
     def test_freeze_and_restore(self, space):
@@ -232,7 +232,8 @@ class TestRepair:
         state = make_state(space)
         rng = np.random.default_rng(7)
         for _ in range(50):
-            raw = fresh_genotype([int(rng.integers(0, 12)) for _ in range(24)])
+            genes = [int(rng.integers(0, 12)) for _ in range(24)]
+            raw = (genes, genes)
             once = repair(raw, space, state)
             assert repair(once, space, state) == once
 
@@ -399,7 +400,7 @@ def front_of(space, state, values, dim=13):
     for v in values:
         genes = [0] * len(space)
         genes[dim - 1] = nearest_index(state.grids[dim - 1][2], v)
-        out.append(repair(fresh_genotype(genes), space, state).genes)
+        out.append(repair((genes, genes), space, state).genes)
     return out
 
 
