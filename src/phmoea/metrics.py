@@ -1,4 +1,4 @@
-"""Quality indicators, reference-front merging, forecast metrics and losses.
+"""Quality indicators and reference-front merging.
 
 Indicators operate on bi-objective point sets under minimization. Hypervolume
 uses the exact 2-D sweep; inverted generational distance averages, over the
@@ -7,11 +7,11 @@ reference front, the distance to the nearest obtained point.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 
 import numpy as np
 
-EPS = 1e-8
 WINDOW_SLACK = 1e-12        # relative widening of igd's f1 windows
 
 
@@ -54,7 +54,15 @@ def igd(obtained, reference) -> float:
         if not np.isfinite(pts).all():
             raise ValueError(f"{name} points must be finite (got nan or inf)")
     # sqrt is monotone and correctly rounded: one root after the min, same bits
-    return float(np.sqrt(_nearest_squared(a, ref)).mean())
+    with np.errstate(over="ignore"):
+        mean = float(np.sqrt(_nearest_squared(a, ref)).mean())
+    if math.isfinite(mean):
+        return mean
+    # a squared gap or the sum overflowed: measure again with coordinates
+    # scaled below 2 by a power of two, and scale the mean back
+    peak = max(np.abs(a).max(), np.abs(ref).max())
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    return float(np.sqrt(_nearest_squared(a / scale, ref / scale)).mean()) * scale
 
 
 def _nearest_squared(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -108,113 +116,3 @@ def merged_reference_front(point_sets) -> np.ndarray:
         raise ValueError("need at least one point set")
     merged = np.unique(np.vstack(sets), axis=0)
     return merged[nondominated_mask(merged)]
-
-
-# ---------------------------------------------------------------------------
-# Forecast error metrics
-# ---------------------------------------------------------------------------
-
-def forecast_metrics(y_true, y_pred, target_std) -> dict:
-    """Per-target MSE/MAE/MAPE plus overall normalized aggregates.
-
-    ``target_std`` holds one ground-truth standard deviation per target; the
-    normalized aggregates divide each target's error by its variance (NMSE)
-    or standard deviation (NMAE) before averaging across targets.
-    """
-    y = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    sigma = np.asarray(target_std, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-        p = p[:, None]
-    if y.shape != p.shape:
-        raise ValueError("truth and prediction shapes differ")
-    if sigma.shape != (y.shape[1],):
-        raise ValueError("need one standard deviation per target")
-    if np.any(sigma < 0):
-        raise ValueError("standard deviations must be non-negative")
-
-    err = y - p
-    mse = (err ** 2).mean(axis=0)
-    mae = np.abs(err).mean(axis=0)
-    mape = 100.0 * (np.abs(err) / (np.abs(y) + EPS)).mean(axis=0)
-    return {
-        "mse": mse,
-        "mae": mae,
-        "mape": mape,
-        "nmse": float((mse / (sigma ** 2 + EPS)).mean()),
-        "nmae": float((mae / (sigma + EPS)).mean()),
-        "mape_mean": float(mape.mean()),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Loss family
-# ---------------------------------------------------------------------------
-
-SMOOTH_L1_BETA = 1.0
-HUBER_DELTA = 1.0
-QUANTILE_TAU = 0.5
-MULTI_QUANTILE_TAUS = (0.1, 0.5, 0.9)
-
-LOSS_KINDS = ("MSE", "MAE", "SmoothL1", "MAPE", "Huber", "LogCosh",
-              "Quantile", "SMAPE", "Combined", "AdaptiveCombined")
-
-
-def _pinball(r: np.ndarray, tau: float) -> np.ndarray:
-    return np.maximum(tau * r, (tau - 1.0) * r)
-
-
-def _elementwise(kind: str, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    r = y - p
-    if kind == "MSE":
-        return r ** 2
-    if kind == "MAE":
-        return np.abs(r)
-    if kind == "SmoothL1":
-        a = np.abs(r)
-        return np.where(a < SMOOTH_L1_BETA,
-                        0.5 * r ** 2 / SMOOTH_L1_BETA,
-                        a - 0.5 * SMOOTH_L1_BETA)
-    if kind == "MAPE":
-        return 100.0 * np.abs(r) / (np.abs(y) + EPS)
-    if kind == "Huber":
-        a = np.abs(r)
-        return np.where(a <= HUBER_DELTA,
-                        0.5 * r ** 2,
-                        HUBER_DELTA * (a - 0.5 * HUBER_DELTA))
-    if kind == "LogCosh":
-        # log(cosh(r)) computed stably for large |r|
-        return np.abs(r) + np.log1p(np.exp(-2.0 * np.abs(r))) - np.log(2.0)
-    if kind == "Quantile":
-        return _pinball(r, QUANTILE_TAU)
-    if kind == "SMAPE":
-        return 100.0 * 2.0 * np.abs(r) / (np.abs(y) + np.abs(p) + EPS)
-    if kind == "multi_quantile":
-        return np.mean([_pinball(r, t) for t in MULTI_QUANTILE_TAUS], axis=0)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def loss(kind: str, y_true, y_pred, pair=None, weights=None) -> float:
-    """Mean training loss of one kind over all samples and targets.
-
-    Combined kinds evaluate a (loss_a, loss_b) pair: "Combined" blends them
-    equally, "AdaptiveCombined" uses the given initialization weights.
-    """
-    y = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    if y.shape != p.shape:
-        raise ValueError("truth and prediction shapes differ")
-    if kind in ("Combined", "AdaptiveCombined"):
-        if pair is None:
-            raise ValueError(f"{kind} requires a loss pair")
-        if kind == "Combined":
-            w1 = w2 = 0.5
-        else:
-            if weights is None:
-                raise ValueError("AdaptiveCombined requires initialization weights")
-            w1, w2 = weights
-        a = _elementwise(pair[0], y, p).mean()
-        b = _elementwise(pair[1], y, p).mean()
-        return float(w1 * a + w2 * b)
-    return float(_elementwise(kind, y, p).mean())

@@ -17,28 +17,11 @@ definitions introduce; activations, dropout and pooling contribute nothing.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 TARGETS = 5              # forecast targets of the built-in task
 INPUT_WIDTH = 50         # input window length of the built-in task
-
-
-def time_embedding(components) -> list[float]:
-    """Concatenated (sin, cos) pair per (index, period) component."""
-    out = []
-    for tau, period in components:
-        if not 0 <= tau <= period - 1:
-            raise ValueError(f"time index {tau} outside [0, {period - 1}]")
-        angle = 2.0 * math.pi * tau / period
-        out.extend([math.sin(angle), math.cos(angle)])
-    return out
-
-
-def input_channels(source_channels, time_components: int) -> int:
-    """Total input width: source channels plus the time-embedding width."""
-    return sum(source_channels) + 2 * time_components
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ that splits intervals where non-dominated solutions persistently concentrate.
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
 import struct
 from bisect import bisect_left
@@ -29,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import LOSS_KINDS
 from .resample import OPERATORS, POOL_TYPES
 
 PLACEHOLDER = -1
@@ -410,6 +408,8 @@ class DedupRegistry:
 
 NORM_LAYERS = ("BatchNorm", "LayerNorm", "InstanceNorm")
 ACTIVATIONS = ("ReLU", "GELU", "SiLU", "Tanh")
+LOSS_KINDS = ("MSE", "MAE", "SmoothL1", "MAPE", "Huber", "LogCosh",
+              "Quantile", "SMAPE", "Combined", "AdaptiveCombined")
 LOSS_PAIRS = (
     ("MSE", "MAE"), ("MSE", "Huber"), ("MAE", "Huber"), ("MAE", "MAPE"),
     ("MSE", "SMAPE"), ("MAE", "Quantile"), ("Huber", "Quantile"),
@@ -459,59 +459,3 @@ def builtin_space() -> ConfigSpace:
                      parent=(22, ("cross_mapping",))),
     ]
     return ConfigSpace(variables=tuple(v))
-
-
-# ---------------------------------------------------------------------------
-# Declarative JSON form
-# ---------------------------------------------------------------------------
-
-def _candidate_to_json(c):
-    return list(c) if isinstance(c, tuple) else c
-
-
-def _candidate_from_json(c):
-    return tuple(c) if isinstance(c, list) else c
-
-
-def space_to_json(space: ConfigSpace) -> dict:
-    """Declarative document mirroring the variable definitions."""
-    out = []
-    for var in space.variables:
-        entry: dict = {"index": var.index, "name": var.name, "kind": var.kind}
-        if var.is_continuous:
-            entry["range"] = [var.bounds[0], var.bounds[1]]
-            entry["scale"] = var.scale
-        else:
-            entry["candidates"] = [_candidate_to_json(c) for c in var.candidates]
-        if var.parent is not None:
-            pidx, values = var.parent
-            entry["parent"] = {"dim": pidx, "values": [_candidate_to_json(v) for v in values]}
-        out.append(entry)
-    return {"variables": out}
-
-
-def space_from_json(doc: dict) -> ConfigSpace:
-    variables = []
-    for entry in doc["variables"]:
-        parent = None
-        if "parent" in entry:
-            parent = (entry["parent"]["dim"],
-                      tuple(_candidate_from_json(v) for v in entry["parent"]["values"]))
-        variables.append(VariableSpec(
-            index=entry["index"],
-            name=entry["name"],
-            kind=entry["kind"],
-            candidates=tuple(_candidate_from_json(c) for c in entry.get("candidates", [])),
-            bounds=tuple(entry["range"]) if "range" in entry else None,
-            scale=entry.get("scale", "linear"),
-            parent=parent,
-        ))
-    return ConfigSpace(variables=tuple(variables))
-
-
-def dump_space(space: ConfigSpace) -> str:
-    return json.dumps(space_to_json(space), indent=2)
-
-
-def load_space(text: str) -> ConfigSpace:
-    return space_from_json(json.loads(text))

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,8 @@ from phmoea.evaluators import (_LOG_P_HI, _LOG_P_LO, _ORDINAL, _UPPER_HALF,
                                evaluate_safely)
 from phmoea.metrics import nondominated_mask
 from phmoea.network import build_graph, count_params
-from phmoea.space import (RefinementState, builtin_space, decode,
-                          repair, sample_random,
-                          space_from_json, space_to_json)
+from phmoea.space import (COND_CONTINUOUS, ConfigSpace, RefinementState,
+                          builtin_space, decode, repair, sample_random)
 
 WORKER = Path(__file__).parent / "worker_stub.py"
 
@@ -199,20 +199,19 @@ def refined_state(space, rounds: int = 30) -> RefinementState:
 
 
 def edited_space(edit):
-    """The built-in space's JSON document after ``edit(variables)``, renumbered."""
-    doc = space_to_json(builtin_space())
-    edit(doc["variables"])
-    renumber = {v["index"]: pos + 1 for pos, v in enumerate(doc["variables"])}
-    for v in doc["variables"]:
-        v["index"] = renumber[v["index"]]
-        if "parent" in v:
-            v["parent"]["dim"] = renumber[v["parent"]["dim"]]
-    return space_from_json(doc)
+    """The built-in space after ``edit(variables)`` on its variable list, renumbered."""
+    variables = list(builtin_space().variables)
+    edit(variables)
+    renumber = {v.index: pos + 1 for pos, v in enumerate(variables)}
+    return ConfigSpace(tuple(
+        replace(v, index=renumber[v.index],
+                parent=v.parent and (renumber[v.parent[0]], v.parent[1]))
+        for v in variables))
 
 
 def without(name):
     return lambda variables: variables.remove(
-        next(v for v in variables if v["name"] == name))
+        next(v for v in variables if v.name == name))
 
 
 def configs(space, state, seed: int, n: int, **genes):
@@ -285,14 +284,15 @@ class TestSurrogateErrorPaths:
 
     def test_even_kernel(self):
         def even(variables):
-            variables[9]["candidates"][0] = [3, 4, 5]
+            var = variables[9]
+            variables[9] = replace(var, candidates=((3, 4, 5),) + var.candidates[1:])
         assert self.refused(edited_space(even)) == \
             "short_kernels: candidate (3, 4, 5) is not a tuple of odd sizes"
 
     def test_required_variable_inactive(self):
         def gated_dropout(variables):
-            variables[12].update(kind="conditional-continuous",
-                                 parent={"dim": 12, "values": ["ReLU"]})
+            variables[12] = replace(variables[12], kind=COND_CONTINUOUS,
+                                    parent=(12, ("ReLU",)))
         assert self.refused(edited_space(gated_dropout)) == \
             "dropout: build_graph needs it active in every configuration"
 

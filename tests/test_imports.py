@@ -1,11 +1,13 @@
-"""Every name a ``phmoea`` module imports is used in that module."""
+"""Every name a ``phmoea`` module imports is used in that module, and every
+public name a module defines is read somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phmoea"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "phmoea"
 # imported only so perfbench/tracing.py can wrap them on the evaluators module
 WRAPPED = {"evaluators.py": {"build_graph", "count_params"}}
 
@@ -30,3 +32,56 @@ def test_module_uses_every_name_it_imports(module):
     wrapped = WRAPPED.get(module, set())
     assert wrapped <= imported - used        # the exemption names live imports
     assert imported - used - wrapped == set()
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Public functions, classes and assigned names at a module's top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names a module loads, reads as attributes or imports from elsewhere."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def wrapped_strings(tree: ast.Module) -> set[str]:
+    """Strings in a ``wrap`` call, or in a loop that passes them to one."""
+    def is_wrap(node):
+        return isinstance(node, ast.Call) and "wrap" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    strings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.Call)) and any(map(is_wrap, ast.walk(node))):
+            strings.update(n.value for n in ast.walk(node)
+                           if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return strings
+
+
+def test_every_public_name_is_read():
+    trees = {p.name: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    bench = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bench |= read_names(tree) | wrapped_strings(tree)
+    unread = {}
+    for module, tree in trees.items():
+        others = set().union(*(read_names(t) for m, t in trees.items() if m != module))
+        names = defined_names(tree) - read_names(tree) - others - bench
+        if names:
+            unread[module] = sorted(names)
+    assert unread == {}

@@ -1,16 +1,18 @@
-"""Indicator, forecast-metric and loss tests, with a Monte-Carlo HV oracle."""
+"""Indicator tests, with a Monte-Carlo HV oracle."""
 
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from phmoea import metrics
-from phmoea.cli import RunManifest, build_problem
+from phmoea.benchmarks import reference_front
+from phmoea.cli import RunManifest, build_problem, main
 from phmoea.engine import run_nsga2
-from phmoea.metrics import (LOSS_KINDS, _nearest_squared, forecast_metrics,
-                            front_ranks, hv, igd, loss, merged_reference_front,
-                            nondominated_mask)
+from phmoea.metrics import (_nearest_squared, front_ranks, hv, igd,
+                            merged_reference_front, nondominated_mask)
 
 
 def monte_carlo_hv(points, reference, n_samples, seed):
@@ -40,6 +42,13 @@ def dense_nearest_squared(a, ref):
     dx = ref[:, 0, None] - a[None, :, 0]
     dy = ref[:, 1, None] - a[None, :, 1]
     return (dx * dx + dy * dy).min(axis=1)
+
+
+def hypot_igd(a, ref):
+    """igd by ``math.hypot`` per pair and an exact sum: no square, no overflow."""
+    a, ref = np.asarray(a, dtype=float).tolist(), np.asarray(ref, dtype=float).tolist()
+    return math.fsum(min(math.hypot(x - rx, y - ry) for x, y in a) / len(ref)
+                     for rx, ry in ref)
 
 
 def assert_matches_dense(a, ref):
@@ -154,6 +163,32 @@ class TestIgd:
         assert len(calls) == 10
         for a, ref in calls:
             assert_matches_dense(a, ref)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_huge_coordinates_match_hypot(self, seed):
+        rng = np.random.default_rng(seed)
+        # every gap squares past the float range; every distance stays inside it
+        a = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 40)), 2)) * 5e307
+        ref = np.vstack([rng.uniform(-1.0, 1.0, (int(rng.integers(1, 200)), 2)) * 5e307,
+                         rng.random((5, 2))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = igd(a, ref)
+        expect = hypot_igd(a, ref)
+        assert math.isfinite(expect) and value == pytest.approx(expect, rel=1e-12)
+
+    def test_search_with_huge_objectives_reports_a_finite_igd(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["search", "--problem", "hdtlz2", "--gamma", "1e308", "--pop", "6",
+                         "--gens", "2", "--out", str(out)]) == 0
+        printed = float(capsys.readouterr().out.rsplit("igd=", 1)[1])
+        with open(out / "seed_000" / "pareto_front.csv") as f:
+            front = [(float(row["f1"]), float(row["f2"])) for row in csv.DictReader(f)]
+        expect = hypot_igd(front, reference_front("hdtlz2"))
+        assert math.isfinite(expect) and expect > 1e306
+        assert printed == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", ["obtained", "reference"])
@@ -307,105 +342,3 @@ class TestMergedFront:
     def test_duplicates_collapse(self):
         merged = merged_reference_front([[(0.3, 0.7)], [(0.3, 0.7)], [(0.7, 0.3)]])
         assert len(merged) == 2
-
-
-# ---------------------------------------------------------------------------
-# Forecast metrics
-# ---------------------------------------------------------------------------
-
-class TestForecastMetrics:
-    def test_perfect_prediction(self):
-        y = np.arange(12.0).reshape(4, 3)
-        m = forecast_metrics(y, y, np.ones(3))
-        assert np.allclose(m["mse"], 0) and np.allclose(m["mae"], 0)
-        assert m["nmse"] == 0 and m["nmae"] == 0 and m["mape_mean"] == 0
-
-    def test_hand_computed_single_target(self):
-        m = forecast_metrics([1.0, 3.0], [2.0, 2.0], [1.0])
-        assert m["mse"][0] == pytest.approx(1.0)
-        assert m["mae"][0] == pytest.approx(1.0)
-
-    def test_unit_std_gives_nmse_equal_mse(self):
-        y = np.array([2.0, 4.0, 9.0])
-        p = np.array([1.0, 5.0, 9.5])
-        m = forecast_metrics(y, p, [1.0])
-        assert m["nmse"] == pytest.approx(float(m["mse"][0]), rel=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            forecast_metrics(np.zeros((3, 2)), np.zeros((3, 3)), np.ones(2))
-
-    def test_needs_std_per_target(self):
-        with pytest.raises(ValueError):
-            forecast_metrics(np.zeros((3, 2)), np.zeros((3, 2)), np.ones(3))
-
-
-# ---------------------------------------------------------------------------
-# Losses
-# ---------------------------------------------------------------------------
-
-class TestLoss:
-    def test_logcosh_zero_residual(self):
-        assert loss("LogCosh", [1.0, 2.0], [1.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_quantile_half_is_half_mae(self):
-        y = np.array([1.0, -2.0, 3.0])
-        p = np.array([0.0, 1.0, 5.0])
-        assert loss("Quantile", y, p) == pytest.approx(0.5 * loss("MAE", y, p))
-
-    def test_smape_zero_at_equal(self):
-        assert loss("SMAPE", [1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_combined_is_equal_blend(self):
-        y = np.array([1.0, 2.0, -1.0])
-        p = np.array([0.5, 2.5, 0.0])
-        both = loss("Combined", y, p, pair=("MSE", "MAE"))
-        assert both == pytest.approx(0.5 * loss("MSE", y, p) + 0.5 * loss("MAE", y, p))
-
-    def test_adaptive_uses_init_weights(self):
-        y = np.array([1.0, 2.0])
-        p = np.array([0.0, 0.0])
-        v = loss("AdaptiveCombined", y, p, pair=("MAE", "LogCosh"), weights=(0.7, 0.3))
-        expect = 0.7 * loss("MAE", y, p) + 0.3 * loss("LogCosh", y, p)
-        assert v == pytest.approx(expect)
-
-    def test_multi_quantile_inside_pair(self):
-        y = np.array([1.0, -1.0])
-        p = np.array([0.0, 0.0])
-        v = loss("Combined", y, p, pair=("MAE", "multi_quantile"))
-        assert v > 0
-
-    def test_huber_and_smoothl1_quadratic_zone(self):
-        y = np.array([0.5])
-        p = np.array([0.0])
-        assert loss("Huber", y, p) == pytest.approx(0.125)
-        assert loss("SmoothL1", y, p) == pytest.approx(0.125)
-
-    def test_huber_linear_zone(self):
-        assert loss("Huber", [3.0], [0.0]) == pytest.approx(1.0 * (3.0 - 0.5))
-
-    def test_logcosh_matches_direct_formula(self):
-        r = np.array([0.1, -0.7, 2.0, -9.0])
-        direct = np.log(np.cosh(r)).mean()
-        assert loss("LogCosh", r, np.zeros_like(r)) == pytest.approx(direct, rel=1e-9)
-
-    @pytest.mark.parametrize("kind", [k for k in LOSS_KINDS
-                                      if k not in ("Combined", "AdaptiveCombined")])
-    def test_nonnegative_and_zero_at_truth(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**32)
-        y = rng.normal(size=(20, 5)) + 2.0
-        p = y + rng.normal(scale=0.5, size=y.shape)
-        assert loss(kind, y, p) >= 0.0
-        assert loss(kind, y, y) == pytest.approx(0.0, abs=1e-12)
-
-    def test_combined_requires_pair(self):
-        with pytest.raises(ValueError):
-            loss("Combined", [1.0], [1.0])
-
-    def test_adaptive_requires_weights(self):
-        with pytest.raises(ValueError):
-            loss("AdaptiveCombined", [1.0], [1.0], pair=("MSE", "MAE"))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            loss("L0", [1.0], [1.0])

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from phmoea.network import (NetworkSpec, build_graph, count_params,
-                            input_channels, layer_counts, spec_to_json,
-                            time_embedding)
+                            layer_counts, spec_to_json)
 from phmoea.space import (RefinementState, builtin_space, decode,
                           repair, sample_random)
 
@@ -79,40 +78,6 @@ def enumerate_tensor_shapes(cfg: dict, input_width: int, targets: int) -> list[t
 
 def oracle_count(cfg: dict, input_width: int, targets: int) -> int:
     return sum(math.prod(s) for s in enumerate_tensor_shapes(cfg, input_width, targets))
-
-
-# ---------------------------------------------------------------------------
-# Time embedding and input width
-# ---------------------------------------------------------------------------
-
-class TestTimeEmbedding:
-    def test_quarter_period(self):
-        sin, cos = time_embedding([(6, 24)])
-        assert sin == pytest.approx(1.0)
-        assert cos == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_phase(self):
-        sin, cos = time_embedding([(0, 12)])
-        assert (sin, cos) == (0.0, 1.0)
-
-    def test_four_components_give_eight_values(self):
-        emb = time_embedding([(0, 5), (1, 12), (2, 31), (3, 24)])
-        assert len(emb) == 8
-
-    def test_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            time_embedding([(24, 24)])
-
-
-class TestInputChannels:
-    def test_single_source_with_time(self):
-        assert input_channels([42], 4) == 50
-
-    def test_empty(self):
-        assert input_channels([], 0) == 0
-
-    def test_multiple_sources(self):
-        assert input_channels([10, 10, 10], 4) == 38
 
 
 # ---------------------------------------------------------------------------

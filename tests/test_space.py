@@ -11,10 +11,8 @@ import pytest
 from phmoea.space import (COND_CONTINUOUS, COND_DISCRETE, CONTINUOUS, DISCRETE,
                           ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                           PLACEHOLDER, RefinementState, VariableSpec, activity,
-                          builtin_space, canonical_key, decode, dump_space,
-                          load_space, nearest_index, repair,
-                          sample_random, space_from_json, space_to_json,
-                          split_renumbering)
+                          builtin_space, canonical_key, decode, nearest_index,
+                          repair, sample_random, split_renumbering)
 
 
 @pytest.fixture(scope="module")
@@ -752,28 +750,3 @@ class TestSampleRandom:
             counts[g.genes[3]] += 1  # batch size: 4 candidates
         freqs = counts / 1000
         assert np.all(freqs >= 0.2) and np.all(freqs <= 0.3)
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-# ---------------------------------------------------------------------------
-
-class TestSpaceJson:
-    def test_round_trip_equals(self, space):
-        doc = space_to_json(space)
-        assert space_from_json(doc) == space
-        assert space_to_json(space_from_json(doc)) == doc
-
-    def test_text_round_trip(self, space):
-        assert load_space(dump_space(space)) == space
-
-    def test_benchmark_space_round_trip(self):
-        from phmoea.benchmarks import benchmark_space
-        bench = benchmark_space(8)
-        assert load_space(dump_space(bench)) == bench
-
-    def test_json_survives_reserialization(self, space):
-        import json as json_mod
-        text = dump_space(space)
-        assert dump_space(load_space(text)) == text
-        json_mod.loads(text)  # well-formed document
