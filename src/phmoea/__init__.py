@@ -5,7 +5,7 @@ from .engine import (RunResult, SearchParams, SearchProblem, run_nsga2,
                      run_phmoea)
 from .evaluators import BenchmarkEvaluator, Evaluation, SurrogateEvaluator
 from .metrics import hv, igd, merged_reference_front
-from .network import NetworkSpec, build_graph, count_params
+from .network import build_graph, count_params
 from .resample import align
 from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                     RefinementState, VariableSpec, builtin_space, canonical_key,

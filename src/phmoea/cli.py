@@ -21,7 +21,7 @@ import numpy as np
 from . import benchmarks, metrics, resample
 from .engine import RunResult, SearchParams, SearchProblem, run_nsga2, run_phmoea
 from .evaluators import BenchmarkEvaluator, SurrogateEvaluator
-from .network import INPUT_WIDTH, TARGETS, build_graph, dump_model_card
+from .network import INPUT_WIDTH, TARGETS, build_graph
 from .space import RefinementState, builtin_space
 
 USAGE_ERROR = 2
@@ -299,7 +299,7 @@ def cmd_count_params(config_path: str, targets: int, input_width: int) -> int:
                     f"{var.name}: {value!r} is not one of {var.candidates}")
             value = var.candidates[var.candidates.index(value)]   # 12.0 prints as 12
         config[var.name] = value
-    print(dump_model_card(build_graph(config, input_width, targets)))
+    print(json.dumps(build_graph(config, input_width, targets), indent=2))
     return 0
 
 

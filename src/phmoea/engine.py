@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 
 import numpy as np
@@ -90,6 +90,10 @@ class SearchParams:
                    early_stop=False, refine_mass=0.01, refine_persistence=1)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0 <= self.stage_early_end < self.stage_late_start <= 1:
             raise ValueError("stage thresholds must satisfy 0 <= early < late <= 1")
         if [len(ratios) for ratios in self.stage_ratios] != [3, 3, 3]:
@@ -105,12 +109,13 @@ class SearchParams:
                   "crossover_prob", "mutation_prob")),
                 ("positive", lambda v: v > 0, ("cold_bonus", "refine_mass", "eps_denom")),
                 ("non-negative", lambda v: v >= 0,
-                 ("sbx_eta", "mutation_eta", "eps_f1", "eps_f2", "eps_hv")),
+                 ("crowding_bonus", "late_crowding_bonus", "sbx_eta", "mutation_eta",
+                  "eps_f1", "eps_f2", "eps_hv")),
                 ("at least 1", lambda v: v >= 1,
                  ("initial_bins", "n_trial", "refine_persistence", "window",
                   "max_mutated"))):
             for name in names:
-                if not holds(getattr(self, name)):      # nan holds nothing
+                if not holds(getattr(self, name)):
                     raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 

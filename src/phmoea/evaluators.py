@@ -184,13 +184,19 @@ class SurrogateEvaluator:
 # External worker protocol (line-delimited JSON over stdin/stdout)
 # ---------------------------------------------------------------------------
 
+def _is_number(value, kinds) -> bool:
+    """JSON ``true``/``false`` decode to ``bool``, which subclasses ``int``."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 class WorkerClient:
     """One worker process handling one request at a time.
 
     Request:  {"id": int, "config": {name: value, ...}, "targets": int}
     Response: {"id": int, "f1": float, "f2": float,
                "status": "ok"|"error", "msg": optional}
-    A timeout, malformed reply, mismatched id or worker-reported error yields
+    A timeout, malformed reply, mismatched id, id that is not a JSON integer,
+    objective that is not a JSON number or worker-reported error yields
     an error Evaluation; the engine discards the candidate but the dispatch
     still consumed budget. A late reply to an earlier, timed-out request is
     read and discarded, so one timeout fails only its own request.
@@ -252,16 +258,16 @@ class WorkerClient:
                 reply = None
             if not isinstance(reply, dict):
                 return fail("malformed response")
-            if not (isinstance(reply.get("id"), int) and reply["id"] < req_id):
+            reply_id = reply.get("id")
+            if not (_is_number(reply_id, int) and reply_id < req_id):
                 break       # not a late reply to an earlier, timed-out request
-        if reply.get("id") != req_id:
-            return fail(f"response id {reply.get('id')} does not match {req_id}")
+        if not (_is_number(reply_id, int) and reply_id == req_id):
+            return fail(f"response id {reply_id!r} does not match {req_id}")
         if reply.get("status") != OK:
             return fail(str(reply.get("msg", "worker error")))
-        try:
-            f1, f2 = float(reply["f1"]), float(reply["f2"])
-        except (KeyError, TypeError, ValueError):
-            return fail("response missing objective values")
+        if not all(_is_number(reply.get(name), (int, float)) for name in ("f1", "f2")):
+            return fail("response objective values missing or not numbers")
+        f1, f2 = float(reply["f1"]), float(reply["f2"])
         if not (math.isfinite(f1) and math.isfinite(f2)):
             return fail("non-finite objective values")
         return Evaluation(key=key, f1=f1, f2=f2,

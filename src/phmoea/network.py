@@ -4,9 +4,9 @@ A configuration, read by variable name, instantiates a fixed-topology
 network: a per-timestep input projection, three bi-branch 1D convolution
 layers (a short-kernel and a long-kernel branch sharing channel widths), a
 configurable branch-fusion operator, and a single linear head over the
-flattened fused sequence. Nothing here is executable; the description exists
-to count trainable parameters exactly and to export a model card for an
-external trainer.
+flattened fused sequence. Nothing here is executable; ``build_graph`` returns
+the description as a model card, a JSON-ready dict that counts trainable
+parameters exactly and can be handed to an external trainer.
 
 Counting rules, all in ``layer_counts``: convolutions and linear layers
 contribute weights plus biases; normalization layers contribute their two
@@ -16,35 +16,10 @@ definitions introduce; activations, dropout and pooling contribute nothing.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from operator import itemgetter
 
 TARGETS = 5              # forecast targets of the built-in task
 INPUT_WIDTH = 50         # input window length of the built-in task
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    """Structural description sufficient for parameter counting and export."""
-
-    aligned_length: int
-    input_width: int
-    channels: tuple[int, int, int, int]      # projection width then 3 layers
-    short_kernels: tuple[int, int, int]
-    long_kernels: tuple[int, int, int]
-    norm: str
-    activation: str
-    dropout: float
-    fusion: str
-    fusion_mode: str | None
-    targets: int
-    breakdown: dict[str, int]               # ``layer_counts`` of this network
-
-    @property
-    def fused_width(self) -> int:
-        """Channel width after fusion (doubles for concatenating modes)."""
-        return _fused_width(self.fusion, self.fusion_mode, self.channels[3])
 
 
 def _fused_width(fusion: str, mode: str | None, c: int) -> int:
@@ -85,7 +60,7 @@ FUSION_MODE = {"weighting": "weighting_mode", "cross_mapping": "cross_mapping_mo
 
 def layer_counts(length: int, channels, short_kernels, long_kernels, fusion: str,
                  mode: str | None, input_width: int, targets: int) -> dict[str, int]:
-    """Parameter count per layer group, in ``NetworkSpec.breakdown`` order.
+    """Parameter count per layer group, in the model card's ``layers`` order.
 
     ``channels`` is the projection width then the three layer widths."""
     counts = {"projection": input_width * channels[0] + channels[0]}
@@ -102,8 +77,8 @@ def layer_counts(length: int, channels, short_kernels, long_kernels, fusion: str
     return counts
 
 
-def build_graph(config: dict, input_width: int, targets: int) -> NetworkSpec:
-    """Instantiate the network description for a name -> value configuration."""
+def build_graph(config: dict, input_width: int, targets: int) -> dict:
+    """Model card of the network a name -> value configuration describes."""
     missing = [name for name in REQUIRED if name not in config]
     if missing:
         raise ValueError(f"configuration is missing active variables: {missing}")
@@ -113,51 +88,31 @@ def build_graph(config: dict, input_width: int, targets: int) -> NetworkSpec:
             raise ValueError(f"kernel size {k} is even; length-preserving "
                              "padding (k-1)/2 needs odd kernels")
     mode = config.get(FUSION_MODE.get(fusion))     # None without a mode variable
-    return NetworkSpec(
-        aligned_length=length,
-        input_width=input_width,
-        channels=tuple(channels),
-        short_kernels=short,
-        long_kernels=long,
-        norm=config["norm_layer"],
-        activation=config["activation"],
-        dropout=config["dropout"],
-        fusion=fusion,
-        fusion_mode=mode,
-        targets=targets,
-        breakdown=layer_counts(length, channels, short, long, fusion, mode,
-                               input_width, targets),
-    )
-
-
-def count_params(spec: NetworkSpec) -> int:
-    """Exact trainable-parameter count of the described network."""
-    return sum(spec.breakdown.values())
-
-
-def spec_to_json(spec: NetworkSpec) -> dict:
-    """Model-card document for external evaluators."""
+    counts = layer_counts(length, channels, short, long, fusion, mode,
+                          input_width, targets)
+    fused_width = _fused_width(fusion, mode, channels[3])
     return {
-        "aligned_length": spec.aligned_length,
-        "input_width": spec.input_width,
-        "channels": list(spec.channels),
-        "short_kernels": list(spec.short_kernels),
-        "long_kernels": list(spec.long_kernels),
+        "aligned_length": length,
+        "input_width": input_width,
+        "channels": channels,
+        "short_kernels": list(short),
+        "long_kernels": list(long),
         # stride-1 convolutions with this padding keep the sequence length
-        "short_paddings": [(k - 1) // 2 for k in spec.short_kernels],
-        "long_paddings": [(k - 1) // 2 for k in spec.long_kernels],
-        "norm": spec.norm,
-        "activation": spec.activation,
-        "dropout": spec.dropout,
-        "fusion": spec.fusion,
-        "fusion_mode": spec.fusion_mode,
-        "targets": spec.targets,
-        "fused_width": spec.fused_width,
-        "head_input": spec.aligned_length * spec.fused_width,
-        "layers": [{"name": name, "params": n} for name, n in spec.breakdown.items()],
-        "total_params": count_params(spec),
+        "short_paddings": [(k - 1) // 2 for k in short],
+        "long_paddings": [(k - 1) // 2 for k in long],
+        "norm": config["norm_layer"],
+        "activation": config["activation"],
+        "dropout": config["dropout"],
+        "fusion": fusion,
+        "fusion_mode": mode,
+        "targets": targets,
+        "fused_width": fused_width,
+        "head_input": length * fused_width,
+        "layers": [{"name": name, "params": n} for name, n in counts.items()],
+        "total_params": sum(counts.values()),
     }
 
 
-def dump_model_card(spec: NetworkSpec) -> str:
-    return json.dumps(spec_to_json(spec), indent=2)
+def count_params(card: dict) -> int:
+    """Exact trainable-parameter count of the network ``card`` describes."""
+    return card["total_params"]

@@ -140,6 +140,13 @@ class TestSearch:
         assert "coupling coefficient" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_nan_score_bonus_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(["search", "--problem", "surrogate", "--pop", "10", "--gens", "5",
+                        "--out", str(tmp_path), "--lambda", "nan"])
+        assert code == 2
+        assert "crowding_bonus must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag, value", [("--targets", "0"), ("--input-width", "-100")])
     def test_non_positive_network_size_is_usage_error(self, tmp_path, capsys, flag, value):
         code = run_cli(["search", "--problem", "surrogate", "--pop", "6", "--gens", "2",

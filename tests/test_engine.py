@@ -1,6 +1,7 @@
 """Engine unit tests: scoring, archives, pools, variation, selection, stopping."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -884,8 +885,16 @@ class TestSearchParamsValidate:
         ("eps_f1", -1e-3), ("eps_f2", -1e-3), ("eps_hv", -1e-4),
         ("eps_denom", 0.0), ("eps_denom", -1e-12),
         ("max_mutated", 0),
+        ("crowding_bonus", -50.0), ("late_crowding_bonus", -0.05),
     ])
     def test_out_of_range_value_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SearchParams(**{name: value}).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(SearchParams)
+                                      if isinstance(getattr(SearchParams(), f.name), float)])
+    def test_every_float_tunable_must_be_finite(self, name, value):
         with pytest.raises(ValueError, match=name):
             SearchParams(**{name: value}).validate()
 

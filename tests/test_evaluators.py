@@ -345,6 +345,20 @@ class TestWorkerProtocol:
             assert not ev.ok
             assert "does not match" in ev.message
 
+    @pytest.mark.parametrize("mode, message", [
+        ("bool_objectives", "not numbers"), ("string_objectives", "not numbers"),
+        ("bool_id", "response id True does not match 1")])
+    def test_reply_of_the_wrong_json_type_fails_only_its_call(self, mode, message):
+        # JSON true decodes to a bool, an int subclass, and float() reads "12.5"
+        with make_client(mode) as client:
+            decoded = worked_decoded()
+            cfg = decoded.as_dict(SPACE)
+            expected = (round(cfg["dropout"] * 2.0, 6), cfg["conv3_channels"] * 1000.0)
+            first, bad, after = (client(decoded) for _ in range(3))
+            assert first.ok and (first.f1, first.f2) == expected
+            assert not bad.ok and message in bad.message
+            assert after.ok and (after.f1, after.f2) == expected
+
     def test_worker_reported_error(self):
         with make_client("report_error") as client:
             counted = Counting(client)

@@ -5,13 +5,14 @@ sums element counts, independently of the breakdown arithmetic inside the
 package.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from phmoea.network import (NetworkSpec, build_graph, count_params,
-                            layer_counts, spec_to_json)
+from phmoea.network import build_graph, count_params, layer_counts
 from phmoea.space import (RefinementState, builtin_space, decode,
                           repair, sample_random)
 
@@ -28,6 +29,10 @@ def decoded_from(**overrides):
         genes[var.index - 1] = var.candidates.index(value)
     g = repair((genes, genes), SPACE, STATE)
     return decode(g, STATE).as_dict(SPACE)
+
+
+def breakdown(card: dict) -> dict[str, int]:
+    return {layer["name"]: layer["params"] for layer in card["layers"]}
 
 
 def worked_example(fusion="concat", **extra):
@@ -86,18 +91,18 @@ def oracle_count(cfg: dict, input_width: int, targets: int) -> int:
 
 class TestWorkedExample:
     def test_concat_total(self):
-        spec = build_graph(worked_example(), input_width=50, targets=5)
-        assert count_params(spec) == 61397
+        card = build_graph(worked_example(), input_width=50, targets=5)
+        assert count_params(card) == 61397
 
     def test_concat_breakdown(self):
-        spec = build_graph(worked_example(), input_width=50, targets=5)
-        assert spec.breakdown == {"projection": 816, "short_branch": 18000,
+        card = build_graph(worked_example(), input_width=50, targets=5)
+        assert breakdown(card) == {"projection": 816, "short_branch": 18000,
                                   "long_branch": 34896, "fusion": 0, "head": 7685}
 
     def test_add_head_and_total(self):
-        spec = build_graph(worked_example("add"), input_width=50, targets=5)
-        assert spec.breakdown["head"] == 5 * 768 + 5 == 3845
-        assert count_params(spec) == 816 + 18000 + 34896 + 0 + 3845
+        card = build_graph(worked_example("add"), input_width=50, targets=5)
+        assert breakdown(card)["head"] == 5 * 768 + 5 == 3845
+        assert count_params(card) == 816 + 18000 + 34896 + 0 + 3845
 
     def test_attention_adds_three_projections(self):
         base = count_params(build_graph(worked_example("add"), 50, 5))
@@ -105,12 +110,12 @@ class TestWorkedExample:
         assert attn - base == 3 * 64 * 64 == 12288
 
     def test_concat_head_width(self):
-        spec = build_graph(worked_example(), 50, 5)
-        assert spec.fused_width == 2 * 64
+        card = build_graph(worked_example(), 50, 5)
+        assert card["fused_width"] == 2 * 64
 
     def test_add_head_width(self):
-        spec = build_graph(worked_example("add"), 50, 5)
-        assert spec.fused_width == 64
+        card = build_graph(worked_example("add"), 50, 5)
+        assert card["fused_width"] == 64
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +127,16 @@ class TestCountingProperties:
         rng = np.random.default_rng(2)
         for _ in range(30):
             decoded = decode(sample_random(SPACE, STATE, rng), STATE)
-            spec = build_graph(decoded.as_dict(SPACE), 50, 5)
-            assert count_params(spec) == sum(spec.breakdown.values())
+            card = build_graph(decoded.as_dict(SPACE), 50, 5)
+            assert count_params(card) == sum(breakdown(card).values())
 
     def test_matches_oracle_on_random_configs(self):
         rng = np.random.default_rng(4)
         for _ in range(40):
             decoded = decode(sample_random(SPACE, STATE, rng), STATE)
             cfg = decoded.as_dict(SPACE)
-            spec = build_graph(cfg, 50, 5)
-            assert count_params(spec) == oracle_count(cfg, 50, 5)
+            card = build_graph(cfg, 50, 5)
+            assert count_params(card) == oracle_count(cfg, 50, 5)
 
     def test_monotone_in_channel_widths(self):
         base_cfg = dict(aligned_length=12, norm_layer="BatchNorm",
@@ -194,8 +199,7 @@ def test_layer_counts_total_matches_oracle(fusion, mode):
 
 class TestModelCard:
     def test_json_contains_layers_and_total(self):
-        spec = build_graph(worked_example(), 50, 5)
-        doc = spec_to_json(spec)
+        doc = build_graph(worked_example(), 50, 5)
         assert doc["total_params"] == 61397
         assert doc["head_input"] == 12 * 128
         assert [e["name"] for e in doc["layers"]] == [
@@ -203,18 +207,18 @@ class TestModelCard:
 
     def test_length_preserving_padding(self):
         # kernel 7 pads by 3, so the temporal length survives every layer
-        spec = build_graph(worked_example(), 50, 5)
-        doc = spec_to_json(spec)
+        doc = build_graph(worked_example(), 50, 5)
         assert doc["short_paddings"] == [1, 2, 3]
         assert doc["long_paddings"] == [4, 5, 6]
-        assert doc["head_input"] == spec.aligned_length * spec.fused_width
+        assert doc["head_input"] == doc["aligned_length"] * doc["fused_width"]
 
     def test_only_the_chosen_fusion_reads_its_mode(self):
         config = worked_example("add")
         config.update(weighting_mode="concat", cross_mapping_mode="gated")
-        assert build_graph(config, 50, 5).fusion_mode is None
+        assert build_graph(config, 50, 5)["fusion_mode"] is None
         for fusion, mode in (("weighting", "concat"), ("cross_mapping", "gated")):
-            assert build_graph(dict(config, fusion_op=fusion), 50, 5).fusion_mode == mode
+            card = build_graph(dict(config, fusion_op=fusion), 50, 5)
+            assert card["fusion_mode"] == mode
 
     def test_missing_variable_rejected(self):
         config = worked_example()
@@ -222,3 +226,15 @@ class TestModelCard:
         del config["proj_channels"]
         with pytest.raises(ValueError):
             build_graph(config, 50, 5)
+
+    def test_card_bytes_over_random_configurations(self):
+        # pins every key, value and its formatting, continuous values and
+        # every fusion mode included, over three network sizes
+        rng = np.random.default_rng(17)
+        digest = hashlib.sha256()
+        for _ in range(500):
+            cfg = decode(sample_random(SPACE, STATE, rng), STATE).as_dict(SPACE)
+            for width, targets in ((50, 5), (7, 1), (128, 12)):
+                card = build_graph(cfg, width, targets)
+                digest.update(json.dumps(card, indent=2).encode())
+        assert digest.hexdigest()[:16] == "5d97b388b248b8b0"

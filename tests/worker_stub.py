@@ -3,7 +3,10 @@
 Reads one request per line and answers one line. The first CLI argument
 selects a behavior: ok, bad_id, report_error, garbage, not_object (valid
 JSON that is not an object), not_utf8 (bytes that are not UTF-8), slow,
-slow_first (slow on the first request only), jitter.
+slow_first (slow on the first request only), jitter, and bool_objectives,
+string_objectives and bool_id, which answer the second request (id 1) with
+``"f1": true``, ``"f2": "<number>"`` or ``"id": true`` and every other
+request well.
 """
 
 import json
@@ -49,6 +52,13 @@ def main() -> None:
             continue
         f1, f2 = objectives(request["config"])
         reply.update(f1=f1, f2=f2)
+        if request["id"] == 1:
+            if MODE == "bool_objectives":
+                reply["f1"] = True
+            if MODE == "string_objectives":
+                reply["f2"] = str(f2)
+            if MODE == "bool_id":
+                reply["id"] = True
         print(json.dumps(reply), flush=True)
 
 
