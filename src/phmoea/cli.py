@@ -95,6 +95,8 @@ class RunManifest:
         unknown = set(doc) - names
         if unknown:
             raise ValueError(f"unknown manifest fields: {sorted(unknown)}")
+        if "problem" not in doc:
+            raise ValueError("manifest.problem: required field missing")
         manifest = cls(**doc)
         if "stage_ratios" in manifest.params:
             manifest.params["stage_ratios"] = tuple(

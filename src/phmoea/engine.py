@@ -481,16 +481,16 @@ class _Run:
         return a
 
     def _sbx_child(self, p1: Genotype, p2: Genotype) -> tuple[list[int], list[int]]:
-        """One child's genes and frozen genes from SBX on continuous dims plus
+        """One child's genes and kept genes from SBX on continuous dims plus
         uniform discrete swaps; without crossover, copies of ``p1``'s.
 
         After the crossover draw one batch holds, in order, ``u`` and the side
         per SBX dimension and one swap draw per other dimension.
         """
         params = self.params
-        child_genes, child_frozen = list(p1.genes), list(p1.frozen)
+        child_genes, child_kept = list(p1.genes), list(p1.frozen)
         if self.rng.random() >= params.crossover_prob:
-            return child_genes, child_frozen
+            return child_genes, child_kept
         genes1, genes2 = p1.genes, p2.genes
         n_sbx = len([i for i in self.continuous if genes1[i] != PLACEHOLDER != genes2[i]])
         draw = iter(self.rng.random(self.dims + n_sbx).tolist()).__next__
@@ -508,14 +508,15 @@ class _Run:
                 c2 = 0.5 * ((1.0 - beta) * v1 + (1.0 + beta) * v2)
                 value = c1 if draw() < 0.5 else c2
                 value = lo if value < lo else hi if value > hi else value
-                child_genes[i] = child_frozen[i] = nearest_index(mids, value)
+                child_genes[i] = child_kept[i] = nearest_index(mids, value)
             elif draw() < 0.5:
                 child_genes[i] = g2
-                child_frozen[i] = p2.frozen[i]
-        return child_genes, child_frozen
+                child_kept[i] = p2.frozen[i]
+        return child_genes, child_kept
 
-    def _mutate(self, genes: list[int], frozen: list[int]) -> None:
-        """Polynomial or uniform mutation of a child's gene lists, in place."""
+    def _mutate(self, genes: list[int], kept: list[int]) -> None:
+        """Polynomial or uniform mutation of a child's kept genes, in place;
+        only dimensions whose gene is not ``PLACEHOLDER`` may mutate."""
         params = self.params
         if self.rng.random() >= params.mutation_prob:
             return
@@ -527,12 +528,11 @@ class _Run:
             if genes[i] == PLACEHOLDER or self.rng.random() >= rate:
                 continue
             if grid is not None:
-                new = self._polynomial_step(grid, genes[i])
+                new = self._polynomial_step(grid, kept[i])
             else:
                 new = int(self.rng.integers(self.state.counts[i]))
-            if new != genes[i]:
-                genes[i] = new
-                frozen[i] = new
+            if new != kept[i]:
+                kept[i] = new
                 changed += 1
 
     def _polynomial_step(self, grid: tuple[float, float, list[float]], gene: int) -> int:
@@ -552,16 +552,16 @@ class _Run:
         value = min(max(x + delta * span, lo), hi)
         return nearest_index(mids, value)
 
-    def _variation_child(self) -> tuple[list[int], list[int]]:
+    def _variation_child(self) -> list[int]:
         pop = self.population
         i, j, k, m = self.rng.integers(len(pop), size=4).tolist()
         p1 = self._tournament(pop[i], pop[j])
         p2 = self._tournament(pop[k], pop[m])
-        genes, frozen = self._sbx_child(p1.genotype, p2.genotype)
-        self._mutate(genes, frozen)
-        return genes, frozen
+        genes, kept = self._sbx_child(p1.genotype, p2.genotype)
+        self._mutate(genes, kept)
+        return kept
 
-    def _assemble_child(self, parts: list[Partition], pool: str) -> tuple[list[int], list[int]]:
+    def _assemble_child(self, parts: list[Partition], pool: str) -> list[int]:
         """One gene per dimension from ``pool``, then cross-pool swaps. The first
         pass draws once for all dimensions what ``sample_candidate`` draws per one."""
         if pool == "hot":
@@ -582,9 +582,9 @@ class _Run:
                 if new != genes[i]:
                     genes[i] = new
                     changed += 1
-        return genes, genes
+        return genes
 
-    def _admit(self, child: tuple[list[int], list[int]]) -> tuple[Genotype, DecodedConfig] | None:
+    def _admit(self, child: list[int]) -> tuple[Genotype, DecodedConfig] | None:
         g = repair(child, self.space, self.state)
         key = canonical_key(g.genes)
         if self.registry.admit(key):
@@ -627,17 +627,19 @@ class _Run:
         splits = self.state.refine()
         if not splits:
             return
-        # one column per dimension; only the split dimensions' are renumbered
+        # a split dimension renumbers its kept column and its genes follow it; no
+        # continuous dimension is a parent, so the placeholders stay where they are
         genes = list(zip(*(ind.genotype.genes for ind in self.population)))
-        frozen = list(zip(*(ind.genotype.frozen for ind in self.population)))
+        kept = list(zip(*(ind.genotype.frozen for ind in self.population)))
         for dim, group in groupby(splits, key=lambda s: s[0]):   # refine sorts by dim
             split = [k for _, k in group]
             if self.use_archives:
                 self.archives.split_bin(dim, np.array(split))
-            for columns in (genes, frozen):
-                columns[dim - 1] = split_renumbering(columns[dim - 1], split)
-        for ind, g, f in zip(self.population, zip(*genes), zip(*frozen)):
-            ind.genotype = Genotype(genes=g, frozen=f)
+            kept[dim - 1] = split_renumbering(kept[dim - 1], split)
+            genes[dim - 1] = [PLACEHOLDER if g == PLACEHOLDER else k
+                              for g, k in zip(genes[dim - 1], kept[dim - 1])]
+        for ind, g, k in zip(self.population, zip(*genes), zip(*kept)):
+            ind.genotype = Genotype(genes=g, frozen=k)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -663,7 +665,7 @@ class _Run:
 
     def run(self) -> RunResult:
         init = self._fill_slots(self.pop_size,
-                                lambda: sample_random(self.space, self.state, self.rng))
+                                lambda: sample_random(self.space, self.state, self.rng).frozen)
         self.population = self._evaluate(init)
         if len(self.population) < 2:
             raise RuntimeError("initial population collapsed; evaluator keeps failing")

@@ -1,7 +1,7 @@
 """Evaluators: candidate configuration -> bi-objective value.
 
 Three families share one contract: given a decoded configuration they return
-an Evaluation with (f1, f2), a status flag and the call's wall time. They keep
+an Evaluation with (f1, f2), a status flag and, on error, a message. They keep
 no counters: the engine's ``evaluated_keys`` counts every dispatched candidate
 as one function evaluation, whatever its outcome.
 
@@ -46,7 +46,6 @@ class Evaluation:
     f1: float
     f2: float
     status: str = OK
-    wall_time: float = 0.0
     message: str | None = None
 
     @property
@@ -75,10 +74,8 @@ class BenchmarkEvaluator:
         self.problem = problem
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
-        start = time.perf_counter()
         f1, f2 = self.problem.objectives(decoded)
-        return Evaluation(key=decoded.key, f1=f1, f2=f2,
-                          wall_time=time.perf_counter() - start)
+        return Evaluation(key=decoded.key, f1=f1, f2=f2)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +164,6 @@ class SurrogateEvaluator:
         return total
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
-        start = time.perf_counter()
         length, *channels, short, long, fusion = self._counted(decoded.values)
         mode_at = self._mode_at.get(fusion)
         mode = None if mode_at is None else decoded.values[mode_at]
@@ -176,8 +172,7 @@ class SurrogateEvaluator:
         level = (math.log(params) - _LOG_P_LO) / (_LOG_P_HI - _LOG_P_LO)
         level = min(max(level, 0.0), 1.0)
         f1 = self.mismatch(decoded) + CAPACITY_WEIGHT * (1.0 - level)
-        return Evaluation(key=decoded.key, f1=f1, f2=float(params),
-                          wall_time=time.perf_counter() - start)
+        return Evaluation(key=decoded.key, f1=f1, f2=float(params))
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +228,9 @@ class WorkerClient:
         key = decoded.key
         req_id = self._next_id
         self._next_id += 1
-        start = time.perf_counter()
 
         def fail(msg: str) -> Evaluation:
-            return Evaluation(key=key, f1=math.nan, f2=math.nan, status=ERROR,
-                              wall_time=time.perf_counter() - start, message=msg)
+            return Evaluation(key=key, f1=math.nan, f2=math.nan, status=ERROR, message=msg)
 
         request = {"id": req_id, "config": decoded.as_dict(self.space),
                    "targets": self.targets}
@@ -270,8 +263,7 @@ class WorkerClient:
         f1, f2 = float(reply["f1"]), float(reply["f2"])
         if not (math.isfinite(f1) and math.isfinite(f2)):
             return fail("non-finite objective values")
-        return Evaluation(key=key, f1=f1, f2=f2,
-                          wall_time=time.perf_counter() - start)
+        return Evaluation(key=key, f1=f1, f2=f2)
 
     def close(self):
         """End the worker, live or already exited, and close both pipes."""

@@ -142,10 +142,10 @@ class ConfigSpace:
 class Genotype(NamedTuple):
     """A repaired individual: what ``repair`` returns.
 
-    ``genes[d]`` is the candidate index (discrete) or bin index (continuous)
-    for dimension d+1, or PLACEHOLDER when the dimension is frozen.
-    ``frozen[d]`` caches the last valid gene so re-activated dimensions can
-    restore it.
+    ``frozen`` is the kept vector, an in-range gene for every dimension; an
+    inactive dimension keeps its last valid gene there, so re-activating it
+    restores that gene. ``genes`` is ``frozen`` with PLACEHOLDER on exactly
+    the inactive dimensions, so ``repair(frozen) == self``.
     """
 
     genes: tuple[int, ...]
@@ -318,13 +318,13 @@ class RefinementState:
 
 
 def split_renumbering(genes: Sequence[int], split: list[int]) -> list[int]:
-    """One dimension's gene column renumbered after ``RefinementState.refine``.
+    """One dimension's kept column renumbered after ``RefinementState.refine``.
 
     ``split`` holds the dimension's split bins, sorted, in old numbering.
-    Every gene moves up by the number of split bins below it, so
-    ``PLACEHOLDER`` stays put. Members of a split bin sat on its split point;
-    they alternate left and right child in population order, which keeps both
-    children populated.
+    Each split dimension renumbers one kept column (``Genotype.frozen``), and
+    the genes follow it. Every gene moves up by the number of split bins below
+    it. Members of a split bin sat on its split point; they alternate left and
+    right child in population order, which keeps both children populated.
     """
     side = {k: cycle((0, 1)) for k in split}
     return [g + bisect_left(split, g) + (next(side[g]) if g in side else 0) for g in genes]
@@ -355,21 +355,15 @@ def decode(genotype: Genotype, state: RefinementState, key: int | None = None) -
         ids=genes, key=key)
 
 
-def repair(genotype: tuple[Sequence[int], Sequence[int]], space: ConfigSpace,
-           state: RefinementState) -> Genotype:
-    """Clip, freeze and restore genes so the genotype is always executable.
+def repair(kept: Sequence[int], space: ConfigSpace, state: RefinementState) -> Genotype:
+    """Clip and freeze one full gene vector so the genotype is always executable.
 
-    ``genotype`` is any ``(genes, frozen)`` pair: a ``Genotype``, or the two
-    lists an operator built (a fresh draw passes its genes as both).
-    Out-of-range indices are clipped into the current candidate/bin counts.
-    Dimensions deactivated by their parent cache their last valid gene and
-    take the placeholder; re-activated dimensions restore the cached gene.
-    Repair is total and idempotent; the placeholder marks exactly the
-    inactive dimensions.
+    Out-of-range indices are clipped into the current candidate/bin counts;
+    the clipped vector is kept as ``frozen``. Dimensions deactivated by their
+    parent take the placeholder in ``genes``. Repair is total and idempotent
+    (``repair(g.frozen) == g``); the placeholder marks exactly the inactive
+    dimensions.
     """
-    genes, frozen = genotype
-    # a placeholder restores the cached gene; the cache holds what is kept
-    kept = [f if g == PLACEHOLDER else g for g, f in zip(genes, frozen)]
     counts = state.counts
     if min(kept, default=0) < 0 or not all(map(operator.lt, kept, counts)):
         kept = [min(max(g, 0), n - 1) for g, n in zip(kept, counts)]
@@ -384,8 +378,7 @@ def repair(genotype: tuple[Sequence[int], Sequence[int]], space: ConfigSpace,
 
 def sample_random(space: ConfigSpace, state: RefinementState, rng: np.random.Generator) -> Genotype:
     """Uniform gene per dimension over the current candidates/bins, repaired."""
-    genes = rng.integers(0, state.counts).tolist()
-    return repair((genes, genes), space, state)
+    return repair(rng.integers(0, state.counts).tolist(), space, state)
 
 
 class DedupRegistry:

@@ -21,7 +21,7 @@ GATED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["w
 # identity at benchmark scale, where refinement reaches about 2300 bins, and on
 # the WorkerPool path, which no golden pin covers.
 DIGESTS = {
-    "hdtlz7-nsga2": "510b9f9b8e0ddcc1c9d9531ed48d1797e970e1f8ea34de4f4e2604d9cf2d0b87",
+    "hdtlz7-nsga2": "0fceca4a99c2dcb091a677bed46fdc0e0755d9da1fde4902cd5a40630d84506c",
     "surrogate-phmoea": "75c275a80fbd109209b415a3df7453601224b062f2c4ed1ced6764b6fceb153a",
     "worker-pool": "68633b113ee1831d4d8547ecca67f81a0cb90cd0281bb885113945cfbc9b0372",
 }

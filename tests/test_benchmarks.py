@@ -21,7 +21,7 @@ def decoded_with(problem, z1_bin=0, z2_bin=0, gates=(), tail_bins=None):
         genes[2 * j - 4] = 1  # gate_j on
         if tail_bins and j in tail_bins:
             genes[2 * j - 3] = tail_bins[j]
-    g = repair((genes, genes), space, state)
+    g = repair(genes, space, state)
     return decode(g, state), state
 
 

@@ -194,6 +194,13 @@ class TestSearch:
         assert run_cli(["search", "--manifest", str(bad)]) == 2
         assert "manifest: expected dict" in capsys.readouterr().err
 
+    def test_manifest_without_problem_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"algorithm": "nsga2", "out_dir": str(tmp_path / "out")}))
+        assert run_cli(["search", "--manifest", str(bad)]) == 2
+        assert "manifest.problem" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_takes_an_int_for_a_float(self, tmp_path):
         doc = {"problem": "hdtlz2", "pop_size": 6, "generations": 2,
                "out_dir": str(tmp_path / "out"), "bench_gamma": 2,

@@ -14,9 +14,10 @@ from phmoea.engine import (NORM_EPS, HistoryRow, Individual, PlayerArchives,
                            partition_players, run_nsga2, run_phmoea,
                            sample_candidate, should_stop, stage_ratios)
 from phmoea.evaluators import BenchmarkEvaluator, Evaluation
-from phmoea.space import (CONTINUOUS, PLACEHOLDER, ConfigSpace, DecodedConfig,
-                          Genotype, RefinementState, VariableSpec,
-                          builtin_space, canonical_key, decode, sample_random)
+from phmoea.space import (COND_CONTINUOUS, CONTINUOUS, DISCRETE, PLACEHOLDER,
+                          ConfigSpace, DecodedConfig, Genotype, RefinementState,
+                          VariableSpec, builtin_space, canonical_key, decode,
+                          repair, sample_random)
 
 
 def individuals(points):
@@ -471,7 +472,7 @@ def engine_for(problem, pop_size=10, generations=10, params=None, seed=0,
     run = _Run(problem, pop_size, generations,
                params or SearchParams.benchmark(), seed, use_archives)
     init = run._fill_slots(pop_size, lambda: sample_random(
-        run.space, run.state, run.rng))
+        run.space, run.state, run.rng).frozen)
     run.population = run._evaluate(init)
     nd_sort_and_crowd(run.population)
     return run
@@ -530,7 +531,7 @@ def per_draw_variation_child(run, rng):
     if rng.random() >= params.crossover_prob:
         child = p1
     else:
-        genes, frozen = list(p1.genes), list(p1.frozen)
+        genes, kept = list(p1.genes), list(p1.frozen)
         for i, grid in enumerate(run.state.grids):
             g1, g2 = p1.genes[i], p2.genes[i]
             if grid is not None and g1 != PLACEHOLDER and g2 != PLACEHOLDER:
@@ -544,17 +545,17 @@ def per_draw_variation_child(run, rng):
                 c1 = 0.5 * ((1.0 + beta) * v1 + (1.0 - beta) * v2)
                 c2 = 0.5 * ((1.0 - beta) * v1 + (1.0 + beta) * v2)
                 value = min(max(c1 if rng.random() < 0.5 else c2, lo), hi)
-                genes[i] = frozen[i] = int(np.argmin(np.abs(np.array(mids) - value)))
+                genes[i] = kept[i] = int(np.argmin(np.abs(np.array(mids) - value)))
             elif rng.random() < 0.5:
-                genes[i], frozen[i] = g2, p2.frozen[i]
-        child = genes, frozen
+                genes[i], kept[i] = g2, p2.frozen[i]
+        child = genes, kept
     saved, run.rng = run.rng, rng       # mutation draws one by one already
-    genes, frozen = map(list, child)
+    genes, kept = map(list, child)
     try:
-        run._mutate(genes, frozen)
+        run._mutate(genes, kept)
     finally:
         run.rng = saved
-    return genes, frozen
+    return kept
 
 
 def per_dimension_assembled_child(run, partitions, pool, rng):
@@ -571,7 +572,7 @@ def per_dimension_assembled_child(run, partitions, pool, rng):
             if new != genes[i]:
                 genes[i] = new
                 changed += 1
-    return genes, genes
+    return genes
 
 
 class TestVariation:
@@ -580,17 +581,18 @@ class TestVariation:
         params.crossover_prob = 0.0
         params.mutation_prob = 0.0
         run = engine_for(bench_problem(n=4), params=params)
-        parents = {ind.genotype.genes for ind in run.population}
+        parents = {ind.genotype.frozen for ind in run.population}
         for _ in range(50):
-            genes, _ = run._variation_child()
-            assert tuple(genes) in parents
+            kept = run._variation_child()
+            assert tuple(kept) in parents
 
     def test_sbx_on_equal_parents_returns_them(self):
         run = engine_for(bench_problem(n=4))
         g = run.population[0].genotype
         for _ in range(30):
-            genes, frozen = run._sbx_child(g, g)
+            genes, kept = run._sbx_child(g, g)
             assert tuple(genes) == g.genes
+            assert tuple(kept) == g.frozen
 
     def test_mutation_changes_at_most_cap_dims(self):
         params = SearchParams.benchmark()
@@ -600,9 +602,9 @@ class TestVariation:
         run.max_mutated = 2
         for ind in run.population:
             for _ in range(10):
-                genes, frozen = list(ind.genotype.genes), list(ind.genotype.frozen)
-                run._mutate(genes, frozen)
-                changed = sum(1 for a, b in zip(genes, ind.genotype.genes)
+                genes, kept = list(ind.genotype.genes), list(ind.genotype.frozen)
+                run._mutate(genes, kept)
+                changed = sum(1 for a, b in zip(kept, ind.genotype.frozen)
                               if a != b)
                 assert changed <= 2
 
@@ -616,7 +618,7 @@ class TestVariation:
                       for var in run.space.variables]
         for pool in ("hot", "nh"):
             for _ in range(20):
-                genes, _ = run._assemble_child(partitions, pool)
+                genes = run._assemble_child(partitions, pool)
                 for i, part in enumerate(partitions):
                     members = part.hot if pool == "hot" else part.non_hot
                     if members:  # empty pools legitimately fall back
@@ -685,28 +687,47 @@ class TestRefinementResnap:
             state.counters[1][0] = state.persistence
             state.refine()
         assert np.diff(state.breakpoints(1))[:4].max() < 1e-18
-        genes = [2, 0, 2, 3, 2, 9]
-        frozen = [2, 2, 1, 2, 4, 0]
+        kept = [2, 0, 2, 3, 2, 9]
         run.population = []
-        for g, f in zip(genes, frozen):
-            genotype = Genotype((g,), (f,))
+        for k in kept:
+            genotype = repair([k], space, state)
             run.population.append(Individual(
                 genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
-        before = {j: state.values[0][j] for j in set(genes + frozen)}
+        before = {j: state.values[0][j] for j in kept}
         state.counters[1] = {2: state.persistence}
         run._refine([])
-        new_genes = [ind.genotype.genes[0] for ind in run.population]
-        new_frozen = [ind.genotype.frozen[0] for ind in run.population]
+        new_kept = [ind.genotype.frozen[0] for ind in run.population]
         # bin 2 split into bins 2 and 3; its members alternate left, right, left
-        assert [g for old, g in zip(genes, new_genes) if old == 2] == [2, 3, 2]
-        assert [f for old, f in zip(frozen, new_frozen) if old == 2] == [2, 3, 2]
-        for ind, old_g, g, old_f, f in zip(run.population, genes, new_genes,
-                                           frozen, new_frozen):
-            if old_g != 2:
-                assert ind.decoded.values[0] == before[old_g]
-                assert state.values[0][g] == before[old_g]
-            if old_f != 2:
-                assert state.values[0][f] == before[old_f]
+        assert [k for old, k in zip(kept, new_kept) if old == 2] == [2, 3, 2]
+        for ind, old, k in zip(run.population, kept, new_kept):
+            assert ind.genotype.genes == (k,)
+            if old != 2:
+                assert ind.decoded.values[0] == before[old]
+                assert state.values[0][k] == before[old]
+
+    def test_active_genes_follow_the_kept_column(self):
+        # An inactive member keeps a value in bin 1 and comes first, so the
+        # kept column's alternation over bin 1 differs from the active genes'.
+        # Each gene must land in its kept value's bin: repair(kept) == genotype.
+        from phmoea.engine import _Run
+        space = ConfigSpace((
+            VariableSpec(1, "gate", DISCRETE, candidates=("off", "on")),
+            VariableSpec(2, "z", COND_CONTINUOUS, bounds=(0.0, 1.0), parent=(1, ("on",))),
+        ))
+        run = _Run(SearchProblem(space=space, evaluator=None), 4, 1,
+                   SearchParams.benchmark(), 0, use_archives=True)
+        state = run.state
+        run.population = []
+        for kept in ([0, 1], [1, 1], [1, 1], [1, 4]):
+            genotype = repair(kept, space, state)
+            run.population.append(Individual(
+                genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
+        state.counters[2] = {1: state.persistence}
+        run._refine([])
+        assert [ind.genotype.frozen[1] for ind in run.population] == [1, 2, 1, 5]
+        assert [ind.genotype.genes[1] for ind in run.population] == [PLACEHOLDER, 2, 1, 5]
+        for ind in run.population:
+            assert repair(ind.genotype.frozen, space, state) == ind.genotype
 
     def test_front_mass_counts_the_occupied_bin(self):
         # Splitting the bin that holds 0.6 until refine() refuses leaves bin

@@ -31,7 +31,7 @@ def worked_decoded():
     overrides = {3: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1, 11: 1}
     for idx, gene in overrides.items():
         genes[idx - 1] = gene
-    g = repair((genes, genes), SPACE, STATE)
+    g = repair(genes, SPACE, STATE)
     return decode(g, STATE)
 
 
@@ -65,7 +65,7 @@ class TestBenchmarkEvaluator:
         state = RefinementState(space)
         evaluator = BenchmarkEvaluator(bench)
         genes = [0] * len(space)
-        g = repair((genes, genes), space, state)
+        g = repair(genes, space, state)
         ev = evaluator(decode(g, state))
         z1, z2 = state.values[0][0], state.values[1][0]
         # inactive tails sit at the neutral 0.5, so only z2 feeds the g-term
@@ -109,7 +109,7 @@ class TestSurrogate:
         state = RefinementState(SPACE)
         target_gene = ReferenceSurrogate(SPACE).target_gene
         target_genes = [target_gene[v.index] for v in SPACE.variables]
-        target = decode(repair((target_genes, target_genes), SPACE, state), state)
+        target = decode(repair(target_genes, SPACE, state), state)
         target_f1 = evaluator(target).f1
         rng = np.random.default_rng(99)
         best = min(evaluator(decode(sample_random(SPACE, state, rng), state)).f1
@@ -223,7 +223,7 @@ def configs(space, state, seed: int, n: int, **genes):
         g = list(sample_random(space, state, rng).frozen)
         for name, gene in genes.items():
             g[at[name]] = gene
-        out.append(decode(repair((g, g), space, state), state))
+        out.append(decode(repair(g, space, state), state))
     return out
 
 

@@ -19,17 +19,17 @@ from phmoea.cli import main
 
 GOLDEN = {
     ("hdtlz2", "phmoea"): (
-        "5e3091a5acbde96e08326f7700b39ecdc7023e97dc6be343a154d8877d8fb731",
-        "30af39ceb338277e656ee7c7682d72177e2d42040947461094dcd4e993393a9c"),
+        "cf94e3576e4f59a8c7d84a9880dd365eb44ccdcfd79914e59bb35bf464520cbf",
+        "5e49385a8dff49105843890d7ec49405c59ca3f2a6d0b666d416286f34703b96"),
     ("hdtlz2", "nsga2"): (
-        "993891cc59289a0998620a1e71b523bd0eb9b401f20e48646a7c5e204661c48c",
-        "1add5a24b0839e3b5da31665d28f75b1f1ddabb288f5f49bd2c3745b529bcacd"),
+        "40c4fe269d4f1188fa127b5ef50bd5ad22f31a5d2e59c169c401c6e3e3a8a8e7",
+        "087570993814e08e2bafbd7cf41611d29a653834ca3e1e39b532c27bb76d7179"),
     ("hdtlz7", "phmoea"): (
-        "1b348d81f7fe3763f2dbeb5f62a1d7bf074f80217e90457df4c862243aa5876d",
-        "2fa9949dbe96554ffe67065289bcdde9f45438a4cbe2d5873c0eb106ce3c263c"),
+        "d2075b2ecfb3aef55e18b269ef414d9b6338986e6a1160afdc6df5a8710cda8d",
+        "161aacf7ea1e40172e753764cc0ed2af4c7db7ab3d51ad4b7240bc0833f7b836"),
     ("hdtlz7", "nsga2"): (
-        "384e534bd874839693e42a9630a7cd2b88bedc7b7613391e2c6da8ae5817dee3",
-        "6839857c198df9c90cb12f978e6fe4418f41916f57c397aa8f980fb004c8867d"),
+        "8145dbe36c3475ab6ccf0ee56ec94f8034c59e9639782789acbc25e81f7595ba",
+        "7552a91c23220ebc064f2f0357ad63672e9f749dfaf5861932ba737688cde8a4"),
     ("surrogate", "phmoea"): (
         "1259cd4bb013944e4ec145d8cf415c1aa7d93cdae82feefc9efc173426b95e81",
         "18d2d65df948bc76b2c2aa3f24526595d3024e866a7b64853b09d0e686469fc6"),
@@ -37,17 +37,17 @@ GOLDEN = {
 
 GOLDEN_CONFIGS = {
     ("hdtlz2", "phmoea"): (
-        "34a17e4ea85bb110998007a06a012228926640dcb023a32e3884cc0dc95f3660",
-        "d42db88fa42154e2c0e1cc0da187e87b80b480ce1f7d0f58ee7219558b71f99e"),
+        "96e04b7b4784d9e1dcc2c61222b140da55d6731309b932faaddb22ac738928dc",
+        "f8ea2af90246b5b94de54578ecbff6ae8152f429bd291164c4ba7a50b9b91cfe"),
     ("hdtlz2", "nsga2"): (
-        "1ed292b32c9926303854701a47c15369f2f521c9b122bfb40a8771e57630c223",
-        "ff376cb7de6244ebbff5a1575f67670b449c006b9c532d66028a85662dbf1f4f"),
+        "8b6c670de29b702ab534ac4bf0a46a15860e02aef2794c60594c8ceb77fb6924",
+        "304310426d8c7b456613fc6d468058c644672a7fa85f072e18c2c7a0f8a30ffc"),
     ("hdtlz7", "phmoea"): (
-        "6668f4b61b5c92a119620e7344235c2c544b5652196c599c97fcb01c93cbf8a1",
-        "4c321aa14cb8fb638c62fe60890f7f9793cfaf0c4b8a76803c9b6592b1eb2802"),
+        "39c25c42d04a6327138ff3f8a4eada922af02e175b4510c487d921b63d641cb3",
+        "1a918144622da97d1bffdff4fdb11476a853f34755d244c9200d536d4b11d70d"),
     ("hdtlz7", "nsga2"): (
-        "634351c82799c2fa9d3c97fec7291bb5eaadf59e09b0eb6dd5ded28026f66027",
-        "b7a5881bc0591f44971b3e8d0dfeeb7ba00eb4a457313379938c5e06988f2780"),
+        "0869e25ba9bdc5be562009647a789d1d77c95d61bdc64cb770de104ba0194950",
+        "8970970604e850d82a945840e452c369115303dac9330312010b58dfb5b0d209"),
     ("surrogate", "phmoea"): (
         "430b178ce01d24602a688e99824c0f9791979230181f025b2ba6cdc2a05b9464",
         "90894af49d37cae74682c554b87789d99d5d68ca69a4a98f9d071d5eec7f1e47"),
@@ -55,11 +55,11 @@ GOLDEN_CONFIGS = {
 
 GOLDEN_AT_SCALE = {
     ("hdtlz7", "nsga2"): (
-        "4c2568bc276cefbfcabbdfc58725fa07d9ceb044ffb96dfd98c3d63d9407e565",
-        "e18bed5d54ac92eaaacc38abf562968ad3b1d4616717e9fb70d5d661f11e7a19"),
+        "aa21bd0d29190ae2d01618014e25ecf8dcaed82071db7c38a23e2018b4f44dd0",
+        "b4f71cf5358a3301b7a955003a45ba26c2d2a9da0f26c142ef009d433279d565"),
     ("hdtlz2", "phmoea"): (
-        "ca3da88bb59a4ff46fd3b8d9f6e3a10ee7a9e74c7ec3c2580ede959ee817d467",
-        "b63215259ce17cb19fd7b27fb3675d62ed1aa504aca8dd253c0087114910364c"),
+        "1edd1cfa6c7b2b203722210ca1833f7c11aec4a1af1c29d7720edbdb6213300f",
+        "8849f080795b27dcf6c968029f73a30fbbd8c58991b8ff0c5ab524b09773e87a"),
     ("surrogate", "phmoea"): (
         "7a69159cacdfac361a5a4ce9b3a50c3669cfdc95ea4a1bf28e3ab6c3da1db0ee",
         "0e46ca86ba2b8712bcd1f5700abca8a723cf812d5a769978fb037b6cd5bd434f"),

@@ -27,7 +27,7 @@ def decoded_from(**overrides):
     for name, value in overrides.items():
         var = next(v for v in SPACE.variables if v.name == name)
         genes[var.index - 1] = var.candidates.index(value)
-    g = repair((genes, genes), SPACE, STATE)
+    g = repair(genes, SPACE, STATE)
     return decode(g, STATE).as_dict(SPACE)
 
 

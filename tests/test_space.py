@@ -145,7 +145,7 @@ def genotype_with(space, state, **overrides):
     for name, value in overrides.items():
         var = next(v for v in space.variables if v.name == name)
         genes[var.index - 1] = var.candidates.index(value)
-    return repair((genes, genes), space, state)
+    return repair(genes, space, state)
 
 
 class TestDecode:
@@ -165,9 +165,9 @@ class TestDecode:
     def test_inactive_gene_does_not_leak(self, space):
         state = make_state(space)
         g1 = genotype_with(space, state, resample_op="linear")
-        genes = list(g1.genes)
-        genes[1] = 2  # perturb the masked pool type
-        g2 = repair(Genotype(genes=tuple(genes), frozen=g1.frozen), space, state)
+        kept = list(g1.frozen)
+        kept[1] = 2  # perturb the masked pool type
+        g2 = repair(kept, space, state)
         assert decode(g1, state) == decode(g2, state)
 
     def test_continuous_values_decode_to_representatives(self, space):
@@ -193,10 +193,9 @@ def chain_space():
     ))
 
 
-def clip_then_gate_repair(genotype, space, state):
-    """Repair as restore-and-clip every gene, then mask by ``activity``: the reference."""
-    kept = [min(max(f if g == PLACEHOLDER else g, 0), n - 1)
-            for g, f, n in zip(genotype.genes, genotype.frozen, state.counts)]
+def clip_then_gate_repair(kept, space, state):
+    """Repair as clip every gene, then mask by ``activity``: the reference."""
+    kept = [min(max(g, 0), n - 1) for g, n in zip(kept, state.counts)]
     mask = activity(kept, space)
     return Genotype(genes=tuple(g if on else PLACEHOLDER for g, on in zip(kept, mask)),
                     frozen=tuple(kept))
@@ -207,23 +206,24 @@ class TestRepair:
         state = make_state(space)
         genes = [0] * 24
         genes[12] = 8   # dropout has 6 bins
-        g = repair((genes, genes), space, state)
+        g = repair(genes, space, state)
         assert g.genes[12] == 5
+        assert g.frozen[12] == 5
 
     def test_freeze_and_restore(self, space):
         state = make_state(space)
         g = genotype_with(space, state, resample_op="pool", pool_type="median")
         assert g.genes[1] == 2
-        # deactivate: the value is cached and the gene becomes a placeholder
-        genes = list(g.genes)
-        genes[0] = 0  # linear
-        g = repair(Genotype(tuple(genes), g.frozen), space, state)
+        # deactivate: the value is kept and the gene becomes a placeholder
+        kept = list(g.frozen)
+        kept[0] = 0  # linear
+        g = repair(kept, space, state)
         assert g.genes[1] == PLACEHOLDER
         assert g.frozen[1] == 2
-        # reactivate: the cached value comes back
-        genes = list(g.genes)
-        genes[0] = 3  # pool again
-        g = repair(Genotype(tuple(genes), g.frozen), space, state)
+        # reactivate: the kept value comes back
+        kept = list(g.frozen)
+        kept[0] = 3  # pool again
+        g = repair(kept, space, state)
         assert g.genes[1] == 2
 
     def test_idempotent(self, space):
@@ -231,42 +231,42 @@ class TestRepair:
         rng = np.random.default_rng(7)
         for _ in range(50):
             genes = [int(rng.integers(0, 12)) for _ in range(24)]
-            raw = (genes, genes)
-            once = repair(raw, space, state)
-            assert repair(once, space, state) == once
+            once = repair(genes, space, state)
+            assert repair(once.frozen, space, state) == once
 
     def test_restored_parent_reactivates_its_children(self):
         space = chain_space()
         state = make_state(space)
-        g = repair(Genotype((1, PLACEHOLDER, PLACEHOLDER), (1, 1, 1)), space, state)
+        g = repair((0, 1, 1), space, state)
+        assert g == Genotype((0, PLACEHOLDER, PLACEHOLDER), (0, 1, 1))
+        g = repair((1,) + g.frozen[1:], space, state)
         assert g.genes == (1, 1, 1)
-        assert repair(g, space, state) == g
+        assert repair(g.frozen, space, state) == g
         assert decode(g, state).ids == g.genes
 
     @pytest.mark.parametrize("make_space", [builtin_space, chain_space])
     def test_decode_reads_activity_from_repair(self, make_space):
-        # raw genes include out-of-range indices, negative ones and
-        # placeholders on dimensions that repair finds active
+        # raw kept vectors include out-of-range indices, negative ones and
+        # placeholders
         space = make_space()
         state = make_state(space)
         rng = np.random.default_rng(29)
         for _ in range(300):
-            raw = Genotype(tuple(int(g) for g in rng.integers(-3, 12, len(space))),
-                           tuple(int(f) for f in rng.integers(-2, 12, len(space))))
+            raw = [int(g) for g in rng.integers(-3, 12, len(space))]
             g = repair(raw, space, state)
             decoded = decode(g, state)
             assert decoded.active == activity(g.genes, space)
             assert decoded.ids == g.genes
             assert g == clip_then_gate_repair(raw, space, state)
-        # in range, with placeholders whose cached genes are restored
+            assert repair(g.frozen, space, state) == g
+        # in range: the vector is kept as it is, and only the gate masks it
         for _ in range(300):
-            frozen = tuple(rng.integers(0, state.counts).tolist())
-            genes = tuple(PLACEHOLDER if rng.random() < 0.4 else int(rng.integers(n))
-                          for n in state.counts)
-            raw = Genotype(genes, frozen)
+            raw = tuple(rng.integers(0, state.counts).tolist())
             g = repair(raw, space, state)
+            assert g.frozen == raw
             assert g == clip_then_gate_repair(raw, space, state)
             assert decode(g, state).active == activity(g.genes, space)
+            assert repair(g.frozen, space, state) == g
 
     def test_decoded_continuous_within_bounds(self, space):
         state = make_state(space)
@@ -305,11 +305,11 @@ class TestCanonicalKey:
         for _ in range(100):
             g = sample_random(space, state, rng)
             decoded = decode(g, state)
-            genes = list(g.genes)
+            kept = list(g.frozen)
             inactive = [i for i, on in enumerate(decoded.active) if not on]
             for i in inactive:
-                genes[i] = int(rng.integers(0, 2))
-            other = decode(repair(Genotype(tuple(genes), g.frozen), space, state), state)
+                kept[i] = int(rng.integers(0, 2))
+            other = decode(repair(kept, space, state), state)
             assert canonical_key(other.ids) == canonical_key(decoded.ids)
 
     def test_active_change_changes_key(self, space):
@@ -398,7 +398,7 @@ def front_of(space, state, values, dim=13):
     for v in values:
         genes = [0] * len(space)
         genes[dim - 1] = nearest_index(state.grids[dim - 1][2], v)
-        out.append(repair((genes, genes), space, state).genes)
+        out.append(repair(genes, space, state).genes)
     return out
 
 
@@ -529,10 +529,10 @@ class TestRefinement:
         lo, hi, mids = state.grids[1]
         assert (lo, hi, len(mids)) == (0.0, 1.0, n)
         # a gene in a new bin, out of range before the splits, now survives
-        g = repair(Genotype((1, n - 1, 1), (1, n - 1, 1)), space, state)
+        g = repair((1, n - 1, 1), space, state)
         assert g.genes == (1, n - 1, 1)
         assert decode(g, state).values[1] == state.values[1][n - 1]
-        assert repair(Genotype((1, n + 3, 1), (0, 0, 0)), space, state).genes[1] == n - 1
+        assert repair((1, n + 3, 1), space, state).genes[1] == n - 1
         rng = np.random.default_rng(0)
         drawn = {sample_random(space, state, rng).frozen[1] for _ in range(400)}
         assert drawn == set(range(n))
