@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import nondominated_mask
-from .space import (COND_CONTINUOUS, CONTINUOUS, DISCRETE, ConfigSpace,
-                    DecodedConfig, VariableSpec)
+from .space import CONTINUOUS, DISCRETE, ConfigSpace, DecodedConfig, VariableSpec
 
 HDTLZ2 = "hdtlz2"
 HDTLZ7 = "hdtlz7"
@@ -43,16 +42,12 @@ def benchmark_space(n: int) -> ConfigSpace:
     """
     if n < 3:
         raise ValueError("need at least 3 continuous variables")
-    variables = [
-        VariableSpec(1, "z1", CONTINUOUS, bounds=(0.0, 1.0)),
-        VariableSpec(2, "z2", CONTINUOUS, bounds=(0.0, 1.0)),
-    ]
-    idx = 3
+    variables = [VariableSpec("z1", CONTINUOUS, bounds=(0.0, 1.0)),
+                 VariableSpec("z2", CONTINUOUS, bounds=(0.0, 1.0))]
     for j in range(3, n + 1):
-        variables.append(VariableSpec(idx, f"gate{j}", DISCRETE, candidates=("off", "on")))
-        variables.append(VariableSpec(idx + 1, f"z{j}", COND_CONTINUOUS,
-                                      bounds=(0.0, 1.0), parent=(idx, ("on",))))
-        idx += 2
+        variables.append(VariableSpec(f"gate{j}", DISCRETE, candidates=("off", "on")))
+        variables.append(VariableSpec(f"z{j}", CONTINUOUS, bounds=(0.0, 1.0),
+                                      parent=(f"gate{j}", ("on",))))
     return ConfigSpace(variables=tuple(variables))
 
 

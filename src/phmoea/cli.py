@@ -282,7 +282,7 @@ def cmd_count_params(config_path: str, targets: int, input_width: int) -> int:
     space = builtin_space()
     if not isinstance(doc, dict):
         raise ValueError(f"{config_path}: expected a JSON object of variable values")
-    unknown = set(doc) - {var.name for var in space.variables}
+    unknown = set(doc) - space.positions.keys()
     if unknown:
         raise ValueError(f"unknown variables: {sorted(unknown)}")
     config = {}     # an omitted variable takes its first candidate or initial bin

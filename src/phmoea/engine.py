@@ -272,7 +272,7 @@ class PlayerArchives:
     """Cumulative heat and occurrence count per (dimension, candidate).
 
     ``heat[pos]`` and ``count[pos]`` are arrays over the candidates or bins
-    of dimension ``pos + 1``; ``sizes`` gives their initial lengths.
+    of the dimension at ``pos``; ``sizes`` gives their initial lengths.
     """
 
     def __init__(self, sizes: list[int]):
@@ -291,14 +291,13 @@ class PlayerArchives:
             np.add.at(self.heat[pos], column[on], weights[on])
             np.add.at(self.count[pos], column[on], 1)
 
-    def split_bin(self, dim: int, split: np.ndarray) -> None:
-        """Split the old bins ``split`` (sorted) of ``dim`` after a refinement.
+    def split_bin(self, pos: int, split: np.ndarray) -> None:
+        """Split the old bins ``split`` (sorted) of ``pos`` after a refinement.
 
         A split bin's heat is halved onto both children; its left child keeps
         ``c // 2`` of the count and the right child, inserted after it, the
         rest.
         """
-        pos = dim - 1
         heat, count = self.heat[pos], self.count[pos]
         heat[split] /= 2.0
         right = count[split] - count[split] // 2
@@ -321,7 +320,7 @@ class Partition:
     cdf: list[float]
 
 
-def partition_players(archives: PlayerArchives, dim: int, hot_fraction: float,
+def partition_players(archives: PlayerArchives, pos: int, hot_fraction: float,
                       cold_fraction: float, cold_bonus: float) -> Partition:
     """Split a dimension's candidates into hot and non-hot pools.
 
@@ -329,7 +328,7 @@ def partition_players(archives: PlayerArchives, dim: int, hot_fraction: float,
     the bottom by count, is weighted by ``cold_bonus``. Ties always break
     toward the lower candidate index.
     """
-    heat, count = archives.heat[dim - 1], archives.count[dim - 1]
+    heat, count = archives.heat[pos], archives.count[pos]
     n = len(heat)
     n_hot, n_cold = math.ceil(hot_fraction * n), math.ceil(cold_fraction * n)
     by_heat = np.argsort(-heat, kind="stable")
@@ -437,9 +436,8 @@ class _Run:
         self.reference: tuple[float, float] | None = None
         self.stop_hv: list[float] = []
         self.dims = len(self.space)
-        self.continuous = [v.index - 1 for v in self.space.variables if v.is_continuous]
+        self.continuous = self.space.continuous_indices()
         self.max_mutated = min(params.max_mutated, self.dims)
-        self.evaluated_keys: list[int] = []
         self.skipped_errors = 0
         self.history: list[HistoryRow] = []
         self.population: list[Individual] = []
@@ -461,7 +459,6 @@ class _Run:
             evaluations = [evaluate_safely(evaluator, dec) for dec in decoded]
         out = []
         for (genotype, dec), ev in zip(batch, evaluations):
-            self.evaluated_keys.append(dec.key)
             if isinstance(ev, Evaluation) and ev.ok and \
                     math.isfinite(ev.f1) and math.isfinite(ev.f2):
                 out.append(Individual(genotype=genotype, decoded=dec,
@@ -608,9 +605,9 @@ class _Run:
         params, pop = self.params, self.population
         self.archives.update([ind.genotype.genes for ind in pop],
                              archive_weights(pop, phi, params))
-        parts = [partition_players(self.archives, var.index, params.hot_fraction,
+        parts = [partition_players(self.archives, pos, params.hot_fraction,
                                    params.cold_fraction, params.cold_bonus)
-                 for var in self.space.variables]
+                 for pos in range(self.dims)]
         r_par, r_hot, _ = stage_ratios(phi, params)
         n_par = math.floor(r_par * n + 1e-9)
         n_hot = math.floor(r_hot * n + 1e-9)
@@ -631,13 +628,13 @@ class _Run:
         # continuous dimension is a parent, so the placeholders stay where they are
         genes = list(zip(*(ind.genotype.genes for ind in self.population)))
         kept = list(zip(*(ind.genotype.frozen for ind in self.population)))
-        for dim, group in groupby(splits, key=lambda s: s[0]):   # refine sorts by dim
+        for pos, group in groupby(splits, key=lambda s: s[0]):   # refine sorts by pos
             split = [k for _, k in group]
             if self.use_archives:
-                self.archives.split_bin(dim, np.array(split))
-            kept[dim - 1] = split_renumbering(kept[dim - 1], split)
-            genes[dim - 1] = [PLACEHOLDER if g == PLACEHOLDER else k
-                              for g, k in zip(genes[dim - 1], kept[dim - 1])]
+                self.archives.split_bin(pos, np.array(split))
+            kept[pos] = split_renumbering(kept[pos], split)
+            genes[pos] = [PLACEHOLDER if g == PLACEHOLDER else k
+                          for g, k in zip(genes[pos], kept[pos])]
         for ind, g, k in zip(self.population, zip(*genes), zip(*kept)):
             ind.genotype = Genotype(genes=g, frozen=k)
 
@@ -655,7 +652,7 @@ class _Run:
         if self.problem.reference_front is not None:
             igd_value = metrics.igd(pts, self.problem.reference_front)
         self.history.append(HistoryRow(
-            gen=gen, fes=len(self.evaluated_keys),
+            gen=gen, fes=len(self.registry.keys),
             mean_f1=sum(ind.f1 for ind in front) / len(front),
             mean_f2=sum(ind.f2 for ind in front) / len(front),
             hv=hv_value, igd=igd_value))
@@ -668,9 +665,13 @@ class _Run:
                                 lambda: sample_random(self.space, self.state, self.rng).frozen)
         self.population = self._evaluate(init)
         if len(self.population) < 2:
-            raise RuntimeError("initial population collapsed; evaluator keeps failing")
-        self.reference = (1.1 * max(ind.f1 for ind in self.population),
-                          1.1 * max(ind.f2 for ind in self.population))
+            raise RuntimeError(f"initial population collapsed: {len(init)} of {self.pop_size} "
+                               f"slots admitted a candidate and {self.skipped_errors} "
+                               f"evaluations failed")
+        # strictly beyond the initial worst point: 1.1 × a positive worst value,
+        # else the worst value plus a tenth of max(|worst|, 1)
+        worst = (max(ind.f1 for ind in self.population), max(ind.f2 for ind in self.population))
+        self.reference = tuple(1.1 * w if w > 0 else w + 0.1 * max(-w, 1.0) for w in worst)
         nd_sort_and_crowd(self.population)
         front = self._record(gen=1)
 
@@ -688,11 +689,11 @@ class _Run:
             front = self._record(gen=gen)
 
         pareto = sorted(front, key=lambda ind: (ind.f1, ind.f2, ind.key))
-        assert len(set(self.evaluated_keys)) == len(self.evaluated_keys), \
-            "duplicate candidate admitted to evaluation"
+        keys = self.registry.keys
+        assert len(set(keys)) == len(keys), "duplicate candidate admitted to evaluation"
         return RunResult(pareto=pareto, population=self.population,
                          history=self.history, stopped_early=stopped_early,
-                         evaluated_keys=self.evaluated_keys,
+                         evaluated_keys=keys,
                          skipped_errors=self.skipped_errors)
 
 

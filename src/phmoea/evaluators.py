@@ -139,9 +139,9 @@ class SurrogateEvaluator:
                 offsets = rng.uniform(0.15, 0.6, size=m)
                 offsets[gene] = 0.0
                 self._terms.append(offsets.tolist())
-        at = {var.name: pos for pos, var in enumerate(space.variables)}
+        at = space.positions
         for name in REQUIRED:
-            if name not in at or space.variables[at[name]].parent is not None:
+            if name not in at or space.variables[at[name]].is_conditional:
                 raise ValueError(f"{name}: build_graph needs it active in every configuration")
         for name in ("short_kernels", "long_kernels"):
             for c in space.variables[at[name]].candidates:

@@ -34,41 +34,35 @@ PLACEHOLDER = -1
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
-COND_DISCRETE = "conditional-discrete"
-COND_CONTINUOUS = "conditional-continuous"
-
-_DISCRETE_KINDS = (DISCRETE, COND_DISCRETE)
-_CONTINUOUS_KINDS = (CONTINUOUS, COND_CONTINUOUS)
 
 
 @dataclass(frozen=True)
 class VariableSpec:
     """One dimension of the configuration space.
 
-    ``index`` is the 1-based dimension id. Discrete variables enumerate
-    ``candidates``; continuous ones carry ``bounds`` plus a ``scale`` flag.
-    Conditional variables hold ``parent = (parent_index, activating_values)``
-    and are active only when the parent decodes to one of those values.
+    Discrete variables enumerate ``candidates``; continuous ones carry
+    ``bounds`` plus a ``scale`` flag. Conditional variables hold
+    ``parent = (parent_name, activating_values)`` and are active only when the
+    parent decodes to one of those values.
     """
 
-    index: int
     name: str
     kind: str
     candidates: tuple = ()
     bounds: tuple[float, float] | None = None
     scale: str = "linear"
-    parent: tuple[int, tuple] | None = None
+    parent: tuple[str, tuple] | None = None
 
     @property
     def is_continuous(self) -> bool:
-        return self.kind in _CONTINUOUS_KINDS
+        return self.kind == CONTINUOUS
 
     @property
     def is_conditional(self) -> bool:
         return self.parent is not None
 
     def validate(self) -> None:
-        if self.kind not in _DISCRETE_KINDS + _CONTINUOUS_KINDS:
+        if self.kind not in (DISCRETE, CONTINUOUS):
             raise ValueError(f"{self.name}: unknown kind {self.kind!r}")
         if self.is_continuous:
             if self.bounds is None:
@@ -85,32 +79,31 @@ class VariableSpec:
                 raise ValueError(f"{self.name}: candidate list is empty")
             if len(set(self.candidates)) != len(self.candidates):
                 raise ValueError(f"{self.name}: duplicate candidates")
-        conditional = self.kind in (COND_DISCRETE, COND_CONTINUOUS)
-        if conditional != self.is_conditional:
-            raise ValueError(f"{self.name}: conditional kind and parent must agree")
 
 
 @dataclass(frozen=True)
 class ConfigSpace:
-    """Ordered, validated collection of variables."""
+    """Ordered, validated collection of variables.
+
+    A variable's position in ``variables`` is its dimension id everywhere:
+    gene vectors, refinement tables and player archives are indexed by it.
+    """
 
     variables: tuple[VariableSpec, ...]
 
     def __post_init__(self):
-        by_index = {}
         for pos, var in enumerate(self.variables):
             var.validate()
-            if var.index != pos + 1:
-                raise ValueError(f"{var.name}: index {var.index} out of order")
-            by_index[var.index] = var
-        for var in self.variables:
+            if self.positions[var.name] != pos:
+                raise ValueError(f"{var.name}: duplicate variable name")
             if var.parent is None:
                 continue
-            pidx, values = var.parent
-            if pidx >= var.index:
-                raise ValueError(f"{var.name}: parent must be earlier-indexed")
-            parent = by_index.get(pidx)
-            if parent is None or parent.kind not in _DISCRETE_KINDS:
+            pname, values = var.parent
+            ppos = self.positions.get(pname, pos)
+            if ppos >= pos:
+                raise ValueError(f"{var.name}: parent {pname!r} must be an earlier variable")
+            parent = self.variables[ppos]
+            if parent.is_continuous:
                 raise ValueError(f"{var.name}: parent must be a discrete dimension")
             for v in values:
                 if v not in parent.candidates:
@@ -119,12 +112,14 @@ class ConfigSpace:
     def __len__(self) -> int:
         return len(self.variables)
 
-    def variable(self, index: int) -> VariableSpec:
-        """Look up a variable by its 1-based dimension id."""
-        return self.variables[index - 1]
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Variable name -> position."""
+        return {var.name: pos for pos, var in enumerate(self.variables)}
 
     def continuous_indices(self) -> tuple[int, ...]:
-        return tuple(v.index for v in self.variables if v.is_continuous)
+        """Positions of the continuous variables."""
+        return tuple(pos for pos, v in enumerate(self.variables) if v.is_continuous)
 
     @cached_property
     def gates(self) -> tuple[tuple[int, int, tuple[bool, ...]], ...]:
@@ -133,9 +128,10 @@ class ConfigSpace:
         out = []
         for pos, var in enumerate(self.variables):
             if var.parent is not None:
-                pidx, values = var.parent
-                out.append((pos, pidx - 1,
-                            tuple(c in values for c in self.variable(pidx).candidates)))
+                pname, values = var.parent
+                ppos = self.positions[pname]
+                out.append((pos, ppos,
+                            tuple(c in values for c in self.variables[ppos].candidates)))
         return tuple(out)
 
 
@@ -161,7 +157,8 @@ def canonical_key(genes: Sequence[int]) -> int:
     The serialization is the ordered (dimension, gene) sequence over active
     dimensions (little-endian int16/int32 pairs), so genotypes that differ
     only in masked dimensions collide by construction and everything else
-    separates with overwhelming probability.
+    separates with overwhelming probability. Dimensions are numbered from 1
+    here, not by position: this is the hash format of ``pareto_front.csv``.
     """
     payload = b"".join([_pack_pair(d, g) for d, g in enumerate(genes, 1)
                         if g != PLACEHOLDER])
@@ -235,7 +232,7 @@ class RefinementState:
     Tables by 0-based position, edited in place when a partition changes:
     ``counts`` (candidates or bins), ``values`` (candidates, or representatives
     in raw units) and ``grids`` (scale-space ``(lo, hi, midpoints)``, None if
-    discrete). ``counters[index]`` maps a bin to its nonzero counter.
+    discrete). ``counters[pos]`` maps a bin to its nonzero counter.
     """
 
     def __init__(self, space: ConfigSpace, initial_bins: int = 6,
@@ -249,26 +246,25 @@ class RefinementState:
         # breakpoints are in scale space; endpoints pin the range
         self._pts: dict[int, list[float]] = {}
         self.counters: dict[int, dict[int, int]] = {}
-        for idx in space.continuous_indices():
-            var, pos = space.variable(idx), idx - 1
+        for pos in space.continuous_indices():
+            var = space.variables[pos]
             a, b = var.bounds
             pts = np.linspace(_to_scale(a, var.scale), _to_scale(b, var.scale),
                               initial_bins + 1)
             mids = 0.5 * (pts[:-1] + pts[1:])
-            self._pts[idx] = pts.tolist()
+            self._pts[pos] = pts.tolist()
             grid = mids.tolist()
             self.counts[pos] = initial_bins
             self.values[pos] = grid if var.scale == "linear" else np.exp(mids).tolist()
             self.grids[pos] = (float(pts[0]), float(pts[-1]), grid)
-            self.counters[idx] = {}
+            self.counters[pos] = {}
 
-    def breakpoints(self, index: int) -> np.ndarray:
+    def breakpoints(self, pos: int) -> np.ndarray:
         """Breakpoints of a dimension in its raw units."""
-        var = self.space.variable(index)
-        return _from_scale(np.array(self._pts[index]), var.scale)
+        return _from_scale(np.array(self._pts[pos]), self.space.variables[pos].scale)
 
-    def bin_count(self, index: int) -> int:
-        return len(self._pts[index]) - 1
+    def bin_count(self, pos: int) -> int:
+        return len(self._pts[pos]) - 1
 
     def update(self, front: list[tuple[int, ...]]) -> None:
         """Accumulate the bin masses of a non-dominated front's repaired genes.
@@ -280,25 +276,25 @@ class RefinementState:
             return
         columns = list(zip(*front))
         size, threshold = len(front), self.mass_threshold
-        self.counters = {idx: {k: counters.get(k, 0) + 1
-                               for k, h in Counter(columns[idx - 1]).items()
+        self.counters = {pos: {k: counters.get(k, 0) + 1
+                               for k, h in Counter(columns[pos]).items()
                                if h / size > threshold and k != PLACEHOLDER}
-                         for idx, counters in self.counters.items()}
+                         for pos, counters in self.counters.items()}
 
     def refine(self) -> list[tuple[int, int]]:
         """Split every interval whose counter reached the persistence bar.
 
-        Returns the (dimension, interval) pairs that were split, in order.
+        Returns the (position, interval) pairs that were split, in order.
         Intervals too narrow for a representable midpoint are left alone.
         Every triggered counter resets; the others move with their bin.
         """
         splits = []
-        for idx in sorted(self._pts):
-            counters = self.counters[idx]
+        for pos in sorted(self._pts):
+            counters = self.counters[pos]
             triggered = {k for k, c in counters.items() if c >= self.persistence}
             if not triggered:
                 continue
-            pts, pos = self._pts[idx], idx - 1
+            pts = self._pts[pos]
             split = sorted(k for k in triggered
                            if pts[k] < 0.5 * (pts[k] + pts[k + 1]) < pts[k + 1])
             mids, values = self.grids[pos][2], self.values[pos]
@@ -311,9 +307,9 @@ class RefinementState:
                 if values is not mids:      # log scale: representatives in raw units
                     values[k:k + 1] = np.exp([left, right]).tolist()
             self.counts[pos] = len(mids)
-            self.counters[idx] = {k + bisect_left(split, k): c for k, c in counters.items()
+            self.counters[pos] = {k + bisect_left(split, k): c for k, c in counters.items()
                                   if k not in triggered}
-            splits += [(idx, k) for k in split]
+            splits += [(pos, k) for k in split]
         return splits
 
 
@@ -331,7 +327,7 @@ def split_renumbering(genes: Sequence[int], split: list[int]) -> list[int]:
 
 
 def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:
-    """Activity bit per dimension, resolved in dependency (index) order."""
+    """Activity bit per dimension, resolved in dependency (position) order."""
     active = [True] * len(space)
     for pos, ppos, activates in space.gates:
         g = genes[ppos]
@@ -367,7 +363,7 @@ def repair(kept: Sequence[int], space: ConfigSpace, state: RefinementState) -> G
     counts = state.counts
     if min(kept, default=0) < 0 or not all(map(operator.lt, kept, counts)):
         kept = [min(max(g, 0), n - 1) for g, n in zip(kept, counts)]
-    # gates run in index order, so a parent's placeholder is already set
+    # gates run in position order, so a parent's placeholder is already set
     genes = list(kept)
     for pos, ppos, activates in space.gates:
         g = genes[ppos]
@@ -382,16 +378,18 @@ def sample_random(space: ConfigSpace, state: RefinementState, rng: np.random.Gen
 
 
 class DedupRegistry:
-    """Run-scoped set of canonical keys admitted to evaluation."""
+    """Run-scoped canonical keys admitted to evaluation, in admit order."""
 
     def __init__(self):
+        self.keys: list[int] = []
         self._seen: set[int] = set()
 
     def admit(self, key: int) -> bool:
-        """True and remember the key if unseen; False for a duplicate."""
+        """True and record the key if unseen; False for a duplicate."""
         if key in self._seen:
             return False
         self._seen.add(key)
+        self.keys.append(key)
         return True
 
 
@@ -414,41 +412,38 @@ FUSION_OPS = ("concat", "add", "weighting", "gating", "attention", "cross_mappin
 def builtin_space() -> ConfigSpace:
     """The embedded 24-variable auto-configuration space."""
     v = [
-        VariableSpec(1, "resample_op", DISCRETE, candidates=OPERATORS),
-        VariableSpec(2, "pool_type", COND_DISCRETE, candidates=POOL_TYPES,
-                     parent=(1, ("pool",))),
-        VariableSpec(3, "aligned_length", DISCRETE, candidates=(8, 12, 24, 36, 48)),
-        VariableSpec(4, "batch_size", DISCRETE, candidates=(16, 32, 64, 128)),
-        VariableSpec(5, "norm_layer", DISCRETE, candidates=NORM_LAYERS),
-        VariableSpec(6, "proj_channels", DISCRETE, candidates=(8, 16, 32, 64)),
-        VariableSpec(7, "conv1_channels", DISCRETE, candidates=(8, 16, 32, 64)),
-        VariableSpec(8, "conv2_channels", DISCRETE, candidates=(16, 32, 64, 128)),
-        VariableSpec(9, "conv3_channels", DISCRETE, candidates=(32, 64, 128, 256)),
-        VariableSpec(10, "short_kernels", DISCRETE,
+        VariableSpec("resample_op", DISCRETE, candidates=OPERATORS),
+        VariableSpec("pool_type", DISCRETE, candidates=POOL_TYPES,
+                     parent=("resample_op", ("pool",))),
+        VariableSpec("aligned_length", DISCRETE, candidates=(8, 12, 24, 36, 48)),
+        VariableSpec("batch_size", DISCRETE, candidates=(16, 32, 64, 128)),
+        VariableSpec("norm_layer", DISCRETE, candidates=NORM_LAYERS),
+        VariableSpec("proj_channels", DISCRETE, candidates=(8, 16, 32, 64)),
+        VariableSpec("conv1_channels", DISCRETE, candidates=(8, 16, 32, 64)),
+        VariableSpec("conv2_channels", DISCRETE, candidates=(16, 32, 64, 128)),
+        VariableSpec("conv3_channels", DISCRETE, candidates=(32, 64, 128, 256)),
+        VariableSpec("short_kernels", DISCRETE,
                      candidates=((3, 3, 3), (3, 5, 7), (3, 5, 9), (5, 7, 11))),
-        VariableSpec(11, "long_kernels", DISCRETE,
+        VariableSpec("long_kernels", DISCRETE,
                      candidates=((7, 9, 11), (9, 11, 13), (11, 13, 15))),
-        VariableSpec(12, "activation", DISCRETE, candidates=ACTIVATIONS),
-        VariableSpec(13, "dropout", CONTINUOUS, bounds=(0.0, 0.5)),
-        VariableSpec(14, "learning_rate", CONTINUOUS, bounds=(1e-5, 1e-2), scale="log"),
-        VariableSpec(15, "weight_decay", CONTINUOUS, bounds=(1e-6, 1e-2), scale="log"),
-        VariableSpec(16, "lr_schedule", DISCRETE, candidates=("on", "off")),
-        VariableSpec(17, "scheduler_type", COND_DISCRETE,
-                     candidates=("plateau", "warmup_cosine"), parent=(16, ("on",))),
-        VariableSpec(18, "loss_type", DISCRETE, candidates=LOSS_KINDS),
-        VariableSpec(19, "loss_pair", COND_DISCRETE, candidates=LOSS_PAIRS,
-                     parent=(18, ("Combined", "AdaptiveCombined"))),
-        VariableSpec(20, "loss_weights", COND_DISCRETE,
-                     candidates=((0.9, 0.1), (0.7, 0.3), (0.5, 0.5)),
-                     parent=(18, ("AdaptiveCombined",))),
-        VariableSpec(21, "loss_weight_lr", COND_DISCRETE,
-                     candidates=(0.001, 0.01, 0.1, 0.2, 0.5),
-                     parent=(18, ("AdaptiveCombined",))),
-        VariableSpec(22, "fusion_op", DISCRETE, candidates=FUSION_OPS),
-        VariableSpec(23, "weighting_mode", COND_DISCRETE, candidates=("add", "concat"),
-                     parent=(22, ("weighting",))),
-        VariableSpec(24, "cross_mapping_mode", COND_DISCRETE,
-                     candidates=("add", "concat", "gated"),
-                     parent=(22, ("cross_mapping",))),
+        VariableSpec("activation", DISCRETE, candidates=ACTIVATIONS),
+        VariableSpec("dropout", CONTINUOUS, bounds=(0.0, 0.5)),
+        VariableSpec("learning_rate", CONTINUOUS, bounds=(1e-5, 1e-2), scale="log"),
+        VariableSpec("weight_decay", CONTINUOUS, bounds=(1e-6, 1e-2), scale="log"),
+        VariableSpec("lr_schedule", DISCRETE, candidates=("on", "off")),
+        VariableSpec("scheduler_type", DISCRETE, candidates=("plateau", "warmup_cosine"),
+                     parent=("lr_schedule", ("on",))),
+        VariableSpec("loss_type", DISCRETE, candidates=LOSS_KINDS),
+        VariableSpec("loss_pair", DISCRETE, candidates=LOSS_PAIRS,
+                     parent=("loss_type", ("Combined", "AdaptiveCombined"))),
+        VariableSpec("loss_weights", DISCRETE, candidates=((0.9, 0.1), (0.7, 0.3), (0.5, 0.5)),
+                     parent=("loss_type", ("AdaptiveCombined",))),
+        VariableSpec("loss_weight_lr", DISCRETE, candidates=(0.001, 0.01, 0.1, 0.2, 0.5),
+                     parent=("loss_type", ("AdaptiveCombined",))),
+        VariableSpec("fusion_op", DISCRETE, candidates=FUSION_OPS),
+        VariableSpec("weighting_mode", DISCRETE, candidates=("add", "concat"),
+                     parent=("fusion_op", ("weighting",))),
+        VariableSpec("cross_mapping_mode", DISCRETE, candidates=("add", "concat", "gated"),
+                     parent=("fusion_op", ("cross_mapping",))),
     ]
     return ConfigSpace(variables=tuple(v))

@@ -29,9 +29,10 @@ class TestGenome:
     def test_dimension_layout(self):
         space = benchmark_space(5)
         assert len(space) == 2 * 5 - 2
-        assert space.variable(1).name == "z1"
-        assert space.variable(3).name == "gate3"
-        assert space.variable(4).parent == (3, ("on",))
+        assert [v.name for v in space.variables] == \
+            ["z1", "z2", "gate3", "z3", "gate4", "z4", "gate5", "z5"]
+        assert space.variables[3].parent == ("gate3", ("on",))
+        assert space.continuous_indices() == (0, 1, 3, 5, 7)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -193,12 +194,12 @@ def refined_bench_state(space, rng, rounds=60):
     H-DTLZ fronts pile up, down to bins narrower than 1e-12."""
     state = RefinementState(space, persistence=1)
     for _ in range(rounds):
-        for idx in space.continuous_indices():
-            pts = state.breakpoints(idx)
+        for pos in space.continuous_indices():
+            pts = state.breakpoints(pos)
             targets = [0.0, 0.5] + rng.random(2).tolist()
             for t in targets:
                 k = min(int(np.searchsorted(pts, t, side="right")) - 1, len(pts) - 2)
-                state.counters[idx][k] = 1
+                state.counters[pos][k] = 1
         state.refine()
     return state
 
@@ -215,7 +216,7 @@ class TestPlainFloatObjectives:
             space = problem.space()
             state = refined_bench_state(space, rng) if refined else RefinementState(space)
             if refined:
-                assert np.diff(state.breakpoints(2)).min() < 1e-12
+                assert np.diff(state.breakpoints(1)).min() < 1e-12
             for _ in range(configs):
                 decoded = decode(sample_random(space, state, rng), state)
                 assert problem.objectives(decoded) == numpy_objectives(problem, decoded)

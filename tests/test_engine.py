@@ -14,7 +14,7 @@ from phmoea.engine import (NORM_EPS, HistoryRow, Individual, PlayerArchives,
                            partition_players, run_nsga2, run_phmoea,
                            sample_candidate, should_stop, stage_ratios)
 from phmoea.evaluators import BenchmarkEvaluator, Evaluation
-from phmoea.space import (COND_CONTINUOUS, CONTINUOUS, DISCRETE, PLACEHOLDER,
+from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER,
                           ConfigSpace, DecodedConfig, Genotype, RefinementState,
                           VariableSpec, builtin_space, canonical_key, decode,
                           repair, sample_random)
@@ -297,7 +297,7 @@ class TestArchives:
         arch = PlayerArchives([1] * 12 + [4])
         arch.heat[12][:] = [1.0, 2.0, 0.5, 3.0]
         arch.count[12][:] = [4, 5, 1, 7]
-        arch.split_bin(13, np.array([1, 3]))
+        arch.split_bin(12, np.array([1, 3]))
         assert arch.heat[12].tolist() == [1.0, 1.0, 1.0, 0.5, 1.5, 1.5]
         assert arch.count[12].tolist() == [4, 2, 3, 1, 3, 4]
         assert arch.heat[0].tolist() == [0.0]    # other dimensions untouched
@@ -316,13 +316,13 @@ class TestArchives:
         run.archives.update = counting_update
         run.run()
         state, arch = run.state, run.archives
-        assert any(state.bin_count(idx) > run.params.initial_bins
-                   for idx in run.space.continuous_indices())
+        assert any(state.bin_count(pos) > run.params.initial_bins
+                   for pos in run.space.continuous_indices())
         for pos, var in enumerate(run.space.variables):
             assert len(arch.heat[pos]) == len(arch.count[pos]) == state.counts[pos]
             if var.is_continuous:
-                assert state.bin_count(var.index) == state.counts[pos]
-                assert all(0 <= k < state.counts[pos] for k in state.counters[var.index])
+                assert state.bin_count(pos) == state.counts[pos]
+                assert all(0 <= k < state.counts[pos] for k in state.counters[pos])
             # a split divides its bin's count between the two children
             assert arch.count[pos].sum() == accumulated[pos]
 
@@ -339,13 +339,13 @@ def reference_pools(heat, count, hot_fraction, cold_fraction):
             tuple(sorted(by_count[:n_cold])))
 
 
-def partition_and_pools(arch, dim, hot_fraction, cold_fraction, cold_bonus=0.15):
-    """``partition_players`` of ``dim`` and its reference (hot, normal, cold),
+def partition_and_pools(arch, pos, hot_fraction, cold_fraction, cold_bonus=0.15):
+    """``partition_players`` of ``pos`` and its reference (hot, normal, cold),
     after checking that the partition's hot pool, non-hot pool and CDF are the
     ones those pools and the cold bonus give."""
-    part = partition_players(arch, dim, hot_fraction, cold_fraction, cold_bonus)
+    part = partition_players(arch, pos, hot_fraction, cold_fraction, cold_bonus)
     hot, normal, cold = pools = reference_pools(
-        arch.heat[dim - 1].tolist(), arch.count[dim - 1].tolist(),
+        arch.heat[pos].tolist(), arch.count[pos].tolist(),
         hot_fraction, cold_fraction)
     assert part.hot == hot
     assert part.non_hot == tuple(sorted(normal + cold))
@@ -359,34 +359,34 @@ class TestPartition:
     def test_six_candidates_hot_size(self):
         arch = PlayerArchives([6])
         arch.heat[0][:] = range(6)
-        part = partition_players(arch, 1, hot_fraction=0.3, cold_fraction=0.2,
+        part = partition_players(arch, 0, hot_fraction=0.3, cold_fraction=0.2,
                                  cold_bonus=0.15)
         assert len(part.hot) == 2
         assert part.hot == (4, 5)
 
     def test_two_candidates(self):
         arch = PlayerArchives([2])
-        _, (hot, normal, cold) = partition_and_pools(arch, 1, hot_fraction=0.3,
+        _, (hot, normal, cold) = partition_and_pools(arch, 0, hot_fraction=0.3,
                                                      cold_fraction=0.2)
         assert len(hot) == 1 and len(cold) == 1 and not normal
 
     def test_zero_archives_tie_break_by_index(self):
         arch = PlayerArchives([1] * 6 + [6])
-        _, pools = partition_and_pools(arch, 7, hot_fraction=0.3, cold_fraction=0.2)
+        _, pools = partition_and_pools(arch, 6, hot_fraction=0.3, cold_fraction=0.2)
         assert pools == ((0, 1), (4, 5), (2, 3))
 
     def test_cold_selected_by_count_among_non_hot(self):
         arch = PlayerArchives([6])
         arch.heat[0][:] = [5.0, 4.0, 1.0, 1.0, 1.0, 1.0]
         arch.count[0][:] = [9, 9, 7, 2, 5, 1]
-        _, pools = partition_and_pools(arch, 1, 0.3, 0.2)
+        _, pools = partition_and_pools(arch, 0, 0.3, 0.2)
         assert pools == ((0, 1), (2, 4), (3, 5))
 
     def test_ties_break_toward_lower_index(self):
         arch = PlayerArchives([6])
         arch.heat[0][:] = [1.0, 2.0, 2.0, 0.0, 2.0, 1.0]
         arch.count[0][:] = [3, 0, 0, 3, 5, 3]
-        _, pools = partition_and_pools(arch, 1, 0.3, 0.2)
+        _, pools = partition_and_pools(arch, 0, 0.3, 0.2)
         assert pools == ((1, 2), (4, 5), (0, 3))
 
 
@@ -394,7 +394,7 @@ def partition_of(heat, count, hot_fraction, cold_fraction, cold_bonus=0.15):
     arch = PlayerArchives([len(heat)])
     arch.heat[0][:] = heat
     arch.count[0][:] = count
-    return partition_and_pools(arch, 1, hot_fraction, cold_fraction, cold_bonus)
+    return partition_and_pools(arch, 0, hot_fraction, cold_fraction, cold_bonus)
 
 
 class TestSampling:
@@ -614,8 +614,8 @@ class TestVariation:
         run = engine_for(bench_problem(n=5), params=params)
         run.archives.update([ind.genotype.genes for ind in run.population],
                             archive_weights(run.population, 0.5, params))
-        partitions = [partition_players(run.archives, var.index, 0.3, 0.2, 0.15)
-                      for var in run.space.variables]
+        partitions = [partition_players(run.archives, pos, 0.3, 0.2, 0.15)
+                      for pos in range(len(run.space))]
         for pool in ("hot", "nh"):
             for _ in range(20):
                 genes = run._assemble_child(partitions, pool)
@@ -662,9 +662,9 @@ class TestVariation:
         run = engine_for(bench_problem(n=5), pop_size=12)
         run.archives.update([ind.genotype.genes for ind in run.population],
                             archive_weights(run.population, 0.5, run.params))
-        partitions = [partition_players(run.archives, var.index, hot_fraction,
+        partitions = [partition_players(run.archives, pos, hot_fraction,
                                         cold_fraction, run.params.cold_bonus)
-                      for var in run.space.variables]
+                      for pos in range(len(run.space))]
         for pool in ("hot", "nh") * 50:
             rng = self.twin_rng(run)
             want = per_dimension_assembled_child(run, partitions, pool, rng)
@@ -679,14 +679,14 @@ class TestVariation:
 class TestRefinementResnap:
     def test_narrow_bins_keep_their_members(self):
         from phmoea.engine import _Run
-        space = ConfigSpace((VariableSpec(1, "x", CONTINUOUS, bounds=(0.0, 1.0)),))
+        space = ConfigSpace((VariableSpec("x", CONTINUOUS, bounds=(0.0, 1.0)),))
         run = _Run(SearchProblem(space=space, evaluator=None), 6, 1,
                    SearchParams.benchmark(), 0, use_archives=True)
         state = run.state
         for _ in range(60):                 # halve bin 0 sixty times
-            state.counters[1][0] = state.persistence
+            state.counters[0][0] = state.persistence
             state.refine()
-        assert np.diff(state.breakpoints(1))[:4].max() < 1e-18
+        assert np.diff(state.breakpoints(0))[:4].max() < 1e-18
         kept = [2, 0, 2, 3, 2, 9]
         run.population = []
         for k in kept:
@@ -694,7 +694,7 @@ class TestRefinementResnap:
             run.population.append(Individual(
                 genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
         before = {j: state.values[0][j] for j in kept}
-        state.counters[1] = {2: state.persistence}
+        state.counters[0] = {2: state.persistence}
         run._refine([])
         new_kept = [ind.genotype.frozen[0] for ind in run.population]
         # bin 2 split into bins 2 and 3; its members alternate left, right, left
@@ -711,8 +711,8 @@ class TestRefinementResnap:
         # Each gene must land in its kept value's bin: repair(kept) == genotype.
         from phmoea.engine import _Run
         space = ConfigSpace((
-            VariableSpec(1, "gate", DISCRETE, candidates=("off", "on")),
-            VariableSpec(2, "z", COND_CONTINUOUS, bounds=(0.0, 1.0), parent=(1, ("on",))),
+            VariableSpec("gate", DISCRETE, candidates=("off", "on")),
+            VariableSpec("z", CONTINUOUS, bounds=(0.0, 1.0), parent=("gate", ("on",))),
         ))
         run = _Run(SearchProblem(space=space, evaluator=None), 4, 1,
                    SearchParams.benchmark(), 0, use_archives=True)
@@ -722,7 +722,7 @@ class TestRefinementResnap:
             genotype = repair(kept, space, state)
             run.population.append(Individual(
                 genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
-        state.counters[2] = {1: state.persistence}
+        state.counters[1] = {1: state.persistence}
         run._refine([])
         assert [ind.genotype.frozen[1] for ind in run.population] == [1, 2, 1, 5]
         assert [ind.genotype.genes[1] for ind in run.population] == [PLACEHOLDER, 2, 1, 5]
@@ -735,7 +735,7 @@ class TestRefinementResnap:
         # Refinement must credit a member to the bin it occupies (29), not to
         # the bin that contains its decoded value (30).
         from phmoea.engine import _Run
-        space = ConfigSpace((VariableSpec(1, "x", CONTINUOUS, bounds=(0.0, 1.0)),))
+        space = ConfigSpace((VariableSpec("x", CONTINUOUS, bounds=(0.0, 1.0)),))
         params = SearchParams.benchmark()
         params.refine_persistence = 2
         run = _Run(SearchProblem(space=space, evaluator=None), 6, 1, params, 0,
@@ -743,22 +743,22 @@ class TestRefinementResnap:
         state = run.state
         splits = 0
         while True:
-            k = int(np.searchsorted(state.breakpoints(1), 0.6, side="right")) - 1
-            state.counters[1][k] = state.persistence
+            k = int(np.searchsorted(state.breakpoints(0), 0.6, side="right")) - 1
+            state.counters[0][k] = state.persistence
             if not state.refine():
                 break
             splits += 1
         assert splits == 51
-        pts = state.breakpoints(1)
+        pts = state.breakpoints(0)
         assert np.nextafter(pts[29], 1.0) == pts[30]
         assert state.values[0][29] == pts[30]
-        state.counters[1] = {}
+        state.counters[0] = {}
         member = Genotype((29,), (29,))
         run.population = [Individual(genotype=member, decoded=decode(member, state),
                                      f1=0.0, f2=0.0)]
         run._refine(run.population)
-        assert state.counters[1][29] == 1
-        assert 30 not in state.counters[1]
+        assert state.counters[0][29] == 1
+        assert 30 not in state.counters[0]
 
 
 # ---------------------------------------------------------------------------
@@ -894,6 +894,36 @@ class TestEarlyStop:
             [metrics.hv(front, (1.1, 1.1)) for _, front, _ in seen] != run.stop_hv
 
 
+    def test_reference_lies_beyond_a_non_positive_initial_worst(self):
+        # shifted by -5 every objective is negative, where 1.1 × the worst
+        # value would lie inside the initial population
+        from phmoea.engine import _Run
+        problem = bench_problem(n=4)
+        problem.hv_reference = None
+        inner = problem.evaluator
+
+        def shifted(decoded):
+            ev = inner(decoded)
+            return Evaluation(key=ev.key, f1=ev.f1 - 5.0, f2=ev.f2 - 5.0)
+
+        problem.evaluator = shifted
+        run = _Run(problem, 20, 12, SearchParams.benchmark(), 0, use_archives=True)
+        initial, record = [], run._record
+
+        def spy(gen):
+            if gen == 1:
+                initial.extend((ind.f1, ind.f2) for ind in run.population)
+            return record(gen)
+
+        run._record = spy
+        res = run.run()
+        assert len(initial) == 20 and max(max(pt) for pt in initial) < 0
+        r1, r2 = run.reference
+        assert all(f1 < r1 and f2 < r2 for f1, f2 in initial)
+        assert res.history[0].hv > 0
+        assert res.history[-1].hv > res.history[2].hv
+
+
 # ---------------------------------------------------------------------------
 # Parameter validation
 # ---------------------------------------------------------------------------
@@ -942,6 +972,24 @@ class TestSearchParamsValidate:
 # ---------------------------------------------------------------------------
 
 class TestRuns:
+    @pytest.mark.parametrize("variables", [
+        (), (VariableSpec("a", DISCRETE, candidates=("only",)),)])
+    def test_collapse_on_a_single_configuration_blames_no_evaluator(self, variables):
+        problem = SearchProblem(space=ConfigSpace(variables),
+                                evaluator=lambda d: Evaluation(key=d.key, f1=0.0, f2=0.0))
+        with pytest.raises(RuntimeError) as info:
+            run_nsga2(problem, 6, 3, seed=0)
+        assert str(info.value) == ("initial population collapsed: 1 of 6 slots admitted "
+                                   "a candidate and 0 evaluations failed")
+
+    def test_collapse_on_a_failing_evaluator_counts_the_failures(self):
+        problem = bench_problem(n=4)
+        problem.evaluator = lambda d: Evaluation(key=d.key, f1=math.nan, f2=0.0)
+        with pytest.raises(RuntimeError) as info:
+            run_phmoea(problem, 8, 3, seed=0)
+        assert str(info.value) == ("initial population collapsed: 8 of 8 slots admitted "
+                                   "a candidate and 8 evaluations failed")
+
     def test_deterministic_for_seed(self):
         a = run_phmoea(bench_problem(n=4), 12, 10,
                        params=SearchParams.benchmark(), seed=11)

@@ -17,8 +17,8 @@ from phmoea.evaluators import (_LOG_P_HI, _LOG_P_LO, _ORDINAL, _UPPER_HALF,
                                evaluate_safely)
 from phmoea.metrics import nondominated_mask
 from phmoea.network import build_graph, count_params
-from phmoea.space import (COND_CONTINUOUS, ConfigSpace, RefinementState,
-                          builtin_space, decode, repair, sample_random)
+from phmoea.space import (ConfigSpace, RefinementState, builtin_space, decode, repair,
+                          sample_random)
 
 WORKER = Path(__file__).parent / "worker_stub.py"
 
@@ -28,9 +28,9 @@ STATE = RefinementState(SPACE)
 
 def worked_decoded():
     genes = [0] * 24
-    overrides = {3: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1, 11: 1}
-    for idx, gene in overrides.items():
-        genes[idx - 1] = gene
+    overrides = {2: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1}
+    for pos, gene in overrides.items():
+        genes[pos] = gene
     g = repair(genes, SPACE, STATE)
     return decode(g, STATE)
 
@@ -108,7 +108,7 @@ class TestSurrogate:
         evaluator = SurrogateEvaluator(SPACE)
         state = RefinementState(SPACE)
         target_gene = ReferenceSurrogate(SPACE).target_gene
-        target_genes = [target_gene[v.index] for v in SPACE.variables]
+        target_genes = [target_gene[v.name] for v in SPACE.variables]
         target = decode(repair(target_genes, SPACE, state), state)
         target_f1 = evaluator(target).f1
         rng = np.random.default_rng(99)
@@ -151,13 +151,13 @@ class ReferenceSurrogate:
         for var, m, values in zip(space.variables, state.counts, state.values):
             lo = m // 2 if var.name in _UPPER_HALF else 0
             gene = int(rng.integers(lo, m))
-            self.target_gene[var.index] = gene
+            self.target_gene[var.name] = gene
             if var.is_continuous:
-                self.target_value[var.index] = values[gene]
+                self.target_value[var.name] = values[gene]
             elif var.name not in _ORDINAL:
                 offsets = rng.uniform(0.15, 0.6, size=m)
                 offsets[gene] = 0.0
-                self.offsets[var.index] = offsets
+                self.offsets[var.name] = offsets
 
     def mismatch(self, decoded) -> float:
         total = 0.0
@@ -166,14 +166,14 @@ class ReferenceSurrogate:
                 continue
             if var.is_continuous:
                 delta = _scale_pos(var, decoded.values[i]) - _scale_pos(
-                    var, self.target_value[var.index])
+                    var, self.target_value[var.name])
                 total += delta * delta
             elif var.name in _ORDINAL:
                 span = len(var.candidates) - 1
-                delta = (decoded.ids[i] - self.target_gene[var.index]) / span
+                delta = (decoded.ids[i] - self.target_gene[var.name]) / span
                 total += delta * delta
             else:
-                total += float(self.offsets[var.index][decoded.ids[i]])
+                total += float(self.offsets[var.name][decoded.ids[i]])
         return total
 
     def __call__(self, decoded) -> tuple[float, float]:
@@ -189,8 +189,8 @@ def refined_state(space, rounds: int = 30) -> RefinementState:
     """Partitions split at both bounds every round and in the middle at first."""
     state = RefinementState(space)
     for round_ in range(rounds):
-        for idx in space.continuous_indices():
-            counters, n = state.counters[idx], state.bin_count(idx)
+        for pos in space.continuous_indices():
+            counters, n = state.counters[pos], state.bin_count(pos)
             counters[0] = counters[n - 1] = state.persistence
             if round_ < 4:
                 counters[n // 2] = state.persistence
@@ -199,14 +199,10 @@ def refined_state(space, rounds: int = 30) -> RefinementState:
 
 
 def edited_space(edit):
-    """The built-in space after ``edit(variables)`` on its variable list, renumbered."""
+    """The built-in space after ``edit(variables)`` on its variable list."""
     variables = list(builtin_space().variables)
     edit(variables)
-    renumber = {v.index: pos + 1 for pos, v in enumerate(variables)}
-    return ConfigSpace(tuple(
-        replace(v, index=renumber[v.index],
-                parent=v.parent and (renumber[v.parent[0]], v.parent[1]))
-        for v in variables))
+    return ConfigSpace(tuple(variables))
 
 
 def without(name):
@@ -217,12 +213,11 @@ def without(name):
 def configs(space, state, seed: int, n: int, **genes):
     """``n`` random repaired configurations with the named genes overridden."""
     rng = np.random.default_rng(seed)
-    at = {var.name: var.index - 1 for var in space.variables}
     out = []
     for _ in range(n):
         g = list(sample_random(space, state, rng).frozen)
         for name, gene in genes.items():
-            g[at[name]] = gene
+            g[space.positions[name]] = gene
         out.append(decode(repair(g, space, state), state))
     return out
 
@@ -238,13 +233,13 @@ class TestSurrogateMatchesReference:
         evaluator, reference = SurrogateEvaluator(SPACE), ReferenceSurrogate(SPACE)
         state = refined_state(SPACE)
         edges = {}
-        for idx in SPACE.continuous_indices():
-            var = SPACE.variable(idx)
-            edges[var.name] = (0, state.counts[idx - 1] - 1)
-            lo, hi = state.breakpoints(idx)[[1, -2]]
+        for pos in SPACE.continuous_indices():
+            var = SPACE.variables[pos]
+            edges[var.name] = (0, state.counts[pos] - 1)
+            lo, hi = state.breakpoints(pos)[[1, -2]]
             assert lo - var.bounds[0] < 1e-6 * (var.bounds[1] - var.bounds[0])
             assert var.bounds[1] - hi < 1e-6 * (var.bounds[1] - var.bounds[0])
-        assert {SPACE.variable(i).scale for i in SPACE.continuous_indices()} == \
+        assert {SPACE.variables[i].scale for i in SPACE.continuous_indices()} == \
             {"linear", "log"}
         batches = [configs(SPACE, state, 12, 1000)]
         for side in (0, 1):
@@ -291,8 +286,7 @@ class TestSurrogateErrorPaths:
 
     def test_required_variable_inactive(self):
         def gated_dropout(variables):
-            variables[12] = replace(variables[12], kind=COND_CONTINUOUS,
-                                    parent=(12, ("ReLU",)))
+            variables[12] = replace(variables[12], parent=("activation", ("ReLU",)))
         assert self.refused(edited_space(gated_dropout)) == \
             "dropout: build_graph needs it active in every configuration"
 

@@ -25,8 +25,8 @@ def decoded_from(**overrides):
     the named candidates overridden."""
     genes = [0] * 24
     for name, value in overrides.items():
-        var = next(v for v in SPACE.variables if v.name == name)
-        genes[var.index - 1] = var.candidates.index(value)
+        pos = SPACE.positions[name]
+        genes[pos] = SPACE.variables[pos].candidates.index(value)
     g = repair(genes, SPACE, STATE)
     return decode(g, STATE).as_dict(SPACE)
 

@@ -19,32 +19,29 @@ import pytest
 from phmoea.cli import write_run_outputs
 from phmoea.engine import SearchParams, SearchProblem, _Run
 from phmoea.evaluators import Evaluation
-from phmoea.space import (COND_CONTINUOUS, COND_DISCRETE, CONTINUOUS, DISCRETE,
-                          PLACEHOLDER, ConfigSpace, VariableSpec, activity, decode,
-                          repair)
+from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER, ConfigSpace, VariableSpec,
+                          activity, decode, repair)
 
 TRIALS = 60
 
 
 def random_space(rnd: random.Random) -> ConfigSpace:
-    variables, parents = [], []         # parents: (index, candidates) of discrete dims
+    variables, parents = [], []         # parents: (name, candidates) of discrete dims
     for index in range(1, rnd.randint(1, 14) + 1):
         parent = None
         if parents and rnd.random() < 0.5:
             # the last two discrete dims: chains, and parents with several children
-            pidx, cands = rnd.choice(parents[-2:])
-            parent = (pidx, tuple(rnd.sample(cands, rnd.randint(1, len(cands)))))
+            pname, cands = rnd.choice(parents[-2:])
+            parent = (pname, tuple(rnd.sample(cands, rnd.randint(1, len(cands)))))
         if rnd.random() < 0.5:
             cands = tuple(rnd.sample(range(100), rnd.randint(1, 6)))
-            variables.append(VariableSpec(index, f"d{index}",
-                                          COND_DISCRETE if parent else DISCRETE,
-                                          candidates=cands, parent=parent))
-            parents.append((index, cands))
+            variables.append(VariableSpec(f"d{index}", DISCRETE, candidates=cands,
+                                          parent=parent))
+            parents.append((f"d{index}", cands))
         else:
             scale = rnd.choice(("linear", "log"))
             lo = 10.0 ** rnd.uniform(-3, 3) if scale == "log" else rnd.uniform(-1e3, 1e3)
-            variables.append(VariableSpec(index, f"c{index}",
-                                          COND_CONTINUOUS if parent else CONTINUOUS,
+            variables.append(VariableSpec(f"c{index}", CONTINUOUS,
                                           bounds=(lo, lo + 10.0 ** rnd.uniform(-9, 6)),
                                           scale=scale, parent=parent))
     return ConfigSpace(tuple(variables))
@@ -91,16 +88,16 @@ def check_run(run, result, evaluator, written, pop, gens):
     space, state = run.space, run.state
     # each key reaches the evaluator once, and the budget holds
     assert all(len(configs) == 1 for configs in evaluator.seen.values())
-    assert sorted(evaluator.seen) == sorted(run.evaluated_keys)
-    assert len(run.evaluated_keys) <= pop * gens
+    assert sorted(evaluator.seen) == sorted(run.registry.keys)
+    assert len(run.registry.keys) <= pop * gens
     for ind in run.population:
         g = ind.genotype
         # the kept vector alone rebuilds the genotype, after refinement too
         assert repair(g.frozen, space, state) == g
         active = activity(g.genes, space)
         assert decode(g, state).active == active == ind.decoded.active
-    for idx in space.continuous_indices():
-        var, points = space.variable(idx), state.breakpoints(idx)
+    for pos in space.continuous_indices():
+        var, points = space.variables[pos], state.breakpoints(pos)
         assert np.all(np.diff(points) > 0)
         if var.scale == "linear":
             assert (points[0], points[-1]) == var.bounds
@@ -131,7 +128,7 @@ def test_random_space_invariants(trial, tmp_path):
         check_run(*first, pop, gens)
         # replay is exact: the same keys in the same order, the same bytes written
         (run_a, _, _, written_a), (run_b, _, _, written_b) = first, second
-        assert run_a.evaluated_keys == run_b.evaluated_keys
+        assert run_a.registry.keys == run_b.registry.keys
         assert run_a.history == run_b.history
         assert [i.genotype for i in run_a.population] == \
             [i.genotype for i in run_b.population]

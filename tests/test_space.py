@@ -8,8 +8,7 @@ from itertools import compress
 import numpy as np
 import pytest
 
-from phmoea.space import (COND_CONTINUOUS, COND_DISCRETE, CONTINUOUS, DISCRETE,
-                          ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
+from phmoea.space import (CONTINUOUS, DISCRETE, ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                           PLACEHOLDER, RefinementState, VariableSpec, activity,
                           builtin_space, canonical_key, decode, nearest_index,
                           repair, sample_random, split_renumbering)
@@ -42,53 +41,100 @@ class TestBuiltinSpace:
         assert len(space) == 24
 
     def test_aligned_length_candidates(self, space):
-        assert space.variable(3).candidates == (8, 12, 24, 36, 48)
+        assert space.variables[2].candidates == (8, 12, 24, 36, 48)
 
     def test_pool_type_parent(self, space):
-        assert space.variable(2).parent == (1, ("pool",))
+        assert space.variables[1].parent == ("resample_op", ("pool",))
 
     def test_learning_rate_is_log_scaled(self, space):
-        var = space.variable(14)
+        var = space.variables[13]
         assert var.bounds == (1e-5, 1e-2)
         assert var.scale == "log"
 
     def test_weight_decay_is_log_scaled(self, space):
-        var = space.variable(15)
+        var = space.variables[14]
         assert var.bounds == (1e-6, 1e-2)
         assert var.scale == "log"
 
     def test_all_parent_conditions(self, space):
-        parents = {v.index: v.parent for v in space.variables if v.parent}
+        parents = {v.name: v.parent for v in space.variables if v.parent}
         assert parents == {
-            2: (1, ("pool",)),
-            17: (16, ("on",)),
-            19: (18, ("Combined", "AdaptiveCombined")),
-            20: (18, ("AdaptiveCombined",)),
-            21: (18, ("AdaptiveCombined",)),
-            23: (22, ("weighting",)),
-            24: (22, ("cross_mapping",)),
+            "pool_type": ("resample_op", ("pool",)),
+            "scheduler_type": ("lr_schedule", ("on",)),
+            "loss_pair": ("loss_type", ("Combined", "AdaptiveCombined")),
+            "loss_weights": ("loss_type", ("AdaptiveCombined",)),
+            "loss_weight_lr": ("loss_type", ("AdaptiveCombined",)),
+            "weighting_mode": ("fusion_op", ("weighting",)),
+            "cross_mapping_mode": ("fusion_op", ("cross_mapping",)),
         }
+        assert [(pos, ppos) for pos, ppos, _ in space.gates] == [
+            (1, 0), (16, 15), (18, 17), (19, 17), (20, 17), (22, 21), (23, 21)]
 
     def test_loss_pair_candidates_count(self, space):
-        assert len(space.variable(19).candidates) == 10
+        assert len(space.variables[18].candidates) == 10
+
+    def test_positions_follow_the_declaration(self, space):
+        assert space.positions == {v.name: pos for pos, v in enumerate(space.variables)}
+        assert space.continuous_indices() == (12, 13, 14)
 
     def test_invalid_parent_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="a: parent 'b' must be an earlier variable"):
             ConfigSpace(variables=(
-                VariableSpec(1, "a", COND_DISCRETE, candidates=("x", "y"),
-                             parent=(2, ("p",))),
-                VariableSpec(2, "b", DISCRETE, candidates=("p", "q")),
+                VariableSpec("a", DISCRETE, candidates=("x", "y"), parent=("b", ("p",))),
+                VariableSpec("b", DISCRETE, candidates=("p", "q")),
+            ))
+
+    @pytest.mark.parametrize("pname", ["c", "b"])
+    def test_unknown_or_own_parent_rejected(self, pname):
+        with pytest.raises(ValueError, match=f"b: parent '{pname}' must be an earlier variable"):
+            ConfigSpace(variables=(
+                VariableSpec("a", DISCRETE, candidates=("p", "q")),
+                VariableSpec("b", DISCRETE, candidates=("x", "y"), parent=(pname, ("x",))),
+            ))
+
+    def test_continuous_parent_rejected(self):
+        with pytest.raises(ValueError, match="b: parent must be a discrete dimension"):
+            ConfigSpace(variables=(
+                VariableSpec("a", CONTINUOUS, bounds=(0.0, 1.0)),
+                VariableSpec("b", DISCRETE, candidates=("x", "y"), parent=("a", (0.5,))),
+            ))
+
+    def test_activating_value_must_be_a_parent_candidate(self):
+        with pytest.raises(ValueError, match="b: activating value 'r' not a parent candidate"):
+            ConfigSpace(variables=(
+                VariableSpec("a", DISCRETE, candidates=("p", "q")),
+                VariableSpec("b", CONTINUOUS, bounds=(0.0, 1.0), parent=("a", ("r",))),
+            ))
+
+    @pytest.mark.parametrize("kind", ["conditional-discrete", "conditional-continuous"])
+    def test_only_two_kinds(self, kind):
+        with pytest.raises(ValueError, match=f"a: unknown kind '{kind}'"):
+            ConfigSpace(variables=(VariableSpec("a", kind, candidates=("p", "q")),))
+
+    def test_conditionality_is_having_a_parent(self):
+        a = VariableSpec("a", DISCRETE, candidates=("p", "q"))
+        b = VariableSpec("b", CONTINUOUS, bounds=(0.0, 1.0), parent=("a", ("q",)))
+        ConfigSpace(variables=(a, b))
+        assert not a.is_conditional and b.is_conditional and b.is_continuous
+
+    def test_duplicate_names_rejected(self):
+        # as_dict keys by name, so one of two "a" variables would vanish from
+        # every configuration a worker receives
+        with pytest.raises(ValueError, match="a: duplicate variable name"):
+            ConfigSpace(variables=(
+                VariableSpec("a", DISCRETE, candidates=(1, 2)),
+                VariableSpec("a", CONTINUOUS, bounds=(0.0, 1.0)),
             ))
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             ConfigSpace(variables=(
-                VariableSpec(1, "a", CONTINUOUS, bounds=(1.0, 0.0)),))
+                VariableSpec("a", CONTINUOUS, bounds=(1.0, 0.0)),))
 
     def test_log_scale_needs_positive_lower(self):
         with pytest.raises(ValueError):
             ConfigSpace(variables=(
-                VariableSpec(1, "a", CONTINUOUS, bounds=(0.0, 1.0), scale="log"),))
+                VariableSpec("a", CONTINUOUS, bounds=(0.0, 1.0), scale="log"),))
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +189,8 @@ class TestBinValue:
 def genotype_with(space, state, **overrides):
     genes = [0] * len(space)
     for name, value in overrides.items():
-        var = next(v for v in space.variables if v.name == name)
-        genes[var.index - 1] = var.candidates.index(value)
+        pos = space.positions[name]
+        genes[pos] = space.variables[pos].candidates.index(value)
     return repair(genes, space, state)
 
 
@@ -185,11 +231,9 @@ class TestDecode:
 def chain_space():
     """Three levels: c is active only when b is, and b only when a is."""
     return ConfigSpace(variables=(
-        VariableSpec(1, "a", DISCRETE, candidates=("x", "y")),
-        VariableSpec(2, "b", COND_DISCRETE, candidates=("p", "q"),
-                     parent=(1, ("y",))),
-        VariableSpec(3, "c", COND_DISCRETE, candidates=("u", "v"),
-                     parent=(2, ("q",))),
+        VariableSpec("a", DISCRETE, candidates=("x", "y")),
+        VariableSpec("b", DISCRETE, candidates=("p", "q"), parent=("a", ("y",))),
+        VariableSpec("c", DISCRETE, candidates=("u", "v"), parent=("b", ("q",))),
     ))
 
 
@@ -274,8 +318,7 @@ class TestRepair:
         for _ in range(100):
             g = sample_random(space, state, rng)
             decoded = decode(g, state)
-            for var in space.variables:
-                v = decoded.values[var.index - 1]
+            for var, v in zip(space.variables, decoded.values):
                 if var.is_continuous and v is not None:
                     assert var.bounds[0] <= v <= var.bounds[1]
 
@@ -285,13 +328,12 @@ class TestRepair:
         for _ in range(200):
             decoded = decode(sample_random(space, state, rng), state)
             cfg = dict(zip([v.name for v in space.variables], decoded.values))
-            for var in space.variables:
+            for pos, var in enumerate(space.variables):
                 if var.parent is None:
                     continue
-                pidx, values = var.parent
-                parent_value = decoded.values[pidx - 1]
-                expected = parent_value in values
-                assert decoded.active[var.index - 1] == expected, cfg
+                pname, values = var.parent
+                expected = cfg[pname] in values
+                assert decoded.active[pos] == expected, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +428,24 @@ class TestDedupRegistry:
         assert not reg.admit(42)
         assert reg.admit(43)
 
+    def test_keys_in_admit_order(self):
+        reg = DedupRegistry()
+        assert [reg.admit(key) for key in (43, 42, 43, 7, 42)] == \
+            [True, True, False, True, False]
+        assert reg.keys == [43, 42, 7]
+
 
 # ---------------------------------------------------------------------------
 # Refinement
 # ---------------------------------------------------------------------------
 
-def front_of(space, state, values, dim=13):
-    """Repaired genes of members whose continuous dim takes the given values;
-    the dim must be linear-scale, where grid midpoints are raw values."""
+def front_of(space, state, values, pos=12):
+    """Repaired genes of members whose continuous dimension takes the given
+    values; it must be linear-scale, where grid midpoints are raw values."""
     out = []
     for v in values:
         genes = [0] * len(space)
-        genes[dim - 1] = nearest_index(state.grids[dim - 1][2], v)
+        genes[pos] = nearest_index(state.grids[pos][2], v)
         out.append(repair(genes, space, state).genes)
     return out
 
@@ -407,86 +455,86 @@ class TestRefinement:
         state = make_state(space, mass_threshold=0.5)
         front = front_of(space, state, [0.05, 0.06, 0.07])
         state.update(front)
-        assert state.counters[13] == {0: 1}
+        assert state.counters[12] == {0: 1}
 
     def test_uniform_mass_resets(self, space):
         state = make_state(space, mass_threshold=0.5)
         front = front_of(space, state, [0.03, 0.11, 0.2, 0.28, 0.36, 0.45])
-        state.counters[13] = dict.fromkeys(range(6), 2)
+        state.counters[12] = dict.fromkeys(range(6), 2)
         state.update(front)
-        assert not state.counters[13]
+        assert not state.counters[12]
 
     def test_inactive_dim_resets(self, space):
         # pool_type inactive in every member: its counters go to zero
         state = make_state(space, mass_threshold=0.5)
         bench_like = front_of(space, state, [0.05, 0.06])
         assert all(genes[1] == PLACEHOLDER for genes in bench_like)
-        state.counters[13] = dict.fromkeys(range(6), 1)
+        state.counters[12] = dict.fromkeys(range(6), 1)
         state.update(bench_like)
-        assert state.counters[13][0] == 2  # the active dim keeps accumulating
+        assert state.counters[12][0] == 2  # the active dim keeps accumulating
 
     def test_placeholder_gene_counts_nowhere(self, space):
         state = make_state(space, mass_threshold=0.5)
         active = front_of(space, state, [0.05])[0]
         inactive = active[:12] + (PLACEHOLDER,) + active[13:]
-        state.counters[13] = dict.fromkeys(range(6), 1)
+        state.counters[12] = dict.fromkeys(range(6), 1)
         state.update([active, inactive, inactive])
-        assert not state.counters[13]
+        assert not state.counters[12]
 
     def test_empty_front_is_noop(self, space):
         state = make_state(space)
-        state.counters[13] = dict.fromkeys(range(6), 1)
+        state.counters[12] = dict.fromkeys(range(6), 1)
         state.update([])
-        assert state.counters[13] == dict.fromkeys(range(6), 1)
+        assert state.counters[12] == dict.fromkeys(range(6), 1)
 
     def test_split_at_midpoint(self, space):
         state = make_state(space, persistence=3)
-        state.counters[13][2] = 3
+        state.counters[12][2] = 3
         splits = state.refine()
-        assert splits == [(13, 2)]
-        assert state.bin_count(13) == 7
-        pts = state.breakpoints(13)
+        assert splits == [(12, 2)]
+        assert state.bin_count(12) == 7
+        pts = state.breakpoints(12)
         # old third interval of [0, 0.5] was [1/6, 1/4]; its midpoint is 5/24
         assert pts[3] == pytest.approx(5 / 24)
 
     def test_no_trigger_no_change(self, space):
         state = make_state(space)
-        before = state.breakpoints(13).copy()
+        before = state.breakpoints(12).copy()
         assert state.refine() == []
-        assert np.array_equal(state.breakpoints(13), before)
+        assert np.array_equal(state.breakpoints(12), before)
 
     def test_span_preserved_and_increasing(self, space):
         state = make_state(space, persistence=1)
         rng = np.random.default_rng(0)
         for _ in range(30):
-            for d in (13, 14, 15):
+            for d in (12, 13, 14):
                 k = int(rng.integers(state.bin_count(d)))
                 state.counters[d][k] = 1
             state.refine()
-        for d in (13, 14, 15):
+        for d in (12, 13, 14):
             pts = state.breakpoints(d)
-            var = space.variable(d)
+            var = space.variables[d]
             assert pts[0] == pytest.approx(var.bounds[0])
             assert pts[-1] == pytest.approx(var.bounds[1])
             assert np.all(np.diff(pts) > 0)
 
     def test_log_dim_splits_geometrically(self, space):
         state = make_state(space, persistence=1)
-        state.counters[14][0] = 1
+        state.counters[13][0] = 1
         state.refine()
-        pts = state.breakpoints(14)
+        pts = state.breakpoints(13)
         # the inserted point is the geometric midpoint of the old first interval
         assert pts[1] == pytest.approx(np.sqrt(pts[0] * pts[2]), rel=1e-12)
 
     def test_split_renumbering(self, space):
         state = make_state(space, persistence=1)
-        state.counters[13][1] = state.counters[13][4] = 1
-        state.counters[14][0] = 1
+        state.counters[12][1] = state.counters[12][4] = 1
+        state.counters[13][0] = 1
         old = list(state.values[12])     # refine edits the table in place
         splits = state.refine()
-        split = [k for d, k in splits if d == 13]
+        split = [k for d, k in splits if d == 12]
         assert split == [1, 4]
-        assert not state.counters[13]
+        assert not state.counters[12]
         new = split_renumbering(list(range(6)), split)
         assert new == [0, 1, 3, 4, 5, 7]
         reps = state.values[12]
@@ -512,19 +560,18 @@ class TestRefinement:
 
     def test_tables_grow_with_the_bins(self):
         space = ConfigSpace(variables=(
-            VariableSpec(1, "gate", DISCRETE, candidates=("off", "on")),
-            VariableSpec(2, "z", COND_CONTINUOUS, bounds=(0.0, 1.0),
-                         parent=(1, ("on",))),
-            VariableSpec(3, "b", DISCRETE, candidates=("x", "y")),
+            VariableSpec("gate", DISCRETE, candidates=("off", "on")),
+            VariableSpec("z", CONTINUOUS, bounds=(0.0, 1.0), parent=("gate", ("on",))),
+            VariableSpec("b", DISCRETE, candidates=("x", "y")),
         ))
         state = make_state(space, persistence=1)
-        for _ in range(5):              # halve bin 0 of dimension 2 again and again
-            state.counters[2][0] = 1
+        for _ in range(5):              # halve bin 0 of position 1 again and again
+            state.counters[1][0] = 1
             state.refine()
-        n = state.bin_count(2)
+        n = state.bin_count(1)
         assert n == 11
         assert state.counts == [2, n, 2]
-        pts = state.breakpoints(2)
+        pts = state.breakpoints(1)
         assert state.values[1] == (0.5 * (pts[:-1] + pts[1:])).tolist()
         lo, hi, mids = state.grids[1]
         assert (lo, hi, len(mids)) == (0.0, 1.0, n)
@@ -550,18 +597,18 @@ class ArrayRefinementState:
         self.values = [var.candidates for var in space.variables]
         self.grids = [None] * len(space)
         self.pts, self.counters = {}, {}
-        for idx in space.continuous_indices():
-            var = space.variable(idx)
+        for pos in space.continuous_indices():
+            var = space.variables[pos]
             a, b = var.bounds
             if var.scale == "log":
                 a, b = np.log(a), np.log(b)
-            self.set_points(idx, np.linspace(a, b, initial_bins + 1))
-            self.counters[idx] = np.zeros(initial_bins, dtype=np.int64)
+            self.set_points(pos, np.linspace(a, b, initial_bins + 1))
+            self.counters[pos] = np.zeros(initial_bins, dtype=np.int64)
 
-    def set_points(self, index, pts):
+    def set_points(self, pos, pts):
         mids = 0.5 * (pts[:-1] + pts[1:])
-        self.pts[index] = pts
-        pos, scale = index - 1, self.space.variable(index).scale
+        self.pts[pos] = pts
+        scale = self.space.variables[pos].scale
         grid = mids.tolist()
         self.counts[pos] = len(grid)
         self.values[pos] = grid if scale == "linear" else np.exp(mids).tolist()
@@ -572,7 +619,7 @@ class ArrayRefinementState:
             return
         genes = np.array(front)
         for idx in self.pts:
-            column = genes[:, idx - 1]
+            column = genes[:, idx]
             hits = np.bincount(column[column != PLACEHOLDER],
                                minlength=len(self.pts[idx]) - 1)
             self.counters[idx] = np.where(hits / len(front) > self.mass_threshold,
@@ -648,11 +695,11 @@ class TestRefinementMatchesArrays:
             assert state.grids == ref.grids
             for idx in ref.pts:
                 assert np.array_equal(state.breakpoints(idx), np.exp(ref.pts[idx])
-                                      if space.variable(idx).scale == "log" else ref.pts[idx])
+                                      if space.variables[idx].scale == "log" else ref.pts[idx])
         assert len(fronts) == 99
-        log_dims = {v.index for v in space.variables if v.scale == "log"}
+        log_dims = {pos for pos, v in enumerate(space.variables) if v.scale == "log"}
         assert split_dims >= log_dims
-        assert sum(ref.counts[idx - 1] for idx in ref.pts) > 100 or not aggressive
+        assert sum(ref.counts[idx] for idx in ref.pts) > 100 or not aggressive
         assert moved > 0 or aggressive
 
 
@@ -696,8 +743,8 @@ class TestNearestIndex:
         # whose midpoints round onto their breakpoints
         state = make_state(space, persistence=1)
         while True:
-            k = int(np.searchsorted(state.breakpoints(13), 0.3, side="right")) - 1
-            state.counters[13][k] = 1
+            k = int(np.searchsorted(state.breakpoints(12), 0.3, side="right")) - 1
+            state.counters[12][k] = 1
             if not state.refine():
                 break
         lo, hi, mids = state.grids[12]
@@ -724,11 +771,11 @@ class TestSampleRandom:
         rng = np.random.default_rng(1)
         for _ in range(200):
             g = sample_random(space, state, rng)
-            for var, gene in zip(space.variables, g.genes):
+            for var, gene, n in zip(space.variables, g.genes, state.counts):
                 if gene == PLACEHOLDER:
                     assert var.is_conditional
                 else:
-                    assert 0 <= gene < state.counts[var.index - 1]
+                    assert 0 <= gene < n
 
     def test_deterministic_for_seed(self, space):
         state = make_state(space)
