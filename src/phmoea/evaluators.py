@@ -134,7 +134,7 @@ class SurrogateEvaluator:
                 target = ((math.log(values[gene]) if log else values[gene]) - a) / (b - a)
                 self._terms.append((log, a, b - a, target))
             elif var.name in _ORDINAL:
-                self._terms.append([d * d for d in ((i - gene) / (m - 1) for i in range(m))])
+                self._terms.append([d * d for d in ((i - gene) / max(m - 1, 1) for i in range(m))])
             else:
                 offsets = rng.uniform(0.15, 0.6, size=m)
                 offsets[gene] = 0.0
@@ -190,8 +190,8 @@ class WorkerClient:
     Request:  {"id": int, "config": {name: value, ...}, "targets": int}
     Response: {"id": int, "f1": float, "f2": float,
                "status": "ok"|"error", "msg": optional}
-    A timeout, malformed reply, mismatched id, id that is not a JSON integer,
-    objective that is not a JSON number or worker-reported error yields
+    A timeout, closed output, malformed reply, mismatched id, id that is not a
+    JSON integer, objective that is not a JSON number or worker-reported error yields
     an error Evaluation; the engine discards the candidate but the dispatch
     still consumed budget. A late reply to an earlier, timed-out request is
     read and discarded, so one timeout fails only its own request.
@@ -207,19 +207,17 @@ class WorkerClient:
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
 
-    def _read_line(self, deadline: float) -> bytes | None:
-        """Next response line before ``deadline``, bypassing stream buffering."""
+    def _read_line(self, deadline: float) -> bytes | str:
+        """Next response line before ``deadline`` (bypassing stream buffering),
+        or a str saying why none came."""
         fd = self._proc.stdout.fileno()
         while b"\n" not in self._buffer:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                return None
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                return "timeout waiting for the worker's reply"
             chunk = os.read(fd, 65536)
             if not chunk:
-                return None
+                return "worker closed its output"
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line
@@ -243,8 +241,8 @@ class WorkerClient:
         deadline = time.monotonic() + self.timeout
         while True:
             line = self._read_line(deadline)
-            if line is None:
-                return fail("timeout or closed stream")
+            if isinstance(line, str):
+                return fail(line)
             try:
                 reply = json.loads(line.decode("utf-8"))
             except ValueError:      # not UTF-8 or not JSON
@@ -252,7 +250,7 @@ class WorkerClient:
             if not isinstance(reply, dict):
                 return fail("malformed response")
             reply_id = reply.get("id")
-            if not (_is_number(reply_id, int) and reply_id < req_id):
+            if not (_is_number(reply_id, int) and 0 <= reply_id < req_id):
                 break       # not a late reply to an earlier, timed-out request
         if not (_is_number(reply_id, int) and reply_id == req_id):
             return fail(f"response id {reply_id!r} does not match {req_id}")

@@ -28,24 +28,11 @@ def _nearest(u: np.ndarray, n_in: int) -> np.ndarray:
     return np.clip(np.floor(u + 0.5).astype(int), 0, n_in - 1)
 
 
-def _reflect_indices(idx: np.ndarray, n: int) -> np.ndarray:
-    """Mirror indices into [0, n-1] without repeating the edge sample."""
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * (n - 1)
-    idx = np.abs(idx) % period
-    return np.where(idx >= n, period - idx, idx)
-
-
 def _convolve_reflect(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Column-wise convolution with reflective boundary padding."""
-    taps = len(kernel)
-    if taps == 1:
-        return x * kernel[0]
-    half = taps // 2
+    half = len(kernel) // 2
     n = x.shape[0]
-    idx = _reflect_indices(np.arange(-half, n + half), n)
-    padded = x[idx]
+    padded = np.pad(x, ((half, half), (0, 0)), mode="reflect")
     out = np.zeros_like(x, dtype=float)
     for j, w in enumerate(kernel):
         out += w * padded[j:j + n]
@@ -74,7 +61,7 @@ def _decimate(x: np.ndarray, length: int) -> np.ndarray:
 
 
 def _moving_average3(x: np.ndarray) -> np.ndarray:
-    out = x.astype(float).copy()
+    out = x.copy()
     if x.shape[0] >= 3:
         out[1:-1] = (x[:-2] + x[1:-1] + x[2:]) / 3.0
     return out
@@ -95,18 +82,12 @@ def _pool(x: np.ndarray, length: int, pool_type: str) -> np.ndarray:
             rows.append(seg.max(axis=0))
         elif pool_type == "median":
             rows.append(np.median(seg, axis=0))
-        else:  # weighted: triangular weights, degenerating to uniform
+        elif seg.shape[0] == 1:  # weighted over one sample
+            rows.append(seg[0])
+        else:  # weighted: triangular weights, uniform over two samples
             m = seg.shape[0]
-            if m == 1:
-                rows.append(seg[0])
-                continue
-            k = np.arange(m)
-            alpha = 1.0 - np.abs(2.0 * k / (m - 1) - 1.0)
-            total = alpha.sum()
-            if total <= 0.0:
-                alpha = np.ones(m)
-                total = float(m)
-            rows.append((alpha[:, None] * seg).sum(axis=0) / total)
+            alpha = np.ones(m) if m == 2 else 1.0 - np.abs(2.0 * np.arange(m) / (m - 1) - 1.0)
+            rows.append((alpha[:, None] * seg).sum(axis=0) / alpha.sum())
     return np.stack(rows, axis=0)
 
 
@@ -117,8 +98,6 @@ def _fir_kernel(t_in: int, length: int) -> np.ndarray:
     taps = min(taps, t_in, MAX_FIR_TAPS)
     if taps % 2 == 0:
         taps -= 1
-    if taps <= 1:
-        return np.array([1.0])
     m = np.arange(taps) - (taps - 1) / 2.0
     kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * m)
     kernel *= np.hamming(taps)
@@ -151,12 +130,10 @@ def align(x: np.ndarray, length: int, operator: str, pool_type: str | None = Non
         raise ValueError("input contains non-finite values")
 
     t_in = arr.shape[0]
+    down = t_in > length
     if t_in == 1:
         out = np.repeat(arr, length, axis=0)
-        return out[:, 0] if one_dim else out
-
-    down = t_in > length
-    if operator == "linear":
+    elif operator == "linear":
         out = _linear(arr, length)
     elif operator == "decimate_repeat":
         out = _decimate(arr, length) if down else _repeat(arr, length)

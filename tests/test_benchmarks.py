@@ -45,6 +45,8 @@ class TestGenome:
             HBenchProblem("hdtlz2", topology="ring")
         with pytest.raises(ValueError):
             HBenchProblem("hdtlz2", gamma=-1.0)
+        with pytest.raises(ValueError, match="need at least 3 continuous variables"):
+            HBenchProblem("hdtlz2", n=2)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf])
     def test_coupling_coefficient_must_be_finite_and_non_negative(self, gamma):

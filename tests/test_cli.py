@@ -201,6 +201,19 @@ class TestSearch:
         assert "manifest.problem" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [("problem", "hdtlz9"), ("algorithm", "moead")])
+    def test_manifest_unknown_name_is_usage_error(self, tmp_path, capsys, field, value):
+        doc = {"problem": "hdtlz2", "out_dir": str(tmp_path / "out"), field: value}
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli(["search", "--manifest", str(bad)]) == 2
+        assert f"unknown {field} {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_search_without_problem_is_usage_error(self, tmp_path, capsys):
+        assert run_cli(["search", "--out", str(tmp_path / "out")]) == 2
+        assert "--problem is required (or pass --manifest)" in capsys.readouterr().err
+
     def test_manifest_takes_an_int_for_a_float(self, tmp_path):
         doc = {"problem": "hdtlz2", "pop_size": 6, "generations": 2,
                "out_dir": str(tmp_path / "out"), "bench_gamma": 2,
@@ -322,6 +335,20 @@ class TestIndicators:
                         "--ref", str(tmp_path / "ref.csv")]) == 0
         out = capsys.readouterr().out
         assert "HV 1.2100000" in out
+
+    @pytest.mark.parametrize("text, message", [("", "empty file"), ("f1,f2\n", "no data rows")])
+    def test_front_without_data_is_usage_error(self, tmp_path, capsys, text, message):
+        self.make_front(tmp_path / "ref.csv", [(0.0, 1.0), (1.0, 0.0)])
+        (tmp_path / "f.csv").write_text(text)
+        assert run_cli(["indicators", "--front", str(tmp_path / "f.csv"),
+                        "--ref", str(tmp_path / "ref.csv")]) == 2
+        assert f"f.csv: {message}" in capsys.readouterr().err
+
+    def test_front_that_is_a_directory_is_runtime_failure(self, tmp_path, capsys):
+        self.make_front(tmp_path / "ref.csv", [(0.0, 1.0), (1.0, 0.0)])
+        assert run_cli(["indicators", "--front", str(tmp_path),
+                        "--ref", str(tmp_path / "ref.csv")]) == 3
+        assert "runtime failure" in capsys.readouterr().err
 
     def test_row_shorter_than_header_is_usage_error(self, tmp_path, capsys):
         short = tmp_path / "short.csv"

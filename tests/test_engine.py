@@ -42,6 +42,9 @@ def bench_problem(variant="hdtlz2", n=6):
 # ---------------------------------------------------------------------------
 
 class TestNdSort:
+    def test_empty_population(self):
+        assert nd_sort_and_crowd([]) == []
+
     def test_mutually_nondominated(self):
         pop = individuals([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
         fronts = nd_sort_and_crowd(pop)
@@ -962,6 +965,14 @@ class TestSearchParamsValidate:
         with pytest.raises(ValueError, match="stage_ratios"):
             SearchParams(stage_ratios=ratios).validate()
 
+    def test_stage_thresholds_must_be_ordered(self):
+        with pytest.raises(ValueError, match="stage thresholds must satisfy 0 <= early < late <= 1"):
+            SearchParams(stage_early_end=0.5, stage_late_start=0.5).validate()
+
+    def test_stage_ratio_triple_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="each stage ratio triple must sum to 1"):
+            SearchParams(stage_ratios=((0.5, 0.3, 0.1),) * 3).validate()
+
     def test_zero_etas_and_tolerances_pass(self):
         SearchParams(sbx_eta=0.0, mutation_eta=0.0, eps_f1=0.0, eps_f2=0.0,
                      eps_hv=0.0, error_weight=1.0, max_mutated=1).validate()
@@ -981,6 +992,23 @@ class TestRuns:
             run_nsga2(problem, 6, 3, seed=0)
         assert str(info.value) == ("initial population collapsed: 1 of 6 slots admitted "
                                    "a candidate and 0 evaluations failed")
+
+    @pytest.mark.parametrize("pop_size, generations, message", [
+        (1, 3, "population size must be at least 2"), (6, 0, "need at least one generation")])
+    def test_budget_below_one_step_rejected(self, pop_size, generations, message):
+        with pytest.raises(ValueError, match=message):
+            run_nsga2(bench_problem(n=4), pop_size, generations, seed=0)
+
+    def test_log_variable_whose_bounds_share_a_log(self):
+        # log(1e300) == log(nextafter(1e300, inf)): polynomial mutation has no span
+        a = 1e300
+        space = ConfigSpace((VariableSpec("d", DISCRETE, candidates=tuple(range(8))),
+                             VariableSpec("x", CONTINUOUS, bounds=(a, math.nextafter(a, math.inf)),
+                                          scale="log")))
+        problem = SearchProblem(space=space, evaluator=lambda d: Evaluation(
+            key=d.key, f1=float(d.ids[0]), f2=float(d.ids[1] - d.ids[0])))
+        result = run_nsga2(problem, 8, 5, params=SearchParams(mutation_prob=1.0), seed=0)
+        assert [row.gen for row in result.history] == [1, 2, 3, 4, 5]
 
     def test_collapse_on_a_failing_evaluator_counts_the_failures(self):
         problem = bench_problem(n=4)

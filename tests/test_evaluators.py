@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -169,7 +170,7 @@ class ReferenceSurrogate:
                     var, self.target_value[var.name])
                 total += delta * delta
             elif var.name in _ORDINAL:
-                span = len(var.candidates) - 1
+                span = max(len(var.candidates) - 1, 1)  # one candidate never mismatches
                 delta = (decoded.ids[i] - self.target_gene[var.name]) / span
                 total += delta * delta
             else:
@@ -249,6 +250,18 @@ class TestSurrogateMatchesReference:
             for decoded in batch:
                 ev = evaluator(decoded)
                 assert (ev.f1, ev.f2) == reference(decoded)
+
+    def test_one_candidate_ordinal_variable(self):
+        at = SPACE.positions["batch_size"]
+
+        def single_batch_size(variables):
+            variables[at] = replace(variables[at], candidates=(32,))
+        space = edited_space(single_batch_size)
+        evaluator, reference = SurrogateEvaluator(space), ReferenceSurrogate(space)
+        assert evaluator._terms[at] == [0.0]
+        for decoded in configs(space, RefinementState(space), 15, 500):
+            ev = evaluator(decoded)
+            assert (ev.f1, ev.f2) == reference(decoded)
 
     def test_every_config_a_seeded_search_dispatches(self):
         evaluator, reference = SurrogateEvaluator(SPACE), ReferenceSurrogate(SPACE)
@@ -341,14 +354,20 @@ class TestWorkerProtocol:
 
     @pytest.mark.parametrize("mode, message", [
         ("bool_objectives", "not numbers"), ("string_objectives", "not numbers"),
-        ("bool_id", "response id True does not match 1")])
+        ("bool_id", "response id True does not match 1"),
+        ("negative_id", "response id -1 does not match 1"),
+        ("nan_objectives", "non-finite objective values")])
     def test_reply_of_the_wrong_json_type_fails_only_its_call(self, mode, message):
         # JSON true decodes to a bool, an int subclass, and float() reads "12.5"
         with make_client(mode) as client:
             decoded = worked_decoded()
             cfg = decoded.as_dict(SPACE)
             expected = (round(cfg["dropout"] * 2.0, 6), cfg["conv3_channels"] * 1000.0)
-            first, bad, after = (client(decoded) for _ in range(3))
+            first = client(decoded)
+            start = time.monotonic()
+            bad = client(decoded)
+            assert time.monotonic() - start < 5.0     # not a wait for the timeout
+            after = client(decoded)
             assert first.ok and (first.f1, first.f2) == expected
             assert not bad.ok and message in bad.message
             assert after.ok and (after.f1, after.f2) == expected
@@ -373,6 +392,32 @@ class TestWorkerProtocol:
             ev = client(worked_decoded())
             assert not ev.ok
             assert "timeout" in ev.message
+
+    def test_zero_timeout_fails_the_call(self):
+        with make_client("ok", timeout=0.0) as client:
+            ev = client(worked_decoded())
+            assert not ev.ok and "timeout" in ev.message
+
+    def test_worker_exit_fails_its_call_without_waiting(self):
+        with make_client("exit_second", timeout=30.0) as client:
+            decoded = worked_decoded()
+            start = time.monotonic()
+            assert client(decoded).ok
+            ev = client(decoded)
+            assert not ev.ok and ev.message == "worker closed its output"
+            client(decoded)     # returns; whether it fails is the client's policy
+            assert time.monotonic() - start < 10.0
+
+    def test_call_to_an_exited_worker_is_unreachable(self):
+        client = WorkerClient([sys.executable, "-c", "import sys; sys.exit(0)"], SPACE)
+        client._proc.wait(timeout=10)
+        with client:
+            ev = client(worked_decoded())
+            assert not ev.ok and ev.message.startswith("worker unreachable: ")
+
+    def test_pool_needs_a_worker(self):
+        with pytest.raises(ValueError, match="need at least one worker"):
+            WorkerPool([])
 
     def test_late_reply_does_not_desync_later_calls(self):
         # the first request outlives its timeout; its reply arrives while the

@@ -260,6 +260,10 @@ def loop_hv(obtained, reference_point):
 
 
 class TestHv:
+    def test_three_objectives_rejected(self):
+        with pytest.raises(ValueError, match=r"expected an \(n, 2\) point set"):
+            hv(np.zeros((4, 3)), (1.0, 1.0))
+
     def test_unit_square(self):
         assert hv([(0.0, 0.0)], (1.0, 1.0)) == 1.0
 
@@ -324,6 +328,10 @@ class TestHv:
 # ---------------------------------------------------------------------------
 
 class TestMergedFront:
+    def test_no_sets_rejected(self):
+        with pytest.raises(ValueError, match="need at least one point set"):
+            merged_reference_front([])
+
     def test_single_nd_set_is_identity(self):
         pts = np.array([(0.0, 1.0), (0.5, 0.5), (1.0, 0.0)])
         merged = merged_reference_front([pts])

@@ -227,6 +227,14 @@ class TestModelCard:
         with pytest.raises(ValueError):
             build_graph(config, 50, 5)
 
+    def test_unknown_fusion_rejected(self):
+        with pytest.raises(ValueError, match="unknown fusion operator 'sum'"):
+            build_graph(worked_example() | {"fusion_op": "sum"}, 50, 5)
+
+    def test_even_kernel_rejected(self):
+        with pytest.raises(ValueError, match="kernel size 4 is even"):
+            build_graph(worked_example() | {"short_kernels": (3, 4, 5)}, 50, 5)
+
     def test_card_bytes_over_random_configurations(self):
         # pins every key, value and its formatting, continuous values and
         # every fusion mode included, over three network sizes

@@ -1,5 +1,7 @@
 """Alignment operator tests: worked examples plus the shared contracts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             align(np.arange(6.0), 3, "pool", "geometric")
 
+    def test_three_dim_input_rejected(self):
+        with pytest.raises(ValueError, match="input must be a T x F matrix"):
+            align(np.zeros((4, 2, 2)), 3, "linear")
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             align(np.array([1.0, np.nan]), 4, "linear")
@@ -145,3 +151,30 @@ def test_one_dim_input_round_trip():
     x = np.arange(10.0)
     out = align(x, 5, "linear")
     assert out.ndim == 1 and len(out) == 5
+
+
+# ---------------------------------------------------------------------------
+# Byte digest over a grid of inputs
+# ---------------------------------------------------------------------------
+
+# T = 1 repeats; (2, 2) runs the 5-tap blur over a 2-sample signal; (3, 2) and
+# (5, 3) give one- and two-sample weighted windows; (301, 2) a 63-tap FIR.
+DIGEST_T = (1, 2, 3, 4, 5, 7, 9, 12, 16, 23, 37, 64, 301)
+DIGEST_L = (2, 3, 4, 5, 8, 11, 17, 33, 64)
+ALIGN_DIGEST = "c8f1bfe31a6fbb68cd4ad007380313cc194f8564471edaae9beb790a89141c89"
+
+
+def test_align_bytes_digest():
+    rng = np.random.default_rng(7)
+    variants = [(op, None) for op in OPERATORS if op != "pool"]
+    variants += [("pool", p) for p in POOL_TYPES]
+    h = hashlib.sha256()
+    for t_in in DIGEST_T:
+        for features in (1, 2):
+            x = rng.normal(size=(t_in, features)) * 10.0 ** rng.integers(-5, 6, size=features)
+            x[rng.random(x.shape) < 0.05] = -0.0
+            for length in DIGEST_L:
+                for op, pool_type in variants:
+                    out = align(x, length, op, pool_type)
+                    h.update(np.ascontiguousarray(out, dtype="<f8").tobytes())
+    assert h.hexdigest() == ALIGN_DIGEST

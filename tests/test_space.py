@@ -106,6 +106,18 @@ class TestBuiltinSpace:
                 VariableSpec("b", CONTINUOUS, bounds=(0.0, 1.0), parent=("a", ("r",))),
             ))
 
+    @pytest.mark.parametrize("var, message", [
+        (VariableSpec("a", CONTINUOUS), "a: continuous variable needs bounds"),
+        (VariableSpec("a", CONTINUOUS, bounds=(0.0, 1.0), scale="cubic"),
+         "a: unknown scale 'cubic'"),
+        (VariableSpec("a", DISCRETE), "a: candidate list is empty"),
+        (VariableSpec("a", DISCRETE, candidates=(1, 2, 1)), "a: duplicate candidates"),
+    ])
+    def test_invalid_variable_rejected(self, var, message):
+        with pytest.raises(ValueError) as info:
+            ConfigSpace(variables=(var,))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("kind", ["conditional-discrete", "conditional-continuous"])
     def test_only_two_kinds(self, kind):
         with pytest.raises(ValueError, match=f"a: unknown kind '{kind}'"):

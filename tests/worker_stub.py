@@ -3,10 +3,11 @@
 Reads one request per line and answers one line. The first CLI argument
 selects a behavior: ok, bad_id, report_error, garbage, not_object (valid
 JSON that is not an object), not_utf8 (bytes that are not UTF-8), slow,
-slow_first (slow on the first request only), jitter, and bool_objectives,
-string_objectives and bool_id, which answer the second request (id 1) with
-``"f1": true``, ``"f2": "<number>"`` or ``"id": true`` and every other
-request well.
+slow_first (slow on the first request only), jitter, exit_second (exits on
+the second request without answering it), and bool_objectives,
+string_objectives, bool_id, negative_id and nan_objectives, which answer the
+second request (id 1) with ``"f1": true``, ``"f2": "<number>"``,
+``"id": true``, ``"id": -1`` or ``"f1": NaN`` and every other request well.
 """
 
 import json
@@ -28,6 +29,8 @@ def main() -> None:
         if not line:
             continue
         request = json.loads(line)
+        if MODE == "exit_second" and request["id"] == 1:
+            return
         if MODE == "slow" or (MODE == "slow_first" and request["id"] == 0):
             time.sleep(5.0 if MODE == "slow" else 1.0)
         if MODE == "jitter":
@@ -59,6 +62,10 @@ def main() -> None:
                 reply["f2"] = str(f2)
             if MODE == "bool_id":
                 reply["id"] = True
+            if MODE == "negative_id":
+                reply["id"] = -1
+            if MODE == "nan_objectives":
+                reply["f1"] = float("nan")
         print(json.dumps(reply), flush=True)
 
 
