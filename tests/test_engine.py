@@ -1010,6 +1010,22 @@ class TestRuns:
         result = run_nsga2(problem, 8, 5, params=SearchParams(mutation_prob=1.0), seed=0)
         assert [row.gen for row in result.history] == [1, 2, 3, 4, 5]
 
+    @pytest.mark.xfail(strict=True, reason="exp(log(a)) rounds below a: a log bin's "
+                       "representative can fall outside its variable's bounds")
+    def test_log_variable_whose_bounds_share_a_log_decodes_within_them(self):
+        a, b = 1e300, math.nextafter(1e300, math.inf)
+        space = ConfigSpace((VariableSpec("d", DISCRETE, candidates=tuple(range(8))),
+                             VariableSpec("x", CONTINUOUS, bounds=(a, b), scale="log")))
+        decoded = []
+
+        def evaluate(d):
+            decoded.append(d.values[1])
+            return Evaluation(key=d.key, f1=float(d.ids[0]), f2=float(d.ids[1] - d.ids[0]))
+
+        run_nsga2(SearchProblem(space=space, evaluator=evaluate), 8, 5,
+                  params=SearchParams(mutation_prob=1.0), seed=0)
+        assert decoded and all(a <= x <= b for x in decoded)
+
     def test_collapse_on_a_failing_evaluator_counts_the_failures(self):
         problem = bench_problem(n=4)
         problem.evaluator = lambda d: Evaluation(key=d.key, f1=math.nan, f2=0.0)

@@ -2,15 +2,17 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python tools/linecov.py [pytest args, default: tests]
+    PYTHONPATH=src python tools/linecov.py
 
 Installs a stdlib line tracer (``sys.settrace`` and ``threading.settrace``)
 before anything imports ``phmoea``, runs the tier-1 suite in this process
 through ``pytest.main``, and compares the lines that ran with the executable
 lines of every ``src/phmoea/*.py`` code object (``co_lines``). Code run in
 subprocesses is not seen. Each line that never ran is printed; the script
-exits 1 unless every one matches an ``ALLOWED`` entry, and with pytest's
-status if the suite itself fails.
+exits 1 unless every one matches an ``ALLOWED`` entry and every entry matches
+exactly one unexecuted line (so an entry can neither hide a second line with
+the same text nor outlive its line), and with pytest's status if the suite
+itself fails.
 """
 
 from __future__ import annotations
@@ -57,35 +59,42 @@ def _executable_lines(path: Path) -> set[int]:
     stack = [compile(path.read_text(), str(path), "exec")]
     while stack:
         code = stack.pop()
-        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        # line 0 is a module's entry instruction, not a source line
+        lines.update(line for _, _, line in code.co_lines() if line)
         stack.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return lines
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     sys.settrace(_global)
     threading.settrace(_global)
     status = pytest.main(["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-                          *(argv or [str(ROOT / "tests")])])
+                          str(ROOT / "tests")])
     sys.settrace(None)
     threading.settrace(None)
 
-    missed = allowed = 0
+    missed = 0
+    matches = dict.fromkeys(ALLOWED, 0)
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text().splitlines()
         for lineno in sorted(_executable_lines(path)):
             if (str(path), lineno) in _ran:
                 continue
-            text = source[lineno - 1].strip()
-            ok = (path.name, text) in ALLOWED
-            allowed += ok
+            entry = (path.name, source[lineno - 1].strip())
+            ok = entry in matches
+            if ok:
+                matches[entry] += 1
             missed += not ok
-            print(f"{'allowed' if ok else 'MISSED '} src/phmoea/{path.name}:{lineno}: {text}")
-    print(f"{missed} unexecuted src lines outside the allowlist, {allowed} allowlisted")
+            print(f"{'allowed' if ok else 'MISSED '} src/phmoea/{path.name}:{lineno}: {entry[1]}")
+    inexact = sorted(e for e, n in matches.items() if n != 1)
+    for name, text in inexact:
+        print(f"ALLOWED entry matches {matches[name, text]} unexecuted lines: {name}: {text}")
+    print(f"{missed} unexecuted src lines outside the allowlist, "
+          f"{len(ALLOWED) - len(inexact)} of {len(ALLOWED)} allowlist entries matched once")
     if status != 0:
         return int(status)
-    return 1 if missed else 0
+    return 1 if missed or inexact else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
