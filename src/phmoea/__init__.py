@@ -7,6 +7,7 @@ from .evaluators import BenchmarkEvaluator, Evaluation, SurrogateEvaluator
 from .metrics import hv, igd, merged_reference_front
 from .network import build_graph, count_params
 from .resample import align
+from .rng import WordStream
 from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                     RefinementState, VariableSpec, builtin_space, canonical_key,
                     decode, repair, sample_random)

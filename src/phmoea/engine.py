@@ -15,9 +15,11 @@ position, and ``should_stop`` reads the front means from the run's
 ``HistoryRow`` series. An ``Individual`` carries only its genotype, evaluated
 configuration (whose ``key`` it reads), objectives, rank and crowding.
 
-Everything is deterministic for a fixed seed: a single RNG drives sampling
-and variation, evaluation consumes no randomness, and all ties break by
-index.
+Everything is deterministic for a fixed seed: one ``WordStream`` drives
+sampling and variation, evaluation consumes no randomness, and all ties break
+by index. The stream gives ``np.random.default_rng(seed)``'s draws; the hot
+loops read its words and inline the double, ``(word() >> 11) * 2**-53``, and
+call ``below`` for an integer.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 
 from . import metrics
 from .evaluators import Evaluation, evaluate_safely, failed_evaluation
+from .rng import WordStream
 from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                     PLACEHOLDER, RefinementState, canonical_key, decode,
                     nearest_index, repair, sample_random, split_renumbering)
@@ -342,7 +345,7 @@ def partition_players(archives: PlayerArchives, pos: int, hot_fraction: float,
                      cdf=(cdf / cdf[-1]).tolist() if len(rest) else [])
 
 
-def sample_candidate(partition: Partition, pool: str, rng: np.random.Generator) -> int:
+def sample_candidate(partition: Partition, pool: str, stream: WordStream) -> int:
     """Draw one candidate from the hot or non-hot pool.
 
     Hot sampling is uniform; non-hot applies the cold-bonus weight and
@@ -351,8 +354,8 @@ def sample_candidate(partition: Partition, pool: str, rng: np.random.Generator) 
     """
     if pool == "hot" or not partition.non_hot:
         members = partition.hot or partition.non_hot
-        return int(members[rng.integers(len(members))])
-    return partition.non_hot[bisect_right(partition.cdf, rng.random())]
+        return members[stream.below(len(members))]
+    return partition.non_hot[bisect_right(partition.cdf, (stream.word() >> 11) * 2**-53)]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +427,7 @@ class _Run:
         self.generations = generations
         self.params = params
         self.use_archives = use_archives
-        self.rng = np.random.default_rng(seed)
+        self.rng = WordStream(seed)
         self.state = RefinementState(self.space, initial_bins=params.initial_bins,
                                      mass_threshold=params.refine_mass,
                                      persistence=params.refine_persistence)
@@ -436,7 +439,6 @@ class _Run:
         self.reference: tuple[float, float] | None = None
         self.stop_hv: list[float] = []
         self.dims = len(self.space)
-        self.continuous = self.space.continuous_indices()
         self.max_mutated = min(params.max_mutated, self.dims)
         self.skipped_errors = 0
         self.history: list[HistoryRow] = []
@@ -481,32 +483,30 @@ class _Run:
         """One child's genes and kept genes from SBX on continuous dims plus
         uniform discrete swaps; without crossover, copies of ``p1``'s.
 
-        After the crossover draw one batch holds, in order, ``u`` and the side
-        per SBX dimension and one swap draw per other dimension.
+        After the crossover draw come, in order, ``u`` and the side per SBX
+        dimension and one swap draw per other dimension.
         """
         params = self.params
+        word = self.rng.word
         child_genes, child_kept = list(p1.genes), list(p1.frozen)
-        if self.rng.random() >= params.crossover_prob:
+        if (word() >> 11) * 2**-53 >= params.crossover_prob:
             return child_genes, child_kept
-        genes1, genes2 = p1.genes, p2.genes
-        n_sbx = len([i for i in self.continuous if genes1[i] != PLACEHOLDER != genes2[i]])
-        draw = iter(self.rng.random(self.dims + n_sbx).tolist()).__next__
         power = 1.0 / (params.sbx_eta + 1.0)
-        for i, (grid, g1, g2) in enumerate(zip(self.state.grids, genes1, genes2)):
+        for i, (grid, g1, g2) in enumerate(zip(self.state.grids, p1.genes, p2.genes)):
             if grid is not None and g1 != PLACEHOLDER != g2:
                 lo, hi, mids = grid
                 v1, v2 = mids[g1], mids[g2]
-                u = draw()
+                u = (word() >> 11) * 2**-53
                 if u <= 0.5:
                     beta = (2.0 * u) ** power
                 else:
                     beta = (1.0 / (2.0 * (1.0 - u))) ** power
                 c1 = 0.5 * ((1.0 + beta) * v1 + (1.0 - beta) * v2)
                 c2 = 0.5 * ((1.0 - beta) * v1 + (1.0 + beta) * v2)
-                value = c1 if draw() < 0.5 else c2
+                value = c1 if (word() >> 11) * 2**-53 < 0.5 else c2
                 value = lo if value < lo else hi if value > hi else value
                 child_genes[i] = child_kept[i] = nearest_index(mids, value)
-            elif draw() < 0.5:
+            elif (word() >> 11) * 2**-53 < 0.5:
                 child_genes[i] = g2
                 child_kept[i] = p2.frozen[i]
         return child_genes, child_kept
@@ -514,20 +514,20 @@ class _Run:
     def _mutate(self, genes: list[int], kept: list[int]) -> None:
         """Polynomial or uniform mutation of a child's kept genes, in place;
         only dimensions whose gene is not ``PLACEHOLDER`` may mutate."""
-        params = self.params
-        if self.rng.random() >= params.mutation_prob:
+        word = self.rng.word
+        if (word() >> 11) * 2**-53 >= self.params.mutation_prob:
             return
         rate = 1.0 / self.dims
         changed = 0
         for i, grid in enumerate(self.state.grids):
             if changed >= self.max_mutated:
                 break
-            if genes[i] == PLACEHOLDER or self.rng.random() >= rate:
+            if genes[i] == PLACEHOLDER or (word() >> 11) * 2**-53 >= rate:
                 continue
             if grid is not None:
                 new = self._polynomial_step(grid, kept[i])
             else:
-                new = int(self.rng.integers(self.state.counts[i]))
+                new = self.rng.below(self.state.counts[i])
             if new != kept[i]:
                 kept[i] = new
                 changed += 1
@@ -539,7 +539,7 @@ class _Run:
         if span <= 0:
             return gene
         x = mids[gene]
-        u = self.rng.random()
+        u = (self.rng.word() >> 11) * 2**-53
         if u < 0.5:
             xy = 1.0 - (x - lo) / span
             delta = (2.0 * u + (1.0 - 2.0 * u) * xy ** (eta + 1.0)) ** (1.0 / (eta + 1.0)) - 1.0
@@ -550,32 +550,35 @@ class _Run:
         return nearest_index(mids, value)
 
     def _variation_child(self) -> list[int]:
-        pop = self.population
-        i, j, k, m = self.rng.integers(len(pop), size=4).tolist()
-        p1 = self._tournament(pop[i], pop[j])
-        p2 = self._tournament(pop[k], pop[m])
+        pop, below = self.population, self.rng.below
+        n = len(pop)
+        p1 = self._tournament(pop[below(n)], pop[below(n)])
+        p2 = self._tournament(pop[below(n)], pop[below(n)])
         genes, kept = self._sbx_child(p1.genotype, p2.genotype)
         self._mutate(genes, kept)
         return kept
 
     def _assemble_child(self, parts: list[Partition], pool: str) -> list[int]:
         """One gene per dimension from ``pool``, then cross-pool swaps. The first
-        pass draws once for all dimensions what ``sample_candidate`` draws per one."""
+        pass draws inline for all dimensions what ``sample_candidate`` draws per one."""
+        rng = self.rng
+        word = rng.word
         if pool == "hot":
-            picks = self.rng.integers(0, [len(p.hot or p.non_hot) for p in parts])
-            genes = [(p.hot or p.non_hot)[k] for p, k in zip(parts, picks.tolist())]
+            below = rng.below
+            genes = [members[below(len(members))]
+                     for members in [p.hot or p.non_hot for p in parts]]
         elif all(p.non_hot for p in parts):
-            genes = [p.non_hot[bisect_right(p.cdf, u)]
-                     for p, u in zip(parts, self.rng.random(self.dims).tolist())]
+            genes = [p.non_hot[bisect_right(p.cdf, (word() >> 11) * 2**-53)] for p in parts]
         else:
-            genes = [sample_candidate(p, pool, self.rng) for p in parts]
+            genes = [sample_candidate(p, pool, rng) for p in parts]
         opposite = "nh" if pool == "hot" else "hot"
+        rate = self.params.cross_pool_rate
         changed = 0
         for i, part in enumerate(parts):
             if changed >= self.max_mutated:
                 break
-            if self.rng.random() < self.params.cross_pool_rate:
-                new = sample_candidate(part, opposite, self.rng)
+            if (word() >> 11) * 2**-53 < rate:
+                new = sample_candidate(part, opposite, rng)
                 if new != genes[i]:
                     genes[i] = new
                     changed += 1

@@ -29,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .resample import OPERATORS, POOL_TYPES
+from .rng import WordStream
 
 PLACEHOLDER = -1
 
@@ -231,7 +232,8 @@ class RefinementState:
 
     Tables by 0-based position, edited in place when a partition changes:
     ``counts`` (candidates or bins), ``values`` (candidates, or representatives
-    in raw units) and ``grids`` (scale-space ``(lo, hi, midpoints)``, None if
+    in raw units, a log scale's clipped into the bounds that ``exp`` may round
+    past) and ``grids`` (scale-space ``(lo, hi, midpoints)``, None if
     discrete). ``counters[pos]`` maps a bin to its nonzero counter.
     """
 
@@ -255,7 +257,8 @@ class RefinementState:
             self._pts[pos] = pts.tolist()
             grid = mids.tolist()
             self.counts[pos] = initial_bins
-            self.values[pos] = grid if var.scale == "linear" else np.exp(mids).tolist()
+            self.values[pos] = (grid if var.scale == "linear"
+                                else np.clip(np.exp(mids), a, b).tolist())
             self.grids[pos] = (float(pts[0]), float(pts[-1]), grid)
             self.counters[pos] = {}
 
@@ -298,6 +301,7 @@ class RefinementState:
             split = sorted(k for k in triggered
                            if pts[k] < 0.5 * (pts[k] + pts[k + 1]) < pts[k + 1])
             mids, values = self.grids[pos][2], self.values[pos]
+            bounds = self.space.variables[pos].bounds
             for k in reversed(split):       # from the right, so k still indexes the old bin
                 mid = 0.5 * (pts[k] + pts[k + 1])
                 pts.insert(k + 1, mid)
@@ -305,7 +309,7 @@ class RefinementState:
                 mids[k] = left
                 mids.insert(k + 1, right)
                 if values is not mids:      # log scale: representatives in raw units
-                    values[k:k + 1] = np.exp([left, right]).tolist()
+                    values[k:k + 1] = np.clip(np.exp([left, right]), *bounds).tolist()
             self.counts[pos] = len(mids)
             self.counters[pos] = {k + bisect_left(split, k): c for k, c in counters.items()
                                   if k not in triggered}
@@ -372,9 +376,13 @@ def repair(kept: Sequence[int], space: ConfigSpace, state: RefinementState) -> G
     return Genotype(genes=tuple(genes), frozen=tuple(kept))
 
 
-def sample_random(space: ConfigSpace, state: RefinementState, rng: np.random.Generator) -> Genotype:
-    """Uniform gene per dimension over the current candidates/bins, repaired."""
-    return repair(rng.integers(0, state.counts).tolist(), space, state)
+def sample_random(space: ConfigSpace, state: RefinementState, stream: WordStream) -> Genotype:
+    """Uniform gene per dimension over the current candidates/bins, repaired.
+
+    The draws are numpy's ``integers(0, state.counts)``: a count of 1 draws nothing.
+    """
+    below = stream.below
+    return repair([below(n) for n in state.counts], space, state)
 
 
 class DedupRegistry:

@@ -19,6 +19,7 @@ from phmoea.evaluators import (BenchmarkEvaluator, Evaluation,
 from phmoea.metrics import hv, igd, nondominated_mask
 from phmoea.network import build_graph, count_params
 from phmoea.resample import OPERATORS, align
+from phmoea.rng import WordStream
 from phmoea.space import (RefinementState, builtin_space, canonical_key,
                           decode, sample_random)
 from phmoea.cli import main as cli_main
@@ -150,7 +151,7 @@ def test_criterion_5_budget_and_early_stop():
 def test_criterion_6_parameter_count_oracle():
     space = builtin_space()
     state = RefinementState(space)
-    rng = np.random.default_rng(2024)
+    rng = WordStream(2024)
     mismatches = 0
     for _ in range(20):
         decoded = decode(sample_random(space, state, rng), state)

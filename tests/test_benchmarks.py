@@ -9,6 +9,7 @@ from phmoea.benchmarks import (HBenchProblem, benchmark_space, chain_parent,
                                hdtlz2, hdtlz7, pairwise_sum, reference_front,
                                tree_parent)
 from phmoea.metrics import nondominated_mask
+from phmoea.rng import WordStream
 from phmoea.space import RefinementState, decode, repair, sample_random
 
 
@@ -79,7 +80,7 @@ class TestProjection:
         problem = HBenchProblem("hdtlz7", n=8)
         space = problem.space()
         state = RefinementState(space)
-        rng = np.random.default_rng(0)
+        rng = WordStream(0)
         for _ in range(100):
             decoded = decode(sample_random(space, state, rng), state)
             z, _ = problem.project(decoded)
@@ -198,7 +199,7 @@ def refined_bench_state(space, rng, rounds=60):
     for _ in range(rounds):
         for pos in space.continuous_indices():
             pts = state.breakpoints(pos)
-            targets = [0.0, 0.5] + rng.random(2).tolist()
+            targets = [0.0, 0.5] + [(rng.word() >> 11) * 2**-53 for _ in range(2)]
             for t in targets:
                 k = min(int(np.searchsorted(pts, t, side="right")) - 1, len(pts) - 2)
                 state.counters[pos][k] = 1
@@ -212,7 +213,7 @@ class TestPlainFloatObjectives:
     @pytest.mark.parametrize("variant", ["hdtlz2", "hdtlz7"])
     @pytest.mark.parametrize("topology", ["chain", "tree"])
     def test_equals_numpy_on_initial_and_refined_bins(self, variant, topology):
-        rng = np.random.default_rng(7)
+        rng = WordStream(7)
         for n, refined, configs in ((12, False, 5000), (12, True, 5000), (140, True, 1000)):
             problem = HBenchProblem(variant, n=n, topology=topology, gamma=1.3)
             space = problem.space()

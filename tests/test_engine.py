@@ -1,6 +1,7 @@
 """Engine unit tests: scoring, archives, pools, variation, selection, stopping."""
 
 import math
+from bisect import bisect_right
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,7 @@ from phmoea.engine import (NORM_EPS, HistoryRow, Individual, PlayerArchives,
                            partition_players, run_nsga2, run_phmoea,
                            sample_candidate, should_stop, stage_ratios)
 from phmoea.evaluators import BenchmarkEvaluator, Evaluation
+from phmoea.rng import BLOCK, WordStream
 from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER,
                           ConfigSpace, DecodedConfig, Genotype, RefinementState,
                           VariableSpec, builtin_space, canonical_key, decode,
@@ -404,7 +406,7 @@ class TestSampling:
     def test_cold_bonus_probability(self):
         part, pools = partition_of([0.0] * 3, [0, 5, 5], 0.0, 0.2)
         assert pools == ((), (1, 2), (0,))
-        rng = np.random.default_rng(0)
+        rng = WordStream(0)
         draws = [sample_candidate(part, "nh", rng) for _ in range(40000)]
         p_cold = draws.count(0) / len(draws)
         assert p_cold == pytest.approx(0.15 / 2.15, abs=0.01)
@@ -412,7 +414,7 @@ class TestSampling:
     def test_all_normal_is_uniform(self):
         part, pools = partition_of([0.0] * 4, [0] * 4, 0.0, 0.0)
         assert pools == ((), (0, 1, 2, 3), ())
-        rng = np.random.default_rng(1)
+        rng = WordStream(1)
         draws = [sample_candidate(part, "nh", rng) for _ in range(20000)]
         for a in range(4):
             assert draws.count(a) / len(draws) == pytest.approx(0.25, abs=0.02)
@@ -420,13 +422,13 @@ class TestSampling:
     def test_singleton_hot(self):
         part, pools = partition_of([0.0, 0.0, 1.0], [5, 0, 0], 0.3, 0.2)
         assert pools == ((2,), (0,), (1,))
-        rng = np.random.default_rng(2)
+        rng = WordStream(2)
         assert all(sample_candidate(part, "hot", rng) == 2 for _ in range(100))
 
     def test_empty_pool_falls_back_to_uniform(self):
         part, _ = partition_of([0.0, 0.0], [0, 0], 1.0, 0.0)
         assert (part.hot, part.non_hot, part.cdf) == ((0, 1), (), [])
-        rng = np.random.default_rng(3)
+        rng = WordStream(3)
         draws = {sample_candidate(part, "nh", rng) for _ in range(50)}
         assert draws == {0, 1}
 
@@ -443,12 +445,13 @@ class TestSampling:
         empty, partner = (part.hot, part.non_hot) if pool == "hot" else (part.non_hot, part.hot)
         assert empty == () and partner == tuple(range(n))
         other = "nh" if pool == "hot" else "hot"
-        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        rng, ref_rng = WordStream(5), np.random.default_rng(5)
         for _ in range(300):
             assert sample_candidate(part, pool, rng) == int(ref_rng.integers(n))
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            sample_candidate(part, other, rng)
-            sample_candidate(part, other, ref_rng)
+            assert rng.state == ref_rng.bit_generator.state
+            want = (int(ref_rng.integers(n)) if other == "hot"
+                    else part.non_hot[bisect_right(part.cdf, ref_rng.random())])
+            assert sample_candidate(part, other, rng) == want
 
     def test_non_hot_draws_match_the_loop_reference(self):
         for cold_bonus in (0.15, 0.5, 3.0):
@@ -456,7 +459,7 @@ class TestSampling:
                                        [9, 1, 9, 2, 0, 9, 0], 0.1, 0.4, cold_bonus)
             assert pools == ((4,), (0, 2, 5), (1, 3, 6))
             assert part.non_hot == (0, 1, 2, 3, 5, 6)
-            rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+            rng, ref_rng = WordStream(4), np.random.default_rng(4)
             weights = np.array([cold_bonus if a in pools[2] else 1.0
                                 for a in part.non_hot])
             weights /= weights.sum()
@@ -481,45 +484,119 @@ def engine_for(problem, pop_size=10, generations=10, params=None, seed=0,
     return run
 
 
-class TestDrawBatching:
-    """The numpy identities the batched draws of the variation operators rest on.
+def double(stream):
+    """A double in [0, 1), read from the stream as the engine inlines it."""
+    return (stream.word() >> 11) * 2**-53
 
-    Each case interleaves other draws, so a numpy whose batched and scalar
-    draws part ways fails here, not as a silent change of seeded output.
+
+class TestDrawBatching:
+    """``WordStream`` on one side, numpy's calls from the same seed on the other.
+
+    Each case interleaves doubles and integers and ends on equal bit-generator
+    states, so a numpy release that moves ``random`` or ``integers`` fails
+    here by name, not as a silent change of seeded output.
     """
 
     @pytest.mark.parametrize("seed", range(5))
     def test_four_indices_equal_two_pairs(self, seed):
+        stream = WordStream(seed)
         batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
         # rejections of large bounds leave a 32-bit half buffered across calls
         for n in (2, 3, 7, 100, 2**31 + 1, 3 * 2**30) * 4:
-            got = batched.integers(n, size=4).tolist() + [batched.random()]
-            want = (scalar.integers(n, size=2).tolist() + scalar.integers(n, size=2).tolist()
-                    + [scalar.random()])
-            assert got == want
+            got = [stream.below(n) for _ in range(4)] + [double(stream)]
+            assert got == batched.integers(n, size=4).tolist() + [batched.random()]
+            assert got == [int(scalar.integers(n)) for _ in range(4)] + [scalar.random()]
+        assert stream.state == batched.bit_generator.state == scalar.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(5))
     def test_per_bound_array_equals_scalar_calls(self, seed):
         rng = np.random.default_rng(100 + seed)
+        stream = WordStream(seed)
         batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(50):
             bounds = rng.integers(1, 9, rng.integers(1, 30)).tolist()
             bounds[::4] = [1] * len(bounds[::4])     # a bound of 1 draws nothing
-            got = batched.integers(0, bounds).tolist() + [batched.random()]
-            want = [int(scalar.integers(b)) for b in bounds] + [scalar.random()]
-            assert got == want
+            got = [stream.below(b) for b in bounds] + [double(stream)]
+            assert got == batched.integers(0, bounds).tolist() + [batched.random()]
+            assert got == [int(scalar.integers(b)) for b in bounds] + [scalar.random()]
+        assert stream.state == batched.bit_generator.state == scalar.bit_generator.state
 
     @pytest.mark.parametrize("seed", range(5))
     def test_uniform_batch_equals_scalar_calls(self, seed):
+        stream = WordStream(seed)
         batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
         for k in (1, 2, 13, 40):
-            got = [int(batched.integers(5))] + batched.random(k).tolist()
-            want = [int(scalar.integers(5))] + [scalar.random() for _ in range(k)]
-            assert got == want
+            got = [stream.below(5)] + [double(stream) for _ in range(k)]
+            assert got == [int(batched.integers(5))] + batched.random(k).tolist()
+            assert got == [int(scalar.integers(5))] + [scalar.random() for _ in range(k)]
+        assert stream.state == batched.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_halves_carry_across_interleaved_doubles(self, seed):
+        """An integer draw leaves its word's high half pending; doubles take
+        whole words past it, and the next integer draw takes it."""
+        pattern = np.random.default_rng(50 + seed)
+        stream, twin = WordStream(seed), np.random.default_rng(seed)
+        for _ in range(2000):
+            if pattern.random() < 0.5:
+                n = int(pattern.choice([1, 2, 3, 7, 100, 2**16 + 1, 2**32]))
+                assert stream.below(n) == int(twin.integers(n))
+            else:
+                assert double(stream) == twin.random()
+            assert stream.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30, 2**32 - 5, 2**32])
+    def test_rejection_loop_near_two_to_the_32(self, n):
+        # Lemire's draw rejects a half with probability (2**32 % n) / 2**32:
+        # about 1/2, 1/4, 1e-9 and 0 here (n == 2**32 is numpy's plain half)
+        stream, twin = WordStream(n % 97), np.random.default_rng(n % 97)
+        for _ in range(20_000):
+            assert stream.below(n) == int(twin.integers(n))
+        assert stream.state == twin.bit_generator.state
+
+    def test_a_bound_past_two_to_the_32_is_refused(self):
+        # numpy draws those from whole 64-bit words; the stream does not
+        stream = WordStream(0)
+        before = stream.state
+        for n in (2**32 + 1, 2**40):
+            with pytest.raises(ValueError, match="64-bit draw"):
+                stream.below(n)
+        assert stream.state == before == np.random.default_rng(0).bit_generator.state
+
+    def test_state_loads_into_numpy_across_blocks(self):
+        stream, twin = WordStream(9), np.random.default_rng(9)
+        for _ in range(3):
+            assert stream.below(7) == int(twin.integers(7))
+            for _ in range(BLOCK - 1):
+                assert double(stream) == twin.random()
+            assert stream.state == twin.bit_generator.state
+            loaded = np.random.default_rng()
+            loaded.bit_generator.state = stream.state
+            assert [stream.below(100), double(stream), stream.below(100)] == \
+                [int(loaded.integers(100)), loaded.random(), int(loaded.integers(100))]
+            twin.bit_generator.state = loaded.bit_generator.state
+
+
+def per_draw_polynomial_step(grid, gene, eta, rng):
+    """Polynomial mutation of one gene with one numpy call: the reference."""
+    lo, hi, mids = grid
+    span = hi - lo
+    if span <= 0:
+        return gene
+    x = mids[gene]
+    u = rng.random()
+    if u < 0.5:
+        xy = 1.0 - (x - lo) / span
+        delta = (2.0 * u + (1.0 - 2.0 * u) * xy ** (eta + 1.0)) ** (1.0 / (eta + 1.0)) - 1.0
+    else:
+        xy = 1.0 - (hi - x) / span
+        delta = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xy ** (eta + 1.0)) ** (1.0 / (eta + 1.0))
+    value = min(max(x + delta * span, lo), hi)
+    return int(np.argmin(np.abs(np.array(mids) - value)))
 
 
 def per_draw_variation_child(run, rng):
-    """Tournaments, SBX and mutation with one RNG call per draw: the reference."""
+    """Tournaments, SBX and mutation with one numpy call per draw: the reference."""
     def tournament():
         i, j = rng.integers(len(run.population), size=2)
         a, b = run.population[int(i)], run.population[int(j)]
@@ -552,26 +629,43 @@ def per_draw_variation_child(run, rng):
             elif rng.random() < 0.5:
                 genes[i], kept[i] = g2, p2.frozen[i]
         child = genes, kept
-    saved, run.rng = run.rng, rng       # mutation draws one by one already
     genes, kept = map(list, child)
-    try:
-        run._mutate(genes, kept)
-    finally:
-        run.rng = saved
+    if rng.random() < params.mutation_prob:
+        changed = 0
+        for i, grid in enumerate(run.state.grids):
+            if changed >= run.max_mutated:
+                break
+            if genes[i] == PLACEHOLDER or rng.random() >= 1.0 / len(run.space):
+                continue
+            if grid is None:
+                new = int(rng.integers(run.state.counts[i]))
+            else:
+                new = per_draw_polynomial_step(grid, kept[i], params.mutation_eta, rng)
+            if new != kept[i]:
+                kept[i] = new
+                changed += 1
     return kept
 
 
+def per_call_candidate(part, pool, rng):
+    """``sample_candidate`` with one numpy call: the reference."""
+    if pool == "hot" or not part.non_hot:
+        members = part.hot or part.non_hot
+        return int(members[rng.integers(len(members))])
+    return part.non_hot[bisect_right(part.cdf, rng.random())]
+
+
 def per_dimension_assembled_child(run, partitions, pool, rng):
-    """Pool offspring with one ``sample_candidate`` call per dimension: the reference."""
+    """Pool offspring with one numpy-drawn candidate per dimension: the reference."""
     params = run.params
-    genes = [sample_candidate(part, pool, rng) for part in partitions]
+    genes = [per_call_candidate(part, pool, rng) for part in partitions]
     opposite = "nh" if pool == "hot" else "hot"
     changed = 0
     for i, part in enumerate(partitions):
         if changed >= run.max_mutated:
             break
         if rng.random() < params.cross_pool_rate:
-            new = sample_candidate(part, opposite, rng)
+            new = per_call_candidate(part, opposite, rng)
             if new != genes[i]:
                 genes[i] = new
                 changed += 1
@@ -643,7 +737,7 @@ class TestVariation:
     @staticmethod
     def twin_rng(run):
         twin = np.random.default_rng()
-        twin.bit_generator.state = run.rng.bit_generator.state
+        twin.bit_generator.state = run.rng.state
         return twin
 
     @pytest.mark.parametrize("seed", range(3))
@@ -656,7 +750,7 @@ class TestVariation:
             rng = self.twin_rng(run)
             want = per_draw_variation_child(run, rng)
             assert run._variation_child() == want
-            assert run.rng.bit_generator.state == rng.bit_generator.state
+            assert run.rng.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("hot_fraction, cold_fraction",
                              [(0.3, 0.2), (1.0, 0.0), (0.0, 0.2), (0.5, 0.5)])
@@ -672,7 +766,7 @@ class TestVariation:
             rng = self.twin_rng(run)
             want = per_dimension_assembled_child(run, partitions, pool, rng)
             assert run._assemble_child(partitions, pool) == want
-            assert run.rng.bit_generator.state == rng.bit_generator.state
+            assert run.rng.state == rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -1010,8 +1104,6 @@ class TestRuns:
         result = run_nsga2(problem, 8, 5, params=SearchParams(mutation_prob=1.0), seed=0)
         assert [row.gen for row in result.history] == [1, 2, 3, 4, 5]
 
-    @pytest.mark.xfail(strict=True, reason="exp(log(a)) rounds below a: a log bin's "
-                       "representative can fall outside its variable's bounds")
     def test_log_variable_whose_bounds_share_a_log_decodes_within_them(self):
         a, b = 1e300, math.nextafter(1e300, math.inf)
         space = ConfigSpace((VariableSpec("d", DISCRETE, candidates=tuple(range(8))),

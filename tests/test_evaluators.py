@@ -18,6 +18,7 @@ from phmoea.evaluators import (_LOG_P_HI, _LOG_P_LO, _ORDINAL, _UPPER_HALF,
                                evaluate_safely)
 from phmoea.metrics import nondominated_mask
 from phmoea.network import build_graph, count_params
+from phmoea.rng import WordStream
 from phmoea.space import (ConfigSpace, RefinementState, builtin_space, decode, repair,
                           sample_random)
 
@@ -79,7 +80,7 @@ class TestBenchmarkEvaluator:
         space = bench.space()
         state = RefinementState(space)
         evaluator = BenchmarkEvaluator(bench)
-        rng = np.random.default_rng(0)
+        rng = WordStream(0)
         decoded = decode(sample_random(space, state, rng), state)
         a, b = evaluator(decoded), evaluator(decoded)
         assert (a.f1, a.f2) == (b.f1, b.f2)
@@ -100,7 +101,7 @@ class TestSurrogate:
     def test_deterministic(self):
         a = SurrogateEvaluator(SPACE)
         b = SurrogateEvaluator(SPACE)
-        rng = np.random.default_rng(3)
+        rng = WordStream(3)
         for _ in range(20):
             decoded = decode(sample_random(SPACE, STATE, rng), STATE)
             assert a(decoded).f1 == b(decoded).f1
@@ -112,14 +113,14 @@ class TestSurrogate:
         target_genes = [target_gene[v.name] for v in SPACE.variables]
         target = decode(repair(target_genes, SPACE, state), state)
         target_f1 = evaluator(target).f1
-        rng = np.random.default_rng(99)
+        rng = WordStream(99)
         best = min(evaluator(decode(sample_random(SPACE, state, rng), state)).f1
                    for _ in range(10_000))
         assert target_f1 <= best
 
     def test_conflict_in_random_sample(self):
         evaluator = SurrogateEvaluator(SPACE)
-        rng = np.random.default_rng(7)
+        rng = WordStream(7)
         pts = []
         for _ in range(10_000):
             ev = evaluator(decode(sample_random(SPACE, STATE, rng), STATE))
@@ -213,7 +214,7 @@ def without(name):
 
 def configs(space, state, seed: int, n: int, **genes):
     """``n`` random repaired configurations with the named genes overridden."""
-    rng = np.random.default_rng(seed)
+    rng = WordStream(seed)
     out = []
     for _ in range(n):
         g = list(sample_random(space, state, rng).frozen)
@@ -438,7 +439,7 @@ class TestWorkerProtocol:
         pool = WorkerPool(clients)
         try:
             state = RefinementState(SPACE)
-            rng = np.random.default_rng(5)
+            rng = WordStream(5)
             batch = [decode(sample_random(SPACE, state, rng), state)
                      for _ in range(7)]
             results = pool.evaluate_many(batch)
@@ -455,7 +456,7 @@ class TestWorkerProtocol:
         pool = WorkerPool([make_client(mode), make_client(mode)])
         try:
             state = RefinementState(SPACE)
-            rng = np.random.default_rng(3)
+            rng = WordStream(3)
             batch = [decode(sample_random(SPACE, state, rng), state)
                      for _ in range(6)]
             results = pool.evaluate_many(batch)
@@ -466,7 +467,7 @@ class TestWorkerProtocol:
 
     def test_pool_exception_fails_only_its_candidate(self):
         state = RefinementState(SPACE)
-        rng = np.random.default_rng(3)
+        rng = WordStream(3)
         batch = [decode(sample_random(SPACE, state, rng), state)
                  for _ in range(6)]
         bad = batch[2].key
@@ -491,7 +492,7 @@ class TestWorkerProtocol:
         pool = WorkerPool(clients)
         try:
             state = RefinementState(SPACE)
-            rng = np.random.default_rng(23)
+            rng = WordStream(23)
             batch = [decode(sample_random(SPACE, state, rng), state)
                      for _ in range(6)]
             results = pool.evaluate_many(batch)
@@ -509,7 +510,7 @@ class TestWorkerProtocol:
         pool = WorkerPool([make_client("jitter"), make_client("ok")])
         try:
             state = RefinementState(SPACE)
-            rng = np.random.default_rng(17)
+            rng = WordStream(17)
             batch = [decode(sample_random(SPACE, state, rng), state)
                      for _ in range(9)]
             results = pool.evaluate_many(batch)

@@ -8,6 +8,7 @@ from itertools import compress
 import numpy as np
 import pytest
 
+from phmoea.rng import WordStream
 from phmoea.space import (CONTINUOUS, DISCRETE, ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                           PLACEHOLDER, RefinementState, VariableSpec, activity,
                           builtin_space, canonical_key, decode, nearest_index,
@@ -326,7 +327,7 @@ class TestRepair:
 
     def test_decoded_continuous_within_bounds(self, space):
         state = make_state(space)
-        rng = np.random.default_rng(11)
+        rng = WordStream(11)
         for _ in range(100):
             g = sample_random(space, state, rng)
             decoded = decode(g, state)
@@ -336,7 +337,7 @@ class TestRepair:
 
     def test_activity_respects_every_parent_rule(self, space):
         state = make_state(space)
-        rng = np.random.default_rng(3)
+        rng = WordStream(3)
         for _ in range(200):
             decoded = decode(sample_random(space, state, rng), state)
             cfg = dict(zip([v.name for v in space.variables], decoded.values))
@@ -355,14 +356,14 @@ class TestRepair:
 class TestCanonicalKey:
     def test_inactive_mutation_invariant(self, space):
         state = make_state(space)
-        rng = np.random.default_rng(5)
+        rng = WordStream(5)
         for _ in range(100):
             g = sample_random(space, state, rng)
             decoded = decode(g, state)
             kept = list(g.frozen)
             inactive = [i for i, on in enumerate(decoded.active) if not on]
             for i in inactive:
-                kept[i] = int(rng.integers(0, 2))
+                kept[i] = rng.below(2)
             other = decode(repair(kept, space, state), state)
             assert canonical_key(other.ids) == canonical_key(decoded.ids)
 
@@ -592,7 +593,7 @@ class TestRefinement:
         assert g.genes == (1, n - 1, 1)
         assert decode(g, state).values[1] == state.values[1][n - 1]
         assert repair((1, n + 3, 1), space, state).genes[1] == n - 1
-        rng = np.random.default_rng(0)
+        rng = WordStream(0)
         drawn = {sample_random(space, state, rng).frozen[1] for _ in range(400)}
         assert drawn == set(range(n))
 
@@ -780,7 +781,7 @@ class TestNearestIndex:
 class TestSampleRandom:
     def test_within_bounds(self, space):
         state = make_state(space)
-        rng = np.random.default_rng(1)
+        rng = WordStream(1)
         for _ in range(200):
             g = sample_random(space, state, rng)
             for var, gene, n in zip(space.variables, g.genes, state.counts):
@@ -791,10 +792,10 @@ class TestSampleRandom:
 
     def test_deterministic_for_seed(self, space):
         state = make_state(space)
-        a = [sample_random(space, state, np.random.default_rng(42)) for _ in range(5)]
-        b = [sample_random(space, state, np.random.default_rng(42)) for _ in range(5)]
+        a = [sample_random(space, state, WordStream(42)) for _ in range(5)]
+        b = [sample_random(space, state, WordStream(42)) for _ in range(5)]
         # fresh generator per call would repeat; use one stream per sequence
-        rng1, rng2 = np.random.default_rng(42), np.random.default_rng(42)
+        rng1, rng2 = WordStream(42), WordStream(42)
         seq1 = [sample_random(space, state, rng1) for _ in range(10)]
         seq2 = [sample_random(space, state, rng2) for _ in range(10)]
         assert seq1 == seq2
@@ -802,7 +803,7 @@ class TestSampleRandom:
 
     def test_uniform_frequencies(self, space):
         state = make_state(space)
-        rng = np.random.default_rng(123)
+        rng = WordStream(123)
         counts = np.zeros(4)
         for _ in range(1000):
             g = sample_random(space, state, rng)
