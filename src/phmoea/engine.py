@@ -8,18 +8,21 @@ continuous dimensions, and duplicate rejection of every candidate admitted to
 evaluation. A plain NSGA-II baseline mode disables the archive machinery but
 keeps the identical encoding, repair, deduplication and selection path.
 
-Per-generation scratch is passed, not stored: ``archive_weights`` turns the
-ranked population into one credit per individual for ``PlayerArchives.update``,
-``partition_players`` builds one ``Partition`` per dimension, listed by
-position, and ``should_stop`` reads the front means from the run's
-``HistoryRow`` series. An ``Individual`` carries only its genotype, evaluated
-configuration (whose ``key`` it reads), objectives, rank and crowding.
+A run is ``_Run._start()``, which evaluates, ranks and records the initial
+population, then one ``_Run.step()`` per generation: refine on the first front,
+breed, evaluate, select, record. Per-generation scratch is passed, not stored:
+``archive_weights`` turns the ranked population into one credit per individual
+for ``PlayerArchives.update``, ``partition_players`` builds one ``Partition``
+per dimension, listed by position, and ``should_stop`` reads the front means
+from the run's ``HistoryRow`` series. An ``Individual`` carries only its
+genotype, evaluated configuration, objectives, rank and crowding.
 
 Everything is deterministic for a fixed seed: one ``WordStream`` drives
-sampling and variation, evaluation consumes no randomness, and all ties break
-by index. The stream gives ``np.random.default_rng(seed)``'s draws; the hot
-loops read its words and inline the double, ``(word() >> 11) * 2**-53``, and
-call ``below`` for an integer.
+sampling and variation, evaluation consumes no randomness, float sums run in
+order on every Python, and ties break by index. The stream gives
+``np.random.default_rng(seed)``'s draws; the hot loops read its words and
+inline the double, ``(word() >> 11) * 2**-53``, and call ``below`` for an
+integer.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import groupby
+from operator import add
 
 import numpy as np
 
@@ -253,7 +258,7 @@ def archive_weights(pop: list[Individual], phi: float, params: SearchParams) -> 
             scores.append(alpha * s + (1.0 - alpha) * g)
         else:
             scores.append(g + params.late_crowding_bonus * c)
-    total = sum(scores)
+    total = reduce(add, scores, 0.0)    # in order: builtin sum compensates floats from 3.12
     if total <= 0:
         return [1.0 / len(pop)] * len(pop)
     return [score / total for score in scores]
@@ -441,6 +446,7 @@ class _Run:
         self.dims = len(self.space)
         self.max_mutated = min(params.max_mutated, self.dims)
         self.skipped_errors = 0
+        self.stopped_early = False
         self.history: list[HistoryRow] = []
         self.population: list[Individual] = []
 
@@ -643,9 +649,12 @@ class _Run:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _record(self, gen: int) -> list[Individual]:
-        """Log the ranked population's generation and return its first front."""
-        front = [ind for ind in self.population if ind.rank == 0]
+    def _front(self) -> list[Individual]:
+        return [ind for ind in self.population if ind.rank == 0]
+
+    def _record(self, gen: int) -> None:
+        """Log the ranked population's generation."""
+        front = self._front()
         pts = [(ind.f1, ind.f2) for ind in front]
         hv_value = metrics.hv(pts, self.problem.hv_reference or self.reference)
         if self.params.early_stop:
@@ -656,14 +665,14 @@ class _Run:
             igd_value = metrics.igd(pts, self.problem.reference_front)
         self.history.append(HistoryRow(
             gen=gen, fes=len(self.registry.keys),
-            mean_f1=sum(ind.f1 for ind in front) / len(front),
-            mean_f2=sum(ind.f2 for ind in front) / len(front),
+            mean_f1=reduce(add, (ind.f1 for ind in front), 0.0) / len(front),
+            mean_f2=reduce(add, (ind.f2 for ind in front), 0.0) / len(front),
             hv=hv_value, igd=igd_value))
-        return front
 
     # -- main loop ------------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def _start(self) -> None:
+        """Evaluate, rank and record the initial population as generation 1."""
         init = self._fill_slots(self.pop_size,
                                 lambda: sample_random(self.space, self.state, self.rng).frozen)
         self.population = self._evaluate(init)
@@ -671,32 +680,38 @@ class _Run:
             raise RuntimeError(f"initial population collapsed: {len(init)} of {self.pop_size} "
                                f"slots admitted a candidate and {self.skipped_errors} "
                                f"evaluations failed")
-        # strictly beyond the initial worst point: 1.1 × a positive worst value,
-        # else the worst value plus a tenth of max(|worst|, 1)
+        # strictly beyond the initial worst point, also where it is not positive
         worst = (max(ind.f1 for ind in self.population), max(ind.f2 for ind in self.population))
         self.reference = tuple(1.1 * w if w > 0 else w + 0.1 * max(-w, 1.0) for w in worst)
         nd_sort_and_crowd(self.population)
-        front = self._record(gen=1)
+        self._record(gen=1)
 
-        stopped_early = False
-        for gen in range(2, self.generations + 1):
-            phi = (gen - 1) / self.generations
-            if self.params.early_stop and should_stop(self.history, self.stop_hv, self.params):
-                stopped_early = True
-                break
-            self._refine(front)
-            offspring = self._generate_offspring(phi)
-            children = self._evaluate(offspring)
-            self.population = environmental_select(self.population + children,
-                                                   self.pop_size)
-            front = self._record(gen=gen)
+    def step(self) -> bool:
+        """One generation; False, drawing nothing, once the budget or early stop ends the run."""
+        gen = len(self.history) + 1
+        if gen > self.generations or self.stopped_early:
+            return False
+        if self.params.early_stop and should_stop(self.history, self.stop_hv, self.params):
+            self.stopped_early = True
+            return False
+        self._refine(self._front())
+        children = self._evaluate(self._generate_offspring((gen - 1) / self.generations))
+        self.population = environmental_select(self.population + children, self.pop_size)
+        self._record(gen)
+        return True
 
-        pareto = sorted(front, key=lambda ind: (ind.f1, ind.f2, ind.key))
+    def run(self) -> RunResult:
+        self._start()
+        while self.step():
+            pass
+        return self._result()
+
+    def _result(self) -> RunResult:
         keys = self.registry.keys
         assert len(set(keys)) == len(keys), "duplicate candidate admitted to evaluation"
-        return RunResult(pareto=pareto, population=self.population,
-                         history=self.history, stopped_early=stopped_early,
-                         evaluated_keys=keys,
+        return RunResult(pareto=sorted(self._front(), key=lambda ind: (ind.f1, ind.f2, ind.key)),
+                         population=self.population, history=self.history,
+                         stopped_early=self.stopped_early, evaluated_keys=keys,
                          skipped_errors=self.skipped_errors)
 
 

@@ -53,10 +53,10 @@ class Evaluation:
         return self.status == OK
 
 
-def failed_evaluation(decoded: DecodedConfig, exc: Exception) -> Evaluation:
-    """Error ``Evaluation`` of ``decoded`` carrying the exception text."""
+def failed_evaluation(decoded: DecodedConfig, reason: Exception | str) -> Evaluation:
+    """Error ``Evaluation`` of ``decoded`` carrying the reason's text."""
     return Evaluation(key=decoded.key, f1=math.nan, f2=math.nan, status=ERROR,
-                      message=str(exc))
+                      message=str(reason))
 
 
 def evaluate_safely(evaluator, decoded: DecodedConfig) -> Evaluation:
@@ -223,45 +223,40 @@ class WorkerClient:
         return line
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
-        key = decoded.key
         req_id = self._next_id
         self._next_id += 1
-
-        def fail(msg: str) -> Evaluation:
-            return Evaluation(key=key, f1=math.nan, f2=math.nan, status=ERROR, message=msg)
-
         request = {"id": req_id, "config": decoded.as_dict(self.space),
                    "targets": self.targets}
         try:
             self._proc.stdin.write((json.dumps(request) + "\n").encode("utf-8"))
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            return fail(f"worker unreachable: {exc}")
+            return failed_evaluation(decoded, f"worker unreachable: {exc}")
 
         deadline = time.monotonic() + self.timeout
         while True:
             line = self._read_line(deadline)
             if isinstance(line, str):
-                return fail(line)
+                return failed_evaluation(decoded, line)
             try:
                 reply = json.loads(line.decode("utf-8"))
             except ValueError:      # not UTF-8 or not JSON
                 reply = None
             if not isinstance(reply, dict):
-                return fail("malformed response")
+                return failed_evaluation(decoded, "malformed response")
             reply_id = reply.get("id")
             if not (_is_number(reply_id, int) and 0 <= reply_id < req_id):
                 break       # not a late reply to an earlier, timed-out request
         if not (_is_number(reply_id, int) and reply_id == req_id):
-            return fail(f"response id {reply_id!r} does not match {req_id}")
+            return failed_evaluation(decoded, f"response id {reply_id!r} does not match {req_id}")
         if reply.get("status") != OK:
-            return fail(str(reply.get("msg", "worker error")))
+            return failed_evaluation(decoded, reply.get("msg", "worker error"))
         if not all(_is_number(reply.get(name), (int, float)) for name in ("f1", "f2")):
-            return fail("response objective values missing or not numbers")
+            return failed_evaluation(decoded, "response objective values missing or not numbers")
         f1, f2 = float(reply["f1"]), float(reply["f2"])
         if not (math.isfinite(f1) and math.isfinite(f2)):
-            return fail("non-finite objective values")
-        return Evaluation(key=key, f1=f1, f2=f2)
+            return failed_evaluation(decoded, "non-finite objective values")
+        return Evaluation(key=decoded.key, f1=f1, f2=f2)
 
     def close(self):
         """End the worker, live or already exited, and close both pipes."""

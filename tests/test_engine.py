@@ -19,7 +19,7 @@ from phmoea.rng import BLOCK, WordStream
 from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER,
                           ConfigSpace, DecodedConfig, Genotype, RefinementState,
                           VariableSpec, builtin_space, canonical_key, decode,
-                          repair, sample_random)
+                          repair)
 
 
 def individuals(points):
@@ -477,10 +477,7 @@ def engine_for(problem, pop_size=10, generations=10, params=None, seed=0,
     from phmoea.engine import _Run
     run = _Run(problem, pop_size, generations,
                params or SearchParams.benchmark(), seed, use_archives)
-    init = run._fill_slots(pop_size, lambda: sample_random(
-        run.space, run.state, run.rng).frozen)
-    run.population = run._evaluate(init)
-    nd_sort_and_crowd(run.population)
+    run._start()
     return run
 
 
@@ -971,23 +968,23 @@ class TestEarlyStop:
         params.early_stop, params.window = True, 100
         run = _Run(bench_problem(n=4), 12, 8, params, 0, use_archives=True)
         seen = []
-        record = run._record
 
-        def spy(gen):
-            front = record(gen)
-            seen.append((run.reference, [(ind.f1, ind.f2) for ind in front],
+        def look():
+            seen.append((run.reference,
+                         [(ind.f1, ind.f2) for ind in run.population if ind.rank == 0],
                          [(ind.f1, ind.f2) for ind in run.population]))
-            return front
 
-        run._record = spy
-        res = run.run()
+        run._start()
+        look()
+        while run.step():
+            look()
         initial = seen[0][2]
         assert run.reference == (1.1 * max(f1 for f1, _ in initial),
                                  1.1 * max(f2 for _, f2 in initial))
         assert all(reference == run.reference for reference, _, _ in seen)
         assert run.stop_hv == [metrics.hv(front, run.reference) for _, front, _ in seen]
         # the problem's own reference scores HistoryRow.hv, so the series differ
-        assert [row.hv for row in res.history] == \
+        assert [row.hv for row in run.history] == \
             [metrics.hv(front, (1.1, 1.1)) for _, front, _ in seen] != run.stop_hv
 
 
@@ -1005,20 +1002,15 @@ class TestEarlyStop:
 
         problem.evaluator = shifted
         run = _Run(problem, 20, 12, SearchParams.benchmark(), 0, use_archives=True)
-        initial, record = [], run._record
-
-        def spy(gen):
-            if gen == 1:
-                initial.extend((ind.f1, ind.f2) for ind in run.population)
-            return record(gen)
-
-        run._record = spy
-        res = run.run()
+        run._start()
+        initial = [(ind.f1, ind.f2) for ind in run.population]
+        while run.step():
+            pass
         assert len(initial) == 20 and max(max(pt) for pt in initial) < 0
         r1, r2 = run.reference
         assert all(f1 < r1 and f2 < r2 for f1, f2 in initial)
-        assert res.history[0].hv > 0
-        assert res.history[-1].hv > res.history[2].hv
+        assert run.history[0].hv > 0
+        assert run.history[-1].hv > run.history[2].hv
 
 
 # ---------------------------------------------------------------------------
@@ -1338,3 +1330,71 @@ class TestRuns:
         assert [(i.f1, i.f2, i.key) for i in a.pareto] == \
             [(i.f1, i.f2, i.key) for i in b.pareto]
         assert a.history == b.history
+
+
+# ---------------------------------------------------------------------------
+# A run that steps
+# ---------------------------------------------------------------------------
+
+class TestStep:
+    @staticmethod
+    def step_until_stopped(run):
+        """Step a started run until ``step()`` returns False, then twice more.
+
+        A True step adds one history row for the next generation; a False one
+        draws, records and admits nothing, and so does every call after it.
+        """
+        falses = 0
+        while falses < 3:
+            before = (run.rng.state, list(run.history), list(run.registry.keys))
+            if run.step():
+                assert falses == 0
+                assert run.history[:-1] == before[1]
+                assert run.history[-1].gen == len(run.history)
+            else:
+                falses += 1
+                assert (run.rng.state, run.history, run.registry.keys) == before
+
+    @pytest.mark.parametrize("use_archives", [True, False])
+    def test_steps_to_the_budget(self, use_archives):
+        run = engine_for(bench_problem(n=4), generations=6, use_archives=use_archives)
+        assert len(run.history) == 1
+        self.step_until_stopped(run)
+        assert len(run.history) == 6 and not run.stopped_early
+
+    def test_stops_early_before_the_budget(self):
+        problem = bench_problem(n=4)
+        problem.evaluator = lambda decoded: Evaluation(key=decoded.key, f1=1.0, f2=1.0)
+        params = SearchParams.benchmark()
+        params.early_stop, params.window = True, 2
+        run = engine_for(problem, pop_size=8, generations=20, params=params,
+                         use_archives=False)
+        self.step_until_stopped(run)
+        assert run.stopped_early and len(run.history) == 3
+
+    @pytest.mark.parametrize("use_archives", [True, False])
+    def test_alternately_stepped_runs_write_what_each_writes_alone(self, tmp_path,
+                                                                   use_archives):
+        # a run's whole state lives on its object: stepping another run in
+        # between, one that ends sooner, changes no byte it writes
+        from phmoea.cli import write_run_outputs
+        from phmoea.engine import _Run
+
+        def make(seed, generations):
+            return _Run(bench_problem(n=6), 12, generations, SearchParams.benchmark(),
+                        seed, use_archives)
+
+        def written(run, result, name):
+            write_run_outputs(tmp_path / name, {}, result, run.space)
+            return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+        budgets = {0: 10, 1: 7}
+        pair = [make(seed, gens) for seed, gens in budgets.items()]
+        for run in pair:
+            run._start()
+        while any([run.step() for run in pair]):
+            pass
+        for run, (seed, gens) in zip(pair, budgets.items()):
+            alone = make(seed, gens)
+            assert written(run, run._result(), f"pair_{seed}") == \
+                written(alone, alone.run(), f"alone_{seed}")
