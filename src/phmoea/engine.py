@@ -520,22 +520,27 @@ class _Run:
     def _mutate(self, genes: list[int], kept: list[int]) -> None:
         """Polynomial or uniform mutation of a child's kept genes, in place;
         only dimensions whose gene is not ``PLACEHOLDER`` may mutate."""
-        word = self.rng.word
-        if (word() >> 11) * 2**-53 >= self.params.mutation_prob:
+        if (self.rng.word() >> 11) * 2**-53 >= self.params.mutation_prob:
             return
-        rate = 1.0 / self.dims
+        grids, counts, below = self.state.grids, self.state.counts, self.rng.below
+        self._edit_dims(kept, genes, 1.0 / self.dims,
+                        lambda i: below(counts[i]) if grids[i] is None
+                        else self._polynomial_step(grids[i], kept[i]))
+
+    def _edit_dims(self, vector: list[int], gate: list[int], rate: float, draw) -> None:
+        """Capped edits of ``vector`` in place, in dimension order: a dimension whose
+        ``gate`` entry is ``PLACEHOLDER`` draws nothing, any other takes ``draw(i)`` on
+        a double below ``rate``; ``max_mutated`` changed values end the loop."""
+        word = self.rng.word
         changed = 0
-        for i, grid in enumerate(self.state.grids):
+        for i, g in enumerate(gate):
             if changed >= self.max_mutated:
                 break
-            if genes[i] == PLACEHOLDER or (word() >> 11) * 2**-53 >= rate:
+            if g == PLACEHOLDER or (word() >> 11) * 2**-53 >= rate:
                 continue
-            if grid is not None:
-                new = self._polynomial_step(grid, kept[i])
-            else:
-                new = self.rng.below(self.state.counts[i])
-            if new != kept[i]:
-                kept[i] = new
+            new = draw(i)
+            if new != vector[i]:
+                vector[i] = new
                 changed += 1
 
     def _polynomial_step(self, grid: tuple[float, float, list[float]], gene: int) -> int:
@@ -565,29 +570,12 @@ class _Run:
         return kept
 
     def _assemble_child(self, parts: list[Partition], pool: str) -> list[int]:
-        """One gene per dimension from ``pool``, then cross-pool swaps. The first
-        pass draws inline for all dimensions what ``sample_candidate`` draws per one."""
+        """One gene per dimension from ``pool``, then capped cross-pool swaps."""
         rng = self.rng
-        word = rng.word
-        if pool == "hot":
-            below = rng.below
-            genes = [members[below(len(members))]
-                     for members in [p.hot or p.non_hot for p in parts]]
-        elif all(p.non_hot for p in parts):
-            genes = [p.non_hot[bisect_right(p.cdf, (word() >> 11) * 2**-53)] for p in parts]
-        else:
-            genes = [sample_candidate(p, pool, rng) for p in parts]
+        genes = [sample_candidate(p, pool, rng) for p in parts]
         opposite = "nh" if pool == "hot" else "hot"
-        rate = self.params.cross_pool_rate
-        changed = 0
-        for i, part in enumerate(parts):
-            if changed >= self.max_mutated:
-                break
-            if (word() >> 11) * 2**-53 < rate:
-                new = sample_candidate(part, opposite, rng)
-                if new != genes[i]:
-                    genes[i] = new
-                    changed += 1
+        self._edit_dims(genes, genes, self.params.cross_pool_rate,
+                        lambda i: sample_candidate(parts[i], opposite, rng))
         return genes
 
     def _admit(self, child: list[int]) -> tuple[Genotype, DecodedConfig] | None:

@@ -2,7 +2,8 @@
 
 import math
 from bisect import bisect_right
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -737,9 +738,20 @@ class TestVariation:
         twin.bit_generator.state = run.rng.state
         return twin
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_variation_child_matches_the_per_draw_loop(self, seed):
-        params = SearchParams.benchmark()
+    @staticmethod
+    def pools(run, hot_fraction, cold_fraction):
+        run.archives.update([ind.genotype.genes for ind in run.population],
+                            archive_weights(run.population, 0.5, run.params))
+        return [partition_players(run.archives, pos, hot_fraction, cold_fraction,
+                                  run.params.cold_bonus)
+                for pos in range(len(run.space))]
+
+    # the capped set mutates on every child, so one changed value ends the loop
+    @pytest.mark.parametrize("seed, overrides", [
+        *(pytest.param(seed, {}, id=str(seed)) for seed in range(3)),
+        pytest.param(0, {"mutation_prob": 1.0, "max_mutated": 1}, id="0-capped")])
+    def test_variation_child_matches_the_per_draw_loop(self, seed, overrides):
+        params = replace(SearchParams.benchmark(), **overrides)
         params.crossover_prob = 0.9
         run = engine_for(bench_problem("hdtlz7", n=6), pop_size=16, seed=seed,
                          params=params, use_archives=False)
@@ -749,21 +761,40 @@ class TestVariation:
             assert run._variation_child() == want
             assert run.rng.state == rng.bit_generator.state
 
-    @pytest.mark.parametrize("hot_fraction, cold_fraction",
-                             [(0.3, 0.2), (1.0, 0.0), (0.0, 0.2), (0.5, 0.5)])
+    # the capped set swaps on every dimension, so one changed value ends the loop
+    @pytest.mark.parametrize("hot_fraction, cold_fraction, overrides", [
+        *(pytest.param(hot, cold, {}, id=f"{hot}-{cold}")
+          for hot, cold in [(0.3, 0.2), (1.0, 0.0), (0.0, 0.2), (0.5, 0.5)]),
+        pytest.param(0.3, 0.2, {"cross_pool_rate": 1.0, "max_mutated": 1},
+                     id="0.3-0.2-capped")])
     def test_assembled_child_matches_the_per_dimension_draws(self, hot_fraction,
-                                                             cold_fraction):
-        run = engine_for(bench_problem(n=5), pop_size=12)
-        run.archives.update([ind.genotype.genes for ind in run.population],
-                            archive_weights(run.population, 0.5, run.params))
-        partitions = [partition_players(run.archives, pos, hot_fraction,
-                                        cold_fraction, run.params.cold_bonus)
-                      for pos in range(len(run.space))]
+                                                             cold_fraction, overrides):
+        run = engine_for(bench_problem(n=5), pop_size=12,
+                         params=replace(SearchParams.benchmark(), **overrides))
+        partitions = self.pools(run, hot_fraction, cold_fraction)
         for pool in ("hot", "nh") * 50:
             rng = self.twin_rng(run)
             want = per_dimension_assembled_child(run, partitions, pool, rng)
             assert run._assemble_child(partitions, pool) == want
             assert run.rng.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("hot_fraction, cold_fraction", [(1.0, 0.0), (0.0, 0.2)])
+    def test_every_pool_draw_goes_through_sample_candidate(self, monkeypatch,
+                                                            hot_fraction, cold_fraction):
+        params = replace(SearchParams.benchmark(), cross_pool_rate=0.0)
+        run = engine_for(bench_problem(n=5), pop_size=12, params=params)
+        partitions = self.pools(run, hot_fraction, cold_fraction)
+        calls = []
+
+        def counted(part, pool, stream):
+            calls.append(pool)
+            return sample_candidate(part, pool, stream)
+
+        monkeypatch.setattr(engine, "sample_candidate", counted)
+        for pool in ("hot", "nh") * 10:
+            calls.clear()
+            run._assemble_child(partitions, pool)
+            assert calls == [pool] * len(partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -1296,6 +1327,21 @@ class TestRuns:
         assert len(evaluator.sizes) == 4
         assert res.fes == sum(evaluator.sizes) == len(res.evaluated_keys)
         assert res.skipped_errors == sum(evaluator.sizes[1:]) > 0
+
+    @pytest.mark.xfail(strict=True, reason="canonical keys hash bin positions, which "
+                       "refinement renumbers, so a configuration evaluated before a "
+                       "split is admitted again under its new key")
+    def test_no_configuration_is_dispatched_twice(self):
+        problem = bench_problem("hdtlz7", n=12)
+        inner, dispatched = problem.evaluator, Counter()
+
+        def recording(decoded):
+            dispatched[decoded.values] += 1
+            return inner(decoded)
+
+        problem.evaluator = recording
+        run_nsga2(problem, 20, 10, params=SearchParams.benchmark(), seed=0)
+        assert [v for v, n in dispatched.items() if n > 1] == []
 
     def test_nsga2_within_three_x_of_phmoea(self):
         problem_a = bench_problem("hdtlz2", n=6)
