@@ -39,6 +39,7 @@ import numpy as np
 from . import metrics
 from .evaluators import Evaluation, evaluate_safely, failed_evaluation
 from .rng import WordStream
+# canonical_key stays importable here for perfbench/tracing.py
 from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
                     PLACEHOLDER, RefinementState, canonical_key, decode,
                     nearest_index, repair, sample_random, split_renumbering)
@@ -170,7 +171,7 @@ class RunResult:
     population: list[Individual]
     history: list[HistoryRow]
     stopped_early: bool
-    evaluated_keys: list[int]
+    evaluated_keys: list[tuple[int, ...]]   # admitted repaired gene tuples
     skipped_errors: int = 0
 
     @property
@@ -580,9 +581,8 @@ class _Run:
 
     def _admit(self, child: list[int]) -> tuple[Genotype, DecodedConfig] | None:
         g = repair(child, self.space, self.state)
-        key = canonical_key(g.genes)
-        if self.registry.admit(key):
-            return (g, decode(g, self.state, key))
+        if self.registry.admit(g.genes):
+            return (g, decode(g, self.state))
         return None
 
     def _fill_slots(self, n_slots: int, make) -> list[tuple[Genotype, DecodedConfig]]:

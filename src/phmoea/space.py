@@ -8,9 +8,9 @@ takes one of their activating values; inactive variables are masked during
 decoding and semantically frozen inside the genotype so their last valid value
 survives deactivation.
 
-The module also owns duplicate detection (canonical hashing of the active part
-of the repaired genes, before decode) and the adaptive bin-refinement machinery
-that splits intervals where non-dominated solutions persistently concentrate.
+The module also owns duplicate detection (on the exact repaired gene tuple,
+before decode; the 64-bit canonical key is only its written form) and the
+adaptive bin refinement that splits intervals the front persistently fills.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import struct
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle
 from typing import NamedTuple
@@ -171,21 +171,19 @@ class DecodedConfig:
     """Executable configuration with an activity mask.
 
     ``values[d]`` is None for inactive dimensions. ``ids[d]`` keeps the gene
-    index the value was decoded from (``PLACEHOLDER`` if inactive); canonical
-    hashing uses the ids so that float formatting can never perturb duplicate
-    detection. ``key`` is ``canonical_key(ids)``, computed at construction
-    unless the caller already holds it; ``active`` is derived from ``ids`` on
-    each read (caching it after construction would materialize a ``__dict__``
-    per instance). Neither takes part in equality or hashing.
+    index the value was decoded from (``PLACEHOLDER`` if inactive); the ids,
+    not the values, identify the configuration, so float formatting can never
+    perturb duplicate detection. ``key`` (``canonical_key(ids)``, the written
+    format) and ``active`` are derived from ``ids`` on each read: caching them
+    would materialize a ``__dict__`` per instance.
     """
 
     values: tuple
     ids: tuple[int, ...]
-    key: int = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.key is None:
-            object.__setattr__(self, "key", canonical_key(self.ids))
+    @property
+    def key(self) -> int:
+        return canonical_key(self.ids)
 
     @property
     def active(self) -> tuple[bool, ...]:
@@ -339,20 +337,19 @@ def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:
     return tuple(active)
 
 
-def decode(genotype: Genotype, state: RefinementState, key: int | None = None) -> DecodedConfig:
+def decode(genotype: Genotype, state: RefinementState) -> DecodedConfig:
     """Map a repaired genotype to its executable configuration.
 
     The genotype must come from ``repair`` or ``sample_random``, so its genes
     are in range and ``PLACEHOLDER`` marks exactly the inactive dimensions.
     Those decode to None; active continuous dimensions map their bin index to
-    the current partition's representative value. ``key``, if given, is the
-    genes' ``canonical_key``.
+    the current partition's representative value.
     """
     genes = genotype.genes
     return DecodedConfig(
         values=tuple([None if g == PLACEHOLDER else values[g]
                       for g, values in zip(genes, state.values)]),
-        ids=genes, key=key)
+        ids=genes)
 
 
 def repair(kept: Sequence[int], space: ConfigSpace, state: RefinementState) -> Genotype:
@@ -386,18 +383,19 @@ def sample_random(space: ConfigSpace, state: RefinementState, stream: WordStream
 
 
 class DedupRegistry:
-    """Run-scoped canonical keys admitted to evaluation, in admit order."""
+    """Repaired gene tuples admitted to evaluation in one run, in admit order;
+    admission compares the exact tuple, so no hash collision refuses one."""
 
     def __init__(self):
-        self.keys: list[int] = []
-        self._seen: set[int] = set()
+        self.keys: list[tuple[int, ...]] = []
+        self._seen: set[tuple[int, ...]] = set()
 
-    def admit(self, key: int) -> bool:
-        """True and record the key if unseen; False for a duplicate."""
-        if key in self._seen:
+    def admit(self, genes: tuple[int, ...]) -> bool:
+        """True and record the gene tuple if unseen; False for a duplicate."""
+        if genes in self._seen:
             return False
-        self._seen.add(key)
-        self.keys.append(key)
+        self._seen.add(genes)
+        self.keys.append(genes)
         return True
 
 

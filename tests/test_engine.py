@@ -1174,7 +1174,7 @@ class TestRuns:
         inner, dispatched = problem.evaluator, []
 
         def counting(decoded):
-            dispatched.append(decoded.key)
+            dispatched.append(decoded.ids)
             return inner(decoded)
 
         problem.evaluator = counting
@@ -1273,7 +1273,7 @@ class TestRuns:
         inner, bad = problem.evaluator, baseline.evaluated_keys[30]
 
         def raising(decoded):
-            if decoded.key == bad:
+            if decoded.ids == bad:
                 raise ValueError("no such layer")
             return inner(decoded)
 
@@ -1328,9 +1328,22 @@ class TestRuns:
         assert res.fes == sum(evaluator.sizes) == len(res.evaluated_keys)
         assert res.skipped_errors == sum(evaluator.sizes[1:]) > 0
 
-    @pytest.mark.xfail(strict=True, reason="canonical keys hash bin positions, which "
-                       "refinement renumbers, so a configuration evaluated before a "
-                       "split is admitted again under its new key")
+    def test_dedup_reads_no_hash(self, monkeypatch):
+        # admission compares gene tuples: with every 64-bit key equal, the
+        # same candidates are admitted and the run is unchanged
+        def run():
+            return run_nsga2(bench_problem("hdtlz7", n=12), 20, 10,
+                             params=SearchParams.benchmark(), seed=0)
+        plain = run()
+        monkeypatch.setattr(engine, "canonical_key", lambda genes: 0)
+        monkeypatch.setattr("phmoea.space.canonical_key", lambda genes: 0)
+        colliding = run()
+        assert colliding.evaluated_keys == plain.evaluated_keys
+        assert colliding.history == plain.history
+
+    @pytest.mark.xfail(strict=True, reason="admitted gene tuples hold bin positions, "
+                       "which refinement renumbers, so a configuration evaluated before "
+                       "a split is admitted again under its new genes")
     def test_no_configuration_is_dispatched_twice(self):
         problem = bench_problem("hdtlz7", n=12)
         inner, dispatched = problem.evaluator, Counter()

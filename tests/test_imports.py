@@ -8,8 +8,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "phmoea"
-# imported only so perfbench/tracing.py can wrap them on the evaluators module
-WRAPPED = {"evaluators.py": {"build_graph", "count_params"}}
+# imported only so perfbench/tracing.py can wrap them on these modules
+WRAPPED = {"evaluators.py": {"build_graph", "count_params"},
+           "engine.py": {"canonical_key"}}
 
 
 def imported_names(tree: ast.Module) -> set[str]:

@@ -20,7 +20,7 @@ from phmoea.cli import write_run_outputs
 from phmoea.engine import SearchParams, SearchProblem, _Run
 from phmoea.evaluators import Evaluation
 from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER, ConfigSpace, VariableSpec,
-                          activity, decode, repair)
+                          activity, canonical_key, decode, repair)
 
 TRIALS = 60
 
@@ -88,7 +88,7 @@ def check_run(run, result, evaluator, written, pop, gens):
     space, state = run.space, run.state
     # each key reaches the evaluator once, and the budget holds
     assert all(len(configs) == 1 for configs in evaluator.seen.values())
-    assert sorted(evaluator.seen) == sorted(run.registry.keys)
+    assert sorted(evaluator.seen) == sorted(map(canonical_key, run.registry.keys))
     assert len(run.registry.keys) <= pop * gens
     for ind in run.population:
         g = ind.genotype
