@@ -149,7 +149,7 @@ class SearchProblem:
     """Space plus evaluator plus optional reporting references."""
 
     space: ConfigSpace
-    evaluator: object                       # DecodedConfig -> Evaluation
+    evaluator: object                       # DecodedConfig -> Evaluation holding it
     name: str = "problem"
     reference_front: np.ndarray | None = None
     hv_reference: tuple[float, float] | None = None

@@ -1,9 +1,10 @@
 """Evaluators: candidate configuration -> bi-objective value.
 
 Three families share one contract: given a decoded configuration they return
-an Evaluation with (f1, f2), a status flag and, on error, a message. They keep
-no counters: the engine's ``evaluated_keys`` counts every dispatched candidate
-as one function evaluation, whatever its outcome.
+an Evaluation holding it, (f1, f2), a status flag and, on error, a message;
+its ``key`` is read from the configuration, so no evaluator knows the key
+format. They keep no counters: the engine's ``evaluated_keys`` counts every
+dispatched candidate as one function evaluation, whatever its outcome.
 
 * the analytic benchmark evaluator wraps a synthetic problem;
 * the surrogate evaluator scores the full auto-configuration space without
@@ -42,11 +43,15 @@ ERROR = "error"
 
 @dataclass(frozen=True)
 class Evaluation:
-    key: int
+    decoded: DecodedConfig      # the configuration f1/f2 answer
     f1: float
     f2: float
     status: str = OK
     message: str | None = None
+
+    @property
+    def key(self) -> int:
+        return self.decoded.key
 
     @property
     def ok(self) -> bool:
@@ -55,8 +60,7 @@ class Evaluation:
 
 def failed_evaluation(decoded: DecodedConfig, reason: Exception | str) -> Evaluation:
     """Error ``Evaluation`` of ``decoded`` carrying the reason's text."""
-    return Evaluation(key=decoded.key, f1=math.nan, f2=math.nan, status=ERROR,
-                      message=str(reason))
+    return Evaluation(decoded, math.nan, math.nan, ERROR, str(reason))
 
 
 def evaluate_safely(evaluator, decoded: DecodedConfig) -> Evaluation:
@@ -75,7 +79,7 @@ class BenchmarkEvaluator:
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
         f1, f2 = self.problem.objectives(decoded)
-        return Evaluation(key=decoded.key, f1=f1, f2=f2)
+        return Evaluation(decoded, f1, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,7 @@ class SurrogateEvaluator:
         level = (math.log(params) - _LOG_P_LO) / (_LOG_P_HI - _LOG_P_LO)
         level = min(max(level, 0.0), 1.0)
         f1 = self.mismatch(decoded) + CAPACITY_WEIGHT * (1.0 - level)
-        return Evaluation(key=decoded.key, f1=f1, f2=float(params))
+        return Evaluation(decoded, f1, float(params))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +193,7 @@ class WorkerClient:
 
     Request:  {"id": int, "config": {name: value, ...}, "targets": int}
     Response: {"id": int, "f1": float, "f2": float,
-               "status": "ok"|"error", "msg": optional}
+               "status": "ok"|"error", "msg": str (else "worker error")}
     A timeout, closed output, malformed reply, mismatched id, id that is not a
     JSON integer, objective that is not a JSON number or worker-reported error yields
     an error Evaluation; the engine discards the candidate but the dispatch
@@ -250,13 +254,14 @@ class WorkerClient:
         if not (_is_number(reply_id, int) and reply_id == req_id):
             return failed_evaluation(decoded, f"response id {reply_id!r} does not match {req_id}")
         if reply.get("status") != OK:
-            return failed_evaluation(decoded, reply.get("msg", "worker error"))
+            msg = reply.get("msg")
+            return failed_evaluation(decoded, msg if isinstance(msg, str) else "worker error")
         if not all(_is_number(reply.get(name), (int, float)) for name in ("f1", "f2")):
             return failed_evaluation(decoded, "response objective values missing or not numbers")
         f1, f2 = float(reply["f1"]), float(reply["f2"])
         if not (math.isfinite(f1) and math.isfinite(f2)):
             return failed_evaluation(decoded, "non-finite objective values")
-        return Evaluation(key=decoded.key, f1=f1, f2=f2)
+        return Evaluation(decoded, f1, f2)
 
     def close(self):
         """End the worker, live or already exited, and close both pipes."""

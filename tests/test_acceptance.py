@@ -135,7 +135,7 @@ def test_criterion_5_budget_and_early_stop():
 
     def stagnant(decoded):
         ev = counter(decoded)
-        return Evaluation(key=ev.key, f1=1.0, f2=ev.f2)
+        return Evaluation(decoded=decoded, f1=1.0, f2=ev.f2)
 
     flat = run_phmoea(surrogate_problem(stagnant), 50, 30, params=params, seed=0)
     passed = full.fes <= 1500 and flat.fes < 1500 and flat.stopped_early

@@ -15,7 +15,8 @@ from phmoea.engine import (NORM_EPS, HistoryRow, Individual, PlayerArchives,
                            environmental_select, min_max, nd_sort_and_crowd,
                            partition_players, run_nsga2, run_phmoea,
                            sample_candidate, should_stop, stage_ratios)
-from phmoea.evaluators import BenchmarkEvaluator, Evaluation
+from phmoea.evaluators import (BenchmarkEvaluator, Evaluation, SurrogateEvaluator,
+                               failed_evaluation)
 from phmoea.rng import BLOCK, WordStream
 from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER,
                           ConfigSpace, DecodedConfig, Genotype, RefinementState,
@@ -1029,7 +1030,7 @@ class TestEarlyStop:
 
         def shifted(decoded):
             ev = inner(decoded)
-            return Evaluation(key=ev.key, f1=ev.f1 - 5.0, f2=ev.f2 - 5.0)
+            return Evaluation(decoded=decoded, f1=ev.f1 - 5.0, f2=ev.f2 - 5.0)
 
         problem.evaluator = shifted
         run = _Run(problem, 20, 12, SearchParams.benchmark(), 0, use_archives=True)
@@ -1104,7 +1105,7 @@ class TestRuns:
         (), (VariableSpec("a", DISCRETE, candidates=("only",)),)])
     def test_collapse_on_a_single_configuration_blames_no_evaluator(self, variables):
         problem = SearchProblem(space=ConfigSpace(variables),
-                                evaluator=lambda d: Evaluation(key=d.key, f1=0.0, f2=0.0))
+                                evaluator=lambda d: Evaluation(decoded=d, f1=0.0, f2=0.0))
         with pytest.raises(RuntimeError) as info:
             run_nsga2(problem, 6, 3, seed=0)
         assert str(info.value) == ("initial population collapsed: 1 of 6 slots admitted "
@@ -1123,7 +1124,7 @@ class TestRuns:
                              VariableSpec("x", CONTINUOUS, bounds=(a, math.nextafter(a, math.inf)),
                                           scale="log")))
         problem = SearchProblem(space=space, evaluator=lambda d: Evaluation(
-            key=d.key, f1=float(d.ids[0]), f2=float(d.ids[1] - d.ids[0])))
+            decoded=d, f1=float(d.ids[0]), f2=float(d.ids[1] - d.ids[0])))
         result = run_nsga2(problem, 8, 5, params=SearchParams(mutation_prob=1.0), seed=0)
         assert [row.gen for row in result.history] == [1, 2, 3, 4, 5]
 
@@ -1135,7 +1136,7 @@ class TestRuns:
 
         def evaluate(d):
             decoded.append(d.values[1])
-            return Evaluation(key=d.key, f1=float(d.ids[0]), f2=float(d.ids[1] - d.ids[0]))
+            return Evaluation(decoded=d, f1=float(d.ids[0]), f2=float(d.ids[1] - d.ids[0]))
 
         run_nsga2(SearchProblem(space=space, evaluator=evaluate), 8, 5,
                   params=SearchParams(mutation_prob=1.0), seed=0)
@@ -1143,7 +1144,7 @@ class TestRuns:
 
     def test_collapse_on_a_failing_evaluator_counts_the_failures(self):
         problem = bench_problem(n=4)
-        problem.evaluator = lambda d: Evaluation(key=d.key, f1=math.nan, f2=0.0)
+        problem.evaluator = lambda d: Evaluation(decoded=d, f1=math.nan, f2=0.0)
         with pytest.raises(RuntimeError) as info:
             run_phmoea(problem, 8, 3, seed=0)
         assert str(info.value) == ("initial population collapsed: 8 of 8 slots admitted "
@@ -1184,7 +1185,7 @@ class TestRuns:
 
     def test_early_stopped_run_counts_what_it_recorded(self):
         problem = bench_problem(n=4)
-        problem.evaluator = lambda decoded: Evaluation(key=decoded.key, f1=1.0, f2=1.0)
+        problem.evaluator = lambda decoded: Evaluation(decoded=decoded, f1=1.0, f2=1.0)
         params = SearchParams.benchmark()
         params.early_stop, params.window = True, 2
         res = run_nsga2(problem, 8, 20, params=params, seed=0)
@@ -1253,7 +1254,7 @@ class TestRuns:
             calls["n"] += 1
             ev = inner(decoded)
             if calls["n"] % 7 == 3:
-                return Evaluation(key=ev.key, f1=float("nan"), f2=float("nan"),
+                return Evaluation(decoded=decoded, f1=float("nan"), f2=float("nan"),
                                   status="error", message="synthetic failure")
             return ev
 
@@ -1341,6 +1342,35 @@ class TestRuns:
         assert colliding.evaluated_keys == plain.evaluated_keys
         assert colliding.history == plain.history
 
+    def test_evaluations_read_no_hash(self, monkeypatch):
+        # an Evaluation holds the configuration it answers and reads its key
+        # from it, so a run hashes only in _result's sort of the front
+        space = builtin_space()
+        searches = (
+            lambda: run_nsga2(bench_problem("hdtlz7", n=12), 20, 10,
+                              params=SearchParams.benchmark(), seed=0),
+            lambda: run_phmoea(SearchProblem(space=space, evaluator=SurrogateEvaluator(space)),
+                               20, 5, params=SearchParams.real_task(), seed=0))
+        plain = [search() for search in searches]
+        hashed = []
+
+        def counting(genes):
+            hashed.append(genes)
+            return canonical_key(genes)
+
+        monkeypatch.setattr("phmoea.space.canonical_key", counting)
+        for search, unpatched in zip(searches, plain):
+            hashed.clear()
+            result = search()
+            assert len(hashed) == len(result.pareto)
+            assert result.history == unpatched.history
+        bench, surrogate = (result.pareto[0].decoded for result in plain)
+        for decoded, ev in (
+                (bench, BenchmarkEvaluator(HBenchProblem("hdtlz7", n=12))(bench)),
+                (surrogate, SurrogateEvaluator(space)(surrogate)),
+                (surrogate, failed_evaluation(surrogate, "no such layer"))):
+            assert ev.decoded is decoded and ev.key == decoded.key
+
     @pytest.mark.xfail(strict=True, reason="admitted gene tuples hold bin positions, "
                        "which refinement renumbers, so a configuration evaluated before "
                        "a split is admitted again under its new genes")
@@ -1423,7 +1453,7 @@ class TestStep:
 
     def test_stops_early_before_the_budget(self):
         problem = bench_problem(n=4)
-        problem.evaluator = lambda decoded: Evaluation(key=decoded.key, f1=1.0, f2=1.0)
+        problem.evaluator = lambda decoded: Evaluation(decoded=decoded, f1=1.0, f2=1.0)
         params = SearchParams.benchmark()
         params.early_stop, params.window = True, 2
         run = engine_for(problem, pop_size=8, generations=20, params=params,

@@ -357,9 +357,10 @@ class TestWorkerProtocol:
         ("bool_objectives", "not numbers"), ("string_objectives", "not numbers"),
         ("bool_id", "response id True does not match 1"),
         ("negative_id", "response id -1 does not match 1"),
-        ("nan_objectives", "non-finite objective values")])
+        ("nan_objectives", "non-finite objective values"), ("null_msg", "worker error")])
     def test_reply_of_the_wrong_json_type_fails_only_its_call(self, mode, message):
-        # JSON true decodes to a bool, an int subclass, and float() reads "12.5"
+        # JSON true decodes to a bool, an int subclass, float() reads "12.5"
+        # and str() reads a null "msg" as 'None'
         with make_client(mode) as client:
             decoded = worked_decoded()
             cfg = decoded.as_dict(SPACE)
@@ -476,7 +477,7 @@ class TestWorkerProtocol:
             def __call__(self, decoded):
                 if decoded.key == bad:
                     raise ValueError("no such layer")
-                return Evaluation(key=decoded.key, f1=1.0, f2=2.0)
+                return Evaluation(decoded=decoded, f1=1.0, f2=2.0)
 
             def close(self):
                 pass
@@ -525,11 +526,10 @@ class TestWorkerProtocol:
         """A search over subprocess workers equals the in-process equivalent."""
         from phmoea.engine import SearchParams, SearchProblem, run_phmoea
         from phmoea.evaluators import Evaluation
-        from phmoea.space import canonical_key
 
         def in_process(decoded):
             cfg = decoded.as_dict(SPACE)
-            return Evaluation(key=canonical_key(decoded.ids),
+            return Evaluation(decoded=decoded,
                               f1=round(cfg["dropout"] * 2.0, 6),
                               f2=cfg["conv3_channels"] * 1000.0)
 

@@ -62,8 +62,8 @@ class FailingEvaluator:
         if u < self.fail / 2:
             raise RuntimeError("injected failure")
         if u < self.fail:
-            return Evaluation(key, math.nan, math.nan)
-        return Evaluation(key, *objectives(key))
+            return Evaluation(decoded, math.nan, math.nan)
+        return Evaluation(decoded, *objectives(key))
 
 
 def objectives(key: int) -> tuple[float, float]:

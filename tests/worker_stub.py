@@ -5,9 +5,10 @@ selects a behavior: ok, bad_id, report_error, garbage, not_object (valid
 JSON that is not an object), not_utf8 (bytes that are not UTF-8), slow,
 slow_first (slow on the first request only), jitter, exit_second (exits on
 the second request without answering it), and bool_objectives,
-string_objectives, bool_id, negative_id and nan_objectives, which answer the
-second request (id 1) with ``"f1": true``, ``"f2": "<number>"``,
-``"id": true``, ``"id": -1`` or ``"f1": NaN`` and every other request well.
+string_objectives, bool_id, negative_id, nan_objectives and null_msg, which
+answer the second request (id 1) with ``"f1": true``, ``"f2": "<number>"``,
+``"id": true``, ``"id": -1``, ``"f1": NaN`` or ``"status": "error", "msg":
+null`` and every other request well.
 """
 
 import json
@@ -66,6 +67,8 @@ def main() -> None:
                 reply["id"] = -1
             if MODE == "nan_objectives":
                 reply["f1"] = float("nan")
+            if MODE == "null_msg":
+                reply = {"id": 1, "status": "error", "msg": None}
         print(json.dumps(reply), flush=True)
 
 
