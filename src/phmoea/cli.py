@@ -357,12 +357,14 @@ def _build_parser() -> argparse.ArgumentParser:
     kinds = {f.name: type(f.default) for f in fields(SearchParams)}
     for flag, name in _PARAM_FLAGS.items():
         search.add_argument(f"--{flag}", dest=name, type=kinds[name])
+    search.set_defaults(run=lambda args: cmd_search(_manifest_from_args(args)))
 
     ind = sub.add_parser("indicators", help="IGD/HV of a front against a reference")
     ind.add_argument("--front", required=True)
     ind.add_argument("--ref", required=True)
     ind.add_argument("--r1", type=float, default=BENCH_HV_REFERENCE[0])
     ind.add_argument("--r2", type=float, default=BENCH_HV_REFERENCE[1])
+    ind.set_defaults(run=lambda args: cmd_indicators(args.front, args.ref, (args.r1, args.r2)))
 
     res = sub.add_parser("resample", help="align a CSV series to a fixed length")
     res.add_argument("--in", dest="in_csv", required=True)
@@ -370,16 +372,21 @@ def _build_parser() -> argparse.ArgumentParser:
     res.add_argument("--operator", required=True)
     res.add_argument("--pool", default=None)
     res.add_argument("--length", type=int, required=True)
+    res.set_defaults(run=lambda args: cmd_resample(args.in_csv, args.out_csv, args.operator,
+                                                   args.pool, args.length))
 
     card = sub.add_parser("count-params", help="model card for a config JSON")
     card.add_argument("--config", required=True)
     card.add_argument("--targets", type=int, default=RunManifest.targets)
     card.add_argument("--input-width", type=int, default=RunManifest.input_width)
+    card.set_defaults(run=lambda args: cmd_count_params(args.config, args.targets,
+                                                        args.input_width))
     return parser
 
 
 def _manifest_from_args(args) -> RunManifest:
-    given = {name: value for name, value in vars(args).items() if name != "command"}
+    given = {name: value for name, value in vars(args).items()
+             if name not in ("command", "run")}
     if "manifest" in given:
         return RunManifest.from_json(json.loads(Path(given["manifest"]).read_text()))
     if "problem" not in given:
@@ -395,16 +402,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        if args.command == "search":
-            return cmd_search(_manifest_from_args(args))
-        if args.command == "indicators":
-            return cmd_indicators(args.front, args.ref, (args.r1, args.r2))
-        if args.command == "resample":
-            return cmd_resample(args.in_csv, args.out_csv, args.operator,
-                                args.pool, args.length)
-        if args.command == "count-params":
-            return cmd_count_params(args.config, args.targets, args.input_width)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

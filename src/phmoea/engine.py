@@ -406,8 +406,8 @@ def environmental_select(union: list[Individual], n: int) -> list[Individual]:
             selected.extend(front)
         else:
             room = n - len(selected)
-            order = sorted(range(len(front)),
-                           key=lambda i: (-front[i].crowding, i))
+            # sorted is stable: equal crowding keeps front order
+            order = sorted(range(len(front)), key=lambda i: -front[i].crowding)
             kept = [front[i] for i in sorted(order[:room])]
             _crowding(kept)
             selected.extend(kept)
@@ -477,14 +477,6 @@ class _Run:
         return out
 
     # -- offspring construction ---------------------------------------------
-
-    @staticmethod
-    def _tournament(a: Individual, b: Individual) -> Individual:
-        if a.rank != b.rank:
-            return a if a.rank < b.rank else b
-        if a.crowding != b.crowding:
-            return a if a.crowding > b.crowding else b
-        return a
 
     def _sbx_child(self, p1: Genotype, p2: Genotype) -> tuple[list[int], list[int]]:
         """One child's genes and kept genes from SBX on continuous dims plus
@@ -564,8 +556,10 @@ class _Run:
     def _variation_child(self) -> list[int]:
         pop, below = self.population, self.rng.below
         n = len(pop)
-        p1 = self._tournament(pop[below(n)], pop[below(n)])
-        p2 = self._tournament(pop[below(n)], pop[below(n)])
+        a, b, c, d = pop[below(n)], pop[below(n)], pop[below(n)], pop[below(n)]
+        # crowded comparison: lower rank, then larger crowding; a tie keeps the first
+        p1 = a if (a.rank, -a.crowding) <= (b.rank, -b.crowding) else b
+        p2 = c if (c.rank, -c.crowding) <= (d.rank, -d.crowding) else d
         genes, kept = self._sbx_child(p1.genotype, p2.genotype)
         self._mutate(genes, kept)
         return kept
@@ -695,11 +689,10 @@ class _Run:
         return self._result()
 
     def _result(self) -> RunResult:
-        keys = self.registry.keys
-        assert len(set(keys)) == len(keys), "duplicate candidate admitted to evaluation"
         return RunResult(pareto=sorted(self._front(), key=lambda ind: (ind.f1, ind.f2, ind.key)),
                          population=self.population, history=self.history,
-                         stopped_early=self.stopped_early, evaluated_keys=keys,
+                         stopped_early=self.stopped_early,
+                         evaluated_keys=list(self.registry.keys),
                          skipped_errors=self.skipped_errors)
 
 

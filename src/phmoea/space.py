@@ -383,19 +383,18 @@ def sample_random(space: ConfigSpace, state: RefinementState, stream: WordStream
 
 
 class DedupRegistry:
-    """Repaired gene tuples admitted to evaluation in one run, in admit order;
-    admission compares the exact tuple, so no hash collision refuses one."""
+    """Repaired gene tuples admitted to evaluation in one run, in admit order
+    (a dict keeps insertion order); admission compares the exact tuple, so no
+    hash collision refuses one."""
 
     def __init__(self):
-        self.keys: list[tuple[int, ...]] = []
-        self._seen: set[tuple[int, ...]] = set()
+        self.keys: dict[tuple[int, ...], None] = {}
 
     def admit(self, genes: tuple[int, ...]) -> bool:
         """True and record the gene tuple if unseen; False for a duplicate."""
-        if genes in self._seen:
+        if genes in self.keys:
             return False
-        self._seen.add(genes)
-        self.keys.append(genes)
+        self.keys[genes] = None
         return True
 
 

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,9 @@ from phmoea.engine import SearchParams, SearchProblem, run_phmoea
 from phmoea.evaluators import SurrogateEvaluator, WorkerClient
 from phmoea.network import INPUT_WIDTH, TARGETS
 from phmoea.space import PLACEHOLDER, DecodedConfig, builtin_space, canonical_key
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv):
@@ -604,3 +610,20 @@ class TestManifest:
         manifest = RunManifest(problem="hdtlz2", params={"nonsense": 1})
         with pytest.raises(ValueError):
             manifest.validate()
+
+
+class TestScript:
+    def test_module_runs_as_a_script(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+        def script(*argv):
+            return subprocess.run([sys.executable, "-m", "phmoea.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        done = script("search", "--problem", "hdtlz7", "--pop", "10", "--gens", "2",
+                      "--out", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        for name in ("pareto_front.csv", "history.csv", "pareto_configs.json",
+                     "manifest.json"):
+            assert (tmp_path / "seed_000" / name).is_file()
+        assert script("search", "--no-such-flag").returncode == 2

@@ -910,6 +910,15 @@ class TestEnvironmentalSelect:
         pts = {(ind.f1, ind.f2) for ind in chosen}
         assert (0.0, 1.0) in pts and (1.0, 0.0) in pts
 
+    def test_truncation_ties_on_crowding_keep_front_order(self):
+        # one front; both boundaries are inf and all three interior crowdings
+        # are exactly 1.0, so the last survivor is the first interior in order
+        pop = individuals([(0.75, 0.25), (0.0, 1.0), (0.25, 0.75), (0.5, 0.5),
+                           (1.0, 0.0)])
+        chosen = environmental_select(pop, 4)
+        assert [(ind.f1, ind.f2) for ind in chosen] == \
+            [(0.75, 0.25), (0.0, 1.0), (0.25, 0.75), (1.0, 0.0)]
+
     def test_split_front_survivors_are_ranked_and_crowded_as_survivors(self):
         # front 0 fits whole; front 1 (five points) is split to three, whose
         # crowding among themselves differs from that in the full front
@@ -1442,7 +1451,7 @@ class TestStep:
                 assert run.history[-1].gen == len(run.history)
             else:
                 falses += 1
-                assert (run.rng.state, run.history, run.registry.keys) == before
+                assert (run.rng.state, run.history, list(run.registry.keys)) == before
 
     @pytest.mark.parametrize("use_archives", [True, False])
     def test_steps_to_the_budget(self, use_archives):

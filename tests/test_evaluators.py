@@ -1,6 +1,7 @@
 """Evaluator tests: benchmark wrapper, surrogate design, worker protocol."""
 
 import math
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -345,6 +346,14 @@ class TestWorkerProtocol:
         client = WorkerClient([sys.executable, "-c", "import sys; sys.exit(0)"], SPACE)
         client._proc.wait(timeout=10)
         client.close()
+        assert client._proc.stdin.closed and client._proc.stdout.closed
+
+    def test_close_kills_a_worker_that_outlives_end_of_input(self):
+        client = make_client("hang")
+        start = time.monotonic()
+        client.close()
+        assert 5.0 <= time.monotonic() - start < 30.0
+        assert client._proc.returncode == -signal.SIGKILL
         assert client._proc.stdin.closed and client._proc.stdout.closed
 
     def test_mismatched_id_is_error(self):

@@ -128,7 +128,7 @@ def test_random_space_invariants(trial, tmp_path):
         check_run(*first, pop, gens)
         # replay is exact: the same keys in the same order, the same bytes written
         (run_a, _, _, written_a), (run_b, _, _, written_b) = first, second
-        assert run_a.registry.keys == run_b.registry.keys
+        assert list(run_a.registry.keys) == list(run_b.registry.keys)
         assert run_a.history == run_b.history
         assert [i.genotype for i in run_a.population] == \
             [i.genotype for i in run_b.population]

@@ -445,7 +445,7 @@ class TestDedupRegistry:
         reg = DedupRegistry()
         assert [reg.admit(key) for key in (43, 42, 43, 7, 42)] == \
             [True, True, False, True, False]
-        assert reg.keys == [43, 42, 7]
+        assert list(reg.keys) == [43, 42, 7]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Reads one request per line and answers one line. The first CLI argument
 selects a behavior: ok, bad_id, report_error, garbage, not_object (valid
 JSON that is not an object), not_utf8 (bytes that are not UTF-8), slow,
 slow_first (slow on the first request only), jitter, exit_second (exits on
-the second request without answering it), and bool_objectives,
+the second request without answering it), hang (reads to end of input, then
+sleeps 60 s without exiting), and bool_objectives,
 string_objectives, bool_id, negative_id, nan_objectives and null_msg, which
 answer the second request (id 1) with ``"f1": true``, ``"f2": "<number>"``,
 ``"id": true``, ``"id": -1``, ``"f1": NaN`` or ``"status": "error", "msg":
@@ -25,6 +26,10 @@ def objectives(config: dict) -> tuple[float, float]:
 
 
 def main() -> None:
+    if MODE == "hang":
+        sys.stdin.read()
+        time.sleep(60.0)
+        return
     for line in sys.stdin:
         line = line.strip()
         if not line:
