@@ -190,10 +190,10 @@ def cmd_search(manifest: RunManifest) -> int:
     out = _out_root(manifest.out_dir)
     params = manifest.search_params()
     runner = run_phmoea if manifest.algorithm == "phmoea" else run_nsga2
+    problem = build_problem(manifest)     # holds no state a search changes
     summary_rows = []
     for i in range(manifest.seeds):
         seed = manifest.seed + i
-        problem = build_problem(manifest)
         result = runner(problem, manifest.pop_size, manifest.generations,
                         params=params, seed=seed)
         echo = manifest.resolved()

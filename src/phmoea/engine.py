@@ -18,16 +18,15 @@ from the run's ``HistoryRow`` series. An ``Individual`` carries only its
 genotype, evaluated configuration, objectives, rank and crowding.
 
 Everything is deterministic for a fixed seed: one ``WordStream`` drives
-sampling and variation, evaluation consumes no randomness, float sums run in
-order on every Python, and ties break by index. The stream gives
-``np.random.default_rng(seed)``'s draws; the hot loops read its words and
-inline the double, ``(word() >> 11) * 2**-53``, and call ``below`` for an
-integer.
+sampling and variation (the hot loops inline its double and call ``below``),
+evaluation consumes no randomness, float sums run in order on every Python,
+and ties break by index.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -662,9 +661,10 @@ class _Run:
             raise RuntimeError(f"initial population collapsed: {len(init)} of {self.pop_size} "
                                f"slots admitted a candidate and {self.skipped_errors} "
                                f"evaluations failed")
-        # strictly beyond the initial worst point, also where it is not positive
+        # beyond the initial worst point, also where it is not positive; finite for hv
         worst = (max(ind.f1 for ind in self.population), max(ind.f2 for ind in self.population))
-        self.reference = tuple(1.1 * w if w > 0 else w + 0.1 * max(-w, 1.0) for w in worst)
+        self.reference = tuple(min(1.1 * w, sys.float_info.max) if w > 0
+                               else w + 0.1 * max(-w, 1.0) for w in worst)
         nd_sort_and_crowd(self.population)
         self._record(gen=1)
 

@@ -8,10 +8,10 @@ dispatched candidate as one function evaluation, whatever its outcome.
 
 * the analytic benchmark evaluator wraps a synthetic problem;
 * the surrogate evaluator scores the full auto-configuration space without
-  training: f2 is the exact parameter count and f1 is a deterministic smooth
-  stand-in for validation error that genuinely conflicts with f2. What never
-  changes (penalty per candidate, target position per continuous variable,
-  positions of the network's inputs) is tabled at construction;
+  training: f2 is the exact parameter count and f1, a smooth stand-in for
+  validation error that conflicts with f2, measures the distance to a hidden
+  target its own ``WordStream`` draws. What never changes (penalties, target
+  positions, network input positions) is tabled at construction;
 * the external evaluator ships configurations to a worker process over
   line-delimited JSON and maps its replies.
 """
@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
-import numpy as np
-
 from .benchmarks import HBenchProblem
 # build_graph and count_params stay importable here for perfbench/tracing.py
 from .network import (COUNTED, FUSION_MODE, INPUT_WIDTH, REQUIRED, TARGETS,
                       build_graph, count_params, layer_counts)
+from .rng import WordStream
 from .space import ConfigSpace, DecodedConfig, RefinementState
 
 OK = "ok"
@@ -86,8 +85,8 @@ class BenchmarkEvaluator:
 # Deterministic surrogate over the auto-configuration space
 # ---------------------------------------------------------------------------
 
-# Seed of the hidden optimum; fixed so surrogate searches are reproducible
-# and documented as synthetic.
+# Seed of the WordStream that draws the hidden optimum; fixed so surrogate
+# searches are reproducible and documented as synthetic.
 SURROGATE_TARGET_SEED = 20240917
 
 # Dims whose hidden-target draw is biased to the upper candidate half so the
@@ -112,7 +111,7 @@ class SurrogateEvaluator:
     plus a fixed offset per wrong categorical candidate, minus a mild reward
     that grows with log-parameter count. Larger models therefore buy f1 down
     slightly, which guarantees a genuine error/complexity trade-off, while the
-    hidden target remains the unique f1 minimizer.
+    hidden target, drawn by its own ``WordStream``, stays the unique f1 minimizer.
 
     Everything fixed is tabled once. f1 adds one term per active position:
     per-candidate penalties of a discrete variable, or ``(is_log, a or log a,
@@ -126,12 +125,12 @@ class SurrogateEvaluator:
                  input_width: int = INPUT_WIDTH):
         self.targets = targets
         self.input_width = input_width
-        rng = np.random.default_rng(SURROGATE_TARGET_SEED)
+        rng = WordStream(SURROGATE_TARGET_SEED)
         state = RefinementState(space, initial_bins=6)
         self._terms = []
         for var, m, values in zip(space.variables, state.counts, state.values):
             lo = m // 2 if var.name in _UPPER_HALF else 0
-            gene = int(rng.integers(lo, m))
+            gene = lo + rng.below(m - lo)       # numpy's integers(lo, m)
             if var.is_continuous:
                 log = var.scale == "log"
                 a, b = map(math.log, var.bounds) if log else var.bounds
@@ -140,9 +139,10 @@ class SurrogateEvaluator:
             elif var.name in _ORDINAL:
                 self._terms.append([d * d for d in ((i - gene) / max(m - 1, 1) for i in range(m))])
             else:
-                offsets = rng.uniform(0.15, 0.6, size=m)
+                offsets = [0.15 + (0.6 - 0.15) * ((rng.word() >> 11) * 2**-53)
+                           for _ in range(m)]   # numpy's uniform(0.15, 0.6, size=m)
                 offsets[gene] = 0.0
-                self._terms.append(offsets.tolist())
+                self._terms.append(offsets)
         at = space.positions
         for name in REQUIRED:
             if name not in at or space.variables[at[name]].is_conditional:

@@ -15,10 +15,12 @@ import numpy as np
 WINDOW_SLACK = 1e-12        # relative widening of igd's f1 windows
 
 
-def _points(a) -> np.ndarray:
+def _points(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected an (n, 2) point set")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite (got nan or inf)")
     return arr
 
 
@@ -30,7 +32,7 @@ def front_ranks(points) -> np.ndarray:
     which sorts below a later point's (f2, f1) exactly when the front
     dominates it. Keys rise front by front, so bisection finds the point's.
     """
-    pts = _points(points)
+    pts = _points(points, "points")
     xs, ranks, keys = pts.tolist(), [0] * len(pts), []
     for i in np.lexsort((pts[:, 1], pts[:, 0])).tolist():
         key = (xs[i][1], xs[i][0])
@@ -46,13 +48,10 @@ def nondominated_mask(points) -> np.ndarray:
 
 def igd(obtained, reference) -> float:
     """Mean distance from each reference point to its nearest obtained point."""
-    a = _points(obtained)
-    ref = _points(reference)
+    a = _points(obtained, "obtained points")
+    ref = _points(reference, "reference points")
     if len(a) == 0 or len(ref) == 0:
         raise ValueError("point sets must be non-empty")
-    for name, pts in (("obtained", a), ("reference", ref)):
-        if not np.isfinite(pts).all():
-            raise ValueError(f"{name} points must be finite (got nan or inf)")
     # sqrt is monotone and correctly rounded: one root after the min, same bits
     with np.errstate(over="ignore"):
         mean = float(np.sqrt(_nearest_squared(a, ref)).mean())
@@ -96,8 +95,8 @@ def hv(obtained, reference_point) -> float:
     every earlier one (a repeated point's strip would have zero width); the
     strips are summed left to right.
     """
-    pts = _points(obtained)
-    r1, r2 = float(reference_point[0]), float(reference_point[1])
+    pts = _points(obtained, "obtained points")
+    r1, r2 = _points([reference_point], "reference point")[0].tolist()
     pts = pts[(pts[:, 0] < r1) & (pts[:, 1] < r2)]
     if len(pts) == 0:
         return 0.0
@@ -111,7 +110,7 @@ def hv(obtained, reference_point) -> float:
 
 def merged_reference_front(point_sets) -> np.ndarray:
     """Union of the given sets, duplicate-free and filtered to non-dominated."""
-    sets = [_points(s) for s in point_sets]
+    sets = [_points(s, "points") for s in point_sets]
     if not sets:
         raise ValueError("need at least one point set")
     merged = np.unique(np.vstack(sets), axis=0)

@@ -1,18 +1,19 @@
 """numpy's seeded draws, read straight from PCG64's 64-bit words.
 
-``WordStream(seed)`` gives exactly the draws of ``np.random.default_rng(seed)``
-in the two forms the engine makes, without numpy's cost per call:
+``WordStream(seed)`` makes every seeded draw in the package, the surrogate's
+target too, as ``np.random.default_rng(seed)`` would, at no per-call cost:
 
-- a double in [0, 1) is ``(word() >> 11) * 2**-53``, which callers inline;
-- ``below(n)`` is ``integers(n)``: Lemire's rejection draw on 32-bit halves
-  (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
-  29(1), 2019). A word gives its low half first, and its high half waits for
-  the next integer draw, as PCG64's ``has_uint32`` does; doubles pass it by.
+- a double in [0, 1) is ``(word() >> 11) * 2**-53``, which callers inline, and
+  ``uniform(a, b)`` is ``a + (b - a) * double``;
+- ``below(n)`` is ``integers(n)`` and ``lo + below(n)`` ``integers(lo, lo + n)``:
+  Lemire's rejection draw on 32-bit halves (Lemire, "Fast Random Integer
+  Generation in an Interval", ACM TOMACS 29(1), 2019). A word gives its low
+  half first; the high half waits for the next integer draw, as PCG64's
+  ``has_uint32`` does, and doubles pass it by.
 
 numpy's array forms are these draws in order: ``random(k)`` is k doubles,
 ``integers(n, size=k)`` and ``integers(0, bounds)`` one ``below`` per entry.
-So seeded bytes rest on PCG64's words and numpy's draw algorithms, which the
-tests pin against numpy call by call.
+Seeded bytes rest on PCG64's words; tests pin every draw against numpy's.
 """
 
 from __future__ import annotations

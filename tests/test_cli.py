@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from phmoea.cli import (_PARAM_FLAGS, BENCH_HV_REFERENCE, PROBLEMS, RunManifest,
-                        _build_parser, _manifest_from_args, cmd_search, main,
-                        write_run_outputs)
+                        _build_parser, _manifest_from_args, build_problem, cmd_search,
+                        main, write_run_outputs)
 from phmoea.engine import SearchParams, SearchProblem, run_phmoea
 from phmoea.evaluators import SurrogateEvaluator, WorkerClient
 from phmoea.network import INPUT_WIDTH, TARGETS
@@ -63,6 +63,14 @@ class TestSearch:
             assert (run_dir / "pareto_configs.json").exists()
             assert (run_dir / "manifest.json").exists()
         assert (tmp_path / "a" / "summary.csv").exists()
+
+    def test_builds_the_problem_once_for_all_seeds(self, tmp_path, monkeypatch):
+        # the replay test shows seed 1 unchanged by the problem seed 0 searched
+        built = []
+        monkeypatch.setattr("phmoea.cli.build_problem",
+                            lambda m: built.append(m) or build_problem(m))
+        assert run_cli(small_search_args(tmp_path / "a")) == 0
+        assert len(built) == 1
 
     def test_byte_identical_reruns(self, tmp_path):
         assert run_cli(small_search_args(tmp_path / "x")) == 0

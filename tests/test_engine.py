@@ -1053,6 +1053,26 @@ class TestEarlyStop:
         assert run.history[0].hv > 0
         assert run.history[-1].hv > run.history[2].hv
 
+    def test_reference_stays_finite_where_scaling_the_worst_overflows(self):
+        # f1 scaled to ~1.7e308: 1.1 × the worst is inf, which hv rejects
+        from phmoea.engine import _Run
+        problem = bench_problem(n=4)
+        problem.hv_reference = None
+        inner = problem.evaluator
+
+        def huge(decoded):
+            ev = inner(decoded)
+            return Evaluation(decoded=decoded, f1=ev.f1 * 1.2e308, f2=ev.f2)
+
+        problem.evaluator = huge
+        run = _Run(problem, 20, 4, SearchParams.benchmark(), 0, use_archives=True)
+        run._start()
+        assert 1.1 * max(ind.f1 for ind in run.population) == math.inf
+        while run.step():
+            pass
+        assert run.reference[0] == np.finfo(float).max
+        assert len(run.history) == 4
+
 
 # ---------------------------------------------------------------------------
 # Parameter validation

@@ -253,14 +253,18 @@ class TestSurrogateMatchesReference:
                 ev = evaluator(decoded)
                 assert (ev.f1, ev.f2) == reference(decoded)
 
-    def test_one_candidate_ordinal_variable(self):
-        at = SPACE.positions["batch_size"]
+    # one candidate, or two in an upper-half draw: integers(lo, lo + 1) draws nothing
+    @pytest.mark.parametrize("name, candidates, terms", [
+        ("batch_size", (32,), [0.0]), ("proj_channels", (8, 16), [1.0, 0.0])],
+        ids=["batch_size", "proj_channels"])
+    def test_one_candidate_ordinal_variable(self, name, candidates, terms):
+        at = SPACE.positions[name]
 
-        def single_batch_size(variables):
-            variables[at] = replace(variables[at], candidates=(32,))
-        space = edited_space(single_batch_size)
+        def narrowed(variables):
+            variables[at] = replace(variables[at], candidates=candidates)
+        space = edited_space(narrowed)
         evaluator, reference = SurrogateEvaluator(space), ReferenceSurrogate(space)
-        assert evaluator._terms[at] == [0.0]
+        assert evaluator._terms[at] == terms
         for decoded in configs(space, RefinementState(space), 15, 500):
             ev = evaluator(decoded)
             assert (ev.f1, ev.f2) == reference(decoded)

@@ -35,6 +35,18 @@ def test_module_uses_every_name_it_imports(module):
     assert imported - used - wrapped == set()
 
 
+# numpy may change Generator's draw algorithms between releases, while the
+# PCG64 words WordStream reads stay fixed: every seeded draw goes through it
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "rng.py"))
+def test_only_rng_reads_numpy_random(module):
+    tree = ast.parse((PACKAGE / module).read_text())
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "random"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert reads == []
+
+
 def defined_names(tree: ast.Module) -> set[str]:
     """Public functions, classes and assigned names at a module's top level."""
     names = set()

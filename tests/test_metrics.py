@@ -350,3 +350,21 @@ class TestMergedFront:
     def test_duplicates_collapse(self):
         merged = merged_reference_front([[(0.3, 0.7)], [(0.3, 0.7)], [(0.7, 0.3)]])
         assert len(merged) == 2
+
+
+# ---------------------------------------------------------------------------
+# Point-set contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda bad: hv([(bad, 0.5), (0.2, 0.3)], (1.1, 1.1)),
+    lambda bad: hv([(0.5, 0.5), (0.2, 0.3)], (1.1, bad)),
+    lambda bad: front_ranks([(0.1, 0.9), (bad, 0.5), (0.9, 0.1)]),
+    lambda bad: nondominated_mask([(bad, 0.1), (0.2, 0.3)]),
+    lambda bad: merged_reference_front([[(0.1, 0.9)], [(0.5, bad)]]),
+], ids=["hv-points", "hv-reference-point", "front_ranks", "nondominated_mask",
+        "merged_reference_front"])
+def test_non_finite_coordinates_rejected(call, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        call(bad)
