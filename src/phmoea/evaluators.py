@@ -21,10 +21,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
 import select
 import subprocess
 import time
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -183,6 +183,9 @@ class SurrogateEvaluator:
 # External worker protocol (line-delimited JSON over stdin/stdout)
 # ---------------------------------------------------------------------------
 
+MAX_REPLY_BYTES = 1 << 20     # a real reply is under 200 bytes
+
+
 def _is_number(value, kinds) -> bool:
     """JSON ``true``/``false`` decode to ``bool``, which subclasses ``int``."""
     return isinstance(value, kinds) and not isinstance(value, bool)
@@ -194,11 +197,13 @@ class WorkerClient:
     Request:  {"id": int, "config": {name: value, ...}, "targets": int}
     Response: {"id": int, "f1": float, "f2": float,
                "status": "ok"|"error", "msg": str (else "worker error")}
-    A timeout, closed output, malformed reply, mismatched id, id that is not a
-    JSON integer, objective that is not a JSON number or worker-reported error yields
-    an error Evaluation; the engine discards the candidate but the dispatch
-    still consumed budget. A late reply to an earlier, timed-out request is
-    read and discarded, so one timeout fails only its own request.
+    A timeout, closed output, malformed reply, mismatched or non-integer id,
+    objective that is not a JSON number or worker-reported error yields an error
+    Evaluation, which still consumed budget. One deadline covers writing the
+    request and reading the reply; a late reply to a timed-out request is
+    discarded, so a reply timeout fails only its own call. A call that loses the
+    stream's position (request not fully written, write error, over-long line,
+    end of output) sets ``broken``, and every later call fails at once with it.
     """
 
     def __init__(self, argv, space: ConfigSpace, targets: int = TARGETS,
@@ -206,40 +211,50 @@ class WorkerClient:
         self.space = space
         self.targets = targets
         self.timeout = timeout
+        self.broken: str | None = None
         self._next_id = 0
-        self._buffer = b""
+        self._buffer = bytearray()
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+        os.set_blocking(self._proc.stdin.fileno(), False)
 
-    def _read_line(self, deadline: float) -> bytes | str:
-        """Next response line before ``deadline`` (bypassing stream buffering),
-        or a str saying why none came."""
-        fd = self._proc.stdout.fileno()
-        while b"\n" not in self._buffer:
+    def _exchange(self, request: bytes, deadline: float) -> bytes | str:
+        """Write ``request``, then read a reply line, by ``deadline``; or a str saying why not."""
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        unsent = memoryview(request)
+        while not self.broken and (unsent or (end := self._buffer.find(b"\n")) < 0):
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                return "timeout waiting for the worker's reply"
-            chunk = os.read(fd, 65536)
-            if not chunk:
-                return "worker closed its output"
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
+            if remaining <= 0 or not any(ready := select.select(
+                    [stdout], [stdin] if unsent else [], [], remaining)):
+                if not unsent:
+                    return "timeout waiting for the worker's reply"
+                self.broken = "timeout writing the request"
+            elif ready[1]:
+                try:
+                    unsent = unsent[os.write(stdin, unsent):]
+                except OSError as exc:
+                    self.broken = f"worker unreachable: {exc}"
+            elif chunk := os.read(stdout, 65536):
+                self._buffer += chunk
+                if len(self._buffer) > MAX_REPLY_BYTES:
+                    self.broken = f"reply line longer than {MAX_REPLY_BYTES} bytes"
+            else:
+                self.broken = "worker closed its output"
+        if self.broken:
+            return self.broken
+        line = bytes(self._buffer[:end])
+        del self._buffer[:end + 1]
         return line
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:
         req_id = self._next_id
         self._next_id += 1
-        request = {"id": req_id, "config": decoded.as_dict(self.space),
-                   "targets": self.targets}
-        try:
-            self._proc.stdin.write((json.dumps(request) + "\n").encode("utf-8"))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            return failed_evaluation(decoded, f"worker unreachable: {exc}")
-
+        request = (json.dumps({"id": req_id, "config": decoded.as_dict(self.space),
+                               "targets": self.targets}) + "\n").encode("utf-8")
         deadline = time.monotonic() + self.timeout
         while True:
-            line = self._read_line(deadline)
+            line = self._exchange(request, deadline)
+            request = b""       # discarding a late reply writes nothing
             if isinstance(line, str):
                 return failed_evaluation(decoded, line)
             try:
@@ -264,10 +279,10 @@ class WorkerClient:
         return Evaluation(decoded, f1, f2)
 
     def close(self):
-        """End the worker, live or already exited, and close both pipes."""
+        """End the worker, live, exited or (killed at once) broken, and close both pipes."""
         self._proc.stdin.close()
         try:
-            self._proc.wait(timeout=5)
+            self._proc.wait(timeout=0 if self.broken else 5)
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
@@ -281,7 +296,7 @@ class WorkerClient:
 
 
 class WorkerPool:
-    """Each candidate goes to the first free worker; results in input order."""
+    """Each worker's thread takes candidates until its worker breaks; input order kept."""
 
     def __init__(self, clients: list[WorkerClient]):
         if not clients:
@@ -290,19 +305,22 @@ class WorkerPool:
 
     def evaluate_many(self, batch: list[DecodedConfig]) -> list[Evaluation]:
         from concurrent.futures import ThreadPoolExecutor  # imports logging: pool runs only
-        idle: queue.SimpleQueue[WorkerClient] = queue.SimpleQueue()
-        for client in self.clients:
-            idle.put(client)
+        todo = deque(enumerate(batch))
+        results: list[Evaluation] = [None] * len(batch)
 
-        def dispatch(decoded: DecodedConfig) -> Evaluation:
-            client = idle.get()
-            try:
-                return evaluate_safely(client, decoded)
-            finally:
-                idle.put(client)
+        def serve(client) -> None:
+            while not getattr(client, "broken", None):
+                try:
+                    i, decoded = todo.popleft()
+                except IndexError:
+                    return
+                results[i] = evaluate_safely(client, decoded)
 
         with ThreadPoolExecutor(max_workers=len(self.clients)) as executor:
-            return list(executor.map(dispatch, batch))
+            list(executor.map(serve, self.clients))
+        for i, decoded in todo:
+            results[i] = failed_evaluation(decoded, "every worker of the pool is broken")
+        return results
 
     def close(self):
         for c in self.clients:

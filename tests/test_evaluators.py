@@ -3,6 +3,7 @@
 import math
 import signal
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -13,15 +14,15 @@ import pytest
 from phmoea.benchmarks import HBenchProblem
 from phmoea.engine import SearchParams, SearchProblem, run_phmoea
 from phmoea.evaluators import (_LOG_P_HI, _LOG_P_LO, _ORDINAL, _UPPER_HALF,
-                               CAPACITY_WEIGHT, SURROGATE_TARGET_SEED,
+                               CAPACITY_WEIGHT, MAX_REPLY_BYTES, SURROGATE_TARGET_SEED,
                                BenchmarkEvaluator, Evaluation,
                                SurrogateEvaluator, WorkerClient, WorkerPool,
                                evaluate_safely)
 from phmoea.metrics import nondominated_mask
 from phmoea.network import build_graph, count_params
 from phmoea.rng import WordStream
-from phmoea.space import (ConfigSpace, RefinementState, builtin_space, decode, repair,
-                          sample_random)
+from phmoea.space import (DISCRETE, ConfigSpace, RefinementState, VariableSpec,
+                          builtin_space, decode, repair, sample_random)
 
 WORKER = Path(__file__).parent / "worker_stub.py"
 
@@ -420,7 +421,9 @@ class TestWorkerProtocol:
             assert client(decoded).ok
             ev = client(decoded)
             assert not ev.ok and ev.message == "worker closed its output"
-            client(decoded)     # returns; whether it fails is the client's policy
+            assert client.broken == "worker closed its output"
+            after = client(decoded)     # the client is broken: fails at once
+            assert not after.ok and after.message == "worker closed its output"
             assert time.monotonic() - start < 10.0
 
     def test_call_to_an_exited_worker_is_unreachable(self):
@@ -429,6 +432,55 @@ class TestWorkerProtocol:
         with client:
             ev = client(worked_decoded())
             assert not ev.ok and ev.message.startswith("worker unreachable: ")
+
+    def test_worker_that_never_reads_cannot_hang_its_calls(self):
+        # requests fill the pipe; the first one that cannot be written before
+        # its deadline breaks the client, and the rest fail at once
+        client = make_client("deaf", timeout=0.01)
+        start = time.monotonic()
+        try:
+            results = [client(worked_decoded()) for _ in range(200)]
+            assert client.broken == "timeout writing the request"
+            close_start = time.monotonic()
+        finally:
+            client.close()
+        assert time.monotonic() - close_start < 5.0     # killed, not waited for
+        assert time.monotonic() - start < 10.0
+        assert client._proc.returncode == -signal.SIGKILL
+        assert results[0].message == "timeout waiting for the worker's reply"
+        assert results[-1].message == "timeout writing the request"
+        assert not any(ev.ok for ev in results)
+
+    @pytest.mark.parametrize("mode, timeout, message", [
+        ("ok", 10.0, None), ("deaf", 0.5, "timeout writing the request")])
+    def test_request_larger_than_the_pipe(self, mode, timeout, message):
+        # a 200 kB request goes out in parts as the worker reads it; one the
+        # worker never reads fails at its deadline instead of blocking the caller
+        space = ConfigSpace((VariableSpec("note", DISCRETE, candidates=("x" * 200_000,)),))
+        state = RefinementState(space)
+        decoded = decode(repair([0], space, state), state)
+        client = WorkerClient([sys.executable, str(WORKER), mode], space, timeout=timeout)
+        results = []
+        caller = threading.Thread(target=lambda: results.append(client(decoded)), daemon=True)
+        try:
+            caller.start()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive()
+        finally:
+            client.close()
+        assert results[0].message == message
+        assert results[0].ok == (message is None)
+
+    def test_overlong_reply_line_fails_its_call_and_is_capped(self):
+        with make_client("spew", timeout=30.0) as client:
+            start = time.monotonic()
+            ev = client(worked_decoded())
+            assert time.monotonic() - start < 10.0
+            assert not ev.ok
+            assert ev.message == client.broken == \
+                f"reply line longer than {MAX_REPLY_BYTES} bytes"
+            assert MAX_REPLY_BYTES < len(client._buffer) <= MAX_REPLY_BYTES + 65536
+            assert client(worked_decoded()).message == ev.message
 
     def test_pool_needs_a_worker(self):
         with pytest.raises(ValueError, match="need at least one worker"):
@@ -534,6 +586,60 @@ class TestWorkerProtocol:
             assert [(r.f1, r.f2) for r in results] == expected
         finally:
             pool.close()
+
+    def test_pool_feeds_a_crashed_worker_no_more_candidates(self):
+        # the worker that exits fails the one candidate it was serving; the
+        # other worker takes the rest of that batch and all of the next
+        pool = WorkerPool([make_client("exit_second"), make_client("ok")])
+        try:
+            state = RefinementState(SPACE)
+            rng = WordStream(29)
+            batch = [decode(sample_random(SPACE, state, rng), state)
+                     for _ in range(40)]
+            results = pool.evaluate_many(batch) + pool.evaluate_many(batch)
+            failed = [r.message for r in results if not r.ok]
+            assert failed == ["worker closed its output"]
+            assert pool.clients[0].broken == "worker closed its output"
+        finally:
+            pool.close()
+
+    def test_pool_of_broken_workers_fails_the_rest_at_once(self):
+        pool = WorkerPool([make_client("exit_second", timeout=30.0)])
+        try:
+            state = RefinementState(SPACE)
+            rng = WordStream(31)
+            batch = [decode(sample_random(SPACE, state, rng), state)
+                     for _ in range(6)]
+            start = time.monotonic()
+            results = pool.evaluate_many(batch)
+            assert time.monotonic() - start < 5.0
+            assert results[0].ok
+            assert [r.message for r in results[1:]] == \
+                ["worker closed its output"] + 4 * ["every worker of the pool is broken"]
+            assert [r.decoded for r in results] == batch
+        finally:
+            pool.close()
+
+    def test_pool_threads_share_the_batch_without_loss(self):
+        # more threads than cores, switching often: every candidate is served
+        # exactly once and lands at its own index
+        class Client:
+            def __init__(self):
+                self.served = []
+
+            def __call__(self, n):
+                self.served.append(n)
+                return Evaluation(decoded=n, f1=float(n), f2=0.0)
+
+        clients = [Client() for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = WorkerPool(clients).evaluate_many(list(range(3000)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.f1 for r in results] == list(range(3000))
+        assert sorted(n for c in clients for n in c.served) == list(range(3000))
 
     def test_engine_driven_by_worker_pool(self):
         """A search over subprocess workers equals the in-process equivalent."""

@@ -5,7 +5,9 @@ selects a behavior: ok, bad_id, report_error, garbage, not_object (valid
 JSON that is not an object), not_utf8 (bytes that are not UTF-8), slow,
 slow_first (slow on the first request only), jitter, exit_second (exits on
 the second request without answering it), hang (reads to end of input, then
-sleeps 60 s without exiting), and bool_objectives,
+sleeps 60 s without exiting), deaf (never reads its input; sleeps 60 s),
+spew (reads one request, then writes 64 KiB chunks with no newline until
+killed), and bool_objectives,
 string_objectives, bool_id, negative_id, nan_objectives and null_msg, which
 answer the second request (id 1) with ``"f1": true``, ``"f2": "<number>"``,
 ``"id": true``, ``"id": -1``, ``"f1": NaN`` or ``"status": "error", "msg":
@@ -30,6 +32,14 @@ def main() -> None:
         sys.stdin.read()
         time.sleep(60.0)
         return
+    if MODE == "deaf":
+        time.sleep(60.0)
+        return
+    if MODE == "spew":
+        sys.stdin.readline()
+        while True:
+            sys.stdout.buffer.write(b"x" * 65536)
+            sys.stdout.buffer.flush()
     for line in sys.stdin:
         line = line.strip()
         if not line:
