@@ -170,7 +170,7 @@ class RunResult:
     population: list[Individual]
     history: list[HistoryRow]
     stopped_early: bool
-    evaluated_keys: list[tuple[int, ...]]   # admitted repaired gene tuples
+    evaluated_keys: list[tuple]             # admitted decoded value tuples
     skipped_errors: int = 0
 
     @property
@@ -574,8 +574,9 @@ class _Run:
 
     def _admit(self, child: list[int]) -> tuple[Genotype, DecodedConfig] | None:
         g = repair(child, self.space, self.state)
-        if self.registry.admit(g.genes):
-            return (g, decode(g, self.state))
+        decoded = decode(g, self.state)
+        if self.registry.admit(decoded.values):
+            return (g, decoded)
         return None
 
     def _fill_slots(self, n_slots: int, make) -> list[tuple[Genotype, DecodedConfig]]:

@@ -26,7 +26,6 @@ import subprocess
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
 from operator import itemgetter
 
 from .benchmarks import HBenchProblem
@@ -114,7 +113,7 @@ class SurrogateEvaluator:
     hidden target, drawn by its own ``WordStream``, stays the unique f1 minimizer.
 
     Everything fixed is tabled once. f1 adds one term per active position:
-    per-candidate penalties of a discrete variable, or ``(is_log, a or log a,
+    a discrete variable's penalty by candidate value, or ``(is_log, a or log a,
     span, target scale position)`` of a continuous one, whose value is read from
     the configuration since a run's refined bins are not the evaluator's.
     f2 sums ``layer_counts`` at positions found by name. A space with a
@@ -137,12 +136,13 @@ class SurrogateEvaluator:
                 target = ((math.log(values[gene]) if log else values[gene]) - a) / (b - a)
                 self._terms.append((log, a, b - a, target))
             elif var.name in _ORDINAL:
-                self._terms.append([d * d for d in ((i - gene) / max(m - 1, 1) for i in range(m))])
+                deltas = [(i - gene) / max(m - 1, 1) for i in range(m)]
+                self._terms.append({c: d * d for c, d in zip(values, deltas)})
             else:
                 offsets = [0.15 + (0.6 - 0.15) * ((rng.word() >> 11) * 2**-53)
                            for _ in range(m)]   # numpy's uniform(0.15, 0.6, size=m)
                 offsets[gene] = 0.0
-                self._terms.append(offsets)
+                self._terms.append(dict(zip(values, offsets)))
         at = space.positions
         for name in REQUIRED:
             if name not in at or space.variables[at[name]].is_conditional:
@@ -157,14 +157,15 @@ class SurrogateEvaluator:
 
     def mismatch(self, decoded: DecodedConfig) -> float:
         total = 0.0
-        for term, gene, value in compress(
-                zip(self._terms, decoded.ids, decoded.values), decoded.active):
+        for term, value in zip(self._terms, decoded.values):
+            if value is None:
+                continue
             if type(term) is tuple:
                 log, a, span, target = term
                 delta = ((math.log(value) if log else value) - a) / span - target
                 total += delta * delta
             else:
-                total += term[gene]
+                total += term[value]
         return total
 
     def __call__(self, decoded: DecodedConfig) -> Evaluation:

@@ -8,16 +8,15 @@ takes one of their activating values; inactive variables are masked during
 decoding and semantically frozen inside the genotype so their last valid value
 survives deactivation.
 
-The module also owns duplicate detection (on the exact repaired gene tuple,
-before decode; the 64-bit canonical key is only its written form) and the
-adaptive bin refinement that splits intervals the front persistently fills.
+The module also owns duplicate detection (on the exact decoded value tuple;
+the 64-bit canonical key is only its written form) and the adaptive bin
+refinement that splits intervals the front persistently fills.
 """
 
 from __future__ import annotations
 
 import hashlib
 import operator
-import struct
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
@@ -80,6 +79,8 @@ class VariableSpec:
                 raise ValueError(f"{self.name}: candidate list is empty")
             if len(set(self.candidates)) != len(self.candidates):
                 raise ValueError(f"{self.name}: duplicate candidates")
+            if None in self.candidates:
+                raise ValueError(f"{self.name}: None marks an inactive dimension, not a candidate")
 
 
 @dataclass(frozen=True)
@@ -149,50 +150,40 @@ class Genotype(NamedTuple):
     frozen: tuple[int, ...]
 
 
-_pack_pair = struct.Struct("<hi").pack
+def canonical_key(values: Sequence) -> int:
+    """64-bit key of the active part of a decoded value tuple.
 
-
-def canonical_key(genes: Sequence[int]) -> int:
-    """64-bit key of the active part of a repaired gene sequence.
-
-    The serialization is the ordered (dimension, gene) sequence over active
-    dimensions (little-endian int16/int32 pairs), so genotypes that differ
+    BLAKE2b-64 over the ``repr`` of the list of ``(dimension, value)`` pairs
+    over active dimensions (value not None), so configurations that differ
     only in masked dimensions collide by construction and everything else
-    separates with overwhelming probability. Dimensions are numbered from 1
+    separates with overwhelming probability. Float ``repr`` round-trips, so a
+    configuration writes one key in any run. Dimensions are numbered from 1
     here, not by position: this is the hash format of ``pareto_front.csv``.
     """
-    payload = b"".join([_pack_pair(d, g) for d, g in enumerate(genes, 1)
-                        if g != PLACEHOLDER])
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+    payload = repr([(d, v) for d, v in enumerate(values, 1) if v is not None])
+    return int.from_bytes(hashlib.blake2b(payload.encode(), digest_size=8).digest(), "little")
 
 
 @dataclass(frozen=True)
 class DecodedConfig:
-    """Executable configuration with an activity mask.
+    """Executable configuration: ``values[d]`` is None for an inactive dimension.
 
-    ``values[d]`` is None for inactive dimensions. ``ids[d]`` keeps the gene
-    index the value was decoded from (``PLACEHOLDER`` if inactive); the ids,
-    not the values, identify the configuration, so float formatting can never
-    perturb duplicate detection. ``key`` (``canonical_key(ids)``, the written
-    format) and ``active`` are derived from ``ids`` on each read: caching them
-    would materialize a ``__dict__`` per instance.
+    The values are the configuration's one identity: dedup admits them, and
+    ``key`` (``canonical_key(values)``, the written format) is derived from
+    them on each read, since caching it would materialize a ``__dict__`` per
+    instance.
     """
 
     values: tuple
-    ids: tuple[int, ...]
 
     @property
     def key(self) -> int:
-        return canonical_key(self.ids)
-
-    @property
-    def active(self) -> tuple[bool, ...]:
-        return tuple([g != PLACEHOLDER for g in self.ids])
+        return canonical_key(self.values)
 
     def as_dict(self, space: ConfigSpace) -> dict:
         """Name -> value mapping over active dimensions only."""
-        return {var.name: value for var, value, g in zip(space.variables, self.values, self.ids)
-                if g != PLACEHOLDER}
+        return {var.name: value for var, value in zip(space.variables, self.values)
+                if value is not None}
 
 
 def _to_scale(value, scale: str):
@@ -343,13 +334,10 @@ def decode(genotype: Genotype, state: RefinementState) -> DecodedConfig:
     The genotype must come from ``repair`` or ``sample_random``, so its genes
     are in range and ``PLACEHOLDER`` marks exactly the inactive dimensions.
     Those decode to None; active continuous dimensions map their bin index to
-    the current partition's representative value.
+    the current partition's representative value, which no split renumbers.
     """
-    genes = genotype.genes
-    return DecodedConfig(
-        values=tuple([None if g == PLACEHOLDER else values[g]
-                      for g, values in zip(genes, state.values)]),
-        ids=genes)
+    return DecodedConfig(tuple([None if g == PLACEHOLDER else values[g]
+                                for g, values in zip(genotype.genes, state.values)]))
 
 
 def repair(kept: Sequence[int], space: ConfigSpace, state: RefinementState) -> Genotype:
@@ -383,18 +371,18 @@ def sample_random(space: ConfigSpace, state: RefinementState, stream: WordStream
 
 
 class DedupRegistry:
-    """Repaired gene tuples admitted to evaluation in one run, in admit order
+    """Decoded value tuples admitted to evaluation in one run, in admit order
     (a dict keeps insertion order); admission compares the exact tuple, so no
-    hash collision refuses one."""
+    hash collision refuses one, and no split renumbers one."""
 
     def __init__(self):
-        self.keys: dict[tuple[int, ...], None] = {}
+        self.keys: dict[tuple, None] = {}
 
-    def admit(self, genes: tuple[int, ...]) -> bool:
-        """True and record the gene tuple if unseen; False for a duplicate."""
-        if genes in self.keys:
+    def admit(self, values: tuple) -> bool:
+        """True and record the value tuple if unseen; False for a duplicate."""
+        if values in self.keys:
             return False
-        self.keys[genes] = None
+        self.keys[values] = None
         return True
 
 

@@ -309,7 +309,7 @@ def test_criterion_12_surrogate_smoke():
         cfg = ind.decoded.as_dict(space)
         required = {"resample_op", "aligned_length", "norm_layer", "fusion_op",
                     "dropout", "learning_rate", "weight_decay", "loss_type"}
-        return required <= set(cfg) and canonical_key(ind.decoded.ids) != 0
+        return required <= set(cfg) and canonical_key(ind.decoded.values) != 0
 
     decodable = all(decodes_validly(ind) for ind in result.pareto)
     passed = (len(result.pareto) >= 5 and mutually_nd and distinct_f2 >= 5

@@ -21,9 +21,9 @@ GATED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["w
 # identity at benchmark scale, where refinement reaches about 2300 bins, and on
 # the WorkerPool path, which no golden pin covers.
 DIGESTS = {
-    "hdtlz7-nsga2": "0fceca4a99c2dcb091a677bed46fdc0e0755d9da1fde4902cd5a40630d84506c",
-    "surrogate-phmoea": "75c275a80fbd109209b415a3df7453601224b062f2c4ed1ced6764b6fceb153a",
-    "worker-pool": "68633b113ee1831d4d8547ecca67f81a0cb90cd0281bb885113945cfbc9b0372",
+    "hdtlz7-nsga2": "eb04a42dff75aa95c5e10226da348fd35286b46afb2b7c739d42f3c83594521e",
+    "surrogate-phmoea": "9a97179f4e3d83fc590c83b020b5294244c8589331745797635705a50df403a1",
+    "worker-pool": "201ab6e1ca208dd87d86390bad390e33e6c2e1f9e86127e9a3dbee22f8e550b5",
 }
 
 

@@ -158,7 +158,7 @@ def numpy_project(problem, decoded):
     active = []
     for j in range(3, problem.n + 1):
         pos = 2 * j - 3
-        if decoded.active[pos]:
+        if decoded.values[pos] is not None:
             z[j - 1] = decoded.values[pos]
             active.append(j)
     return z, tuple(active)

@@ -18,7 +18,7 @@ from phmoea.cli import (_PARAM_FLAGS, BENCH_HV_REFERENCE, PROBLEMS, RunManifest,
 from phmoea.engine import SearchParams, SearchProblem, run_phmoea
 from phmoea.evaluators import SurrogateEvaluator, WorkerClient
 from phmoea.network import INPUT_WIDTH, TARGETS
-from phmoea.space import PLACEHOLDER, DecodedConfig, builtin_space, canonical_key
+from phmoea.space import DecodedConfig, builtin_space, canonical_key
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -29,18 +29,9 @@ def run_cli(argv):
 
 
 def decoded_from_config(space, config):
-    """DecodedConfig of a written name -> value config (continuous ids unused)."""
-    values, ids = [], []
-    for var in space.variables:
-        if var.name not in config:
-            values.append(None)
-            ids.append(PLACEHOLDER)
-            continue
-        value = config[var.name]
-        value = tuple(value) if isinstance(value, list) else value
-        values.append(value)
-        ids.append(0 if var.is_continuous else var.candidates.index(value))
-    return DecodedConfig(values=tuple(values), ids=tuple(ids))
+    """DecodedConfig of a written name -> value config."""
+    values = [config.get(var.name) for var in space.variables]
+    return DecodedConfig(tuple([tuple(v) if isinstance(v, list) else v for v in values]))
 
 
 def read_lines(path: Path) -> bytes:
@@ -264,7 +255,7 @@ class TestSearch:
         evaluated = {}
 
         def recording(decoded):
-            evaluated[canonical_key(decoded.ids)] = json.loads(
+            evaluated[canonical_key(decoded.values)] = json.loads(
                 json.dumps(decoded.as_dict(space)))
             return surrogate(decoded)
 

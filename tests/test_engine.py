@@ -27,7 +27,7 @@ from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER,
 def individuals(points):
     out = []
     for i, (f1, f2) in enumerate(points):
-        dec = DecodedConfig(values=(float(i),), ids=(i,))
+        dec = DecodedConfig(values=(float(i),))
         out.append(Individual(genotype=Genotype((i,), (i,)), decoded=dec,
                               f1=float(f1), f2=float(f2)))
     return out
@@ -1153,7 +1153,7 @@ class TestRuns:
                              VariableSpec("x", CONTINUOUS, bounds=(a, math.nextafter(a, math.inf)),
                                           scale="log")))
         problem = SearchProblem(space=space, evaluator=lambda d: Evaluation(
-            decoded=d, f1=float(d.ids[0]), f2=float(d.ids[1] - d.ids[0])))
+            decoded=d, f1=float(d.values[0]), f2=float(d.values[1] > a) - d.values[0]))
         result = run_nsga2(problem, 8, 5, params=SearchParams(mutation_prob=1.0), seed=0)
         assert [row.gen for row in result.history] == [1, 2, 3, 4, 5]
 
@@ -1165,7 +1165,8 @@ class TestRuns:
 
         def evaluate(d):
             decoded.append(d.values[1])
-            return Evaluation(decoded=d, f1=float(d.ids[0]), f2=float(d.ids[1] - d.ids[0]))
+            return Evaluation(decoded=d, f1=float(d.values[0]),
+                              f2=float(d.values[1] > a) - d.values[0])
 
         run_nsga2(SearchProblem(space=space, evaluator=evaluate), 8, 5,
                   params=SearchParams(mutation_prob=1.0), seed=0)
@@ -1204,7 +1205,7 @@ class TestRuns:
         inner, dispatched = problem.evaluator, []
 
         def counting(decoded):
-            dispatched.append(decoded.ids)
+            dispatched.append(decoded.values)
             return inner(decoded)
 
         problem.evaluator = counting
@@ -1303,7 +1304,7 @@ class TestRuns:
         inner, bad = problem.evaluator, baseline.evaluated_keys[30]
 
         def raising(decoded):
-            if decoded.ids == bad:
+            if decoded.values == bad:
                 raise ValueError("no such layer")
             return inner(decoded)
 
@@ -1359,7 +1360,7 @@ class TestRuns:
         assert res.skipped_errors == sum(evaluator.sizes[1:]) > 0
 
     def test_dedup_reads_no_hash(self, monkeypatch):
-        # admission compares gene tuples: with every 64-bit key equal, the
+        # admission compares value tuples: with every 64-bit key equal, the
         # same candidates are admitted and the run is unchanged
         def run():
             return run_nsga2(bench_problem("hdtlz7", n=12), 20, 10,
@@ -1400,9 +1401,6 @@ class TestRuns:
                 (surrogate, failed_evaluation(surrogate, "no such layer"))):
             assert ev.decoded is decoded and ev.key == decoded.key
 
-    @pytest.mark.xfail(strict=True, reason="admitted gene tuples hold bin positions, "
-                       "which refinement renumbers, so a configuration evaluated before "
-                       "a split is admitted again under its new genes")
     def test_no_configuration_is_dispatched_twice(self):
         problem = bench_problem("hdtlz7", n=12)
         inner, dispatched = problem.evaluator, Counter()

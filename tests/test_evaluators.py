@@ -166,7 +166,7 @@ class ReferenceSurrogate:
     def mismatch(self, decoded) -> float:
         total = 0.0
         for i, var in enumerate(self.space.variables):
-            if not decoded.active[i]:
+            if decoded.values[i] is None:
                 continue
             if var.is_continuous:
                 delta = _scale_pos(var, decoded.values[i]) - _scale_pos(
@@ -174,10 +174,11 @@ class ReferenceSurrogate:
                 total += delta * delta
             elif var.name in _ORDINAL:
                 span = max(len(var.candidates) - 1, 1)  # one candidate never mismatches
-                delta = (decoded.ids[i] - self.target_gene[var.name]) / span
+                delta = (var.candidates.index(decoded.values[i])
+                         - self.target_gene[var.name]) / span
                 total += delta * delta
             else:
-                total += float(self.offsets[var.name][decoded.ids[i]])
+                total += float(self.offsets[var.name][var.candidates.index(decoded.values[i])])
         return total
 
     def __call__(self, decoded) -> tuple[float, float]:
@@ -265,7 +266,7 @@ class TestSurrogateMatchesReference:
             variables[at] = replace(variables[at], candidates=candidates)
         space = edited_space(narrowed)
         evaluator, reference = SurrogateEvaluator(space), ReferenceSurrogate(space)
-        assert evaluator._terms[at] == terms
+        assert list(evaluator._terms[at].values()) == terms
         for decoded in configs(space, RefinementState(space), 15, 500):
             ev = evaluator(decoded)
             assert (ev.f1, ev.f2) == reference(decoded)

@@ -19,50 +19,50 @@ from phmoea.cli import main
 
 GOLDEN = {
     ("hdtlz2", "phmoea"): (
-        "cf94e3576e4f59a8c7d84a9880dd365eb44ccdcfd79914e59bb35bf464520cbf",
-        "5e49385a8dff49105843890d7ec49405c59ca3f2a6d0b666d416286f34703b96"),
+        "39f7266514427585db8579a2dd98dff8bcd0bf7adb68631967a2b6f03485dd63",
+        "88af841d1e9f04d67ec833fa37a5142f224683f8a8b4b99ea3508b6ec13a3277"),
     ("hdtlz2", "nsga2"): (
-        "40c4fe269d4f1188fa127b5ef50bd5ad22f31a5d2e59c169c401c6e3e3a8a8e7",
-        "087570993814e08e2bafbd7cf41611d29a653834ca3e1e39b532c27bb76d7179"),
+        "3b9974dc7a93da3fba78d276478c6688eb8df965a2f0f78fb5f724939825af8f",
+        "133a6f095acd9eb63fa30a602ec77c01e0e987235d73941c7533677f14284fdf"),
     ("hdtlz7", "phmoea"): (
-        "d2075b2ecfb3aef55e18b269ef414d9b6338986e6a1160afdc6df5a8710cda8d",
-        "161aacf7ea1e40172e753764cc0ed2af4c7db7ab3d51ad4b7240bc0833f7b836"),
+        "2e50dc03ad49858f5648f0f31e698ae401778c8d413044967804cb471cf9b48f",
+        "3464ec56a37cc7a3a334f6acd656f2e8bf6582c2137dd4c4e7a6fb27088da195"),
     ("hdtlz7", "nsga2"): (
-        "8145dbe36c3475ab6ccf0ee56ec94f8034c59e9639782789acbc25e81f7595ba",
-        "7552a91c23220ebc064f2f0357ad63672e9f749dfaf5861932ba737688cde8a4"),
+        "3ba1bbc8f83c7edcb79ebd762f62e75c1ea7708e5d7a392837bea23d03fe6998",
+        "fd1a13f84c70b7ad4ccadfbf54bbb39d90c2900a58574d13486033e01bcc4506"),
     ("surrogate", "phmoea"): (
-        "1259cd4bb013944e4ec145d8cf415c1aa7d93cdae82feefc9efc173426b95e81",
-        "18d2d65df948bc76b2c2aa3f24526595d3024e866a7b64853b09d0e686469fc6"),
+        "19dfab4a6f8419f58fca55becc0d3e8b303a59c0f343800757d1e07881ee95b0",
+        "7bf0f380d023ddf0927f2f48a3ce917a3e3b1e20ad8803b6011e93abfa214845"),
 }
 
 GOLDEN_CONFIGS = {
     ("hdtlz2", "phmoea"): (
-        "96e04b7b4784d9e1dcc2c61222b140da55d6731309b932faaddb22ac738928dc",
-        "f8ea2af90246b5b94de54578ecbff6ae8152f429bd291164c4ba7a50b9b91cfe"),
+        "906a704edaa567ca9bf90166bc86eaa056b953b7972af66481473365c3d3b54a",
+        "06d173464ea2cc7d5c7b0f31056be428a0371e3adcd8d1571a041a2f58aeb684"),
     ("hdtlz2", "nsga2"): (
-        "8b6c670de29b702ab534ac4bf0a46a15860e02aef2794c60594c8ceb77fb6924",
-        "304310426d8c7b456613fc6d468058c644672a7fa85f072e18c2c7a0f8a30ffc"),
+        "6bc39cc67219af28a46776153ae7ba3d1ca98e6d7c44f14fee43f316d6253b5c",
+        "72de9e48dca93ac71d4aadb051d8f34781cc4151c8cf6408a99a56230b66dbf0"),
     ("hdtlz7", "phmoea"): (
-        "39c25c42d04a6327138ff3f8a4eada922af02e175b4510c487d921b63d641cb3",
-        "1a918144622da97d1bffdff4fdb11476a853f34755d244c9200d536d4b11d70d"),
+        "cb5ecebe5cad99a91823598f90556daca71feea00581ba791c61edf65018c617",
+        "b561dab6f8d8e69529ba4e6d6a8dbe89b576b439e6f46ec2232ce8f9e4a32f3c"),
     ("hdtlz7", "nsga2"): (
-        "0869e25ba9bdc5be562009647a789d1d77c95d61bdc64cb770de104ba0194950",
-        "8970970604e850d82a945840e452c369115303dac9330312010b58dfb5b0d209"),
+        "5c82e7fcc4f73c3339bc6519d7f1e8bb5009aff4e746d128ad8cdd2a86275076",
+        "704361067d9a41ea69e3b80708ddd24eb945c4a9c5e4b12ad736e06f632e7e91"),
     ("surrogate", "phmoea"): (
-        "430b178ce01d24602a688e99824c0f9791979230181f025b2ba6cdc2a05b9464",
-        "90894af49d37cae74682c554b87789d99d5d68ca69a4a98f9d071d5eec7f1e47"),
+        "2864f9b20048cbbefd22ce13c9d207193337ccdcf4bee73dd803adab13c0b98c",
+        "48fa46a0a298d9dfd00f75908204dfea525df33b4518c785b3fb239e85dd5457"),
 }
 
 GOLDEN_AT_SCALE = {
     ("hdtlz7", "nsga2"): (
-        "aa21bd0d29190ae2d01618014e25ecf8dcaed82071db7c38a23e2018b4f44dd0",
-        "b4f71cf5358a3301b7a955003a45ba26c2d2a9da0f26c142ef009d433279d565"),
+        "92bd9fc80e788c525bd735c72e0a4de93e938de6e85fe8c0de8308ccae201c0f",
+        "08e24383f682a6e632760047d60480ecd6d8761cd2540641a5298f80408a564d"),
     ("hdtlz2", "phmoea"): (
-        "1edd1cfa6c7b2b203722210ca1833f7c11aec4a1af1c29d7720edbdb6213300f",
-        "8849f080795b27dcf6c968029f73a30fbbd8c58991b8ff0c5ab524b09773e87a"),
+        "648feb663cdcfd9a7b08af0962f0e4fa439e74396626f3f37704c913a457863a",
+        "0b95d192f1c037c6e2edca9ef6fdab2627eabcf68fe52c750a03c91f704bdab8"),
     ("surrogate", "phmoea"): (
-        "7a69159cacdfac361a5a4ce9b3a50c3669cfdc95ea4a1bf28e3ab6c3da1db0ee",
-        "0e46ca86ba2b8712bcd1f5700abca8a723cf812d5a769978fb037b6cd5bd434f"),
+        "a9930dbf979a906cce87c09eea9fce1965afcb28e1c22e3962d78dd124d13cdb",
+        "e5ac8ef27b1f1106f5da4550ab5614892f61a484696c0866b80dc114db92c56b"),
 }
 
 

@@ -66,6 +66,11 @@ class FailingEvaluator:
         return Evaluation(decoded, *objectives(key))
 
 
+def mask(decoded) -> tuple[bool, ...]:
+    """Activity per dimension: None marks an inactive value."""
+    return tuple(v is not None for v in decoded.values)
+
+
 def objectives(key: int) -> tuple[float, float]:
     return (key >> 32) / 2**32, (key & 0xFFFF_FFFF) / 2**32
 
@@ -95,7 +100,7 @@ def check_run(run, result, evaluator, written, pop, gens):
         # the kept vector alone rebuilds the genotype, after refinement too
         assert repair(g.frozen, space, state) == g
         active = activity(g.genes, space)
-        assert decode(g, state).active == active == ind.decoded.active
+        assert mask(decode(g, state)) == active == mask(ind.decoded)
     for pos in space.continuous_indices():
         var, points = space.variables[pos], state.breakpoints(pos)
         assert np.all(np.diff(points) > 0)

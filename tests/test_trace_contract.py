@@ -58,10 +58,11 @@ def test_traced_search_matches_untraced_and_uninstalls(tmp_path, tracing, proble
     assert traced == untraced
     for name in ("space.decode", "space.repair", "engine.environmental_select"):
         assert tracer.calls[name] > 0, name
-    # admission compares gene tuples, so no attempt is hashed; only admitted
-    # children decode
+    # admission compares decoded value tuples, so every attempt decodes and
+    # none is hashed
     assert tracer.calls["space.canonical_key"] == 0
-    assert tracer.calls["space.decode"] == tracer.counts["dedup_admits"]
+    assert tracer.calls["space.decode"] == \
+        tracer.counts["dedup_admits"] + tracer.counts["dedup_rejects"]
     assert tracer.counts["dedup_rejects"] > 0
     # plain NSGA-II bypasses the archives, so it partitions nothing
     assert (tracer.calls["engine.partition_players"] > 0) == (algo == "phmoea")

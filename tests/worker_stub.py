@@ -48,7 +48,7 @@ def main() -> None:
         if MODE == "exit_second" and request["id"] == 1:
             return
         if MODE == "slow" or (MODE == "slow_first" and request["id"] == 0):
-            time.sleep(5.0 if MODE == "slow" else 1.0)
+            time.sleep(1.0)
         if MODE == "jitter":
             time.sleep((request["id"] % 3) * 0.04)
         if MODE == "garbage":
