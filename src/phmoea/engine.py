@@ -443,8 +443,6 @@ class _Run:
         # too unless the problem brings its own
         self.reference: tuple[float, float] | None = None
         self.stop_hv: list[float] = []
-        self.dims = len(self.space)
-        self.max_mutated = min(params.max_mutated, self.dims)
         self.skipped_errors = 0
         self.stopped_early = False
         self.history: list[HistoryRow] = []
@@ -515,7 +513,7 @@ class _Run:
         if (self.rng.word() >> 11) * 2**-53 >= self.params.mutation_prob:
             return
         grids, counts, below = self.state.grids, self.state.counts, self.rng.below
-        self._edit_dims(kept, genes, 1.0 / self.dims,
+        self._edit_dims(kept, genes, 1.0 / len(kept),
                         lambda i: below(counts[i]) if grids[i] is None
                         else self._polynomial_step(grids[i], kept[i]))
 
@@ -523,10 +521,10 @@ class _Run:
         """Capped edits of ``vector`` in place, in dimension order: a dimension whose
         ``gate`` entry is ``PLACEHOLDER`` draws nothing, any other takes ``draw(i)`` on
         a double below ``rate``; ``max_mutated`` changed values end the loop."""
-        word = self.rng.word
+        word, cap = self.rng.word, self.params.max_mutated
         changed = 0
         for i, g in enumerate(gate):
-            if changed >= self.max_mutated:
+            if changed >= cap:
                 break
             if g == PLACEHOLDER or (word() >> 11) * 2**-53 >= rate:
                 continue
@@ -572,20 +570,15 @@ class _Run:
                         lambda i: sample_candidate(parts[i], opposite, rng))
         return genes
 
-    def _admit(self, child: list[int]) -> tuple[Genotype, DecodedConfig] | None:
-        g = repair(child, self.space, self.state)
-        decoded = decode(g, self.state)
-        if self.registry.admit(decoded.values):
-            return (g, decoded)
-        return None
-
     def _fill_slots(self, n_slots: int, make) -> list[tuple[Genotype, DecodedConfig]]:
+        """Per slot, up to ``n_trial`` children until one decodes to values new to the run."""
         out = []
         for _ in range(n_slots):
             for _ in range(self.params.n_trial):
-                admitted = self._admit(make())
-                if admitted is not None:
-                    out.append(admitted)
+                g = repair(make(), self.state)
+                decoded = decode(g, self.state)
+                if self.registry.admit(decoded.values):
+                    out.append((g, decoded))
                     break
         return out
 
@@ -598,7 +591,7 @@ class _Run:
                              archive_weights(pop, phi, params))
         parts = [partition_players(self.archives, pos, params.hot_fraction,
                                    params.cold_fraction, params.cold_bonus)
-                 for pos in range(self.dims)]
+                 for pos in range(len(self.space))]
         r_par, r_hot, _ = stage_ratios(phi, params)
         n_par = math.floor(r_par * n + 1e-9)
         n_hot = math.floor(r_hot * n + 1e-9)
@@ -655,8 +648,7 @@ class _Run:
 
     def _start(self) -> None:
         """Evaluate, rank and record the initial population as generation 1."""
-        init = self._fill_slots(self.pop_size,
-                                lambda: sample_random(self.space, self.state, self.rng).frozen)
+        init = self._fill_slots(self.pop_size, lambda: sample_random(self.state, self.rng).frozen)
         self.population = self._evaluate(init)
         if len(self.population) < 2:
             raise RuntimeError(f"initial population collapsed: {len(init)} of {self.pop_size} "

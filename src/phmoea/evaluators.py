@@ -1,7 +1,7 @@
 """Evaluators: candidate configuration -> bi-objective value.
 
 Three families share one contract: given a decoded configuration they return
-an Evaluation holding it, (f1, f2), a status flag and, on error, a message;
+an Evaluation holding it, (f1, f2) and, if it failed, a message saying why;
 its ``key`` is read from the configuration, so no evaluator knows the key
 format. They keep no counters: the engine's ``evaluated_keys`` counts every
 dispatched candidate as one function evaluation, whatever its outcome.
@@ -35,8 +35,7 @@ from .network import (COUNTED, FUSION_MODE, INPUT_WIDTH, REQUIRED, TARGETS,
 from .rng import WordStream
 from .space import ConfigSpace, DecodedConfig, RefinementState
 
-OK = "ok"
-ERROR = "error"
+OK = "ok"                   # a worker reply's success status
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,7 @@ class Evaluation:
     decoded: DecodedConfig      # the configuration f1/f2 answer
     f1: float
     f2: float
-    status: str = OK
-    message: str | None = None
+    message: str | None = None  # why the evaluation failed; None if it did not
 
     @property
     def key(self) -> int:
@@ -53,12 +51,12 @@ class Evaluation:
 
     @property
     def ok(self) -> bool:
-        return self.status == OK
+        return self.message is None
 
 
 def failed_evaluation(decoded: DecodedConfig, reason: Exception | str) -> Evaluation:
-    """Error ``Evaluation`` of ``decoded`` carrying the reason's text."""
-    return Evaluation(decoded, math.nan, math.nan, ERROR, str(reason))
+    """Failed ``Evaluation`` of ``decoded`` carrying the reason's text, even an empty one."""
+    return Evaluation(decoded, math.nan, math.nan, str(reason))
 
 
 def evaluate_safely(evaluator, decoded: DecodedConfig) -> Evaluation:
@@ -199,7 +197,7 @@ class WorkerClient:
     Response: {"id": int, "f1": float, "f2": float,
                "status": "ok"|"error", "msg": str (else "worker error")}
     A timeout, closed output, malformed reply, mismatched or non-integer id,
-    objective that is not a JSON number or worker-reported error yields an error
+    objective that is not a JSON number or worker-reported error yields a failed
     Evaluation, which still consumed budget. One deadline covers writing the
     request and reading the reply; a late reply to a timed-out request is
     discarded, so a reply timeout fails only its own call. A call that loses the
@@ -283,7 +281,7 @@ class WorkerClient:
         """End the worker, live, exited or (killed at once) broken, and close both pipes."""
         self._proc.stdin.close()
         try:
-            self._proc.wait(timeout=0 if self.broken else 5)
+            self._proc.wait(timeout=0 if self.broken else min(5.0, self.timeout))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()

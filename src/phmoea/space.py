@@ -16,6 +16,7 @@ refinement that splits intervals the front persistently fills.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 from bisect import bisect_left
 from collections import Counter
@@ -74,6 +75,10 @@ class VariableSpec:
                 raise ValueError(f"{self.name}: log scale requires a positive lower bound")
             if self.scale not in ("linear", "log"):
                 raise ValueError(f"{self.name}: unknown scale {self.scale!r}")
+            # so every breakpoint, span and midpoint sum stays finite
+            lo, hi = map(math.log if self.scale == "log" else float, self.bounds)
+            if not (math.isfinite(2.0 * lo) and math.isfinite(2.0 * hi)):
+                raise ValueError(f"{self.name}: bounds doubled in scale space must be finite")
         else:
             if not self.candidates:
                 raise ValueError(f"{self.name}: candidate list is empty")
@@ -186,14 +191,6 @@ class DecodedConfig:
                 if value is not None}
 
 
-def _to_scale(value, scale: str):
-    return np.log(value) if scale == "log" else value
-
-
-def _from_scale(value, scale: str):
-    return np.exp(value) if scale == "log" else value
-
-
 def nearest_index(points: list[float], value: float) -> int:
     """Index of the sorted ``points`` entry closest to ``value``.
 
@@ -240,20 +237,21 @@ class RefinementState:
         for pos in space.continuous_indices():
             var = space.variables[pos]
             a, b = var.bounds
-            pts = np.linspace(_to_scale(a, var.scale), _to_scale(b, var.scale),
+            log = var.scale == "log"
+            pts = np.linspace(np.log(a) if log else a, np.log(b) if log else b,
                               initial_bins + 1)
             mids = 0.5 * (pts[:-1] + pts[1:])
             self._pts[pos] = pts.tolist()
             grid = mids.tolist()
             self.counts[pos] = initial_bins
-            self.values[pos] = (grid if var.scale == "linear"
-                                else np.clip(np.exp(mids), a, b).tolist())
+            self.values[pos] = np.clip(np.exp(mids), a, b).tolist() if log else grid
             self.grids[pos] = (float(pts[0]), float(pts[-1]), grid)
             self.counters[pos] = {}
 
     def breakpoints(self, pos: int) -> np.ndarray:
         """Breakpoints of a dimension in its raw units."""
-        return _from_scale(np.array(self._pts[pos]), self.space.variables[pos].scale)
+        pts = np.array(self._pts[pos])
+        return np.exp(pts) if self.space.variables[pos].scale == "log" else pts
 
     def bin_count(self, pos: int) -> int:
         return len(self._pts[pos]) - 1
@@ -340,34 +338,34 @@ def decode(genotype: Genotype, state: RefinementState) -> DecodedConfig:
                                 for g, values in zip(genotype.genes, state.values)]))
 
 
-def repair(kept: Sequence[int], space: ConfigSpace, state: RefinementState) -> Genotype:
+def repair(kept: Sequence[int], state: RefinementState) -> Genotype:
     """Clip and freeze one full gene vector so the genotype is always executable.
 
-    Out-of-range indices are clipped into the current candidate/bin counts;
-    the clipped vector is kept as ``frozen``. Dimensions deactivated by their
-    parent take the placeholder in ``genes``. Repair is total and idempotent
-    (``repair(g.frozen) == g``); the placeholder marks exactly the inactive
-    dimensions.
+    Out-of-range indices are clipped into ``state``'s candidate/bin counts; the
+    clipped vector is kept as ``frozen``. Dimensions that ``state.space``'s parents
+    deactivate take the placeholder in ``genes``. Repair is total and idempotent
+    (``repair(g.frozen, state) == g``); the placeholder marks exactly the
+    inactive dimensions.
     """
     counts = state.counts
     if min(kept, default=0) < 0 or not all(map(operator.lt, kept, counts)):
         kept = [min(max(g, 0), n - 1) for g, n in zip(kept, counts)]
     # gates run in position order, so a parent's placeholder is already set
     genes = list(kept)
-    for pos, ppos, activates in space.gates:
+    for pos, ppos, activates in state.space.gates:
         g = genes[ppos]
         if g == PLACEHOLDER or not activates[g]:
             genes[pos] = PLACEHOLDER
     return Genotype(genes=tuple(genes), frozen=tuple(kept))
 
 
-def sample_random(space: ConfigSpace, state: RefinementState, stream: WordStream) -> Genotype:
-    """Uniform gene per dimension over the current candidates/bins, repaired.
+def sample_random(state: RefinementState, stream: WordStream) -> Genotype:
+    """Uniform gene per dimension over ``state``'s current candidates/bins, repaired.
 
     The draws are numpy's ``integers(0, state.counts)``: a count of 1 draws nothing.
     """
     below = stream.below
-    return repair([below(n) for n in state.counts], space, state)
+    return repair([below(n) for n in state.counts], state)
 
 
 class DedupRegistry:

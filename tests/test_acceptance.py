@@ -154,7 +154,7 @@ def test_criterion_6_parameter_count_oracle():
     rng = WordStream(2024)
     mismatches = 0
     for _ in range(20):
-        decoded = decode(sample_random(space, state, rng), state)
+        decoded = decode(sample_random(state, rng), state)
         cfg = decoded.as_dict(space)
         if count_params(build_graph(cfg, 50, 5)) != oracle_count(cfg, 50, 5):
             mismatches += 1
@@ -164,7 +164,7 @@ def test_criterion_6_parameter_count_oracle():
     for idx, gene in {3: 1, 6: 1, 7: 1, 8: 1, 9: 1, 10: 1, 11: 1}.items():
         genes[idx - 1] = gene
     from phmoea.space import repair
-    decoded = decode(repair(genes, space, state), state)
+    decoded = decode(repair(genes, state), state)
     total = count_params(build_graph(decoded.as_dict(space), 50, 5))
     passed = mismatches == 0 and total == 61397
     report("criterion 6 (parameter-count oracle)", passed,

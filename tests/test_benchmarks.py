@@ -22,7 +22,7 @@ def decoded_with(problem, z1_bin=0, z2_bin=0, gates=(), tail_bins=None):
         genes[2 * j - 4] = 1  # gate_j on
         if tail_bins and j in tail_bins:
             genes[2 * j - 3] = tail_bins[j]
-    g = repair(genes, space, state)
+    g = repair(genes, state)
     return decode(g, state), state
 
 
@@ -82,7 +82,7 @@ class TestProjection:
         state = RefinementState(space)
         rng = WordStream(0)
         for _ in range(100):
-            decoded = decode(sample_random(space, state, rng), state)
+            decoded = decode(sample_random(state, rng), state)
             z, _ = problem.project(decoded)
             assert all(0.0 <= v <= 1.0 for v in z)
 
@@ -221,7 +221,7 @@ class TestPlainFloatObjectives:
             if refined:
                 assert np.diff(state.breakpoints(1)).min() < 1e-12
             for _ in range(configs):
-                decoded = decode(sample_random(space, state, rng), state)
+                decoded = decode(sample_random(state, rng), state)
                 assert problem.objectives(decoded) == numpy_objectives(problem, decoded)
 
     def test_numpy_inputs_still_work(self):

@@ -632,7 +632,7 @@ def per_draw_variation_child(run, rng):
     if rng.random() < params.mutation_prob:
         changed = 0
         for i, grid in enumerate(run.state.grids):
-            if changed >= run.max_mutated:
+            if changed >= min(run.params.max_mutated, len(run.space)):
                 break
             if genes[i] == PLACEHOLDER or rng.random() >= 1.0 / len(run.space):
                 continue
@@ -661,7 +661,7 @@ def per_dimension_assembled_child(run, partitions, pool, rng):
     opposite = "nh" if pool == "hot" else "hot"
     changed = 0
     for i, part in enumerate(partitions):
-        if changed >= run.max_mutated:
+        if changed >= min(run.params.max_mutated, len(run.space)):
             break
         if rng.random() < params.cross_pool_rate:
             new = per_call_candidate(part, opposite, rng)
@@ -695,7 +695,7 @@ class TestVariation:
         params.crossover_prob = 0.0
         params.mutation_prob = 1.0
         run = engine_for(bench_problem(n=12), params=params)
-        run.max_mutated = 2
+        run.params.max_mutated = 2
         for ind in run.population:
             for _ in range(10):
                 genes, kept = list(ind.genotype.genes), list(ind.genotype.frozen)
@@ -747,14 +747,16 @@ class TestVariation:
                                   run.params.cold_bonus)
                 for pos in range(len(run.space))]
 
-    # the capped set mutates on every child, so one changed value ends the loop
-    @pytest.mark.parametrize("seed, overrides", [
-        *(pytest.param(seed, {}, id=str(seed)) for seed in range(3)),
-        pytest.param(0, {"mutation_prob": 1.0, "max_mutated": 1}, id="0-capped")])
-    def test_variation_child_matches_the_per_draw_loop(self, seed, overrides):
+    # the capped set mutates on every child, so one changed value ends the loop;
+    # the 4-dimension set has fewer dimensions than the default cap of 6
+    @pytest.mark.parametrize("seed, n, overrides", [
+        *(pytest.param(seed, 6, {}, id=str(seed)) for seed in range(3)),
+        pytest.param(0, 6, {"mutation_prob": 1.0, "max_mutated": 1}, id="0-capped"),
+        pytest.param(0, 3, {"mutation_prob": 1.0}, id="0-fewer-dims-than-cap")])
+    def test_variation_child_matches_the_per_draw_loop(self, seed, n, overrides):
         params = replace(SearchParams.benchmark(), **overrides)
         params.crossover_prob = 0.9
-        run = engine_for(bench_problem("hdtlz7", n=6), pop_size=16, seed=seed,
+        run = engine_for(bench_problem("hdtlz7", n=n), pop_size=16, seed=seed,
                          params=params, use_archives=False)
         for _ in range(200):
             rng = self.twin_rng(run)
@@ -762,15 +764,17 @@ class TestVariation:
             assert run._variation_child() == want
             assert run.rng.state == rng.bit_generator.state
 
-    # the capped set swaps on every dimension, so one changed value ends the loop
-    @pytest.mark.parametrize("hot_fraction, cold_fraction, overrides", [
-        *(pytest.param(hot, cold, {}, id=f"{hot}-{cold}")
+    # the capped set swaps on every dimension, so one changed value ends the loop;
+    # the 4-dimension set has fewer dimensions than the default cap of 6
+    @pytest.mark.parametrize("hot_fraction, cold_fraction, n, overrides", [
+        *(pytest.param(hot, cold, 5, {}, id=f"{hot}-{cold}")
           for hot, cold in [(0.3, 0.2), (1.0, 0.0), (0.0, 0.2), (0.5, 0.5)]),
-        pytest.param(0.3, 0.2, {"cross_pool_rate": 1.0, "max_mutated": 1},
-                     id="0.3-0.2-capped")])
+        pytest.param(0.3, 0.2, 5, {"cross_pool_rate": 1.0, "max_mutated": 1},
+                     id="0.3-0.2-capped"),
+        pytest.param(0.3, 0.2, 3, {"cross_pool_rate": 1.0}, id="0.3-0.2-fewer-dims-than-cap")])
     def test_assembled_child_matches_the_per_dimension_draws(self, hot_fraction,
-                                                             cold_fraction, overrides):
-        run = engine_for(bench_problem(n=5), pop_size=12,
+                                                             cold_fraction, n, overrides):
+        run = engine_for(bench_problem(n=n), pop_size=12,
                          params=replace(SearchParams.benchmark(), **overrides))
         partitions = self.pools(run, hot_fraction, cold_fraction)
         for pool in ("hot", "nh") * 50:
@@ -816,7 +820,7 @@ class TestRefinementResnap:
         kept = [2, 0, 2, 3, 2, 9]
         run.population = []
         for k in kept:
-            genotype = repair([k], space, state)
+            genotype = repair([k], state)
             run.population.append(Individual(
                 genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
         before = {j: state.values[0][j] for j in kept}
@@ -845,7 +849,7 @@ class TestRefinementResnap:
         state = run.state
         run.population = []
         for kept in ([0, 1], [1, 1], [1, 1], [1, 4]):
-            genotype = repair(kept, space, state)
+            genotype = repair(kept, state)
             run.population.append(Individual(
                 genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
         state.counters[1] = {1: state.persistence}
@@ -853,7 +857,7 @@ class TestRefinementResnap:
         assert [ind.genotype.frozen[1] for ind in run.population] == [1, 2, 1, 5]
         assert [ind.genotype.genes[1] for ind in run.population] == [PLACEHOLDER, 2, 1, 5]
         for ind in run.population:
-            assert repair(ind.genotype.frozen, space, state) == ind.genotype
+            assert repair(ind.genotype.frozen, state) == ind.genotype
 
     def test_front_mass_counts_the_occupied_bin(self):
         # Splitting the bin that holds 0.6 until refine() refuses leaves bin
@@ -1285,7 +1289,7 @@ class TestRuns:
             ev = inner(decoded)
             if calls["n"] % 7 == 3:
                 return Evaluation(decoded=decoded, f1=float("nan"), f2=float("nan"),
-                                  status="error", message="synthetic failure")
+                                  message="synthetic failure")
             return ev
 
         flaky_problem = SearchProblem(space=problem.space, evaluator=flaky,

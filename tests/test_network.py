@@ -28,7 +28,7 @@ def decoded_from(**overrides):
     for name, value in overrides.items():
         pos = SPACE.positions[name]
         genes[pos] = SPACE.variables[pos].candidates.index(value)
-    g = repair(genes, SPACE, STATE)
+    g = repair(genes, STATE)
     return decode(g, STATE).as_dict(SPACE)
 
 
@@ -127,14 +127,14 @@ class TestCountingProperties:
     def test_breakdown_sums_to_total(self):
         rng = WordStream(2)
         for _ in range(30):
-            decoded = decode(sample_random(SPACE, STATE, rng), STATE)
+            decoded = decode(sample_random(STATE, rng), STATE)
             card = build_graph(decoded.as_dict(SPACE), 50, 5)
             assert count_params(card) == sum(breakdown(card).values())
 
     def test_matches_oracle_on_random_configs(self):
         rng = WordStream(4)
         for _ in range(40):
-            decoded = decode(sample_random(SPACE, STATE, rng), STATE)
+            decoded = decode(sample_random(STATE, rng), STATE)
             cfg = decoded.as_dict(SPACE)
             card = build_graph(cfg, 50, 5)
             assert count_params(card) == oracle_count(cfg, 50, 5)
@@ -157,7 +157,7 @@ class TestCountingProperties:
     def test_independent_of_training_dims(self):
         rng = WordStream(8)
         for _ in range(30):
-            decoded = decode(sample_random(SPACE, STATE, rng), STATE)
+            decoded = decode(sample_random(STATE, rng), STATE)
             cfg = decoded.as_dict(SPACE)
             arch = {k: cfg[k] for k in
                     ("aligned_length", "norm_layer", "proj_channels",
@@ -242,7 +242,7 @@ class TestModelCard:
         rng = WordStream(17)
         digest = hashlib.sha256()
         for _ in range(500):
-            cfg = decode(sample_random(SPACE, STATE, rng), STATE).as_dict(SPACE)
+            cfg = decode(sample_random(STATE, rng), STATE).as_dict(SPACE)
             for width, targets in ((50, 5), (7, 1), (128, 12)):
                 card = build_graph(cfg, width, targets)
                 digest.update(json.dumps(card, indent=2).encode())

@@ -98,7 +98,7 @@ def check_run(run, result, evaluator, written, pop, gens):
     for ind in run.population:
         g = ind.genotype
         # the kept vector alone rebuilds the genotype, after refinement too
-        assert repair(g.frozen, space, state) == g
+        assert repair(g.frozen, state) == g
         active = activity(g.genes, space)
         assert mask(decode(g, state)) == active == mask(ind.decoded)
     for pos in space.continuous_indices():

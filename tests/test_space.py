@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,25 @@ class TestBuiltinSpace:
             ConfigSpace(variables=(
                 VariableSpec("a", CONTINUOUS, bounds=(0.0, 1.0), scale="log"),))
 
+    # each decoded to nan or inf representatives before the check: a midpoint
+    # sums two breakpoints, and a span subtracts them
+    @pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (0.0, math.inf),
+                                        (-1e308, 1e308), (0.0, 1.7e308)])
+    def test_bounds_not_finite_when_doubled_rejected(self, bounds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # checked without a numpy overflow
+            with pytest.raises(ValueError) as info:
+                ConfigSpace(variables=(VariableSpec("a", CONTINUOUS, bounds=bounds),))
+        assert str(info.value) == "a: bounds doubled in scale space must be finite"
+
+    @pytest.mark.parametrize("bounds", [(1e-300, 1e308), (1e300, math.nextafter(1e300, math.inf))])
+    def test_wide_log_bounds_accepted(self, bounds):
+        state = RefinementState(ConfigSpace(
+            variables=(VariableSpec("a", CONTINUOUS, bounds=bounds, scale="log"),)))
+        lo, hi, mids = state.grids[0]
+        assert all(map(math.isfinite, [lo, hi, *mids, *state.values[0]]))
+        assert np.isfinite(state.breakpoints(0)).all()
+
 
 # ---------------------------------------------------------------------------
 # Bin representatives
@@ -204,13 +224,13 @@ def genotype_with(space, state, **overrides):
     for name, value in overrides.items():
         pos = space.positions[name]
         genes[pos] = space.variables[pos].candidates.index(value)
-    return repair(genes, space, state)
+    return repair(genes, state)
 
 
 def genotype_with_bin(space, state, pos, k):
     genes = [0] * len(space)
     genes[pos] = k
-    return repair(genes, space, state)
+    return repair(genes, state)
 
 
 def active(decoded):
@@ -236,7 +256,7 @@ class TestDecode:
         g1 = genotype_with(space, state, resample_op="linear")
         kept = list(g1.frozen)
         kept[1] = 2  # perturb the masked pool type
-        g2 = repair(kept, space, state)
+        g2 = repair(kept, state)
         assert decode(g1, state) == decode(g2, state)
 
     def test_continuous_values_decode_to_representatives(self, space):
@@ -273,7 +293,7 @@ class TestRepair:
         state = make_state(space)
         genes = [0] * 24
         genes[12] = 8   # dropout has 6 bins
-        g = repair(genes, space, state)
+        g = repair(genes, state)
         assert g.genes[12] == 5
         assert g.frozen[12] == 5
 
@@ -284,13 +304,13 @@ class TestRepair:
         # deactivate: the value is kept and the gene becomes a placeholder
         kept = list(g.frozen)
         kept[0] = 0  # linear
-        g = repair(kept, space, state)
+        g = repair(kept, state)
         assert g.genes[1] == PLACEHOLDER
         assert g.frozen[1] == 2
         # reactivate: the kept value comes back
         kept = list(g.frozen)
         kept[0] = 3  # pool again
-        g = repair(kept, space, state)
+        g = repair(kept, state)
         assert g.genes[1] == 2
 
     def test_idempotent(self, space):
@@ -298,17 +318,17 @@ class TestRepair:
         rng = np.random.default_rng(7)
         for _ in range(50):
             genes = [int(rng.integers(0, 12)) for _ in range(24)]
-            once = repair(genes, space, state)
-            assert repair(once.frozen, space, state) == once
+            once = repair(genes, state)
+            assert repair(once.frozen, state) == once
 
     def test_restored_parent_reactivates_its_children(self):
         space = chain_space()
         state = make_state(space)
-        g = repair((0, 1, 1), space, state)
+        g = repair((0, 1, 1), state)
         assert g == Genotype((0, PLACEHOLDER, PLACEHOLDER), (0, 1, 1))
-        g = repair((1,) + g.frozen[1:], space, state)
+        g = repair((1,) + g.frozen[1:], state)
         assert g.genes == (1, 1, 1)
-        assert repair(g.frozen, space, state) == g
+        assert repair(g.frozen, state) == g
         assert decode(g, state).values == ("y", "q", "v")
 
     @pytest.mark.parametrize("make_space", [builtin_space, chain_space])
@@ -320,27 +340,27 @@ class TestRepair:
         rng = np.random.default_rng(29)
         for _ in range(300):
             raw = [int(g) for g in rng.integers(-3, 12, len(space))]
-            g = repair(raw, space, state)
+            g = repair(raw, state)
             decoded = decode(g, state)
             assert active(decoded) == activity(g.genes, space)
             assert decoded.values == tuple(None if x == PLACEHOLDER else values[x]
                                            for x, values in zip(g.genes, state.values))
             assert g == clip_then_gate_repair(raw, space, state)
-            assert repair(g.frozen, space, state) == g
+            assert repair(g.frozen, state) == g
         # in range: the vector is kept as it is, and only the gate masks it
         for _ in range(300):
             raw = tuple(rng.integers(0, state.counts).tolist())
-            g = repair(raw, space, state)
+            g = repair(raw, state)
             assert g.frozen == raw
             assert g == clip_then_gate_repair(raw, space, state)
             assert active(decode(g, state)) == activity(g.genes, space)
-            assert repair(g.frozen, space, state) == g
+            assert repair(g.frozen, state) == g
 
     def test_decoded_continuous_within_bounds(self, space):
         state = make_state(space)
         rng = WordStream(11)
         for _ in range(100):
-            g = sample_random(space, state, rng)
+            g = sample_random(state, rng)
             decoded = decode(g, state)
             for var, v in zip(space.variables, decoded.values):
                 if var.is_continuous and v is not None:
@@ -350,7 +370,7 @@ class TestRepair:
         state = make_state(space)
         rng = WordStream(3)
         for _ in range(200):
-            decoded = decode(sample_random(space, state, rng), state)
+            decoded = decode(sample_random(state, rng), state)
             cfg = dict(zip([v.name for v in space.variables], decoded.values))
             for pos, var in enumerate(space.variables):
                 if var.parent is None:
@@ -369,13 +389,13 @@ class TestCanonicalKey:
         state = make_state(space)
         rng = WordStream(5)
         for _ in range(100):
-            g = sample_random(space, state, rng)
+            g = sample_random(state, rng)
             decoded = decode(g, state)
             kept = list(g.frozen)
             inactive = [i for i, on in enumerate(active(decoded)) if not on]
             for i in inactive:
                 kept[i] = rng.below(2)
-            other = decode(repair(kept, space, state), state)
+            other = decode(repair(kept, state), state)
             assert other.key == decoded.key
 
     def test_active_change_changes_key(self, space):
@@ -463,7 +483,7 @@ def front_of(space, state, values, pos=12):
     for v in values:
         genes = [0] * len(space)
         genes[pos] = nearest_index(state.grids[pos][2], v)
-        out.append(repair(genes, space, state).genes)
+        out.append(repair(genes, state).genes)
     return out
 
 
@@ -593,12 +613,12 @@ class TestRefinement:
         lo, hi, mids = state.grids[1]
         assert (lo, hi, len(mids)) == (0.0, 1.0, n)
         # a gene in a new bin, out of range before the splits, now survives
-        g = repair((1, n - 1, 1), space, state)
+        g = repair((1, n - 1, 1), state)
         assert g.genes == (1, n - 1, 1)
         assert decode(g, state).values[1] == state.values[1][n - 1]
-        assert repair((1, n + 3, 1), space, state).genes[1] == n - 1
+        assert repair((1, n + 3, 1), state).genes[1] == n - 1
         rng = WordStream(0)
-        drawn = {sample_random(space, state, rng).frozen[1] for _ in range(400)}
+        drawn = {sample_random(state, rng).frozen[1] for _ in range(400)}
         assert drawn == set(range(n))
 
 
@@ -787,7 +807,7 @@ class TestSampleRandom:
         state = make_state(space)
         rng = WordStream(1)
         for _ in range(200):
-            g = sample_random(space, state, rng)
+            g = sample_random(state, rng)
             for var, gene, n in zip(space.variables, g.genes, state.counts):
                 if gene == PLACEHOLDER:
                     assert var.is_conditional
@@ -796,12 +816,12 @@ class TestSampleRandom:
 
     def test_deterministic_for_seed(self, space):
         state = make_state(space)
-        a = [sample_random(space, state, WordStream(42)) for _ in range(5)]
-        b = [sample_random(space, state, WordStream(42)) for _ in range(5)]
+        a = [sample_random(state, WordStream(42)) for _ in range(5)]
+        b = [sample_random(state, WordStream(42)) for _ in range(5)]
         # fresh generator per call would repeat; use one stream per sequence
         rng1, rng2 = WordStream(42), WordStream(42)
-        seq1 = [sample_random(space, state, rng1) for _ in range(10)]
-        seq2 = [sample_random(space, state, rng2) for _ in range(10)]
+        seq1 = [sample_random(state, rng1) for _ in range(10)]
+        seq2 = [sample_random(state, rng2) for _ in range(10)]
         assert seq1 == seq2
         assert a == b
 
@@ -810,7 +830,7 @@ class TestSampleRandom:
         rng = WordStream(123)
         counts = np.zeros(4)
         for _ in range(1000):
-            g = sample_random(space, state, rng)
+            g = sample_random(state, rng)
             counts[g.genes[3]] += 1  # batch size: 4 candidates
         freqs = counts / 1000
         assert np.all(freqs >= 0.2) and np.all(freqs <= 0.3)
