@@ -8,8 +8,7 @@ from .metrics import hv, igd, merged_reference_front
 from .network import build_graph, count_params
 from .resample import align
 from .rng import WordStream
-from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
-                    RefinementState, VariableSpec, builtin_space, canonical_key,
-                    decode, repair, sample_random)
+from .space import (ConfigSpace, DecodedConfig, DedupRegistry, RefinementState, VariableSpec,
+                    builtin_space, canonical_key, decode, repair, sample_random)
 
 __version__ = "0.1.0"

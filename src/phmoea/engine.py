@@ -15,7 +15,9 @@ breed, evaluate, select, record. Per-generation scratch is passed, not stored:
 for ``PlayerArchives.update``, ``partition_players`` builds one ``Partition``
 per dimension, listed by position, and ``should_stop`` reads the front means
 from the run's ``HistoryRow`` series. An ``Individual`` carries only its
-genotype, evaluated configuration, objectives, rank and crowding.
+kept genes, evaluated configuration, objectives, rank and crowding; its
+``genes``, the rows the archives and the refinement count, mask the kept
+genes where the configuration is None.
 
 Everything is deterministic for a fixed seed: one ``WordStream`` drives
 sampling and variation (the hot loops inline its double and call ``below``),
@@ -31,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import groupby
-from operator import add
+from operator import add, index
 
 import numpy as np
 
@@ -39,11 +41,17 @@ from . import metrics
 from .evaluators import Evaluation, evaluate_safely, failed_evaluation
 from .rng import WordStream
 # canonical_key stays importable here for perfbench/tracing.py
-from .space import (ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
-                    PLACEHOLDER, RefinementState, canonical_key, decode,
-                    nearest_index, repair, sample_random, split_renumbering)
+from .space import (PLACEHOLDER, ConfigSpace, DecodedConfig, DedupRegistry, RefinementState,
+                    canonical_key, decode, nearest_index, repair, sample_random, split_renumbering)
 
 NORM_EPS = 1e-12
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int if it is an integer (numpy's too) other than a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return index(value)
 
 
 @dataclass
@@ -98,6 +106,10 @@ class SearchParams:
                    early_stop=False, refine_mass=0.01, refine_persistence=1)
 
     def validate(self) -> None:
+        for name in ("initial_bins", "n_trial", "refine_persistence", "window", "max_mutated"):
+            _count(name, getattr(self, name))
+        if not isinstance(self.early_stop, bool):
+            raise ValueError(f"early_stop must be a bool, got {self.early_stop!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -131,7 +143,7 @@ class SearchParams:
 class Individual:
     """An evaluated candidate; ``decoded`` is the configuration f1/f2 were measured on."""
 
-    genotype: Genotype
+    kept: tuple[int, ...]
     decoded: DecodedConfig
     f1: float
     f2: float
@@ -141,6 +153,12 @@ class Individual:
     @property
     def key(self) -> int:
         return self.decoded.key
+
+    @property
+    def genes(self) -> tuple[int, ...]:
+        """The kept genes with ``PLACEHOLDER`` on the inactive dimensions."""
+        return tuple([PLACEHOLDER if v is None else k
+                      for k, v in zip(self.kept, self.decoded.values)])
 
 
 @dataclass
@@ -421,9 +439,9 @@ def environmental_select(union: list[Individual], n: int) -> list[Individual]:
 class _Run:
     def __init__(self, problem: SearchProblem, pop_size: int, generations: int,
                  params: SearchParams, seed: int, use_archives: bool):
-        if pop_size < 2:
+        if _count("pop_size", pop_size) < 2:
             raise ValueError("population size must be at least 2")
-        if generations < 1:
+        if _count("generations", generations) < 1:
             raise ValueError("need at least one generation")
         params.validate()
         self.problem = problem
@@ -450,7 +468,7 @@ class _Run:
 
     # -- evaluation barrier -------------------------------------------------
 
-    def _evaluate(self, batch: list[tuple[Genotype, DecodedConfig]]) -> list[Individual]:
+    def _evaluate(self, batch: list[tuple[tuple[int, ...], DecodedConfig]]) -> list[Individual]:
         decoded = [dec for _, dec in batch]
         evaluator = self.problem.evaluator
         if hasattr(evaluator, "evaluate_many"):
@@ -464,10 +482,10 @@ class _Run:
         else:
             evaluations = [evaluate_safely(evaluator, dec) for dec in decoded]
         out = []
-        for (genotype, dec), ev in zip(batch, evaluations):
+        for (kept, dec), ev in zip(batch, evaluations):
             if isinstance(ev, Evaluation) and ev.ok and \
                     math.isfinite(ev.f1) and math.isfinite(ev.f2):
-                out.append(Individual(genotype=genotype, decoded=dec,
+                out.append(Individual(kept=kept, decoded=dec,
                                       f1=float(ev.f1), f2=float(ev.f2)))
             else:
                 self.skipped_errors += 1
@@ -475,21 +493,22 @@ class _Run:
 
     # -- offspring construction ---------------------------------------------
 
-    def _sbx_child(self, p1: Genotype, p2: Genotype) -> tuple[list[int], list[int]]:
-        """One child's genes and kept genes from SBX on continuous dims plus
-        uniform discrete swaps; without crossover, copies of ``p1``'s.
+    def _sbx_child(self, p1: Individual, p2: Individual) -> tuple[list, list[int]]:
+        """One child's inherited decoded values and kept genes from SBX on
+        continuous dims plus uniform discrete swaps; without crossover, ``p1``'s.
 
         After the crossover draw come, in order, ``u`` and the side per SBX
         dimension and one swap draw per other dimension.
         """
         params = self.params
         word = self.rng.word
-        child_genes, child_kept = list(p1.genes), list(p1.frozen)
+        values, child = list(p1.decoded.values), list(p1.kept)
         if (word() >> 11) * 2**-53 >= params.crossover_prob:
-            return child_genes, child_kept
+            return values, child
         power = 1.0 / (params.sbx_eta + 1.0)
-        for i, (grid, g1, g2) in enumerate(zip(self.state.grids, p1.genes, p2.genes)):
-            if grid is not None and g1 != PLACEHOLDER != g2:
+        for i, (grid, x1, x2, g1, g2) in enumerate(zip(self.state.grids, p1.decoded.values,
+                                                       p2.decoded.values, p1.kept, p2.kept)):
+            if grid is not None and x1 is not None and x2 is not None:
                 lo, hi, mids = grid
                 v1, v2 = mids[g1], mids[g2]
                 u = (word() >> 11) * 2**-53
@@ -501,32 +520,31 @@ class _Run:
                 c2 = 0.5 * ((1.0 - beta) * v1 + (1.0 + beta) * v2)
                 value = c1 if (word() >> 11) * 2**-53 < 0.5 else c2
                 value = lo if value < lo else hi if value > hi else value
-                child_genes[i] = child_kept[i] = nearest_index(mids, value)
+                child[i] = nearest_index(mids, value)
             elif (word() >> 11) * 2**-53 < 0.5:
-                child_genes[i] = g2
-                child_kept[i] = p2.frozen[i]
-        return child_genes, child_kept
+                values[i], child[i] = x2, g2
+        return values, child
 
-    def _mutate(self, genes: list[int], kept: list[int]) -> None:
+    def _mutate(self, values: list, kept: list[int]) -> None:
         """Polynomial or uniform mutation of a child's kept genes, in place;
-        only dimensions whose gene is not ``PLACEHOLDER`` may mutate."""
+        only dimensions whose inherited value is not None may mutate."""
         if (self.rng.word() >> 11) * 2**-53 >= self.params.mutation_prob:
             return
         grids, counts, below = self.state.grids, self.state.counts, self.rng.below
-        self._edit_dims(kept, genes, 1.0 / len(kept),
+        self._edit_dims(kept, values, 1.0 / len(kept),
                         lambda i: below(counts[i]) if grids[i] is None
                         else self._polynomial_step(grids[i], kept[i]))
 
-    def _edit_dims(self, vector: list[int], gate: list[int], rate: float, draw) -> None:
+    def _edit_dims(self, vector: list[int], gate: list, rate: float, draw) -> None:
         """Capped edits of ``vector`` in place, in dimension order: a dimension whose
-        ``gate`` entry is ``PLACEHOLDER`` draws nothing, any other takes ``draw(i)`` on
-        a double below ``rate``; ``max_mutated`` changed values end the loop."""
+        ``gate`` entry is None draws nothing, any other takes ``draw(i)`` on a double
+        below ``rate``; ``max_mutated`` changed values end the loop."""
         word, cap = self.rng.word, self.params.max_mutated
         changed = 0
         for i, g in enumerate(gate):
             if changed >= cap:
                 break
-            if g == PLACEHOLDER or (word() >> 11) * 2**-53 >= rate:
+            if g is None or (word() >> 11) * 2**-53 >= rate:
                 continue
             new = draw(i)
             if new != vector[i]:
@@ -557,8 +575,8 @@ class _Run:
         # crowded comparison: lower rank, then larger crowding; a tie keeps the first
         p1 = a if (a.rank, -a.crowding) <= (b.rank, -b.crowding) else b
         p2 = c if (c.rank, -c.crowding) <= (d.rank, -d.crowding) else d
-        genes, kept = self._sbx_child(p1.genotype, p2.genotype)
-        self._mutate(genes, kept)
+        values, kept = self._sbx_child(p1, p2)
+        self._mutate(values, kept)
         return kept
 
     def _assemble_child(self, parts: list[Partition], pool: str) -> list[int]:
@@ -570,24 +588,24 @@ class _Run:
                         lambda i: sample_candidate(parts[i], opposite, rng))
         return genes
 
-    def _fill_slots(self, n_slots: int, make) -> list[tuple[Genotype, DecodedConfig]]:
+    def _fill_slots(self, n_slots: int, make) -> list[tuple[tuple[int, ...], DecodedConfig]]:
         """Per slot, up to ``n_trial`` children until one decodes to values new to the run."""
         out = []
         for _ in range(n_slots):
             for _ in range(self.params.n_trial):
-                g = repair(make(), self.state)
-                decoded = decode(g, self.state)
+                kept = repair(make(), self.state)
+                decoded = decode(kept, self.state)
                 if self.registry.admit(decoded.values):
-                    out.append((g, decoded))
+                    out.append((kept, decoded))
                     break
         return out
 
-    def _generate_offspring(self, phi: float) -> list[tuple[Genotype, DecodedConfig]]:
+    def _generate_offspring(self, phi: float) -> list[tuple[tuple[int, ...], DecodedConfig]]:
         n = self.pop_size
         if not self.use_archives:
             return self._fill_slots(n, self._variation_child)
         params, pop = self.params, self.population
-        self.archives.update([ind.genotype.genes for ind in pop],
+        self.archives.update([ind.genes for ind in pop],
                              archive_weights(pop, phi, params))
         parts = [partition_players(self.archives, pos, params.hot_fraction,
                                    params.cold_fraction, params.cold_bonus)
@@ -604,23 +622,20 @@ class _Run:
     # -- refinement ---------------------------------------------------------
 
     def _refine(self, front: list[Individual]) -> None:
-        self.state.update([ind.genotype.genes for ind in front])
+        self.state.update([ind.genes for ind in front])
         splits = self.state.refine()
         if not splits:
             return
-        # a split dimension renumbers its kept column and its genes follow it; no
-        # continuous dimension is a parent, so the placeholders stay where they are
-        genes = list(zip(*(ind.genotype.genes for ind in self.population)))
-        kept = list(zip(*(ind.genotype.frozen for ind in self.population)))
+        # a split renumbers the kept column of its dimension; no continuous
+        # dimension is a parent, so every member's decoded values still hold
+        kept = list(zip(*(ind.kept for ind in self.population)))
         for pos, group in groupby(splits, key=lambda s: s[0]):   # refine sorts by pos
             split = [k for _, k in group]
             if self.use_archives:
                 self.archives.split_bin(pos, np.array(split))
             kept[pos] = split_renumbering(kept[pos], split)
-            genes[pos] = [PLACEHOLDER if g == PLACEHOLDER else k
-                          for g, k in zip(genes[pos], kept[pos])]
-        for ind, g, k in zip(self.population, zip(*genes), zip(*kept)):
-            ind.genotype = Genotype(genes=g, frozen=k)
+        for ind, k in zip(self.population, zip(*kept)):
+            ind.kept = k
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -648,7 +663,7 @@ class _Run:
 
     def _start(self) -> None:
         """Evaluate, rank and record the initial population as generation 1."""
-        init = self._fill_slots(self.pop_size, lambda: sample_random(self.state, self.rng).frozen)
+        init = self._fill_slots(self.pop_size, lambda: sample_random(self.state, self.rng))
         self.population = self._evaluate(init)
         if len(self.population) < 2:
             raise RuntimeError(f"initial population collapsed: {len(init)} of {self.pop_size} "

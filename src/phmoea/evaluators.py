@@ -207,6 +207,8 @@ class WorkerClient:
 
     def __init__(self, argv, space: ConfigSpace, targets: int = TARGETS,
                  timeout: float = 600.0):
+        if not math.isfinite(timeout):      # select takes no inf or nan deadline
+            raise ValueError(f"timeout must be finite, got {timeout}")
         self.space = space
         self.targets = targets
         self.timeout = timeout

@@ -4,9 +4,9 @@ A space is an ordered list of variables. Discrete variables carry a candidate
 list; continuous variables carry a bounded range (linear or log scale) that is
 discretized into bins so that every variable is searched through integer gene
 indices. Conditional variables are active only when a parent discrete choice
-takes one of their activating values; inactive variables are masked during
-decoding and semantically frozen inside the genotype so their last valid value
-survives deactivation.
+takes one of their activating values. A candidate is its kept vector, an
+in-range gene per dimension: an inactive variable keeps its last valid gene
+there, so that value survives deactivation, and decoding masks it.
 
 The module also owns duplicate detection (on the exact decoded value tuple;
 the 64-bit canonical key is only its written form) and the adaptive bin
@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle
-from typing import NamedTuple
 
 import numpy as np
 
@@ -142,19 +141,6 @@ class ConfigSpace:
         return tuple(out)
 
 
-class Genotype(NamedTuple):
-    """A repaired individual: what ``repair`` returns.
-
-    ``frozen`` is the kept vector, an in-range gene for every dimension; an
-    inactive dimension keeps its last valid gene there, so re-activating it
-    restores that gene. ``genes`` is ``frozen`` with PLACEHOLDER on exactly
-    the inactive dimensions, so ``repair(frozen) == self``.
-    """
-
-    genes: tuple[int, ...]
-    frozen: tuple[int, ...]
-
-
 def canonical_key(values: Sequence) -> int:
     """64-bit key of the active part of a decoded value tuple.
 
@@ -257,7 +243,8 @@ class RefinementState:
         return len(self._pts[pos]) - 1
 
     def update(self, front: list[tuple[int, ...]]) -> None:
-        """Accumulate the bin masses of a non-dominated front's repaired genes.
+        """Accumulate the bin masses of a non-dominated front's gene rows
+        (``PLACEHOLDER`` on inactive dimensions).
 
         Counters increment where the bin mass exceeds the threshold and
         reset everywhere else. An empty front leaves the state unchanged.
@@ -308,58 +295,52 @@ def split_renumbering(genes: Sequence[int], split: list[int]) -> list[int]:
     """One dimension's kept column renumbered after ``RefinementState.refine``.
 
     ``split`` holds the dimension's split bins, sorted, in old numbering.
-    Each split dimension renumbers one kept column (``Genotype.frozen``), and
-    the genes follow it. Every gene moves up by the number of split bins below
-    it. Members of a split bin sat on its split point; they alternate left and
-    right child in population order, which keeps both children populated.
+    Every gene moves up by the number of split bins below it. Members of a
+    split bin sat on its split point; they alternate left and right child in
+    population order, which keeps both children populated.
     """
     side = {k: cycle((0, 1)) for k in split}
     return [g + bisect_left(split, g) + (next(side[g]) if g in side else 0) for g in genes]
 
 
-def activity(genes: tuple[int, ...], space: ConfigSpace) -> tuple[bool, ...]:
-    """Activity bit per dimension, resolved in dependency (position) order."""
+def activity(kept: Sequence[int], space: ConfigSpace) -> tuple[bool, ...]:
+    """Activity bit per dimension of a repaired kept vector, in position order."""
     active = [True] * len(space)
     for pos, ppos, activates in space.gates:
-        g = genes[ppos]
-        active[pos] = active[ppos] and 0 <= g < len(activates) and activates[g]
+        active[pos] = active[ppos] and activates[kept[ppos]]
     return tuple(active)
 
 
-def decode(genotype: Genotype, state: RefinementState) -> DecodedConfig:
-    """Map a repaired genotype to its executable configuration.
+def decode(kept: tuple[int, ...], state: RefinementState) -> DecodedConfig:
+    """Map a repaired kept vector to its executable configuration.
 
-    The genotype must come from ``repair`` or ``sample_random``, so its genes
-    are in range and ``PLACEHOLDER`` marks exactly the inactive dimensions.
-    Those decode to None; active continuous dimensions map their bin index to
-    the current partition's representative value, which no split renumbers.
+    The vector must come from ``repair`` or ``sample_random``, so its genes
+    are in range. Dimensions that ``state.space``'s parents deactivate decode
+    to None; active continuous dimensions map their bin index to the current
+    partition's representative value, which no split renumbers.
     """
-    return DecodedConfig(tuple([None if g == PLACEHOLDER else values[g]
-                                for g, values in zip(genotype.genes, state.values)]))
+    values = [vals[g] for g, vals in zip(kept, state.values)]
+    # gates run in position order, so an inactive parent is already None
+    for pos, ppos, activates in state.space.gates:
+        if values[ppos] is None or not activates[kept[ppos]]:
+            values[pos] = None
+    return DecodedConfig(tuple(values))
 
 
-def repair(kept: Sequence[int], state: RefinementState) -> Genotype:
-    """Clip and freeze one full gene vector so the genotype is always executable.
+def repair(kept: Sequence[int], state: RefinementState) -> tuple[int, ...]:
+    """Clip one full gene vector into ``state``'s candidate/bin counts.
 
-    Out-of-range indices are clipped into ``state``'s candidate/bin counts; the
-    clipped vector is kept as ``frozen``. Dimensions that ``state.space``'s parents
-    deactivate take the placeholder in ``genes``. Repair is total and idempotent
-    (``repair(g.frozen, state) == g``); the placeholder marks exactly the
-    inactive dimensions.
+    An inactive dimension keeps its gene, so re-activating it restores that
+    gene. Repair is total and idempotent (``repair(k, state) == k`` for a
+    repaired ``k``).
     """
     counts = state.counts
     if min(kept, default=0) < 0 or not all(map(operator.lt, kept, counts)):
         kept = [min(max(g, 0), n - 1) for g, n in zip(kept, counts)]
-    # gates run in position order, so a parent's placeholder is already set
-    genes = list(kept)
-    for pos, ppos, activates in state.space.gates:
-        g = genes[ppos]
-        if g == PLACEHOLDER or not activates[g]:
-            genes[pos] = PLACEHOLDER
-    return Genotype(genes=tuple(genes), frozen=tuple(kept))
+    return tuple(kept)
 
 
-def sample_random(state: RefinementState, stream: WordStream) -> Genotype:
+def sample_random(state: RefinementState, stream: WordStream) -> tuple[int, ...]:
     """Uniform gene per dimension over ``state``'s current candidates/bins, repaired.
 
     The draws are numpy's ``integers(0, state.counts)``: a count of 1 draws nothing.

@@ -19,7 +19,7 @@ from phmoea.evaluators import (BenchmarkEvaluator, Evaluation, SurrogateEvaluato
                                failed_evaluation)
 from phmoea.rng import BLOCK, WordStream
 from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER,
-                          ConfigSpace, DecodedConfig, Genotype, RefinementState,
+                          ConfigSpace, DecodedConfig, RefinementState,
                           VariableSpec, builtin_space, canonical_key, decode,
                           repair)
 
@@ -28,7 +28,7 @@ def individuals(points):
     out = []
     for i, (f1, f2) in enumerate(points):
         dec = DecodedConfig(values=(float(i),))
-        out.append(Individual(genotype=Genotype((i,), (i,)), decoded=dec,
+        out.append(Individual(kept=(i,), decoded=dec,
                               f1=float(f1), f2=float(f2)))
     return out
 
@@ -605,12 +605,12 @@ def per_draw_variation_child(run, rng):
             return a if a.crowding > b.crowding else b
         return a
 
-    p1, p2 = tournament().genotype, tournament().genotype
+    p1, p2 = tournament(), tournament()
     params = run.params
     if rng.random() >= params.crossover_prob:
-        child = p1
+        child = p1.genes, p1.kept
     else:
-        genes, kept = list(p1.genes), list(p1.frozen)
+        genes, kept = list(p1.genes), list(p1.kept)
         for i, grid in enumerate(run.state.grids):
             g1, g2 = p1.genes[i], p2.genes[i]
             if grid is not None and g1 != PLACEHOLDER and g2 != PLACEHOLDER:
@@ -626,7 +626,7 @@ def per_draw_variation_child(run, rng):
                 value = min(max(c1 if rng.random() < 0.5 else c2, lo), hi)
                 genes[i] = kept[i] = int(np.argmin(np.abs(np.array(mids) - value)))
             elif rng.random() < 0.5:
-                genes[i], kept[i] = g2, p2.frozen[i]
+                genes[i], kept[i] = g2, p2.kept[i]
         child = genes, kept
     genes, kept = map(list, child)
     if rng.random() < params.mutation_prob:
@@ -677,18 +677,18 @@ class TestVariation:
         params.crossover_prob = 0.0
         params.mutation_prob = 0.0
         run = engine_for(bench_problem(n=4), params=params)
-        parents = {ind.genotype.frozen for ind in run.population}
+        parents = {ind.kept for ind in run.population}
         for _ in range(50):
             kept = run._variation_child()
             assert tuple(kept) in parents
 
     def test_sbx_on_equal_parents_returns_them(self):
         run = engine_for(bench_problem(n=4))
-        g = run.population[0].genotype
+        ind = run.population[0]
         for _ in range(30):
-            genes, kept = run._sbx_child(g, g)
-            assert tuple(genes) == g.genes
-            assert tuple(kept) == g.frozen
+            values, kept = run._sbx_child(ind, ind)
+            assert tuple(values) == ind.decoded.values
+            assert tuple(kept) == ind.kept
 
     def test_mutation_changes_at_most_cap_dims(self):
         params = SearchParams.benchmark()
@@ -698,9 +698,9 @@ class TestVariation:
         run.params.max_mutated = 2
         for ind in run.population:
             for _ in range(10):
-                genes, kept = list(ind.genotype.genes), list(ind.genotype.frozen)
-                run._mutate(genes, kept)
-                changed = sum(1 for a, b in zip(kept, ind.genotype.frozen)
+                values, kept = list(ind.decoded.values), list(ind.kept)
+                run._mutate(values, kept)
+                changed = sum(1 for a, b in zip(kept, ind.kept)
                               if a != b)
                 assert changed <= 2
 
@@ -708,7 +708,7 @@ class TestVariation:
         params = SearchParams.benchmark()
         params.cross_pool_rate = 0.0
         run = engine_for(bench_problem(n=5), params=params)
-        run.archives.update([ind.genotype.genes for ind in run.population],
+        run.archives.update([ind.genes for ind in run.population],
                             archive_weights(run.population, 0.5, params))
         partitions = [partition_players(run.archives, pos, 0.3, 0.2, 0.15)
                       for pos in range(len(run.space))]
@@ -741,7 +741,7 @@ class TestVariation:
 
     @staticmethod
     def pools(run, hot_fraction, cold_fraction):
-        run.archives.update([ind.genotype.genes for ind in run.population],
+        run.archives.update([ind.genes for ind in run.population],
                             archive_weights(run.population, 0.5, run.params))
         return [partition_players(run.archives, pos, hot_fraction, cold_fraction,
                                   run.params.cold_bonus)
@@ -820,25 +820,26 @@ class TestRefinementResnap:
         kept = [2, 0, 2, 3, 2, 9]
         run.population = []
         for k in kept:
-            genotype = repair([k], state)
+            member = repair([k], state)
             run.population.append(Individual(
-                genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
+                kept=member, decoded=decode(member, state), f1=0.0, f2=0.0))
         before = {j: state.values[0][j] for j in kept}
         state.counters[0] = {2: state.persistence}
         run._refine([])
-        new_kept = [ind.genotype.frozen[0] for ind in run.population]
+        new_kept = [ind.kept[0] for ind in run.population]
         # bin 2 split into bins 2 and 3; its members alternate left, right, left
         assert [k for old, k in zip(kept, new_kept) if old == 2] == [2, 3, 2]
         for ind, old, k in zip(run.population, kept, new_kept):
-            assert ind.genotype.genes == (k,)
+            assert ind.genes == (k,)
             if old != 2:
                 assert ind.decoded.values[0] == before[old]
                 assert state.values[0][k] == before[old]
 
     def test_active_genes_follow_the_kept_column(self):
         # An inactive member keeps a value in bin 1 and comes first, so the
-        # kept column's alternation over bin 1 differs from the active genes'.
-        # Each gene must land in its kept value's bin: repair(kept) == genotype.
+        # kept column's alternation over bin 1 differs from the active members'.
+        # A split moves no member's decoded values, and so no activity, and
+        # leaves every kept vector repaired.
         from phmoea.engine import _Run
         space = ConfigSpace((
             VariableSpec("gate", DISCRETE, candidates=("off", "on")),
@@ -849,15 +850,18 @@ class TestRefinementResnap:
         state = run.state
         run.population = []
         for kept in ([0, 1], [1, 1], [1, 1], [1, 4]):
-            genotype = repair(kept, state)
+            member = repair(kept, state)
             run.population.append(Individual(
-                genotype=genotype, decoded=decode(genotype, state), f1=0.0, f2=0.0))
+                kept=member, decoded=decode(member, state), f1=0.0, f2=0.0))
+        before = [ind.decoded.values for ind in run.population]
         state.counters[1] = {1: state.persistence}
         run._refine([])
-        assert [ind.genotype.frozen[1] for ind in run.population] == [1, 2, 1, 5]
-        assert [ind.genotype.genes[1] for ind in run.population] == [PLACEHOLDER, 2, 1, 5]
+        assert [ind.kept[1] for ind in run.population] == [1, 2, 1, 5]
+        assert [ind.decoded.values for ind in run.population] == before
+        assert [ind.decoded.values[1] is None for ind in run.population] == \
+            [True, False, False, False]
         for ind in run.population:
-            assert repair(ind.genotype.frozen, state) == ind.genotype
+            assert repair(ind.kept, state) == ind.kept
 
     def test_front_mass_counts_the_occupied_bin(self):
         # Splitting the bin that holds 0.6 until refine() refuses leaves bin
@@ -883,8 +887,8 @@ class TestRefinementResnap:
         assert np.nextafter(pts[29], 1.0) == pts[30]
         assert state.values[0][29] == pts[30]
         state.counters[0] = {}
-        member = Genotype((29,), (29,))
-        run.population = [Individual(genotype=member, decoded=decode(member, state),
+        member = (29,)
+        run.population = [Individual(kept=member, decoded=decode(member, state),
                                      f1=0.0, f2=0.0)]
         run._refine(run.population)
         assert state.counters[0][29] == 1
@@ -1091,10 +1095,22 @@ class TestSearchParamsValidate:
         ("eps_denom", 0.0), ("eps_denom", -1e-12),
         ("max_mutated", 0),
         ("crowding_bonus", -50.0), ("late_crowding_bonus", -0.05),
+        # counts are integers other than bools; early_stop is a bool
+        ("window", 2.5), ("n_trial", True), ("max_mutated", 2.5),
+        ("refine_persistence", 1.5), ("initial_bins", 6.0), ("window", "8"),
+        ("early_stop", "no"), ("early_stop", 1),
     ])
     def test_out_of_range_value_names_its_field(self, name, value):
         with pytest.raises(ValueError, match=name):
             SearchParams(**{name: value}).validate()
+
+    def test_numpy_integer_counts_pass(self):
+        counts = {name: np.int64(getattr(SearchParams(), name)) for name in
+                  ("initial_bins", "n_trial", "refine_persistence", "window", "max_mutated")}
+        SearchParams(**counts).validate()
+        result = run_nsga2(bench_problem(n=4), np.int64(6), np.int32(2),
+                           params=SearchParams(**counts), seed=0)
+        assert result.generations == 2
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", [f.name for f in fields(SearchParams)
@@ -1145,7 +1161,9 @@ class TestRuns:
                                    "a candidate and 0 evaluations failed")
 
     @pytest.mark.parametrize("pop_size, generations, message", [
-        (1, 3, "population size must be at least 2"), (6, 0, "need at least one generation")])
+        (1, 3, "population size must be at least 2"), (6, 0, "need at least one generation"),
+        (6, True, "generations must be an integer"), (6, 2.5, "generations must be an integer"),
+        (6.0, 3, "pop_size must be an integer"), (True, 3, "pop_size must be an integer")])
     def test_budget_below_one_step_rejected(self, pop_size, generations, message):
         with pytest.raises(ValueError, match=message):
             run_nsga2(bench_problem(n=4), pop_size, generations, seed=0)

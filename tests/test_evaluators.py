@@ -2,6 +2,7 @@
 
 import math
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -220,7 +221,7 @@ def configs(space, state, seed: int, n: int, **genes):
     rng = WordStream(seed)
     out = []
     for _ in range(n):
-        g = list(sample_random(state, rng).frozen)
+        g = list(sample_random(state, rng))
         for name, gene in genes.items():
             g[space.positions[name]] = gene
         out.append(decode(repair(g, state), state))
@@ -414,6 +415,14 @@ class TestWorkerProtocol:
         with make_client("ok", timeout=0.0) as client:
             ev = client(worked_decoded())
             assert not ev.ok and "timeout" in ev.message
+
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan])
+    def test_non_finite_timeout_is_refused_before_the_worker_starts(self, timeout, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **kw: spawned.append(a))
+        with pytest.raises(ValueError, match="timeout must be finite"):
+            make_client("ok", timeout=timeout)
+        assert spawned == []
 
     def test_worker_exit_fails_its_call_without_waiting(self):
         with make_client("exit_second", timeout=30.0) as client:

@@ -19,8 +19,8 @@ import pytest
 from phmoea.cli import write_run_outputs
 from phmoea.engine import SearchParams, SearchProblem, _Run
 from phmoea.evaluators import Evaluation
-from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER, ConfigSpace, VariableSpec,
-                          activity, canonical_key, decode, repair)
+from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER, ConfigSpace, RefinementState,
+                          VariableSpec, activity, canonical_key, decode, repair)
 
 TRIALS = 60
 
@@ -96,11 +96,12 @@ def check_run(run, result, evaluator, written, pop, gens):
     assert sorted(evaluator.seen) == sorted(map(canonical_key, run.registry.keys))
     assert len(run.registry.keys) <= pop * gens
     for ind in run.population:
-        g = ind.genotype
-        # the kept vector alone rebuilds the genotype, after refinement too
-        assert repair(g.frozen, state) == g
-        active = activity(g.genes, space)
-        assert mask(decode(g, state)) == active == mask(ind.decoded)
+        # the kept vector stays repaired and keeps the evaluated activity,
+        # after refinement too
+        assert repair(ind.kept, state) == ind.kept
+        active = activity(ind.kept, space)
+        assert mask(decode(ind.kept, state)) == active == mask(ind.decoded)
+        assert ind.genes == tuple(k if on else PLACEHOLDER for k, on in zip(ind.kept, active))
     for pos in space.continuous_indices():
         var, points = space.variables[pos], state.breakpoints(pos)
         assert np.all(np.diff(points) > 0)
@@ -120,6 +121,16 @@ def check_run(run, result, evaluator, written, pop, gens):
 
 
 @pytest.mark.parametrize("trial", range(TRIALS))
+def test_decode_masks_exactly_the_inactive_dimensions(trial):
+    rnd = random.Random(trial)
+    space = random_space(rnd)
+    state = RefinementState(space, initial_bins=rnd.randint(1, 8))
+    for _ in range(50):
+        kept = repair([rnd.randint(-2, 9) for _ in range(len(space))], state)
+        assert mask(decode(kept, state)) == activity(kept, space)
+
+
+@pytest.mark.parametrize("trial", range(TRIALS))
 def test_random_space_invariants(trial, tmp_path):
     rnd = random.Random(trial)
     space = random_space(rnd)
@@ -135,6 +146,5 @@ def test_random_space_invariants(trial, tmp_path):
         (run_a, _, _, written_a), (run_b, _, _, written_b) = first, second
         assert list(run_a.registry.keys) == list(run_b.registry.keys)
         assert run_a.history == run_b.history
-        assert [i.genotype for i in run_a.population] == \
-            [i.genotype for i in run_b.population]
+        assert [i.kept for i in run_a.population] == [i.kept for i in run_b.population]
         assert written_a == written_b

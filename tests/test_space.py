@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from phmoea.rng import WordStream
-from phmoea.space import (CONTINUOUS, DISCRETE, ConfigSpace, DecodedConfig, DedupRegistry, Genotype,
+from phmoea.space import (CONTINUOUS, DISCRETE, ConfigSpace, DecodedConfig, DedupRegistry,
                           PLACEHOLDER, RefinementState, VariableSpec, activity,
                           builtin_space, canonical_key, decode, nearest_index,
                           repair, sample_random, split_renumbering)
@@ -238,6 +238,12 @@ def active(decoded):
     return tuple(v is not None for v in decoded.values)
 
 
+def masked(kept, state):
+    """A repaired kept vector with PLACEHOLDER where it decodes to None."""
+    return tuple(PLACEHOLDER if v is None else k
+                 for k, v in zip(kept, decode(kept, state).values))
+
+
 class TestDecode:
     def test_linear_masks_pool_type(self, space):
         state = make_state(space)
@@ -254,7 +260,7 @@ class TestDecode:
     def test_inactive_gene_does_not_leak(self, space):
         state = make_state(space)
         g1 = genotype_with(space, state, resample_op="linear")
-        kept = list(g1.frozen)
+        kept = list(g1)
         kept[1] = 2  # perturb the masked pool type
         g2 = repair(kept, state)
         assert decode(g1, state) == decode(g2, state)
@@ -280,12 +286,15 @@ def chain_space():
     ))
 
 
-def clip_then_gate_repair(kept, space, state):
-    """Repair as clip every gene, then mask by ``activity``: the reference."""
-    kept = [min(max(g, 0), n - 1) for g, n in zip(kept, state.counts)]
-    mask = activity(kept, space)
-    return Genotype(genes=tuple(g if on else PLACEHOLDER for g, on in zip(kept, mask)),
-                    frozen=tuple(kept))
+def clip_repair(kept, state):
+    """Repair as clip every gene: the reference."""
+    return tuple(min(max(g, 0), n - 1) for g, n in zip(kept, state.counts))
+
+
+def gate_decode(kept, space, state):
+    """Decode as look up every gene, then mask by ``activity``: the reference."""
+    return tuple(values[g] if on else None
+                 for g, values, on in zip(kept, state.values, activity(kept, space)))
 
 
 class TestRepair:
@@ -294,24 +303,24 @@ class TestRepair:
         genes = [0] * 24
         genes[12] = 8   # dropout has 6 bins
         g = repair(genes, state)
-        assert g.genes[12] == 5
-        assert g.frozen[12] == 5
+        assert g[12] == 5
+        assert masked(g, state)[12] == 5
 
     def test_freeze_and_restore(self, space):
         state = make_state(space)
         g = genotype_with(space, state, resample_op="pool", pool_type="median")
-        assert g.genes[1] == 2
-        # deactivate: the value is kept and the gene becomes a placeholder
-        kept = list(g.frozen)
+        assert masked(g, state)[1] == 2
+        # deactivate: the gene is kept and decodes to None
+        kept = list(g)
         kept[0] = 0  # linear
         g = repair(kept, state)
-        assert g.genes[1] == PLACEHOLDER
-        assert g.frozen[1] == 2
+        assert masked(g, state)[1] == PLACEHOLDER
+        assert g[1] == 2
         # reactivate: the kept value comes back
-        kept = list(g.frozen)
+        kept = list(g)
         kept[0] = 3  # pool again
         g = repair(kept, state)
-        assert g.genes[1] == 2
+        assert masked(g, state)[1] == 2
 
     def test_idempotent(self, space):
         state = make_state(space)
@@ -319,16 +328,17 @@ class TestRepair:
         for _ in range(50):
             genes = [int(rng.integers(0, 12)) for _ in range(24)]
             once = repair(genes, state)
-            assert repair(once.frozen, state) == once
+            assert repair(once, state) == once
 
     def test_restored_parent_reactivates_its_children(self):
         space = chain_space()
         state = make_state(space)
         g = repair((0, 1, 1), state)
-        assert g == Genotype((0, PLACEHOLDER, PLACEHOLDER), (0, 1, 1))
-        g = repair((1,) + g.frozen[1:], state)
-        assert g.genes == (1, 1, 1)
-        assert repair(g.frozen, state) == g
+        assert g == (0, 1, 1)
+        assert masked(g, state) == (0, PLACEHOLDER, PLACEHOLDER)
+        g = repair((1,) + g[1:], state)
+        assert masked(g, state) == (1, 1, 1)
+        assert repair(g, state) == g
         assert decode(g, state).values == ("y", "q", "v")
 
     @pytest.mark.parametrize("make_space", [builtin_space, chain_space])
@@ -342,19 +352,17 @@ class TestRepair:
             raw = [int(g) for g in rng.integers(-3, 12, len(space))]
             g = repair(raw, state)
             decoded = decode(g, state)
-            assert active(decoded) == activity(g.genes, space)
-            assert decoded.values == tuple(None if x == PLACEHOLDER else values[x]
-                                           for x, values in zip(g.genes, state.values))
-            assert g == clip_then_gate_repair(raw, space, state)
-            assert repair(g.frozen, state) == g
+            assert active(decoded) == activity(g, space)
+            assert decoded.values == gate_decode(g, space, state)
+            assert g == clip_repair(raw, state)
+            assert repair(g, state) == g
         # in range: the vector is kept as it is, and only the gate masks it
         for _ in range(300):
             raw = tuple(rng.integers(0, state.counts).tolist())
             g = repair(raw, state)
-            assert g.frozen == raw
-            assert g == clip_then_gate_repair(raw, space, state)
-            assert active(decode(g, state)) == activity(g.genes, space)
-            assert repair(g.frozen, state) == g
+            assert g == raw
+            assert decode(g, state).values == gate_decode(g, space, state)
+            assert active(decode(g, state)) == activity(g, space)
 
     def test_decoded_continuous_within_bounds(self, space):
         state = make_state(space)
@@ -391,7 +399,7 @@ class TestCanonicalKey:
         for _ in range(100):
             g = sample_random(state, rng)
             decoded = decode(g, state)
-            kept = list(g.frozen)
+            kept = list(g)
             inactive = [i for i, on in enumerate(active(decoded)) if not on]
             for i in inactive:
                 kept[i] = rng.below(2)
@@ -483,7 +491,7 @@ def front_of(space, state, values, pos=12):
     for v in values:
         genes = [0] * len(space)
         genes[pos] = nearest_index(state.grids[pos][2], v)
-        out.append(repair(genes, state).genes)
+        out.append(masked(repair(genes, state), state))
     return out
 
 
@@ -614,11 +622,11 @@ class TestRefinement:
         assert (lo, hi, len(mids)) == (0.0, 1.0, n)
         # a gene in a new bin, out of range before the splits, now survives
         g = repair((1, n - 1, 1), state)
-        assert g.genes == (1, n - 1, 1)
+        assert g == (1, n - 1, 1)
         assert decode(g, state).values[1] == state.values[1][n - 1]
-        assert repair((1, n + 3, 1), state).genes[1] == n - 1
+        assert repair((1, n + 3, 1), state)[1] == n - 1
         rng = WordStream(0)
-        drawn = {sample_random(state, rng).frozen[1] for _ in range(400)}
+        drawn = {sample_random(state, rng)[1] for _ in range(400)}
         assert drawn == set(range(n))
 
 
@@ -808,7 +816,7 @@ class TestSampleRandom:
         rng = WordStream(1)
         for _ in range(200):
             g = sample_random(state, rng)
-            for var, gene, n in zip(space.variables, g.genes, state.counts):
+            for var, gene, n in zip(space.variables, masked(g, state), state.counts):
                 if gene == PLACEHOLDER:
                     assert var.is_conditional
                 else:
@@ -831,6 +839,6 @@ class TestSampleRandom:
         counts = np.zeros(4)
         for _ in range(1000):
             g = sample_random(state, rng)
-            counts[g.genes[3]] += 1  # batch size: 4 candidates
+            counts[g[3]] += 1  # batch size: 4 candidates
         freqs = counts / 1000
         assert np.all(freqs >= 0.2) and np.all(freqs <= 0.3)
