@@ -15,9 +15,9 @@ breed, evaluate, select, record. Per-generation scratch is passed, not stored:
 for ``PlayerArchives.update``, ``partition_players`` builds one ``Partition``
 per dimension, listed by position, and ``should_stop`` reads the front means
 from the run's ``HistoryRow`` series. An ``Individual`` carries only its
-kept genes, evaluated configuration, objectives, rank and crowding; its
-``genes``, the rows the archives and the refinement count, mask the kept
-genes where the configuration is None.
+kept genes, evaluated configuration, objectives, rank and crowding; the
+archives and the refinement count a member's kept gene only where its
+configuration's value is not None.
 
 Everything is deterministic for a fixed seed: one ``WordStream`` drives
 sampling and variation (the hot loops inline its double and call ``below``),
@@ -41,7 +41,7 @@ from . import metrics
 from .evaluators import Evaluation, evaluate_safely, failed_evaluation
 from .rng import WordStream
 # canonical_key stays importable here for perfbench/tracing.py
-from .space import (PLACEHOLDER, ConfigSpace, DecodedConfig, DedupRegistry, RefinementState,
+from .space import (ConfigSpace, DecodedConfig, DedupRegistry, RefinementState,
                     canonical_key, decode, nearest_index, repair, sample_random, split_renumbering)
 
 NORM_EPS = 1e-12
@@ -153,12 +153,6 @@ class Individual:
     @property
     def key(self) -> int:
         return self.decoded.key
-
-    @property
-    def genes(self) -> tuple[int, ...]:
-        """The kept genes with ``PLACEHOLDER`` on the inactive dimensions."""
-        return tuple([PLACEHOLDER if v is None else k
-                      for k, v in zip(self.kept, self.decoded.values)])
 
 
 @dataclass
@@ -305,15 +299,18 @@ class PlayerArchives:
         self.heat = [np.zeros(n) for n in sizes]
         self.count = [np.zeros(n, dtype=np.int64) for n in sizes]
 
-    def update(self, genes: list[tuple[int, ...]], weights: list[float]) -> None:
-        """Accumulate each row's weight onto its repaired genes.
+    def update(self, members: list[tuple[tuple[int, ...], tuple]],
+               weights: list[float]) -> None:
+        """Accumulate each member's weight onto its kept genes, given its
+        ``(kept, values)`` pair; a dimension whose value is None gets nothing.
 
-        ``np.add.at`` adds in row order, so every player's heat is the same
+        ``np.add.at`` adds in member order, so every player's heat is the same
         float sum as one-by-one accumulation.
         """
-        genes, weights = np.array(genes), np.array(weights)
-        for pos, column in enumerate(genes.T):
-            on = column != PLACEHOLDER
+        kept = np.array([k for k, _ in members])
+        active = np.array([[v is not None for v in values] for _, values in members])
+        weights = np.array(weights)
+        for pos, (column, on) in enumerate(zip(kept.T, active.T)):
             np.add.at(self.heat[pos], column[on], weights[on])
             np.add.at(self.count[pos], column[on], 1)
 
@@ -605,7 +602,7 @@ class _Run:
         if not self.use_archives:
             return self._fill_slots(n, self._variation_child)
         params, pop = self.params, self.population
-        self.archives.update([ind.genes for ind in pop],
+        self.archives.update([(ind.kept, ind.decoded.values) for ind in pop],
                              archive_weights(pop, phi, params))
         parts = [partition_players(self.archives, pos, params.hot_fraction,
                                    params.cold_fraction, params.cold_bonus)
@@ -622,7 +619,7 @@ class _Run:
     # -- refinement ---------------------------------------------------------
 
     def _refine(self, front: list[Individual]) -> None:
-        self.state.update([ind.genes for ind in front])
+        self.state.update([(ind.kept, ind.decoded.values) for ind in front])
         splits = self.state.refine()
         if not splits:
             return

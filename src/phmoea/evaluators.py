@@ -183,6 +183,7 @@ class SurrogateEvaluator:
 # ---------------------------------------------------------------------------
 
 MAX_REPLY_BYTES = 1 << 20     # a real reply is under 200 bytes
+MAX_SELECT_WAIT_S = 86400.0   # select's wait is int64 ns: past about 9.2e9 s it overflows
 
 
 def _is_number(value, kinds) -> bool:
@@ -207,7 +208,7 @@ class WorkerClient:
 
     def __init__(self, argv, space: ConfigSpace, targets: int = TARGETS,
                  timeout: float = 600.0):
-        if not math.isfinite(timeout):      # select takes no inf or nan deadline
+        if not math.isfinite(timeout):      # every call needs a deadline
             raise ValueError(f"timeout must be finite, got {timeout}")
         self.space = space
         self.targets = targets
@@ -225,11 +226,13 @@ class WorkerClient:
         unsent = memoryview(request)
         while not self.broken and (unsent or (end := self._buffer.find(b"\n")) < 0):
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or not any(ready := select.select(
-                    [stdout], [stdin] if unsent else [], [], remaining)):
+            if remaining <= 0:
                 if not unsent:
                     return "timeout waiting for the worker's reply"
                 self.broken = "timeout writing the request"
+            elif not any(ready := select.select([stdout], [stdin] if unsent else [], [],
+                                                min(remaining, MAX_SELECT_WAIT_S))):
+                continue        # a capped wait ended before the deadline
             elif ready[1]:
                 try:
                     unsent = unsent[os.write(stdin, unsent):]

@@ -30,8 +30,6 @@ import numpy as np
 from .resample import OPERATORS, POOL_TYPES
 from .rng import WordStream
 
-PLACEHOLDER = -1
-
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
 
@@ -242,20 +240,20 @@ class RefinementState:
     def bin_count(self, pos: int) -> int:
         return len(self._pts[pos]) - 1
 
-    def update(self, front: list[tuple[int, ...]]) -> None:
-        """Accumulate the bin masses of a non-dominated front's gene rows
-        (``PLACEHOLDER`` on inactive dimensions).
+    def update(self, front: list[tuple[tuple[int, ...], tuple]]) -> None:
+        """Accumulate the bin masses of a non-dominated front's ``(kept, values)``
+        pairs; a member's kept gene counts only where its value is not None.
 
         Counters increment where the bin mass exceeds the threshold and
         reset everywhere else. An empty front leaves the state unchanged.
         """
         if not front:
             return
-        columns = list(zip(*front))
         size, threshold = len(front), self.mass_threshold
         self.counters = {pos: {k: counters.get(k, 0) + 1
-                               for k, h in Counter(columns[pos]).items()
-                               if h / size > threshold and k != PLACEHOLDER}
+                               for k, h in Counter([kept[pos] for kept, values in front
+                                                    if values[pos] is not None]).items()
+                               if h / size > threshold}
                          for pos, counters in self.counters.items()}
 
     def refine(self) -> list[tuple[int, int]]:

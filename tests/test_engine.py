@@ -18,10 +18,9 @@ from phmoea.engine import (NORM_EPS, HistoryRow, Individual, PlayerArchives,
 from phmoea.evaluators import (BenchmarkEvaluator, Evaluation, SurrogateEvaluator,
                                failed_evaluation)
 from phmoea.rng import BLOCK, WordStream
-from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER,
-                          ConfigSpace, DecodedConfig, RefinementState,
-                          VariableSpec, builtin_space, canonical_key, decode,
-                          repair)
+from phmoea.space import (CONTINUOUS, DISCRETE, ConfigSpace, DecodedConfig,
+                          RefinementState, VariableSpec, builtin_space, canonical_key,
+                          decode, repair)
 
 
 def individuals(points):
@@ -286,17 +285,27 @@ class TestScores:
 class TestArchives:
     def test_single_individual_accumulation(self):
         arch = PlayerArchives([3, 4, 6])
-        arch.update([(2, PLACEHOLDER, 4)], [1.0])
+        arch.update([((2, 3, 4), ("a", None, "c"))], [1.0])
         assert arch.heat[0].tolist() == [0.0, 0.0, 1.0]
         assert arch.count[0].tolist() == [0, 0, 1]
         assert arch.heat[2][4] == 1.0 and arch.count[2][4] == 1
         assert arch.heat[2].sum() == 1.0 and arch.count[2].sum() == 1
-        # the inactive dim contributes nothing, not even its frozen gene
+        # the inactive dim contributes nothing, not even its kept gene
         assert not arch.heat[1].any() and not arch.count[1].any()
+
+    def test_inactive_member_credits_nothing_on_its_kept_gene(self):
+        # the second member's kept gene of dimension 1 sits on the first's
+        # candidate, but its value is None: no heat, no count there
+        arch = PlayerArchives([3, 4])
+        arch.update([((1, 2), ("x", 0.5)), ((1, 2), ("x", None))], [0.25, 0.75])
+        assert arch.heat[0].tolist() == [0.0, 1.0, 0.0]
+        assert arch.count[0].tolist() == [0, 2, 0]
+        assert arch.heat[1].tolist() == [0.0, 0.0, 0.25, 0.0]
+        assert arch.count[1].tolist() == [0, 0, 1, 0]
 
     def test_shared_player_counts(self):
         arch = PlayerArchives([2])
-        arch.update([(0,), (0,)], [0.5, 0.5])
+        arch.update([((0,), ("x",)), ((0,), ("x",))], [0.5, 0.5])
         assert arch.count[0].tolist() == [2, 0]
         assert arch.heat[0][0] == pytest.approx(1.0)
 
@@ -316,9 +325,10 @@ class TestArchives:
         accumulated = np.zeros(len(run.space), dtype=np.int64)
         update = run.archives.update
 
-        def counting_update(genes, weights):
-            accumulated[:] += (np.array(genes) != PLACEHOLDER).sum(axis=0)
-            update(genes, weights)
+        def counting_update(members, weights):
+            accumulated[:] += np.array([[v is not None for v in values]
+                                        for _, values in members]).sum(axis=0)
+            update(members, weights)
 
         run.archives.update = counting_update
         run.run()
@@ -608,14 +618,14 @@ def per_draw_variation_child(run, rng):
     p1, p2 = tournament(), tournament()
     params = run.params
     if rng.random() >= params.crossover_prob:
-        child = p1.genes, p1.kept
+        child = p1.decoded.values, p1.kept
     else:
-        genes, kept = list(p1.genes), list(p1.kept)
+        values, kept = list(p1.decoded.values), list(p1.kept)
         for i, grid in enumerate(run.state.grids):
-            g1, g2 = p1.genes[i], p2.genes[i]
-            if grid is not None and g1 != PLACEHOLDER and g2 != PLACEHOLDER:
+            x1, x2 = p1.decoded.values[i], p2.decoded.values[i]
+            if grid is not None and x1 is not None and x2 is not None:
                 lo, hi, mids = grid
-                v1, v2 = mids[g1], mids[g2]
+                v1, v2 = mids[p1.kept[i]], mids[p2.kept[i]]
                 u = rng.random()
                 if u <= 0.5:
                     beta = (2.0 * u) ** (1.0 / (params.sbx_eta + 1.0))
@@ -624,17 +634,17 @@ def per_draw_variation_child(run, rng):
                 c1 = 0.5 * ((1.0 + beta) * v1 + (1.0 - beta) * v2)
                 c2 = 0.5 * ((1.0 - beta) * v1 + (1.0 + beta) * v2)
                 value = min(max(c1 if rng.random() < 0.5 else c2, lo), hi)
-                genes[i] = kept[i] = int(np.argmin(np.abs(np.array(mids) - value)))
+                kept[i] = int(np.argmin(np.abs(np.array(mids) - value)))
             elif rng.random() < 0.5:
-                genes[i], kept[i] = g2, p2.kept[i]
-        child = genes, kept
-    genes, kept = map(list, child)
+                values[i], kept[i] = x2, p2.kept[i]
+        child = values, kept
+    values, kept = map(list, child)
     if rng.random() < params.mutation_prob:
         changed = 0
         for i, grid in enumerate(run.state.grids):
             if changed >= min(run.params.max_mutated, len(run.space)):
                 break
-            if genes[i] == PLACEHOLDER or rng.random() >= 1.0 / len(run.space):
+            if values[i] is None or rng.random() >= 1.0 / len(run.space):
                 continue
             if grid is None:
                 new = int(rng.integers(run.state.counts[i]))
@@ -708,7 +718,7 @@ class TestVariation:
         params = SearchParams.benchmark()
         params.cross_pool_rate = 0.0
         run = engine_for(bench_problem(n=5), params=params)
-        run.archives.update([ind.genes for ind in run.population],
+        run.archives.update([(ind.kept, ind.decoded.values) for ind in run.population],
                             archive_weights(run.population, 0.5, params))
         partitions = [partition_players(run.archives, pos, 0.3, 0.2, 0.15)
                       for pos in range(len(run.space))]
@@ -741,7 +751,7 @@ class TestVariation:
 
     @staticmethod
     def pools(run, hot_fraction, cold_fraction):
-        run.archives.update([ind.genes for ind in run.population],
+        run.archives.update([(ind.kept, ind.decoded.values) for ind in run.population],
                             archive_weights(run.population, 0.5, run.params))
         return [partition_players(run.archives, pos, hot_fraction, cold_fraction,
                                   run.params.cold_bonus)
@@ -830,7 +840,7 @@ class TestRefinementResnap:
         # bin 2 split into bins 2 and 3; its members alternate left, right, left
         assert [k for old, k in zip(kept, new_kept) if old == 2] == [2, 3, 2]
         for ind, old, k in zip(run.population, kept, new_kept):
-            assert ind.genes == (k,)
+            assert repair(ind.kept, state) == ind.kept == (k,)
             if old != 2:
                 assert ind.decoded.values[0] == before[old]
                 assert state.values[0][k] == before[old]

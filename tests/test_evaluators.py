@@ -1,6 +1,7 @@
 """Evaluator tests: benchmark wrapper, surrogate design, worker protocol."""
 
 import math
+import select
 import signal
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phmoea import evaluators
 from phmoea.benchmarks import HBenchProblem
 from phmoea.engine import SearchParams, SearchProblem, run_phmoea
 from phmoea.evaluators import (_LOG_P_HI, _LOG_P_LO, _ORDINAL, _UPPER_HALF,
@@ -423,6 +425,37 @@ class TestWorkerProtocol:
         with pytest.raises(ValueError, match="timeout must be finite"):
             make_client("ok", timeout=timeout)
         assert spawned == []
+
+    @staticmethod
+    def recorded_waits(monkeypatch):
+        """The wait of every ``select`` call, in order."""
+        waits, real = [], select.select
+
+        def recording(rlist, wlist, xlist, wait):
+            waits.append(wait)
+            return real(rlist, wlist, xlist, wait)
+
+        monkeypatch.setattr(select, "select", recording)
+        return waits
+
+    @pytest.mark.parametrize("timeout", [1e10, 1e300])
+    def test_huge_finite_timeout_waits_in_steps(self, timeout, monkeypatch):
+        # select's int64-nanosecond wait overflows past about 9.2e9 s
+        waits = self.recorded_waits(monkeypatch)
+        with make_client("ok", timeout=timeout) as client:
+            start = time.monotonic()
+            ev = client(worked_decoded())
+            assert time.monotonic() - start < 10.0
+        assert ev.ok, ev.message
+        assert waits and max(waits) == evaluators.MAX_SELECT_WAIT_S < 9.2e9
+
+    def test_a_step_ending_before_the_deadline_waits_again(self, monkeypatch):
+        monkeypatch.setattr(evaluators, "MAX_SELECT_WAIT_S", 0.05)
+        waits = self.recorded_waits(monkeypatch)
+        with make_client("slow", timeout=10.0) as client:     # answers after 1 s
+            ev = client(worked_decoded())
+        assert ev.ok, ev.message
+        assert len(waits) > 10 and max(waits) == 0.05
 
     def test_worker_exit_fails_its_call_without_waiting(self):
         with make_client("exit_second", timeout=30.0) as client:

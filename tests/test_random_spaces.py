@@ -19,7 +19,7 @@ import pytest
 from phmoea.cli import write_run_outputs
 from phmoea.engine import SearchParams, SearchProblem, _Run
 from phmoea.evaluators import Evaluation
-from phmoea.space import (CONTINUOUS, DISCRETE, PLACEHOLDER, ConfigSpace, RefinementState,
+from phmoea.space import (CONTINUOUS, DISCRETE, ConfigSpace, RefinementState,
                           VariableSpec, activity, canonical_key, decode, repair)
 
 TRIALS = 60
@@ -101,7 +101,6 @@ def check_run(run, result, evaluator, written, pop, gens):
         assert repair(ind.kept, state) == ind.kept
         active = activity(ind.kept, space)
         assert mask(decode(ind.kept, state)) == active == mask(ind.decoded)
-        assert ind.genes == tuple(k if on else PLACEHOLDER for k, on in zip(ind.kept, active))
     for pos in space.continuous_indices():
         var, points = space.variables[pos], state.breakpoints(pos)
         assert np.all(np.diff(points) > 0)

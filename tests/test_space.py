@@ -9,7 +9,7 @@ import pytest
 
 from phmoea.rng import WordStream
 from phmoea.space import (CONTINUOUS, DISCRETE, ConfigSpace, DecodedConfig, DedupRegistry,
-                          PLACEHOLDER, RefinementState, VariableSpec, activity,
+                          RefinementState, VariableSpec, activity,
                           builtin_space, canonical_key, decode, nearest_index,
                           repair, sample_random, split_renumbering)
 
@@ -239,8 +239,8 @@ def active(decoded):
 
 
 def masked(kept, state):
-    """A repaired kept vector with PLACEHOLDER where it decodes to None."""
-    return tuple(PLACEHOLDER if v is None else k
+    """A repaired kept vector with None where it decodes to None."""
+    return tuple(None if v is None else k
                  for k, v in zip(kept, decode(kept, state).values))
 
 
@@ -314,7 +314,7 @@ class TestRepair:
         kept = list(g)
         kept[0] = 0  # linear
         g = repair(kept, state)
-        assert masked(g, state)[1] == PLACEHOLDER
+        assert masked(g, state)[1] is None
         assert g[1] == 2
         # reactivate: the kept value comes back
         kept = list(g)
@@ -335,7 +335,7 @@ class TestRepair:
         state = make_state(space)
         g = repair((0, 1, 1), state)
         assert g == (0, 1, 1)
-        assert masked(g, state) == (0, PLACEHOLDER, PLACEHOLDER)
+        assert masked(g, state) == (0, None, None)
         g = repair((1,) + g[1:], state)
         assert masked(g, state) == (1, 1, 1)
         assert repair(g, state) == g
@@ -485,13 +485,14 @@ class TestDedupRegistry:
 # ---------------------------------------------------------------------------
 
 def front_of(space, state, values, pos=12):
-    """Repaired genes of members whose continuous dimension takes the given
-    values; it must be linear-scale, where grid midpoints are raw values."""
+    """``(kept, values)`` pairs of members whose continuous dimension takes the
+    given values; it must be linear-scale, where grid midpoints are raw values."""
     out = []
     for v in values:
         genes = [0] * len(space)
         genes[pos] = nearest_index(state.grids[pos][2], v)
-        out.append(masked(repair(genes, state), state))
+        kept = repair(genes, state)
+        out.append((kept, decode(kept, state).values))
     return out
 
 
@@ -513,18 +514,24 @@ class TestRefinement:
         # pool_type inactive in every member: its counters go to zero
         state = make_state(space, mass_threshold=0.5)
         bench_like = front_of(space, state, [0.05, 0.06])
-        assert all(genes[1] == PLACEHOLDER for genes in bench_like)
+        assert all(values[1] is None for _, values in bench_like)
         state.counters[12] = dict.fromkeys(range(6), 1)
         state.update(bench_like)
         assert state.counters[12][0] == 2  # the active dim keeps accumulating
 
-    def test_placeholder_gene_counts_nowhere(self, space):
+    def test_inactive_member_counts_nowhere(self):
+        # two of three members keep z's gene in bin 0 while gate deactivates
+        # z: counted, bin 0 would cross the threshold; its mass is 1/3
+        space = ConfigSpace((
+            VariableSpec("gate", DISCRETE, candidates=("off", "on")),
+            VariableSpec("z", CONTINUOUS, bounds=(0.0, 1.0), parent=("gate", ("on",))),
+        ))
         state = make_state(space, mass_threshold=0.5)
-        active = front_of(space, state, [0.05])[0]
-        inactive = active[:12] + (PLACEHOLDER,) + active[13:]
-        state.counters[12] = dict.fromkeys(range(6), 1)
-        state.update([active, inactive, inactive])
-        assert not state.counters[12]
+        front = [(kept, decode(kept, state).values) for kept in ((1, 0), (0, 0), (0, 0))]
+        assert [values[1] is None for _, values in front] == [False, True, True]
+        state.counters[1] = dict.fromkeys(range(6), 1)
+        state.update(front)
+        assert not state.counters[1]
 
     def test_empty_front_is_noop(self, space):
         state = make_state(space)
@@ -588,9 +595,9 @@ class TestRefinement:
                 assert reps[new[j]] < old[j] < reps[new[j] + 1]
             else:
                 assert reps[new[j]] == old[j]
-        # a placeholder stays put; members of a split bin alternate children
-        genes = [4, PLACEHOLDER, 2, 4, 5, 4]
-        assert split_renumbering(genes, split) == [5, PLACEHOLDER, 3, 6, 7, 5]
+        # members of a split bin alternate children
+        genes = [4, 2, 4, 5, 4]
+        assert split_renumbering(genes, split) == [5, 3, 6, 7, 5]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_split_renumbering_matches_the_per_bin_loop(self, seed):
@@ -598,7 +605,6 @@ class TestRefinement:
         bins = int(rng.integers(1, 40))
         split = sorted(rng.choice(bins, int(rng.integers(1, bins + 1)), replace=False).tolist())
         genes = rng.integers(0, bins, int(rng.integers(1, 150)))
-        genes[rng.random(len(genes)) < 0.2] = PLACEHOLDER
         genes[rng.random(len(genes)) < 0.3] = split[0]      # several members per split bin
         assert split_renumbering(genes.tolist(), split) == per_bin_renumbering(genes, split)
 
@@ -662,11 +668,10 @@ class ArrayRefinementState:
     def update(self, front):
         if not front:
             return
-        genes = np.array(front)
+        kept = np.array([k for k, _ in front])
+        active = np.array([[v is not None for v in values] for _, values in front])
         for idx in self.pts:
-            column = genes[:, idx]
-            hits = np.bincount(column[column != PLACEHOLDER],
-                               minlength=len(self.pts[idx]) - 1)
+            hits = np.bincount(kept[active[:, idx], idx], minlength=len(self.pts[idx]) - 1)
             self.counters[idx] = np.where(hits / len(front) > self.mass_threshold,
                                           self.counters[idx] + 1, 0)
 
@@ -817,7 +822,7 @@ class TestSampleRandom:
         for _ in range(200):
             g = sample_random(state, rng)
             for var, gene, n in zip(space.variables, masked(g, state), state.counts):
-                if gene == PLACEHOLDER:
+                if gene is None:
                     assert var.is_conditional
                 else:
                     assert 0 <= gene < n
