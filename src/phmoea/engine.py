@@ -452,7 +452,7 @@ class _Run:
                                      mass_threshold=params.refine_mass,
                                      persistence=params.refine_persistence)
         self.registry = DedupRegistry()
-        self.archives = PlayerArchives(self.state.counts)
+        self.archives = PlayerArchives([len(values) for values in self.state.values])
         # early stop's hv series (kept only with early_stop on), against a
         # reference fixed by the initial population; ``HistoryRow.hv`` uses it
         # too unless the problem brings its own
@@ -506,7 +506,8 @@ class _Run:
         for i, (grid, x1, x2, g1, g2) in enumerate(zip(self.state.grids, p1.decoded.values,
                                                        p2.decoded.values, p1.kept, p2.kept)):
             if grid is not None and x1 is not None and x2 is not None:
-                lo, hi, mids = grid
+                pts, mids = grid
+                lo, hi = pts[0], pts[-1]
                 v1, v2 = mids[g1], mids[g2]
                 u = (word() >> 11) * 2**-53
                 if u <= 0.5:
@@ -527,9 +528,9 @@ class _Run:
         only dimensions whose inherited value is not None may mutate."""
         if (self.rng.word() >> 11) * 2**-53 >= self.params.mutation_prob:
             return
-        grids, counts, below = self.state.grids, self.state.counts, self.rng.below
+        grids, tables, below = self.state.grids, self.state.values, self.rng.below
         self._edit_dims(kept, values, 1.0 / len(kept),
-                        lambda i: below(counts[i]) if grids[i] is None
+                        lambda i: below(len(tables[i])) if grids[i] is None
                         else self._polynomial_step(grids[i], kept[i]))
 
     def _edit_dims(self, vector: list[int], gate: list, rate: float, draw) -> None:
@@ -548,9 +549,10 @@ class _Run:
                 vector[i] = new
                 changed += 1
 
-    def _polynomial_step(self, grid: tuple[float, float, list[float]], gene: int) -> int:
+    def _polynomial_step(self, grid: tuple[list[float], list[float]], gene: int) -> int:
         eta = self.params.mutation_eta
-        lo, hi, mids = grid
+        pts, mids = grid
+        lo, hi = pts[0], pts[-1]
         span = hi - lo
         if span <= 0:
             return gene

@@ -125,7 +125,7 @@ class SurrogateEvaluator:
         rng = WordStream(SURROGATE_TARGET_SEED)
         state = RefinementState(space, initial_bins=6)
         self._terms = []
-        for var, m, values in zip(space.variables, state.counts, state.values):
+        for var, m, values in zip(space.variables, map(len, state.values), state.values):
             lo = m // 2 if var.name in _UPPER_HALF else 0
             gene = lo + rng.below(m - lo)       # numpy's integers(lo, m)
             if var.is_continuous:

@@ -93,7 +93,8 @@ def hv(obtained, reference_point) -> float:
     Points that do not strictly dominate the reference point contribute
     nothing. In (f1, f2) order a point is on the front when its f2 is below
     every earlier one (a repeated point's strip would have zero width); the
-    strips are summed left to right.
+    strips are summed left to right. Only an area above the float maximum is
+    ``inf``.
     """
     pts = _points(obtained, "obtained points")
     r1, r2 = _points([reference_point], "reference point")[0].tolist()
@@ -104,6 +105,20 @@ def hv(obtained, reference_point) -> float:
     f2 = pts[:, 1]
     keep = np.append(True, f2[1:] < np.minimum.accumulate(f2)[:-1])
     f1, f2 = pts[keep, 0], f2[keep]
+    with np.errstate(over="ignore"):
+        area = _strips(f1, f2, r1, r2)
+        if math.isfinite(area):
+            return area
+        # a width, a height or the area overflowed: sweep again with each axis
+        # scaled below 2 by its own power of two, and scale the area back
+        e1, e2 = (math.frexp(max(np.abs(f).max(), abs(r)))[1] - 1 for f, r in ((f1, r1), (f2, r2)))
+        area = _strips(np.ldexp(f1, -e1), np.ldexp(f2, -e2),
+                       math.ldexp(r1, -e1), math.ldexp(r2, -e2))
+        return float(np.ldexp(area, e1 + e2))
+
+
+def _strips(f1: np.ndarray, f2: np.ndarray, r1: float, r2: float) -> float:
+    """Sum of the strips of a front sorted by f1, left to right."""
     widths = np.append(f1[1:], r1) - f1
     return float(np.cumsum(widths * (r2 - f2))[-1])
 

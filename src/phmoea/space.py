@@ -22,16 +22,28 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from functools import cached_property
 from itertools import cycle
-
-import numpy as np
 
 from .resample import OPERATORS, POOL_TYPES
 from .rng import WordStream
 
 DISCRETE = "discrete"
 CONTINUOUS = "continuous"
+# libmpdec computes ln and exp in software, so log-scale tables are the same
+# bits on every host, where numpy's SIMD kernels and libm's variants vary by CPU
+_DECIMAL = Context(prec=40)
+
+
+def _log_scale(points: Sequence[float], bounds: tuple | None = None) -> list[float]:
+    """The natural logs of raw ``points``; given a log-scale variable's raw
+    ``bounds``, the inverse: the raw values of scale-space ``points``, clipped
+    into the bounds, which the exp of a rounded log may round past."""
+    if bounds is None:
+        return [float(_DECIMAL.ln(Decimal(float(x)))) for x in points]
+    a, b = map(float, bounds)
+    return [min(max(float(_DECIMAL.exp(Decimal(x))), a), b) for x in points]
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,7 @@ class VariableSpec:
             if self.scale not in ("linear", "log"):
                 raise ValueError(f"{self.name}: unknown scale {self.scale!r}")
             # so every breakpoint, span and midpoint sum stays finite
-            lo, hi = map(math.log if self.scale == "log" else float, self.bounds)
+            lo, hi = _log_scale(self.bounds) if self.scale == "log" else map(float, self.bounds)
             if not (math.isfinite(2.0 * lo) and math.isfinite(2.0 * hi)):
                 raise ValueError(f"{self.name}: bounds doubled in scale space must be finite")
         else:
@@ -200,11 +212,11 @@ class RefinementState:
     of the current non-dominated front exceeds ``mass_threshold`` for
     ``persistence`` consecutive updates is split at its scale-space midpoint.
 
-    Tables by 0-based position, edited in place when a partition changes:
-    ``counts`` (candidates or bins), ``values`` (candidates, or representatives
-    in raw units, a log scale's clipped into the bounds that ``exp`` may round
-    past) and ``grids`` (scale-space ``(lo, hi, midpoints)``, None if
-    discrete). ``counters[pos]`` maps a bin to its nonzero counter.
+    Two tables by 0-based position, edited in place when a partition changes:
+    ``values`` (candidates, or bin representatives in raw units, a log scale's
+    clipped into the bounds; a linear scale's is its midpoints list) and
+    ``grids`` (None if discrete, else the scale-space ``(breakpoints, midpoints)``
+    lists). ``counters[pos]`` maps a bin to its nonzero counter.
     """
 
     def __init__(self, space: ConfigSpace, initial_bins: int = 6,
@@ -212,33 +224,22 @@ class RefinementState:
         self.space = space
         self.mass_threshold = mass_threshold
         self.persistence = persistence
-        self.counts = [len(var.candidates) for var in space.variables]
         self.values: list = [var.candidates for var in space.variables]
         self.grids: list = [None] * len(space)
-        # breakpoints are in scale space; endpoints pin the range
-        self._pts: dict[int, list[float]] = {}
-        self.counters: dict[int, dict[int, int]] = {}
+        self.counters: dict[int, dict[int, int]] = {pos: {} for pos in space.continuous_indices()}
         for pos in space.continuous_indices():
             var = space.variables[pos]
-            a, b = var.bounds
-            log = var.scale == "log"
-            pts = np.linspace(np.log(a) if log else a, np.log(b) if log else b,
-                              initial_bins + 1)
-            mids = 0.5 * (pts[:-1] + pts[1:])
-            self._pts[pos] = pts.tolist()
-            grid = mids.tolist()
-            self.counts[pos] = initial_bins
-            self.values[pos] = np.clip(np.exp(mids), a, b).tolist() if log else grid
-            self.grids[pos] = (float(pts[0]), float(pts[-1]), grid)
-            self.counters[pos] = {}
-
-    def breakpoints(self, pos: int) -> np.ndarray:
-        """Breakpoints of a dimension in its raw units."""
-        pts = np.array(self._pts[pos])
-        return np.exp(pts) if self.space.variables[pos].scale == "log" else pts
+            lo, hi = _log_scale(var.bounds) if var.scale == "log" else map(float, var.bounds)
+            step = (hi - lo) / initial_bins
+            # np.linspace's bits, with its branch for a step that underflows to 0
+            pts = [lo + (i * step if step else i / initial_bins * (hi - lo))
+                   for i in range(initial_bins)] + [hi]
+            mids = [0.5 * (x + y) for x, y in zip(pts, pts[1:])]
+            self.values[pos] = mids if var.scale == "linear" else _log_scale(mids, var.bounds)
+            self.grids[pos] = (pts, mids)
 
     def bin_count(self, pos: int) -> int:
-        return len(self._pts[pos]) - 1
+        return len(self.values[pos])
 
     def update(self, front: list[tuple[tuple[int, ...], tuple]]) -> None:
         """Accumulate the bin masses of a non-dominated front's ``(kept, values)``
@@ -264,16 +265,13 @@ class RefinementState:
         Every triggered counter resets; the others move with their bin.
         """
         splits = []
-        for pos in sorted(self._pts):
-            counters = self.counters[pos]
+        for pos, counters in self.counters.items():
             triggered = {k for k, c in counters.items() if c >= self.persistence}
             if not triggered:
                 continue
-            pts = self._pts[pos]
+            (pts, mids), values = self.grids[pos], self.values[pos]
             split = sorted(k for k in triggered
                            if pts[k] < 0.5 * (pts[k] + pts[k + 1]) < pts[k + 1])
-            mids, values = self.grids[pos][2], self.values[pos]
-            bounds = self.space.variables[pos].bounds
             for k in reversed(split):       # from the right, so k still indexes the old bin
                 mid = 0.5 * (pts[k] + pts[k + 1])
                 pts.insert(k + 1, mid)
@@ -281,8 +279,7 @@ class RefinementState:
                 mids[k] = left
                 mids.insert(k + 1, right)
                 if values is not mids:      # log scale: representatives in raw units
-                    values[k:k + 1] = np.clip(np.exp([left, right]), *bounds).tolist()
-            self.counts[pos] = len(mids)
+                    values[k:k + 1] = _log_scale([left, right], self.space.variables[pos].bounds)
             self.counters[pos] = {k + bisect_left(split, k): c for k, c in counters.items()
                                   if k not in triggered}
             splits += [(pos, k) for k in split]
@@ -326,25 +323,24 @@ def decode(kept: tuple[int, ...], state: RefinementState) -> DecodedConfig:
 
 
 def repair(kept: Sequence[int], state: RefinementState) -> tuple[int, ...]:
-    """Clip one full gene vector into ``state``'s candidate/bin counts.
+    """Clip one full gene vector into the ranges of ``state.values``' tables.
 
     An inactive dimension keeps its gene, so re-activating it restores that
     gene. Repair is total and idempotent (``repair(k, state) == k`` for a
     repaired ``k``).
     """
-    counts = state.counts
-    if min(kept, default=0) < 0 or not all(map(operator.lt, kept, counts)):
-        kept = [min(max(g, 0), n - 1) for g, n in zip(kept, counts)]
+    if min(kept, default=0) < 0 or not all(map(operator.lt, kept, map(len, state.values))):
+        kept = [min(max(g, 0), len(vals) - 1) for g, vals in zip(kept, state.values)]
     return tuple(kept)
 
 
 def sample_random(state: RefinementState, stream: WordStream) -> tuple[int, ...]:
     """Uniform gene per dimension over ``state``'s current candidates/bins, repaired.
 
-    The draws are numpy's ``integers(0, state.counts)``: a count of 1 draws nothing.
+    The draws are numpy's ``integers(0, len(values))``: one value draws nothing.
     """
     below = stream.below
-    return repair([below(n) for n in state.counts], state)
+    return repair([below(len(vals)) for vals in state.values], state)
 
 
 class DedupRegistry:

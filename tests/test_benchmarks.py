@@ -198,7 +198,7 @@ def refined_bench_state(space, rng, rounds=60):
     state = RefinementState(space, persistence=1)
     for _ in range(rounds):
         for pos in space.continuous_indices():
-            pts = state.breakpoints(pos)
+            pts = state.grids[pos][0]
             targets = [0.0, 0.5] + [(rng.word() >> 11) * 2**-53 for _ in range(2)]
             for t in targets:
                 k = min(int(np.searchsorted(pts, t, side="right")) - 1, len(pts) - 2)
@@ -219,7 +219,7 @@ class TestPlainFloatObjectives:
             space = problem.space()
             state = refined_bench_state(space, rng) if refined else RefinementState(space)
             if refined:
-                assert np.diff(state.breakpoints(1)).min() < 1e-12
+                assert np.diff(state.grids[1][0]).min() < 1e-12
             for _ in range(configs):
                 decoded = decode(sample_random(state, rng), state)
                 assert problem.objectives(decoded) == numpy_objectives(problem, decoded)

@@ -336,10 +336,11 @@ class TestArchives:
         assert any(state.bin_count(pos) > run.params.initial_bins
                    for pos in run.space.continuous_indices())
         for pos, var in enumerate(run.space.variables):
-            assert len(arch.heat[pos]) == len(arch.count[pos]) == state.counts[pos]
+            n = len(state.values[pos])
+            assert len(arch.heat[pos]) == len(arch.count[pos]) == n
             if var.is_continuous:
-                assert state.bin_count(pos) == state.counts[pos]
-                assert all(0 <= k < state.counts[pos] for k in state.counters[pos])
+                assert state.bin_count(pos) == n == len(state.grids[pos][0]) - 1
+                assert all(0 <= k < n for k in state.counters[pos])
             # a split divides its bin's count between the two children
             assert arch.count[pos].sum() == accumulated[pos]
 
@@ -588,7 +589,8 @@ class TestDrawBatching:
 
 def per_draw_polynomial_step(grid, gene, eta, rng):
     """Polynomial mutation of one gene with one numpy call: the reference."""
-    lo, hi, mids = grid
+    pts, mids = grid
+    lo, hi = pts[0], pts[-1]
     span = hi - lo
     if span <= 0:
         return gene
@@ -624,7 +626,8 @@ def per_draw_variation_child(run, rng):
         for i, grid in enumerate(run.state.grids):
             x1, x2 = p1.decoded.values[i], p2.decoded.values[i]
             if grid is not None and x1 is not None and x2 is not None:
-                lo, hi, mids = grid
+                pts, mids = grid
+                lo, hi = pts[0], pts[-1]
                 v1, v2 = mids[p1.kept[i]], mids[p2.kept[i]]
                 u = rng.random()
                 if u <= 0.5:
@@ -647,7 +650,7 @@ def per_draw_variation_child(run, rng):
             if values[i] is None or rng.random() >= 1.0 / len(run.space):
                 continue
             if grid is None:
-                new = int(rng.integers(run.state.counts[i]))
+                new = int(rng.integers(len(run.state.values[i])))
             else:
                 new = per_draw_polynomial_step(grid, kept[i], params.mutation_eta, rng)
             if new != kept[i]:
@@ -826,7 +829,7 @@ class TestRefinementResnap:
         for _ in range(60):                 # halve bin 0 sixty times
             state.counters[0][0] = state.persistence
             state.refine()
-        assert np.diff(state.breakpoints(0))[:4].max() < 1e-18
+        assert np.diff(state.grids[0][0])[:4].max() < 1e-18
         kept = [2, 0, 2, 3, 2, 9]
         run.population = []
         for k in kept:
@@ -887,13 +890,13 @@ class TestRefinementResnap:
         state = run.state
         splits = 0
         while True:
-            k = int(np.searchsorted(state.breakpoints(0), 0.6, side="right")) - 1
+            k = int(np.searchsorted(state.grids[0][0], 0.6, side="right")) - 1
             state.counters[0][k] = state.persistence
             if not state.refine():
                 break
             splits += 1
         assert splits == 51
-        pts = state.breakpoints(0)
+        pts = state.grids[0][0]
         assert np.nextafter(pts[29], 1.0) == pts[30]
         assert state.values[0][29] == pts[30]
         state.counters[0] = {}

@@ -155,7 +155,7 @@ class ReferenceSurrogate:
         rng = np.random.default_rng(SURROGATE_TARGET_SEED)
         state = RefinementState(space, initial_bins=6)
         self.target_gene, self.target_value, self.offsets = {}, {}, {}
-        for var, m, values in zip(space.variables, state.counts, state.values):
+        for var, m, values in zip(space.variables, map(len, state.values), state.values):
             lo = m // 2 if var.name in _UPPER_HALF else 0
             gene = int(rng.integers(lo, m))
             self.target_gene[var.name] = gene
@@ -243,8 +243,9 @@ class TestSurrogateMatchesReference:
         edges = {}
         for pos in SPACE.continuous_indices():
             var = SPACE.variables[pos]
-            edges[var.name] = (0, state.counts[pos] - 1)
-            lo, hi = state.breakpoints(pos)[[1, -2]]
+            edges[var.name] = (0, len(state.values[pos]) - 1)
+            pts = np.array(state.grids[pos][0])
+            lo, hi = (np.exp(pts) if var.scale == "log" else pts)[[1, -2]]
             assert lo - var.bounds[0] < 1e-6 * (var.bounds[1] - var.bounds[0])
             assert var.bounds[1] - hi < 1e-6 * (var.bounds[1] - var.bounds[0])
         assert {SPACE.variables[i].scale for i in SPACE.continuous_indices()} == \

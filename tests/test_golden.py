@@ -9,13 +9,21 @@ so IGD and bin renumbering run at the scale of a benchmark run, and on the
 surrogate 1200 configurations go through the evaluator.
 A change that moves a seeded trajectory fails here; re-pin only on purpose,
 with the reason and the acceptance-protocol IGD/HV recorded in CHANGES.md.
+The surrogate's log-scale bins are the one seeded float numpy's SIMD dispatch
+once moved, so that pin is also checked with numpy's AVX-512 kernels off.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from phmoea.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GOLDEN = {
     ("hdtlz2", "phmoea"): (
@@ -61,8 +69,8 @@ GOLDEN_AT_SCALE = {
         "648feb663cdcfd9a7b08af0962f0e4fa439e74396626f3f37704c913a457863a",
         "0b95d192f1c037c6e2edca9ef6fdab2627eabcf68fe52c750a03c91f704bdab8"),
     ("surrogate", "phmoea"): (
-        "a9930dbf979a906cce87c09eea9fce1965afcb28e1c22e3962d78dd124d13cdb",
-        "e5ac8ef27b1f1106f5da4550ab5614892f61a484696c0866b80dc114db92c56b"),
+        "f0765414c117ef91a2f6cbcc4a71d5d6906d050c9b746302e1c7fe1763f507e5",
+        "e7fb2743373076478c67f17f1b5c8638c18252fc0ab6f0205538e0f464789b7a"),
 }
 
 
@@ -90,3 +98,18 @@ def test_seeded_runs_at_scale_match_golden_digests(tmp_path, problem, algo):
     run_dir = tmp_path / "seed_000"
     assert (run_digest(run_dir), run_digest(run_dir, ("pareto_configs.json",))) == \
         GOLDEN_AT_SCALE[(problem, algo)]
+
+
+def test_surrogate_at_scale_without_avx512_matches_golden_digests(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::ImportWarning", "-m", "phmoea.cli", "search",
+         "--problem", "surrogate", "--algo", "phmoea", "--pop", "40", "--gens", "30",
+         "--seeds", "1", "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=300)
+    at = done.stderr.find("NPY_DISABLE_CPU_FEATURES")
+    if at >= 0:         # numpy's ImportWarning, raised by -W error
+        pytest.skip("numpy refuses to disable X86_V4 here: " + " ".join(done.stderr[at:].split()))
+    assert done.returncode == 0, done.stderr
+    run_dir = tmp_path / "seed_000"
+    assert (run_digest(run_dir), run_digest(run_dir, ("pareto_configs.json",))) == \
+        GOLDEN_AT_SCALE[("surrogate", "phmoea")]

@@ -11,8 +11,6 @@ PACKAGE = ROOT / "src" / "phmoea"
 # imported only so perfbench/tracing.py can wrap them on these modules
 WRAPPED = {"evaluators.py": {"build_graph", "count_params"},
            "engine.py": {"canonical_key"}}
-# read only by the tests, as their refinement oracle
-UNREAD_MEMBERS = {"space.py": {"RefinementState.breakpoints"}}
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -121,9 +119,7 @@ def test_every_public_name_is_read():
     for module, tree in trees.items():
         others = set().union(*(read_names(t) for m, t in trees.items() if m != module))
         names = defined_names(tree) - read_names(tree) - others - bench
-        allowed = UNREAD_MEMBERS.get(module, set())
-        assert allowed <= member_names(tree)     # the exemption names live members
-        names |= {m for m in member_names(tree) - allowed if m.split(".")[1] not in members}
+        names |= {m for m in member_names(tree) if m.split(".")[1] not in members}
         if names:
             unread[module] = sorted(names)
     assert unread == {}

@@ -312,6 +312,22 @@ class TestHv:
                 ref = (1.0, 1.0)
             assert hv(pts, ref) == loop_hv(pts, ref)
 
+    # a width or a height past the float range bounds a strip of finite area
+    @pytest.mark.parametrize("points, reference, area", [
+        ([(0.0, -1.5e308)], (1e-300, 1.5e308), 1e-300 * 1.5e308 * 2),
+        ([(-1.5e308, 0.0), (1.5e308, -1.0)], (1.6e308, 1e-300), 1.6e308 - 1.5e308),
+        ([(0.0, -1.0), (1e-300, -1.5e308)], (3e-300, 1.5e308),
+         1e-300 * 1.5e308 + 2e-300 * 1.5e308 * 2)])
+    def test_finite_area_past_the_float_range(self, points, reference, area):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hv(points, reference) == pytest.approx(area, rel=1e-15)
+
+    def test_area_past_the_float_maximum_is_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hv([(-1.5e308, -1.5e308)], (1.5e308, 1.5e308)) == math.inf
+
     def test_agrees_with_monte_carlo(self):
         rng = np.random.default_rng(12)
         for trial in range(10):

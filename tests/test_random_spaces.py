@@ -102,12 +102,12 @@ def check_run(run, result, evaluator, written, pop, gens):
         active = activity(ind.kept, space)
         assert mask(decode(ind.kept, state)) == active == mask(ind.decoded)
     for pos in space.continuous_indices():
-        var, points = space.variables[pos], state.breakpoints(pos)
+        var, points = space.variables[pos], state.grids[pos][0]
         assert np.all(np.diff(points) > 0)
         if var.scale == "linear":
             assert (points[0], points[-1]) == var.bounds
         else:
-            assert points[[0, -1]] == pytest.approx(var.bounds, rel=1e-12)
+            assert np.exp([points[0], points[-1]]) == pytest.approx(var.bounds, rel=1e-12)
     if result is None:
         return
     # each front member's written configuration is the one it was evaluated on

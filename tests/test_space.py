@@ -3,6 +3,7 @@
 import hashlib
 import math
 import warnings
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -21,6 +22,17 @@ def space():
 
 def make_state(space, **kw):
     return RefinementState(space, **kw)
+
+
+def decimal_ln(x):
+    """The correctly rounded natural log of ``x``, at 40 digits and then to a
+    float: the log-scale oracle, which no host's SIMD level moves."""
+    return float(Decimal(x).ln(Context(prec=40)))
+
+
+def decimal_exp(x, bounds):
+    """The oracle's raw value of scale-space ``x``, clipped into ``bounds``."""
+    return min(max(float(Decimal(x).exp(Context(prec=40))), bounds[0]), bounds[1])
 
 
 def per_bin_renumbering(genes, split):
@@ -165,9 +177,9 @@ class TestBuiltinSpace:
     def test_wide_log_bounds_accepted(self, bounds):
         state = RefinementState(ConfigSpace(
             variables=(VariableSpec("a", CONTINUOUS, bounds=bounds, scale="log"),)))
-        lo, hi, mids = state.grids[0]
-        assert all(map(math.isfinite, [lo, hi, *mids, *state.values[0]]))
-        assert np.isfinite(state.breakpoints(0)).all()
+        pts, mids = state.grids[0]
+        assert all(map(math.isfinite, [*pts, *mids, *state.values[0]]))
+        assert all(bounds[0] <= v <= bounds[1] for v in state.values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +300,7 @@ def chain_space():
 
 def clip_repair(kept, state):
     """Repair as clip every gene: the reference."""
-    return tuple(min(max(g, 0), n - 1) for g, n in zip(kept, state.counts))
+    return tuple(min(max(g, 0), len(values) - 1) for g, values in zip(kept, state.values))
 
 
 def gate_decode(kept, space, state):
@@ -358,7 +370,7 @@ class TestRepair:
             assert repair(g, state) == g
         # in range: the vector is kept as it is, and only the gate masks it
         for _ in range(300):
-            raw = tuple(rng.integers(0, state.counts).tolist())
+            raw = tuple(rng.integers(0, list(map(len, state.values))).tolist())
             g = repair(raw, state)
             assert g == raw
             assert decode(g, state).values == gate_decode(g, space, state)
@@ -490,7 +502,7 @@ def front_of(space, state, values, pos=12):
     out = []
     for v in values:
         genes = [0] * len(space)
-        genes[pos] = nearest_index(state.grids[pos][2], v)
+        genes[pos] = nearest_index(state.grids[pos][1], v)
         kept = repair(genes, state)
         out.append((kept, decode(kept, state).values))
     return out
@@ -545,15 +557,15 @@ class TestRefinement:
         splits = state.refine()
         assert splits == [(12, 2)]
         assert state.bin_count(12) == 7
-        pts = state.breakpoints(12)
+        pts = state.grids[12][0]
         # old third interval of [0, 0.5] was [1/6, 1/4]; its midpoint is 5/24
         assert pts[3] == pytest.approx(5 / 24)
 
     def test_no_trigger_no_change(self, space):
         state = make_state(space)
-        before = state.breakpoints(12).copy()
+        before = [list(table) for table in (*state.grids[12], state.values[13])]
         assert state.refine() == []
-        assert np.array_equal(state.breakpoints(12), before)
+        assert [*state.grids[12], state.values[13]] == before
 
     def test_span_preserved_and_increasing(self, space):
         state = make_state(space, persistence=1)
@@ -564,8 +576,9 @@ class TestRefinement:
                 state.counters[d][k] = 1
             state.refine()
         for d in (12, 13, 14):
-            pts = state.breakpoints(d)
             var = space.variables[d]
+            pts = np.array(state.grids[d][0])
+            pts = np.exp(pts) if var.scale == "log" else pts
             assert pts[0] == pytest.approx(var.bounds[0])
             assert pts[-1] == pytest.approx(var.bounds[1])
             assert np.all(np.diff(pts) > 0)
@@ -574,7 +587,7 @@ class TestRefinement:
         state = make_state(space, persistence=1)
         state.counters[13][0] = 1
         state.refine()
-        pts = state.breakpoints(13)
+        pts = np.exp(state.grids[13][0])
         # the inserted point is the geometric midpoint of the old first interval
         assert pts[1] == pytest.approx(np.sqrt(pts[0] * pts[2]), rel=1e-12)
 
@@ -621,11 +634,11 @@ class TestRefinement:
             state.refine()
         n = state.bin_count(1)
         assert n == 11
-        assert state.counts == [2, n, 2]
-        pts = state.breakpoints(1)
-        assert state.values[1] == (0.5 * (pts[:-1] + pts[1:])).tolist()
-        lo, hi, mids = state.grids[1]
-        assert (lo, hi, len(mids)) == (0.0, 1.0, n)
+        assert list(map(len, state.values)) == [2, n, 2]
+        pts, mids = state.grids[1]
+        assert state.values[1] is mids     # a linear scale's representatives
+        assert mids == [0.5 * (x + y) for x, y in zip(pts, pts[1:])]
+        assert (pts[0], pts[-1], len(pts)) == (0.0, 1.0, n + 1)
         # a gene in a new bin, out of range before the splits, now survives
         g = repair((1, n - 1, 1), state)
         assert g == (1, n - 1, 1)
@@ -638,13 +651,13 @@ class TestRefinement:
 
 class ArrayRefinementState:
     """The numpy-array refinement the front-sized one replaced, kept as the reference:
-    dense counters per bin, tables rebuilt in full on every split."""
+    dense counters per bin, tables rebuilt in full on every split, log scales
+    through the decimal oracle."""
 
     def __init__(self, space, initial_bins=6, mass_threshold=0.5, persistence=3):
         self.space = space
         self.mass_threshold = mass_threshold
         self.persistence = persistence
-        self.counts = [len(var.candidates) for var in space.variables]
         self.values = [var.candidates for var in space.variables]
         self.grids = [None] * len(space)
         self.pts, self.counters = {}, {}
@@ -652,18 +665,18 @@ class ArrayRefinementState:
             var = space.variables[pos]
             a, b = var.bounds
             if var.scale == "log":
-                a, b = np.log(a), np.log(b)
+                a, b = decimal_ln(a), decimal_ln(b)
             self.set_points(pos, np.linspace(a, b, initial_bins + 1))
             self.counters[pos] = np.zeros(initial_bins, dtype=np.int64)
 
     def set_points(self, pos, pts):
         mids = 0.5 * (pts[:-1] + pts[1:])
         self.pts[pos] = pts
-        scale = self.space.variables[pos].scale
+        var = self.space.variables[pos]
         grid = mids.tolist()
-        self.counts[pos] = len(grid)
-        self.values[pos] = grid if scale == "linear" else np.exp(mids).tolist()
-        self.grids[pos] = (float(pts[0]), float(pts[-1]), grid)
+        self.values[pos] = grid if var.scale == "linear" else \
+            [decimal_exp(m, var.bounds) for m in grid]
+        self.grids[pos] = (pts.tolist(), grid)
 
     def update(self, front):
         if not front:
@@ -740,17 +753,46 @@ class TestRefinementMatchesArrays:
             assert state.refine() == splits
             moved += sum(len(pending[idx]) for idx in {idx for idx, _ in splits})
             split_dims.update(idx for idx, _ in splits)
-            assert state.counts == ref.counts
             assert state.values == ref.values
             assert state.grids == ref.grids
-            for idx in ref.pts:
-                assert np.array_equal(state.breakpoints(idx), np.exp(ref.pts[idx])
-                                      if space.variables[idx].scale == "log" else ref.pts[idx])
         assert len(fronts) == 99
         log_dims = {pos for pos, v in enumerate(space.variables) if v.scale == "log"}
         assert split_dims >= log_dims
-        assert sum(ref.counts[idx] for idx in ref.pts) > 100 or not aggressive
+        assert sum(len(ref.values[idx]) for idx in ref.pts) > 100 or not aggressive
         assert moved > 0 or aggressive
+
+
+class TestLogScaleTables:
+    """Tables in plain floats, log scales through libmpdec: the same bits on
+    every host, whatever numpy's SIMD dispatch picks."""
+
+    @pytest.mark.parametrize("bounds, scale", [
+        ((0.0, 0.5), "linear"), ((-3, 7), "linear"), ((1e-5, 1e-2), "log"),
+        ((1, 100), "log"), ((1e300, math.nextafter(1e300, math.inf)), "log"),
+        ((0.0, 5e-324), "linear"), ((0.0, 1.5e-323), "linear"), ((0.0, 1e-320), "linear")])
+    def test_initial_points_are_numpy_linspaces(self, bounds, scale):
+        state = RefinementState(ConfigSpace(
+            variables=(VariableSpec("a", CONTINUOUS, bounds=bounds, scale=scale),)))
+        ends = [decimal_ln(b) for b in bounds] if scale == "log" else bounds
+        pts = np.linspace(*ends, 7)
+        assert state.grids[0] == (pts.tolist(), (0.5 * (pts[:-1] + pts[1:])).tolist())
+        assert all(type(v) is float for v in (*state.grids[0][0], *state.values[0]))
+
+    def test_split_run_representatives_equal_the_decimal_oracle(self):
+        from phmoea.engine import SearchParams, SearchProblem, _Run
+        from phmoea.evaluators import SurrogateEvaluator
+        space = builtin_space()
+        run = _Run(SearchProblem(space=space, evaluator=SurrogateEvaluator(space)), 30, 15,
+                   SearchParams.benchmark(), 0, use_archives=True)
+        run.run()
+        state = run.state
+        log_dims = [pos for pos, v in enumerate(space.variables) if v.scale == "log"]
+        assert len(log_dims) == 2
+        for pos in log_dims:
+            var, (pts, mids) = space.variables[pos], state.grids[pos]
+            assert len(mids) > 20           # split again and again
+            assert (pts[0], pts[-1]) == tuple(map(decimal_ln, var.bounds))
+            assert state.values[pos] == [decimal_exp(m, var.bounds) for m in mids]
 
 
 def argmin_reference(points, value):
@@ -793,11 +835,11 @@ class TestNearestIndex:
         # whose midpoints round onto their breakpoints
         state = make_state(space, persistence=1)
         while True:
-            k = int(np.searchsorted(state.breakpoints(12), 0.3, side="right")) - 1
+            k = int(np.searchsorted(state.grids[12][0], 0.3, side="right")) - 1
             state.counters[12][k] = 1
             if not state.refine():
                 break
-        lo, hi, mids = state.grids[12]
+        mids = state.grids[12][1]
         near = [m for m in mids if abs(m - 0.3) < 1e-15]
         assert len(near) > 5
         queries = near + [float(np.nextafter(m, d)) for m in near for d in (-1.0, 2.0)] + \
@@ -821,7 +863,7 @@ class TestSampleRandom:
         rng = WordStream(1)
         for _ in range(200):
             g = sample_random(state, rng)
-            for var, gene, n in zip(space.variables, masked(g, state), state.counts):
+            for var, gene, n in zip(space.variables, masked(g, state), map(len, state.values)):
                 if gene is None:
                     assert var.is_conditional
                 else:
